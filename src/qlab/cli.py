@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -43,6 +44,11 @@ _STATS = (
     "n_sc",
     "overlined_largest_sum",
 )
+
+
+_ENV_NAMES = ("a", "b", "c", "d", "z")
+_ENV_FLAGS = tuple(f"--{name}" for name in _ENV_NAMES)
+_NEGATIVE_LITERAL = re.compile(r"-\d")
 
 
 class UsageError(Exception):
@@ -106,7 +112,7 @@ def _parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--id", dest="identity_id", required=True)
     p_coeffs.add_argument("--side", default="lhs")
     p_coeffs.add_argument("--N", dest="n_value", type=int)
-    for name in ("a", "b", "c", "d", "z"):
+    for name in _ENV_NAMES:
         p_coeffs.add_argument(
             f"--{name}", dest=f"env_{name}", help=f"exact rational value for {name}"
         )
@@ -144,7 +150,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     ):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
-    for name in ("a", "b", "c", "d", "z"):
+    for name in _ENV_NAMES:
         value = getattr(args, f"env_{name}", None)
         if value is not None:
             cfg.env_values[name] = value
@@ -328,6 +334,23 @@ def cmd_list(cfg: RunConfig) -> int:
     return 0
 
 
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """Rewrite "--a -7/3" as "--a=-7/3".
+
+    argparse takes a token such as -7/3 for an option rather than a value
+    (it only recognises plain negative numbers), so a negative literal
+    given as its own token after a parameter flag is attached to the flag.
+    No option of this CLI starts with a dash and a digit.
+    """
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1] in _ENV_FLAGS and _NEGATIVE_LITERAL.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 _COMMANDS = {
     "verify": cmd_verify,
     "table": cmd_table,
@@ -339,7 +362,7 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.subcommand](cfg)

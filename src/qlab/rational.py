@@ -1,10 +1,19 @@
-"""Exact rational scalars used as series coefficients.
+"""Exact rational scalars: parameter values and series coefficients.
 
 All parameter values and series coefficients are arbitrary-precision
 rationals, always in lowest terms with a positive denominator, and all
-arithmetic is exact.  gmpy2's mpq is used when available (roughly an
-order of magnitude faster than the stdlib); ``fractions.Fraction``
-otherwise.  Set QLAB_RATIONAL=fractions to force the stdlib backend.
+arithmetic is exact.  gmpy2's mpq is used when available;
+``fractions.Fraction`` otherwise.  Set QLAB_RATIONAL=fractions to force
+the stdlib backend.
+
+The backend matters only at the boundary of the series engine.  QSeries
+stores int numerators over one shared denominator and runs its kernels
+on plain ints, so a Rat is built from a (numerator, denominator) pair
+only when a coefficient is read (``coeffs``, indexing,
+``constant_term``), and is taken apart with ``int(x.numerator)`` and
+``int(x.denominator)`` when a series or a scalar argument comes in.  The
+remaining scalar arithmetic on Rats is on parameters, in the identity
+builders and the Laurent series.
 
 Rationals cross text boundaries (CLI flags, JSON, TSV) as "p/q" strings,
 never as decimals.

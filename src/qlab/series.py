@@ -6,15 +6,34 @@ Binary operations on series of different truncation orders first
 truncate to the shorter one, and equality means coefficient-wise
 equality up to the common order.
 
+Storage is fraction-free: a tuple of Python int numerators ``_nums``
+over one positive int denominator ``_den``, so the coefficient of q^n is
+``_nums[n] / _den``.  Every series is kept reduced,
+``gcd(_den, *_nums) == 1``, which makes the representation of a value
+unique.  Each kernel works on plain ints over a common denominator (the
+fraction-free technique of Bareiss elimination) and reduces once at the
+end with a single C-level ``math.gcd`` call, instead of normalising a
+rational per coefficient operation.  Rationals of the backend type
+appear only at the boundary: the constructor takes them, and
+``coeffs``, indexing and ``constant_term`` return them.
+
 Multiplication and division by a single Pochhammer factor (1 - c*q^e)
-have dedicated O(T) paths; q-Pochhammer symbols, Gaussian binomials and
-the generic basic hypergeometric summation loop are built on top of
-them.  Values are immutable and safe to share between workers.
+have dedicated O(T) paths.  For c = p/q, multiplication gives
+``q*a[n] - p*a[n-e]`` over ``_den*q``.  Division solves
+b = a + (p/q) q^e b with K = T // e as ``b[n] = q^K*a[n] + p*(b[n-e] // q)``
+over ``_den*q^K``.  The floor division there is exact: unrolled,
+``b[m] = sum_{k <= m//e} p^k q^(K-k) a[m-ke]``, so ``b[m]`` is divisible
+by ``q^(K - m//e)``, and for m = n-e that exponent is at least 1 because
+(n-e)//e < K.  q-Pochhammer symbols, Gaussian binomials and the generic
+basic hypergeometric summation loop are built on top of these paths.
+Values are immutable and safe to share between workers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from math import gcd, lcm
+from operator import add, mul, sub
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .rational import ONE, ZERO, Rat, rat
 
@@ -37,108 +56,147 @@ class QMonomial(NamedTuple):
 Scalar = Union[int, Rat]
 
 
+def _ratio(x: Scalar) -> Tuple[int, int]:
+    """(numerator, denominator) of an int or backend rational, as Python ints."""
+    return int(x.numerator), int(x.denominator)
+
+
+def _reduced(nums: Sequence[int], den: int) -> "QSeries":
+    """The series nums/den in lowest terms; den must be positive."""
+    # High orders share the fewest factors with den (the low ones of a
+    # div_binomial result carry high powers of q), and once the running gcd is 1
+    # math.gcd only scans the rest, so start from the top.
+    g = gcd(den, *reversed(nums))
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return _raw(tuple(nums), den)
+
+
+def _raw(nums: Tuple[int, ...], den: int) -> "QSeries":
+    """A series from numerators already reduced against den."""
+    s = object.__new__(QSeries)
+    s._nums = nums
+    s._den = den
+    return s
+
+
+def _first_difference(x: "QSeries", y: "QSeries") -> Optional[int]:
+    """Lowest common order where x and y differ, comparing a*dy with b*dx."""
+    g = gcd(x._den, y._den)
+    mx, my = y._den // g, x._den // g
+    for n, (a, b) in enumerate(zip(x._nums, y._nums)):
+        if a * mx != b * my:
+            return n
+    return None
+
+
 class QSeries:
     """Truncated power series sum_{n=0}^{T} coeffs[n] * q^n."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Rat]):
-        c = tuple(coeffs)
-        if not c:
+        pairs = [_ratio(c) for c in coeffs]
+        if not pairs:
             raise ValueError("a series needs at least the q^0 coefficient")
-        self._coeffs = c
+        # Over the lcm of lowest-terms denominators the numerators share no
+        # factor with it, so the result is already reduced.
+        den = lcm(*(d for _, d in pairs))
+        self._nums = tuple(n * (den // d) for n, d in pairs)
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
-        return cls([ZERO] * (order + 1))
+        return _raw((0,) * (order + 1), 1)
 
     @classmethod
     def one(cls, order: int) -> "QSeries":
-        return cls.constant(ONE, order)
+        return cls.constant(1, order)
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "QSeries":
-        c = [ZERO] * (order + 1)
-        c[0] = rat(1) * value
-        return cls(c)
+        return cls.monomial(value, 0, order)
 
     @classmethod
     def monomial(cls, coeff: Scalar, exp: int, order: int) -> "QSeries":
         if exp < 0:
             raise ValueError("q-exponent must be non-negative")
-        c = [ZERO] * (order + 1)
-        if exp <= order:
-            c[exp] = rat(1) * coeff
-        return cls(c)
+        if exp > order:
+            return cls.zero(order)
+        nums = [0] * (order + 1)
+        nums[exp], den = _ratio(coeff)
+        return _raw(tuple(nums), den)
 
     # -- basic accessors ----------------------------------------------
 
     @property
     def order(self) -> int:
         """Highest q-exponent carried exactly (the truncation order T)."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        den = self._den
+        return tuple(rat(n, den) for n in self._nums)
 
     def __getitem__(self, n: int) -> Rat:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient q^{n} outside truncation order {self.order}")
-        return self._coeffs[n]
+        return rat(self._nums[n], self._den)
 
     @property
     def constant_term(self) -> Rat:
-        return self._coeffs[0]
+        return rat(self._nums[0], self._den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._nums)
 
     def truncate(self, order: int) -> "QSeries":
         if order < 0:
             raise ValueError("truncation order must be non-negative")
         if order >= self.order:
             return self
-        return QSeries(self._coeffs[: order + 1])
+        return _reduced(self._nums[: order + 1], self._den)
 
     # -- ring operations ----------------------------------------------
 
-    def _common(self, other: "QSeries") -> int:
-        return min(self.order, other.order)
+    def _over_common(self, other: "QSeries"):
+        """Both numerator sequences over the lcm of the denominators, and
+        that lcm; map in the callers truncates to the common order."""
+        a, da, b, db = self._nums, self._den, other._nums, other._den
+        if da == db:
+            return a, b, da
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return map(ma.__mul__, a), map(mb.__mul__, b), da * ma
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        t = self._common(other)
-        a, b = self._coeffs, other._coeffs
-        return QSeries([a[n] + b[n] for n in range(t + 1)])
+        a, b, den = self._over_common(other)
+        return _reduced(list(map(add, a, b)), den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        t = self._common(other)
-        a, b = self._coeffs, other._coeffs
-        return QSeries([a[n] - b[n] for n in range(t + 1)])
+        a, b, den = self._over_common(other)
+        return _reduced(list(map(sub, a, b)), den)
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self._coeffs])
+        return _raw(tuple(-n for n in self._nums), self._den)
 
     def __mul__(self, other: Union["QSeries", Scalar]) -> "QSeries":
         if isinstance(other, QSeries):
-            t = self._common(other)
-            a, b = self._coeffs, other._coeffs
-            out = [ZERO] * (t + 1)
-            for i in range(t + 1):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                for j in range(t + 1 - i):
-                    bj = b[j]
-                    if bj != 0:
-                        out[i + j] += ai * bj
-            return QSeries(out)
+            size = min(len(self._nums), len(other._nums))
+            b = other._nums[:size]
+            out = [0] * size
+            for i, ai in enumerate(self._nums[:size]):
+                if ai:
+                    out[i:] = map(add, out[i:], map(ai.__mul__, b[: size - i]))
+            return _reduced(out, self._den * other._den)
         return self.scale(other)
 
     def __rmul__(self, other: Scalar) -> "QSeries":
@@ -152,80 +210,99 @@ class QSeries:
             result = result * self
         return result
 
+    def _scaled(self, p: int, q: int) -> "QSeries":
+        """self * p/q for p/q in lowest terms with q > 0; cross-cancelling
+        first keeps the result reduced without a gcd over the products."""
+        if p == 0:
+            return QSeries.zero(self.order)
+        g1, g2 = gcd(p, self._den), gcd(q, *self._nums)
+        p //= g1
+        nums = self._nums if g2 == 1 else [n // g2 for n in self._nums]
+        return _raw(tuple(map(p.__mul__, nums)), (self._den // g1) * (q // g2))
+
     def scale(self, value: Scalar) -> "QSeries":
-        return QSeries([c * value for c in self._coeffs])
+        return self._scaled(*_ratio(value))
 
     def shift(self, exp: int) -> "QSeries":
         """Multiply by q^exp, keeping the truncation order."""
         if exp < 0:
             raise ValueError("q-exponent must be non-negative")
-        t = self.order
-        out = [ZERO] * (t + 1)
-        for n in range(t + 1 - exp):
-            out[n + exp] = self._coeffs[n]
-        return QSeries(out)
+        size = len(self._nums)
+        if exp >= size:
+            return QSeries.zero(self.order)
+        return _reduced((0,) * exp + self._nums[: size - exp], self._den)
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse: self * self.inverse() == 1 up to T."""
-        c0 = self._coeffs[0]
-        if c0 == 0:
+        """Multiplicative inverse: self * self.inverse() == 1 up to T.
+
+        With a = self._nums and a0 = a[0], c[n] = a0^(n+1) [q^n](1/sum a[j] q^j)
+        is an integer: c[0] = 1 and c[n] = -sum_{j=1}^{n} a[j] a0^(j-1) c[n-j].
+        The inverse is then _den * c[n] * a0^(T-n) over a0^(T+1).
+        """
+        a = self._nums
+        a0 = a[0]
+        if a0 == 0:
             raise ZeroConstantTermError("cannot invert a series with zero constant term")
-        t = self.order
-        inv0 = ONE / c0
-        out = [ZERO] * (t + 1)
-        out[0] = inv0
-        a = self._coeffs
+        t = len(a) - 1
+        powers = [1]
+        for _ in range(t + 1):
+            powers.append(powers[-1] * a0)
+        weights = list(map(mul, a[1:], powers))  # a[j] a0^(j-1), j = 1..T
+        c = [1]
         for n in range(1, t + 1):
-            acc = ZERO
-            for j in range(1, n + 1):
-                aj = a[j]
-                if aj != 0:
-                    acc += aj * out[n - j]
-            out[n] = -inv0 * acc
-        return QSeries(out)
+            c.append(-sum(map(mul, weights[:n], reversed(c))))
+        den = powers[t + 1]
+        scale = self._den if den > 0 else -self._den
+        nums = [scale * cn * pw for cn, pw in zip(c, reversed(powers[: t + 1]))]
+        return _reduced(nums, abs(den))
 
     # -- single-factor fast paths --------------------------------------
 
     def mul_binomial(self, coeff: Scalar, exp: int) -> "QSeries":
         """self * (1 - coeff*q^exp) in O(T)."""
-        if coeff == 0 or exp > self.order:
+        p, q = _ratio(coeff)
+        if p == 0 or exp > self.order:
             return self
         if exp < 0:
             raise ValueError("q-exponent must be non-negative")
-        a = self._coeffs
-        t = self.order
         if exp == 0:
-            factor = ONE - rat(1) * coeff
-            return self.scale(factor)
-        out = list(a)
-        for n in range(exp, t + 1):
-            out[n] = out[n] - coeff * a[n - exp]
-        return QSeries(out)
+            return self._scaled(q - p, q)
+        a = self._nums
+        head = a if q == 1 else list(map(q.__mul__, a))
+        out = list(head[:exp])
+        out += map(sub, head[exp:], map(p.__mul__, a))
+        return _reduced(out, self._den * q)
 
     def div_binomial(self, coeff: Scalar, exp: int) -> "QSeries":
-        """self / (1 - coeff*q^exp) in O(T)."""
-        if coeff == 0 or exp > self.order:
+        """self / (1 - coeff*q^exp) in O(T); see the module docstring for
+        why the floor division is exact."""
+        p, q = _ratio(coeff)
+        if p == 0 or exp > self.order:
             return self
         if exp < 0:
             raise ValueError("q-exponent must be non-negative")
-        t = self.order
         if exp == 0:
-            factor = ONE - rat(1) * coeff
-            if factor == 0:
+            if p == q:
                 raise ZeroConstantTermError("division by (1 - c) with c = 1")
-            return self.scale(ONE / factor)
-        out = list(self._coeffs)
+            return self._scaled(q, q - p) if q > p else self._scaled(-q, p - q)
+        t = self.order
+        if q == 1:
+            out = list(self._nums)
+            for n in range(exp, t + 1):
+                out[n] += p * out[n - exp]
+            return _reduced(out, self._den)
+        qk = q ** (t // exp)
+        out = list(map(qk.__mul__, self._nums))
         for n in range(exp, t + 1):
-            out[n] = out[n] + coeff * out[n - exp]
-        return QSeries(out)
+            out[n] += p * (out[n - exp] // q)
+        return _reduced(out, self._den * qk)
 
     # -- comparison & display -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        t = self._common(other)
-        return all(self._coeffs[n] == other._coeffs[n] for n in range(t + 1))
+        return _first_difference(self, other) is None
 
     def __ne__(self, other: object) -> bool:
         eq = self.__eq__(other)
@@ -235,15 +312,11 @@ class QSeries:
 
     def first_difference(self, other: "QSeries") -> Optional[int]:
         """Lowest order where the two series disagree, or None."""
-        t = self._common(other)
-        for n in range(t + 1):
-            if self._coeffs[n] != other._coeffs[n]:
-                return n
-        return None
+        return _first_difference(self, other)
 
     def __repr__(self) -> str:
         terms = []
-        for n, c in enumerate(self._coeffs):
+        for n, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if n == 0:
@@ -307,18 +380,6 @@ def div_poch(s: QSeries, coeff: Scalar, exp: int, n: Optional[int]) -> QSeries:
     return s
 
 
-def poch_step(coeff: Scalar, exp: int, step: int, n: Optional[int], order: int) -> QSeries:
-    """prod_{k=0}^{n-1} (1 - c*q^{e+k*step}); base-q^step Pochhammer."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    result = QSeries.one(order)
-    k = 0
-    while (n is None or k < n) and exp + k * step <= order:
-        result = result.mul_binomial(coeff, exp + k * step)
-        k += 1
-    return result
-
-
 def pochhammer(x: QMonomial, n: Optional[int], order: int) -> QSeries:
     """(x; q)_n for a monomial argument x = coeff*q^exp."""
     return poch(x.coeff, x.exp, n, order)
@@ -359,13 +420,8 @@ def q_binomial(N: int, n: int, order: int) -> QSeries:
     Computed by the Pascal recurrence (never series division), so the
     coefficients are non-negative integers; [N, n] = 0 outside 0 <= n <= N.
     """
-    poly = _qbin_poly(N, n)
-    c = [ZERO] * (order + 1)
-    for i, v in enumerate(poly):
-        if i > order:
-            break
-        c[i] = rat(v)
-    return QSeries(c)
+    poly = _qbin_poly(N, n)[: order + 1]
+    return _raw(poly + (0,) * (order + 1 - len(poly)), 1)
 
 
 # -- generic basic hypergeometric summation --------------------------------

@@ -3,13 +3,15 @@
 These deliberately avoid the package's series kernel where possible:
 the pentagonal expansion is a direct lattice sum, the product oracle a
 naive convolution over plain lists, the Gaussian binomial a quotient of
-factorial polynomials evaluated through Fraction arithmetic.
+factorial polynomials evaluated through Fraction arithmetic.  The
+``ref_*`` functions are naive per-coefficient Fraction versions of the
+QSeries kernels, with the same truncation and edge-case conventions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
 
 def pentagonal_coeffs(order: int) -> List[Fraction]:
@@ -83,3 +85,56 @@ def gaussian_binomial_poly(n_top: int, n_bottom: int) -> List[Fraction]:
     for k in range(1, n_bottom + 1):
         den = poly_mul(den, one_minus_q_pow(k))
     return poly_divide_exact(num, den)
+
+
+# -- reference QSeries kernels (lists of Fraction, truncated to the shorter) --
+
+
+def ref_add(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+    return [x + y for x, y in zip(a, b)]
+
+
+def ref_sub(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+    return [x - y for x, y in zip(a, b)]
+
+
+def ref_scale(a: List[Fraction], value: Fraction) -> List[Fraction]:
+    return [x * value for x in a]
+
+
+def ref_shift(a: List[Fraction], exp: int) -> List[Fraction]:
+    return ([Fraction(0)] * exp + list(a))[: len(a)]
+
+
+def ref_truncate(a: List[Fraction], order: int) -> List[Fraction]:
+    return list(a[: order + 1])
+
+
+def ref_inverse(a: List[Fraction]) -> List[Fraction]:
+    out = [1 / a[0]]
+    for n in range(1, len(a)):
+        out.append(-sum(a[j] * out[n - j] for j in range(1, n + 1)) / a[0])
+    return out
+
+
+def ref_mul_binomial(a: List[Fraction], c: Fraction, e: int) -> List[Fraction]:
+    """a * (1 - c q^e), truncated to len(a)."""
+    return [a[n] - (c * a[n - e] if n >= e else 0) for n in range(len(a))]
+
+
+def ref_div_binomial(a: List[Fraction], c: Fraction, e: int) -> List[Fraction]:
+    """a / (1 - c q^e) = sum_k c^k q^(ke) a, truncated to len(a)."""
+    if e == 0:
+        return [x / (1 - c) for x in a]
+    out = [Fraction(0)] * len(a)
+    for n in range(len(a)):
+        for k in range(n // e + 1):
+            out[n] += c**k * a[n - k * e]
+    return out
+
+
+def ref_first_difference(a: List[Fraction], b: List[Fraction]) -> Optional[int]:
+    for n, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return n
+    return None

@@ -135,6 +135,15 @@ def test_coeffs_missing_parameter_named(capsys):
     assert "b" in err
 
 
+def test_coeffs_negative_fraction_as_separate_token(capsys):
+    base = ("coeffs", "--id", "R01", "--b", "1/2", "--order", "6")
+    attached = run_cli(capsys, *base, "--a=-7/3")
+    separate = run_cli(capsys, *base, "--a", "-7/3")
+    assert attached[0] == 0
+    assert separate == attached
+    assert json.loads(separate[1])["env"]["a"] == "-7/3"
+
+
 def test_positivity_pattern_and_strict(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "positivity", "--N", "1", "--order", "10", "--format", "tsv"

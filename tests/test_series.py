@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlab.rational import rat
@@ -21,7 +22,20 @@ from qlab.series import (
     series_mul,
 )
 
-from _oracles import gaussian_binomial_poly, pentagonal_coeffs
+from _oracles import (
+    convolve,
+    gaussian_binomial_poly,
+    pentagonal_coeffs,
+    ref_add,
+    ref_div_binomial,
+    ref_first_difference,
+    ref_inverse,
+    ref_mul_binomial,
+    ref_scale,
+    ref_shift,
+    ref_sub,
+    ref_truncate,
+)
 
 T = 15
 
@@ -295,3 +309,102 @@ def test_shift_and_scale():
     s = qs(1, 2, 3)
     assert s.shift(1) == qs(0, 1, 2)
     assert s.scale(rat(1, 2)) == qs(Fraction(1, 2), 1, Fraction(3, 2))
+
+
+# -- kernels against the per-coefficient Fraction reference -------------------
+
+RAT_TYPE = type(rat(1))
+
+fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+# orders 0..12, including all-zero and all-integer series
+coeff_lists = st.one_of(
+    st.lists(fractions_st, min_size=1, max_size=13),
+    st.lists(st.integers(-9, 9).map(Fraction), min_size=1, max_size=13),
+    st.integers(0, 12).map(lambda t: [Fraction(0)] * (t + 1)),
+)
+# integer and non-integer scalars, negative numerators and zero included
+scalars = st.one_of(st.integers(-4, 4), fractions_st)
+exponents = st.integers(0, 15)  # e = 0 and e > T both occur
+
+
+def as_scalar(value):
+    return value if isinstance(value, int) else rat(value.numerator, value.denominator)
+
+
+def as_fractions(s: QSeries) -> list:
+    """The coefficients as Fractions, checking each is a lowest-terms Rat."""
+    assert s._den > 0 and gcd(s._den, *s._nums) == 1
+    out = []
+    for c in s.coeffs:
+        assert type(c) is RAT_TYPE
+        num, den = int(c.numerator), int(c.denominator)
+        assert den > 0 and gcd(num, den) == 1
+        out.append(Fraction(num, den))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_ring_kernels_match_reference(a, b):
+    x, y = from_fractions(a), from_fractions(b)
+    assert as_fractions(x + y) == ref_add(a, b)
+    assert as_fractions(x - y) == ref_sub(a, b)
+    assert as_fractions(-x) == [-c for c in a]
+    assert as_fractions(x * y) == convolve(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists, scalars, exponents)
+def test_linear_kernels_match_reference(a, value, k):
+    x = from_fractions(a)
+    assert as_fractions(x.scale(as_scalar(value))) == ref_scale(a, Fraction(value))
+    assert as_fractions(x.shift(k)) == ref_shift(a, k)
+    assert as_fractions(x.truncate(k)) == ref_truncate(a, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists)
+def test_inverse_matches_reference(a):
+    x = from_fractions(a)
+    if a[0] == 0:
+        with pytest.raises(ZeroConstantTermError):
+            x.inverse()
+    else:
+        assert as_fractions(x.inverse()) == ref_inverse(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, scalars, exponents)
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 2, 0)
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], Fraction(-7, 3), 0)
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], Fraction(7, 3), 0)
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], Fraction(1, 2), 3)
+@example([Fraction(0)] * 4, Fraction(-7, 3), 1)
+def test_binomial_kernels_match_reference(a, c, e):
+    x, coeff = from_fractions(a), as_scalar(c)
+    assert as_fractions(x.mul_binomial(coeff, e)) == ref_mul_binomial(a, Fraction(c), e)
+    if e == 0 and c == 1:
+        with pytest.raises(ZeroConstantTermError):
+            x.div_binomial(coeff, e)
+    else:
+        assert as_fractions(x.div_binomial(coeff, e)) == ref_div_binomial(a, Fraction(c), e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeff_lists, coeff_lists, st.integers(0, 13))
+def test_first_difference_matches_reference(a, tail, k):
+    # b shares a prefix with a, so its denominator can differ from a's
+    # while the common coefficients agree
+    b = a[:k] + tail
+    x, y = from_fractions(a), from_fractions(b)
+    expected = ref_first_difference(a, b)
+    assert x.first_difference(y) == expected
+    assert y.first_difference(x) == expected
+    assert (x == y) == (expected is None)
+
+
+def test_binomial_kernels_reject_negative_exponent():
+    with pytest.raises(ValueError):
+        qs(1, 2).mul_binomial(1, -1)
+    with pytest.raises(ValueError):
+        qs(1, 2).div_binomial(1, -1)
