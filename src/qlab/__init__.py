@@ -6,7 +6,7 @@ identities checked coefficient-by-coefficient at sampled rational
 parameter values.
 """
 
-from .laurent import LaurentZQSeries, laurent_extract
+from .laurent import LaurentZQSeries
 from .partitions import (
     AnomalousInputError,
     EmptyPartitionError,
@@ -32,11 +32,8 @@ from .series import (
     ZeroConstantTermError,
     phi_series,
     poch,
-    pochhammer,
     q_binomial,
-    series_add,
-    series_inverse,
-    series_mul,
+    term_sum,
 )
 
 __version__ = "0.1.0"

@@ -29,22 +29,9 @@ from .identities import (
     positivity_scan,
     run_suite,
 )
-from .partitions import statistic_table
+from .partitions import _TABLE_STATS, statistic_table
 from .rational import format_rat, parse_rat
 from .series import ZeroConstantTermError
-
-_STATS = (
-    "p",
-    "p_restricted",
-    "spt",
-    "spt_restricted",
-    "rank_moment",
-    "crank_moment",
-    "ospt",
-    "n_sc",
-    "overlined_largest_sum",
-)
-
 
 _ENV_NAMES = ("a", "b", "c", "d", "z")
 _ENV_FLAGS = tuple(f"--{name}" for name in _ENV_NAMES)
@@ -97,7 +84,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="tabulate a partition statistic")
     common(p_table)
-    p_table.add_argument("--stat", required=True, choices=_STATS)
+    p_table.add_argument("--stat", required=True, choices=_TABLE_STATS)
     p_table.add_argument("--max-n", dest="max_n", type=int, default=10)
     p_table.add_argument("--N", dest="n_value", type=int, help="largest-part bound")
     p_table.add_argument("--j", type=int, default=1, help="moment order")
@@ -233,6 +220,8 @@ def cmd_table(cfg: RunConfig) -> int:
         raise UsageError(f"--stat {cfg.stat} needs --N (the largest-part bound)")
     if cfg.max_n < 1:
         raise UsageError("--max-n must be >= 1")
+    if cfg.j < 0:
+        raise UsageError("--j must be non-negative")
     table = statistic_table(
         cfg.stat,
         cfg.max_n,

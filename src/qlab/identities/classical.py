@@ -17,57 +17,44 @@ with the instances 0 <= n <= N combined through a free weight parameter.
 
 from __future__ import annotations
 
-from ..rational import ONE, Rat, rat
+from ..rational import ONE
 from ..series import (
     QMonomial,
     QSeries,
     div_poch,
     geometric_fraction,
-    geometric_tail,
     phi_series,
     poch,
-    q_binomial,
+    term_sum,
 )
-from .common import all_nonzero, distinct, domain_all, inside_unit, nonzero, not_one, rules, truncating_sum
+from .common import (
+    all_nonzero,
+    binomial_step,
+    distinct,
+    div_q_n,
+    domain_all,
+    inside_unit,
+    nonzero,
+    not_one,
+    rules,
+    times_n,
+)
 from .model import FINITE, INFINITE, Identity, ParamEnv
-
-
-def scalar_phi_with_tail(nums: list, dens: list, z: Rat, order: int) -> QSeries:
-    """sum_{n>=0} prod_i (u_i)_n / (prod_j (v_j)_n (q)_n) * z^n for scalar
-    parameters, exactly: the first order+1 terms plus the geometric tail
-    (past n = order every Pochhammer is frozen modulo q^{order+1})."""
-    total = QSeries.zero(order)
-    term = QSeries.one(order)
-    total = total + term
-    for n in range(1, order + 2):
-        for u in nums:
-            term = term.mul_binomial(u, n - 1)
-        for v in dens:
-            term = term.div_binomial(v, n - 1)
-        term = term.div_binomial(1, n)
-        term = term.scale(z)
-        if n <= order:
-            total = total + term
-    return total + term.scale(geometric_tail(z, 0))
 
 
 def _r37() -> Identity:
     def _phi43_sum(uppers, lowers, g, N, T):
         # sum_{n=0}^{N} prod(uppers)_n (q^{N-n+1})_n
         #   / (prod(lowers)_n (q)_n (q^{N-n}/g)_n g^n)
-        total = QSeries.zero(T)
-        for n in range(0, N + 1):
-            t = QSeries.one(T)
+        def step(t, n):
             for u in uppers:
-                t = t * poch(u, 0, n, T)
-            t = t * poch(1, N - n + 1, n, T)
+                t = t.mul_binomial(u, n - 1)
+            t = t.mul_binomial(1, N - n + 1)
             for v in lowers:
-                t = div_poch(t, v, 0, n)
-            t = div_poch(t, 1, 1, n)
-            t = div_poch(t, 1 / g, N - n, n)
-            t = t.scale((ONE / g) ** n)
-            total = total + t
-        return total
+                t = t.div_binomial(v, n - 1)
+            return t.div_binomial(1, n).div_binomial(1 / g, N - n).scale(ONE / g)
+
+        return term_sum(QSeries.one(T), step, stop=N)
 
     def lhs(env, N, T):
         A, B, C = env.get("a"), env.get("b"), env.get("c")
@@ -136,22 +123,19 @@ def _sears_debc_not_one(env: ParamEnv):
 def _r38() -> Identity:
     def lhs(env, N, T):
         w, x = env.get("a"), env.get("b")
-        total = QSeries.zero(T)
-        for n in range(0, N + 1):
-            t = QSeries.one(T)
-            for k in range(0, n):
-                t = t * (QSeries.monomial(x, N, T) - QSeries.monomial(1, k, T))
-            total = total + t.scale(w**n)
-        return total
+
+        def step(t, n):  # w^n prod_{k=0}^{n-1} (x q^N - q^k)
+            return (t * (QSeries.monomial(x, N, T) - QSeries.monomial(1, n - 1, T))).scale(w)
+
+        return term_sum(QSeries.one(T), step, stop=N)
 
     def rhs(env, N, T):
         w, x = env.get("a"), env.get("b")
-        total = QSeries.zero(T)
-        for n in range(0, N + 1):
-            t = poch(x, N - n + 1, n, T)
-            t = t.scale(rat(-1) ** n * w**n).shift(n * (n - 1) // 2)
-            total = total + t
-        return total
+
+        def step(t, n):  # (-w)^n q^{n(n-1)/2} (x q^{N-n+1})_n
+            return t.mul_binomial(x, N - n + 1).scale(-w).shift(n - 1)
+
+        return term_sum(QSeries.one(T), step, stop=N)
 
     return Identity(
         id="R38",
@@ -170,28 +154,25 @@ def _r38() -> Identity:
 def _r39() -> Identity:
     def lhs(env, N, T):
         a, b, c, t_par = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-        total = QSeries.zero(T)
-        for n in range(0, N + 1):
-            t = poch(a, 0, n, T) * poch(b, 0, n, T)
-            t = t * poch(1, N - n + 1, n, T)
-            t = t.scale(t_par**n)
-            t = div_poch(t, c, 0, n)
-            t = div_poch(t, 1, 1, n)
-            t = div_poch(t, t_par, N - n, n)
-            total = total + t
-        return total
+
+        def step(t, n):  # (a)_n (b)_n (q^{N-n+1})_n t^n / ((c)_n (q)_n (t q^{N-n})_n)
+            t = t.mul_binomial(a, n - 1).mul_binomial(b, n - 1).mul_binomial(1, N - n + 1)
+            t = t.scale(t_par).div_binomial(c, n - 1).div_binomial(1, n)
+            return t.div_binomial(t_par, N - n)
+
+        return term_sum(QSeries.one(T), step, stop=N)
 
     def rhs(env, N, T):
         a, b, c, t_par = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-        total = QSeries.zero(T)
-        for n in range(0, N + 1):
-            t = poch(a * b * t_par / c, 0, n, T) * poch(b, 0, n, T)
-            t = t * poch(1, N - n + 1, n, T)
-            t = t.scale((c / b) ** n)
-            t = div_poch(t, b * t_par, 0, n)
-            t = div_poch(t, 1, 1, n)
-            t = div_poch(t, c / b, N - n, n)
-            total = total + t
+
+        def step(t, n):
+            # (abt/c)_n (b)_n (q^{N-n+1})_n (c/b)^n / ((bt)_n (q)_n (q^{N-n} c/b)_n)
+            t = t.mul_binomial(a * b * t_par / c, n - 1).mul_binomial(b, n - 1)
+            t = t.mul_binomial(1, N - n + 1).scale(c / b)
+            t = t.div_binomial(b * t_par, n - 1).div_binomial(1, n)
+            return t.div_binomial(c / b, N - n)
+
+        total = term_sum(QSeries.one(T), step, stop=N)
         prefactor = poch(c / b, 0, N, T) * poch(b * t_par, 0, N, T)
         prefactor = div_poch(prefactor, c, 0, N)
         prefactor = div_poch(prefactor, t_par, 0, N)
@@ -229,14 +210,27 @@ def _r39_bt_not_one(env: ParamEnv):
     return None
 
 
-def _r40() -> Identity:
-    def lhs(env, N, T):
-        alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-        return scalar_phi_with_tail([alpha, beta], [gamma], z, T)
+def _heine_lhs(env, N, T):
+    """2phi1(alpha, beta; gamma; z) for scalar parameters: its terms never
+    vanish to order T, so the sum ends in the geometric tail in z."""
+    alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
+    def step(t, n):  # (alpha)_n (beta)_n z^n / ((gamma)_n (q)_n)
+        t = t.mul_binomial(alpha, n - 1).mul_binomial(beta, n - 1)
+        return t.div_binomial(gamma, n - 1).div_binomial(1, n).scale(z)
+
+    return term_sum(QSeries.one(T), step, tail=z)
+
+
+def _r40() -> Identity:
     def rhs(env, N, T):
         alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-        inner = scalar_phi_with_tail([gamma / beta, z], [alpha * z], beta, T)
+
+        def step(t, n):  # (gamma/beta)_n (z)_n beta^n / ((alpha z)_n (q)_n)
+            t = t.mul_binomial(gamma / beta, n - 1).mul_binomial(z, n - 1)
+            return t.div_binomial(alpha * z, n - 1).div_binomial(1, n).scale(beta)
+
+        inner = term_sum(QSeries.one(T), step, tail=beta)
         prefactor = poch(beta, 0, None, T) * poch(alpha * z, 0, None, T)
         prefactor = div_poch(prefactor, gamma, 0, None)
         prefactor = div_poch(prefactor, z, 0, None)
@@ -251,7 +245,7 @@ def _r40() -> Identity:
         ),
         params=("a", "b", "c", "d"),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(("lhs", _heine_lhs), ("rhs", rhs)),
         constraint=rules(
             nonzero("b", "the ratio gamma/beta is undefined"),
             not_one("b", "the transformed series' geometric tail diverges at beta = 1"),
@@ -274,17 +268,12 @@ def _r40_alpha_z_not_one(env: ParamEnv):
 
 
 def _r41() -> Identity:
-    def lhs(env, N, T):
-        alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-        return scalar_phi_with_tail([alpha, beta], [gamma], z, T)
-
     def rhs(env, N, T):
         alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         inner = phi_series(
             [QMonomial(alpha, 0), QMonomial(gamma / beta, 0)],
             [QMonomial(gamma, 0), QMonomial(alpha * z, 0)],
             QMonomial(beta * z, 0),
-            None,
             T,
         )
         prefactor = div_poch(poch(alpha * z, 0, None, T), z, 0, None)
@@ -300,7 +289,7 @@ def _r41() -> Identity:
         ),
         params=("a", "b", "c", "d"),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(("lhs", _heine_lhs), ("rhs", rhs)),
         constraint=rules(
             nonzero("b", "the ratio gamma/beta is undefined"),
             not_one("c", "(gamma)_n in a denominator vanishes"),
@@ -319,14 +308,10 @@ def _r42() -> Identity:
         return total
 
     def rhs(env, N, T):
-        total = QSeries.zero(T)
-        for k in range(1, N + 1):
-            e = k * (k + 1) // 2
-            if e > T:
-                break
-            t = q_binomial(N, k, T).scale(rat(-1) ** (k - 1)).shift(e)
-            total = total + t.div_binomial(1, k)
-        return total
+        def step(t, k):  # [N,k] (-1)^{k-1} q^{k(k+1)/2}
+            return binomial_step(t, N, k).scale(-1).shift(k)
+
+        return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
 
     return Identity(
         id="R42",
@@ -354,14 +339,12 @@ def _r43() -> Identity:
     def rhs(env, N, T):
         x = env.get("a")
         head = QSeries.constant(x / (ONE - x), T)
-        total = QSeries.zero(T)
-        for k in range(1, N + 1):
-            t = q_binomial(N, k, T)
-            t = t * poch(1 / x, 1, k, T)
-            t = t * poch(x, 0, N - k, T)
-            t = t.scale(x**k)
-            t = t.div_binomial(1, k)
-            total = total + t
+
+        def step(t, k):  # [N,k] (q/x)_k (x)_{N-k} x^k
+            t = binomial_step(t, N, k).mul_binomial(1 / x, k)
+            return t.div_binomial(x, N - k).scale(x)
+
+        total = term_sum(step(poch(x, 0, N, T), 1), step, start=1, stop=N, weight=div_q_n)
         return head - div_poch(total, x, 0, N)
 
     return Identity(
@@ -393,11 +376,11 @@ def _r44() -> Identity:
     def rhs(env, N, T):
         d = env.get("d")
 
-        def term(n):
-            t = poch(1, n + 1, None, T).scale(n).shift(n)
-            return div_poch(t, d, n, None)
+        def step(t, n):  # q^n (q^{n+1})_inf / (d q^n)_inf
+            return t.div_binomial(1, n).mul_binomial(d, n - 1).shift(1)
 
-        return truncating_sum(T, 1, lambda n: n, term)
+        first = div_poch(poch(1, 2, None, T).shift(1), d, 1, None)
+        return term_sum(first, step, start=1, weight=times_n)
 
     return Identity(
         id="R44",
@@ -416,11 +399,11 @@ def _r45() -> Identity:
     def lhs(env, N, T):
         d = env.get("d")
 
-        def term(k):
-            t = poch(1 / d, 1, k - 1, T).scale(d ** (k - 1)).shift(k)
-            return div_poch(t, 1, 1, k)
+        def step(t, k):  # d^{k-1} (q/d)_{k-1} q^k / (q)_k
+            return t.mul_binomial(1 / d, k - 1).scale(d).shift(1).div_binomial(1, k)
 
-        return truncating_sum(T, 1, lambda k: k, term)
+        first = QSeries.monomial(1, 1, T).div_binomial(1, 1)
+        return term_sum(first, step, start=1)
 
     def rhs(env, N, T):
         d = env.get("d")

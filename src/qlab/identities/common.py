@@ -9,23 +9,20 @@ from ..series import QSeries
 from .model import ParamEnv
 
 
-def truncating_sum(
-    order: int,
-    start: int,
-    min_order: Callable[[int], int],
-    term: Callable[[int], QSeries],
-) -> QSeries:
-    """Sum term(n) for n = start, start+1, ... while min_order(n) <= order.
+def binomial_step(t: QSeries, N: int, n: int) -> QSeries:
+    """t * [N,n] / [N,n-1] = t * (1 - q^(N-n+1)) / (1 - q^n), the Gaussian
+    binomial's term ratio; 1 <= n <= N, so the divisor has constant term 1."""
+    return t.mul_binomial(1, N - n + 1).div_binomial(1, n)
 
-    min_order must be a monotone lower bound on the q-order of the n-th
-    term; it decides where the truncated sum may stop.
-    """
-    total = QSeries.zero(order)
-    n = start
-    while min_order(n) <= order:
-        total = total + term(n)
-        n += 1
-    return total
+
+def times_n(t: QSeries, n: int) -> QSeries:
+    """The weight n * t_n."""
+    return t.scale(n)
+
+
+def div_q_n(t: QSeries, n: int) -> QSeries:
+    """The weight t_n / (1 - q^n), for n >= 1."""
+    return t.div_binomial(1, n)
 
 
 # -- constraint rule combinators -------------------------------------------

@@ -7,7 +7,6 @@ coefficient, which the stabilization tests exercise separately.
 
 from __future__ import annotations
 
-from ..rational import ONE
 from ..series import (
     QSeries,
     arithmetic_geometric_tail,
@@ -16,9 +15,19 @@ from ..series import (
     geometric_fraction_squared,
     geometric_tail,
     poch,
-    q_binomial,
+    term_sum,
 )
-from .common import all_nonzero, domain_all, inside_unit, nonzero, not_one, rules, truncating_sum
+from .common import (
+    all_nonzero,
+    binomial_step,
+    div_q_n,
+    domain_all,
+    inside_unit,
+    nonzero,
+    not_one,
+    rules,
+    times_n,
+)
 from .four_parameter import _r01
 from .model import FINITE, INFINITE, Identity
 
@@ -26,27 +35,21 @@ from .model import FINITE, INFINITE, Identity
 def _r10() -> Identity:
     def lhs(env, N, T):
         a, b = env.get("a"), env.get("b")
-        total = QSeries.zero(T)
-        for n in range(0, N + 1):
-            e = n * (n + 1) // 2
-            if e > T:
-                break
-            t = q_binomial(N, n, T)
-            t = t * poch(-b / a, 0, n, T)
-            t = t.scale(a**n).shift(e)
-            t = div_poch(t, b, 1, n)
-            total = total + t
-        return total
+
+        def step(t, n):  # [N,n] (-b/a)_n a^n q^{n(n+1)/2} / (bq)_n
+            t = binomial_step(t, N, n).mul_binomial(-b / a, n - 1)
+            return t.scale(a).shift(n).div_binomial(b, n)
+
+        return term_sum(QSeries.one(T), step, stop=N)
 
     def rhs(env, N, T):
         a, b = env.get("a"), env.get("b")
-        total = QSeries.zero(T)
-        for n in range(0, N + 1):
-            t = q_binomial(N, n, T)
-            t = t * poch(-a / b, 0, n, T)
-            t = t * poch(b, 1, N - n, T)
-            t = t.scale(b**n).shift(n)
-            total = total + t
+
+        def step(t, n):  # [N,n] (-a/b)_n (bq)_{N-n} (bq)^n
+            t = binomial_step(t, N, n).mul_binomial(-a / b, n - 1)
+            return t.div_binomial(b, N - n + 1).scale(b).shift(1)
+
+        total = term_sum(poch(b, 1, N, T), step, stop=N)
         return div_poch(total, b, 1, N)
 
     return Identity(
@@ -70,28 +73,20 @@ def _r10() -> Identity:
 def _r11() -> Identity:
     def lhs(env, N, T):
         a = env.get("a")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            if n * n > T:
-                break
-            t = q_binomial(N, n, T).scale(n * a**n).shift(n * n)
-            t = div_poch(t, a, 1, n)
-            total = total + t
+
+        def step(t, n):  # [N,n] a^n q^{n^2} / (aq)_n
+            return binomial_step(t, N, n).scale(a).shift(2 * n - 1).div_binomial(a, n)
+
+        total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=times_n)
         return total * poch(a, 1, N, T)
 
     def rhs(env, N, T):
         a = env.get("a")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            e = n * (n + 1) // 2
-            if e > T:
-                break
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t.scale((-1) ** (n - 1) * a**n).shift(e)
-            t = t.div_binomial(1, n)
-            total = total + t
-        return total
+
+        def step(t, n):  # [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2}
+            return binomial_step(t, N, n).mul_binomial(1, n).scale(-a).shift(n)
+
+        return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
 
     return Identity(
         id="R11",
@@ -110,16 +105,12 @@ def _r11() -> Identity:
 def _r12() -> Identity:
     def lhs(env, N, T):
         a, b = env.get("a"), env.get("b")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(b / a, 0, n, T)
-            t = t * poch(a, 0, N - n, T)
-            t = t.scale(a**n)
-            t = t.div_binomial(1, n)
-            t = div_poch(t, b, 0, n)
-            total = total + t
+
+        def step(t, n):  # [N,n] (q)_n (b/a)_n (a)_{N-n} a^n / (b)_n
+            t = binomial_step(t, N, n).mul_binomial(1, n).mul_binomial(b / a, n - 1)
+            return t.div_binomial(a, N - n).scale(a).div_binomial(b, n - 1)
+
+        total = term_sum(step(poch(a, 0, N, T), 1), step, start=1, stop=N, weight=div_q_n)
         return div_poch(total, a, 0, N)
 
     def rhs(env, N, T):
@@ -155,18 +146,12 @@ def _r12() -> Identity:
 def _r13() -> Identity:
     def lhs(env, N, T):
         a = env.get("a")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            e = n * (n + 1) // 2
-            if e > T:
-                break
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t.scale((-1) ** (n - 1) * a**n).shift(e)
-            t = t.div_binomial(1, n)
-            t = div_poch(t, a, 1, n)
-            total = total + t
-        return total
+
+        def step(t, n):  # [N,n] (-1)^{n-1} a^n q^{n(n+1)/2} (q)_n / (aq)_n
+            t = binomial_step(t, N, n).mul_binomial(1, n)
+            return t.scale(-a).shift(n).div_binomial(a, n)
+
+        return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
 
     def rhs(env, N, T):
         a = env.get("a")
@@ -192,16 +177,14 @@ def _r13() -> Identity:
 def _r14() -> Identity:
     def lhs(env, N, T):
         a = env.get("a")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(1, 1, n - 1, T)
-            t = t * poch(a, 0, N - n, T)
-            t = t.scale(a**n)
-            t = t.div_binomial(1, n)
-            t = div_poch(t, a, 0, n)
-            total = total + t
+
+        def step(t, n):  # [N,n] (q)_n (q)_{n-1} (a)_{N-n} a^n / (a)_n
+            t = binomial_step(t, N, n).mul_binomial(1, n)
+            if n > 1:  # the factors indexed by n - 1 are empty products at n = 1
+                t = t.mul_binomial(1, n - 1)
+            return t.div_binomial(a, N - n).scale(a).div_binomial(a, n - 1)
+
+        total = term_sum(step(poch(a, 0, N, T), 1), step, start=1, stop=N, weight=div_q_n)
         return div_poch(total, a, 0, N)
 
     def rhs(env, N, T):
@@ -236,12 +219,11 @@ def _r15() -> Identity:
     def rhs(env, N, T):
         a, b = env.get("a"), env.get("b")
 
-        def term(n):
-            t = poch(-b / a, 0, n, T).scale(a**n).shift(n * (n + 1) // 2)
-            t = div_poch(t, 1, 1, n)
-            return div_poch(t, b, 1, n)
+        def step(t, n):  # (-b/a)_n a^n q^{n(n+1)/2} / ((q)_n (bq)_n)
+            t = t.mul_binomial(-b / a, n - 1).scale(a).shift(n)
+            return t.div_binomial(1, n).div_binomial(b, n)
 
-        return truncating_sum(T, 0, lambda n: n * (n + 1) // 2, term)
+        return term_sum(QSeries.one(T), step)
 
     return Identity(
         id="R15",
@@ -262,22 +244,20 @@ def _r16() -> Identity:
     def lhs(env, N, T):
         a = env.get("a")
 
-        def term(n):
-            t = QSeries.monomial(n * a**n, n * n, T)
-            t = div_poch(t, 1, 1, n)
-            return div_poch(t, a, 1, n)
+        def step(t, n):  # a^n q^{n^2} / ((q)_n (aq)_n)
+            return t.scale(a).shift(2 * n - 1).div_binomial(1, n).div_binomial(a, n)
 
-        total = truncating_sum(T, 1, lambda n: n * n, term)
+        total = term_sum(step(QSeries.one(T), 1), step, start=1, weight=times_n)
         return total * poch(a, 1, None, T)
 
     def rhs(env, N, T):
         a = env.get("a")
-
-        def term(n):
-            t = QSeries.monomial((-1) ** (n - 1) * a**n, n * (n + 1) // 2, T)
-            return t.div_binomial(1, n)
-
-        return truncating_sum(T, 1, lambda n: n * (n + 1) // 2, term)
+        return term_sum(
+            QSeries.monomial(a, 1, T),
+            lambda t, n: t.scale(-a).shift(n),  # (-1)^{n-1} a^n q^{n(n+1)/2}
+            start=1,
+            weight=div_q_n,
+        )
 
     return Identity(
         id="R16",
@@ -311,20 +291,19 @@ def _r18() -> Identity:
     def lhs(env, N, T):
         a = env.get("a")
 
-        def term(n):
-            t = QSeries.monomial((-1) ** (n - 1) * a**n, n * (n + 1) // 2, T)
-            t = t.div_binomial(1, n)
-            return div_poch(t, a, 1, n)
+        def step(t, n):  # (-1)^{n-1} a^n q^{n(n+1)/2} / (aq)_n
+            return t.scale(-a).shift(n).div_binomial(a, n)
 
-        return truncating_sum(T, 1, lambda n: n * (n + 1) // 2, term)
+        return term_sum(step(-QSeries.one(T), 1), step, start=1, weight=div_q_n)
 
     def rhs(env, N, T):
         a = env.get("a")
-
-        def term(n):
-            return QSeries.monomial(a**n, n, T).div_binomial(1, n)
-
-        return truncating_sum(T, 1, lambda n: n, term)
+        return term_sum(
+            QSeries.monomial(a, 1, T),
+            lambda t, n: t.scale(a).shift(1),  # a^n q^n
+            start=1,
+            weight=div_q_n,
+        )
 
     return Identity(
         id="R18",
@@ -343,17 +322,17 @@ def _r18() -> Identity:
 def _r19() -> Identity:
     def lhs(env, N, T):
         a = env.get("a")
-        total = QSeries.zero(T)
-        base = QSeries.one(T)  # (q)_{n-1} / (a)_n
-        a_pow = ONE
-        for n in range(1, T + 1):
-            if n > 1:
-                base = base.mul_binomial(1, n - 1)
-            base = base.div_binomial(a, n - 1)
-            a_pow = a_pow * a
-            total = total + base.scale(a_pow).div_binomial(1, n)
-        stable = base.mul_binomial(1, T).div_binomial(a, T)
-        return total + stable.scale(geometric_tail(a, T + 1))
+
+        def step(t, n):  # (q)_{n-1} a^n / (a)_n
+            return t.mul_binomial(1, n - 1).div_binomial(a, n - 1).scale(a)
+
+        return term_sum(
+            QSeries.constant(a, T).div_binomial(a, 0),
+            step,
+            start=1,
+            weight=div_q_n,
+            tail=a,
+        )
 
     def rhs(env, N, T):
         a = env.get("a")

@@ -1,33 +1,41 @@
 """The four-parameter sum transformation, its finite form and corollaries.
 
+Every sum is a term_sum: each term is the previous one times its ratio,
+a scalar, a power of q and a few factors (1 - c q^e), and the sum stops
+after its last index or at the first term that vanishes to order T (all
+later terms are multiples of it).  A step divides only by factors with a
+nonzero constant term; where that needs a parameter off 1, the
+identity's constraint excludes it, as for the descending (a)_{N-n} of
+the finite forms, whose last step divides by (1 - a).
+
 Sides whose terms keep a nonzero q^0 coefficient for every summation
 index (so the sum never truncates on its own) are computed as the first
 T+1 terms plus an exact geometric tail: past index T every Pochhammer
-prefactor is frozen modulo q^(T+1), leaving a scalar geometric series
-that is summed in closed form.  Sampling stays inside the stated
-convergence regions so those closed forms are the values of the sums.
+factor is frozen modulo q^(T+1), so the step is a scalar x and the rest
+is a geometric series, summed in closed form by term_sum's tail.
+Sampling stays inside the stated convergence regions so those closed
+forms are the values of the sums.
 """
 
 from __future__ import annotations
 
-from ..rational import ONE
 from ..series import (
     QSeries,
     div_poch,
     geometric_fraction,
     geometric_tail,
     poch,
-    q_binomial,
+    term_sum,
 )
 from .common import (
     all_nonzero,
+    binomial_step,
     distinct,
     domain_all,
     inside_unit,
     nonzero,
     not_one,
     rules,
-    truncating_sum,
 )
 from .model import FINITE, INFINITE, Identity, ParamEnv
 
@@ -47,15 +55,29 @@ def _ad_not_b(env: ParamEnv):
 def _quotient_sum_lhs(env: ParamEnv, c_factor, T: int) -> QSeries:
     """sum_{n>=1} (b/a)_n a^n / ((1 - c_factor*q^n) (b)_n) with its tail."""
     a, b = env.get("a"), env.get("b")
+
+    def step(t, n):  # (b/a)_n a^n / (b)_n
+        return t.mul_binomial(b / a, n - 1).div_binomial(b, n - 1).scale(a)
+
+    return term_sum(
+        step(QSeries.one(T), 1),
+        step,
+        start=1,
+        weight=lambda t, n: t.div_binomial(c_factor, n),
+        tail=a,
+    )
+
+
+def _lambert_difference(a, b, c, shift: int, T: int) -> QSeries:
+    """sum_{m>=1} (a^m - b^m) / (1 - c q^{m+shift}): the terms with
+    m + shift <= T, plus the geometric tails of the rest, whose
+    denominators are 1 modulo q^(T+1)."""
+    top = max(T - shift, 0)
     total = QSeries.zero(T)
-    base = QSeries.one(T)  # (b/a)_n / (b)_n, updated incrementally
-    a_pow = ONE
-    for n in range(1, T + 1):
-        base = base.mul_binomial(b / a, n - 1).div_binomial(b, n - 1)
-        a_pow = a_pow * a
-        total = total + base.scale(a_pow).div_binomial(c_factor, n)
-    stable = base.mul_binomial(b / a, T).div_binomial(b, T)
-    return total + stable.scale(geometric_tail(a, T + 1))
+    for m in range(1, top + 1):
+        total = total + QSeries.constant(a**m - b**m, T).div_binomial(c, m + shift)
+    tail = geometric_tail(a, top + 1) - geometric_tail(b, top + 1)
+    return total + QSeries.constant(tail, T)
 
 
 def _r01() -> Identity:
@@ -63,12 +85,7 @@ def _r01() -> Identity:
         return _quotient_sum_lhs(env, 1, T)
 
     def rhs(env, N, T):
-        a, b = env.get("a"), env.get("b")
-        total = QSeries.zero(T)
-        for m in range(1, T + 1):
-            total = total + QSeries.constant(a**m - b**m, T).div_binomial(1, m)
-        tail = geometric_tail(a, T + 1) - geometric_tail(b, T + 1)
-        return total + QSeries.constant(tail, T)
+        return _lambert_difference(env.get("a"), env.get("b"), 1, 0, T)
 
     return Identity(
         id="R01",
@@ -96,38 +113,28 @@ def _r02() -> Identity:
     def rhs(env, N, T):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
-        def term(m):
-            bracket = geometric_fraction(a, m, T) - geometric_fraction(b, m, T)
-            t = poch(b / c, 0, m, T).scale(c**m)
-            return div_poch(t, b, 0, m) * bracket
+        def step(t, m):  # (b/c)_m c^m / (b)_m
+            return t.mul_binomial(b / c, m - 1).div_binomial(b, m - 1).scale(c)
 
-        return truncating_sum(T, 0, lambda m: m, term)
+        def weight(t, m):
+            return t * (geometric_fraction(a, m, T) - geometric_fraction(b, m, T))
+
+        # the bracket is O(q^m), so the terms past m = T vanish
+        return term_sum(QSeries.one(T), step, stop=T, weight=weight)
 
     def rhs_nested(env, N, T):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
-        g_const = a / (ONE - a) - b / (ONE - b)
 
-        def inner(n):
-            # g_n = sum_{m>=1} (a^m - b^m) / (1 - c q^{m+n})
-            g = QSeries.zero(T)
-            m_top = max(T - n, 0)
-            for m in range(1, m_top + 1):
-                g = g + QSeries.constant(a**m - b**m, T).div_binomial(c, m + n)
-            tail = geometric_tail(a, m_top + 1) - geometric_tail(b, m_top + 1)
-            return g + QSeries.constant(tail, T)
+        def step(t, n):  # (c)_n (b/c)^n / (q)_n
+            return t.mul_binomial(c, n - 1).div_binomial(1, n).scale(b / c)
 
-        total = QSeries.zero(T)
-        base = QSeries.one(T)  # (c)_n / (q)_n
-        ratio = b / c
-        r_pow = ONE
-        for n in range(0, T + 1):
-            if n > 0:
-                base = base.mul_binomial(c, n - 1).div_binomial(1, n)
-                r_pow = r_pow * ratio
-            total = total + base.scale(r_pow) * inner(n)
-        stable = base.mul_binomial(c, T).div_binomial(1, T + 1)
-        tail = stable.scale(geometric_tail(ratio, T + 1) * g_const)
-        total = total + tail
+        # the inner sum is a constant series once n >= T
+        total = term_sum(
+            QSeries.one(T),
+            step,
+            weight=lambda t, n: t * _lambert_difference(a, b, c, n, T),
+            tail=b / c,
+        )
         prefactor = div_poch(poch(b / c, 0, None, T), b, 0, None)
         return prefactor * total
 
@@ -161,29 +168,33 @@ def _r02() -> Identity:
 def _r03() -> Identity:
     def lhs(env, N, T):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            t = q_binomial(N, n, T)
-            t = t * poch(b / a, 0, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(a, 0, N - n, T)
-            t = t.scale(a**n).div_binomial(c, n)
-            t = div_poch(t, b, 0, n)
-            total = total + t
+
+        def step(t, n):  # [N,n] (b/a)_n (q)_n (a)_{N-n} a^n / (b)_n
+            t = binomial_step(t, N, n).mul_binomial(b / a, n - 1).mul_binomial(1, n)
+            return t.div_binomial(a, N - n).scale(a).div_binomial(b, n - 1)
+
+        total = term_sum(
+            step(poch(a, 0, N, T), 1),
+            step,
+            start=1,
+            stop=N,
+            weight=lambda t, n: t.div_binomial(c, n),
+        )
         return div_poch(total, a, 0, N)
 
     def rhs(env, N, T):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            bracket = geometric_fraction(a, n - 1, T) - geometric_fraction(b, n - 1, T)
-            t = q_binomial(N, n, T)
-            t = t * poch(b / c, 0, n - 1, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(c, 1, N - n, T)
-            t = t.scale(c ** (n - 1))
-            t = div_poch(t, b, 0, n - 1)
-            total = total + t * bracket
+
+        def step(t, n):  # [N,n] (b/c)_{n-1} (q)_n (cq)_{N-n} c^{n-1} / (b)_{n-1}
+            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(c, N - n + 1)
+            if n > 1:  # the factors indexed by n - 1 are empty products at n = 1
+                t = t.mul_binomial(b / c, n - 2).div_binomial(b, n - 2).scale(c)
+            return t
+
+        def weight(t, n):
+            return t * (geometric_fraction(a, n - 1, T) - geometric_fraction(b, n - 1, T))
+
+        total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N, weight=weight)
         return div_poch(total, c, 1, N)
 
     return Identity(
@@ -210,40 +221,27 @@ def _r03() -> Identity:
 def _r04() -> Identity:
     def lhs(env, N, T):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-        ad = a * d
-        total = QSeries.zero(T)
-        base = QSeries.one(T)  # (b/a)_n (c/d)_n / ((b)_n (cq)_n)
-        ad_pow = ONE
-        for n in range(1, T + 1):
-            base = (
-                base.mul_binomial(b / a, n - 1)
-                .mul_binomial(c / d, n - 1)
-                .div_binomial(b, n - 1)
-                .div_binomial(c, n)
-            )
-            ad_pow = ad_pow * ad
-            total = total + base.scale(ad_pow)
-        stable = (
-            base.mul_binomial(b / a, T)
-            .mul_binomial(c / d, T)
-            .div_binomial(b, T)
-        )
-        return total + stable.scale(geometric_tail(ad, T + 1))
+
+        def step(t, n):  # (b/a)_n (c/d)_n (ad)^n / ((b)_n (cq)_n)
+            t = t.mul_binomial(b / a, n - 1).mul_binomial(c / d, n - 1)
+            return t.div_binomial(b, n - 1).div_binomial(c, n).scale(a * d)
+
+        return term_sum(step(QSeries.one(T), 1), step, start=1, tail=a * d)
 
     def rhs(env, N, T):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
         prefactor = (a - b) * (d - c) / (ad - b)
 
-        def term(m):
-            bracket = geometric_fraction(ad, m, T) - geometric_fraction(b, m, T)
-            t = poch(a, 0, m, T) * poch(b * d / c, 0, m, T)
-            t = t.scale(c**m)
-            t = div_poch(t, b, 0, m)
-            t = div_poch(t, ad, 0, m)
-            return t * bracket
+        def step(t, m):  # (a)_m (bd/c)_m c^m / ((b)_m (ad)_m)
+            t = t.mul_binomial(a, m - 1).mul_binomial(b * d / c, m - 1)
+            return t.div_binomial(b, m - 1).div_binomial(ad, m - 1).scale(c)
 
-        return truncating_sum(T, 0, lambda m: m, term).scale(prefactor)
+        def weight(t, m):
+            return t * (geometric_fraction(ad, m, T) - geometric_fraction(b, m, T))
+
+        # the bracket is O(q^m), so the terms past m = T vanish
+        return term_sum(QSeries.one(T), step, stop=T, weight=weight).scale(prefactor)
 
     return Identity(
         id="R04",
@@ -275,35 +273,33 @@ def _r05() -> Identity:
     def lhs(env, N, T):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(b / a, 0, n, T)
-            t = t * poch(c / d, 0, n, T)
-            t = t * poch(ad, 0, N - n, T)
-            t = t.scale(ad**n)
-            t = div_poch(t, b, 0, n)
-            t = div_poch(t, c, 1, n)
-            total = total + t
+
+        def step(t, n):  # [N,n] (q)_n (b/a)_n (c/d)_n (ad)_{N-n} (ad)^n / ((b)_n (cq)_n)
+            t = binomial_step(t, N, n).mul_binomial(1, n)
+            t = t.mul_binomial(b / a, n - 1).mul_binomial(c / d, n - 1)
+            t = t.div_binomial(ad, N - n).scale(ad)
+            return t.div_binomial(b, n - 1).div_binomial(c, n)
+
+        total = term_sum(step(poch(ad, 0, N, T), 1), step, start=1, stop=N)
         return div_poch(total, ad, 0, N)
 
     def rhs(env, N, T):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
         prefactor = (a - b) * (d - c) / (ad - b)
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            bracket = geometric_fraction(ad, n - 1, T) - geometric_fraction(b, n - 1, T)
-            t = q_binomial(N, n, T)
-            t = t * poch(a, 0, n - 1, T)
-            t = t * poch(b * d / c, 0, n - 1, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(c, 1, N - n, T)
-            t = t.scale(c ** (n - 1))
-            t = div_poch(t, b, 0, n - 1)
-            t = div_poch(t, ad, 0, n - 1)
-            total = total + t * bracket
+
+        def step(t, n):
+            # [N,n] (a)_{n-1} (bd/c)_{n-1} (q)_n (cq)_{N-n} c^{n-1} / ((b)_{n-1} (ad)_{n-1})
+            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(c, N - n + 1)
+            if n > 1:  # the factors indexed by n - 1 are empty products at n = 1
+                t = t.mul_binomial(a, n - 2).mul_binomial(b * d / c, n - 2).scale(c)
+                t = t.div_binomial(b, n - 2).div_binomial(ad, n - 2)
+            return t
+
+        def weight(t, n):
+            return t * (geometric_fraction(ad, n - 1, T) - geometric_fraction(b, n - 1, T))
+
+        total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N, weight=weight)
         return div_poch(total, c, 1, N).scale(prefactor)
 
     return Identity(
@@ -334,31 +330,23 @@ def _r05() -> Identity:
 def _r06() -> Identity:
     def lhs(env, N, T):
         z, c, d = env.get("z"), env.get("c"), env.get("d")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            e = n * (n + 1) // 2
-            if e > T:
-                break
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(c / d, 0, n, T)
-            t = t.scale((-z * d) ** n).shift(e)
-            t = div_poch(t, z, 1, n)
-            t = div_poch(t, c, 1, n)
-            total = total + t
-        return total
+
+        def step(t, n):  # [N,n] (q)_n (c/d)_n (-zd)^n q^{n(n+1)/2} / ((zq)_n (cq)_n)
+            t = binomial_step(t, N, n).mul_binomial(1, n).mul_binomial(c / d, n - 1)
+            return t.scale(-z * d).shift(n).div_binomial(z, n).div_binomial(c, n)
+
+        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
 
     def rhs(env, N, T):
         z, c, d = env.get("z"), env.get("c"), env.get("d")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(z * d / c, 1, n - 1, T)
-            t = t * poch(c, 1, N - n, T)
-            t = t.scale(c**n).shift(n)
-            t = div_poch(t, z, 1, n)
-            total = total + t
+
+        def step(t, n):  # [N,n] (q)_n (zdq/c)_{n-1} (cq)_{N-n} (cq)^n / (zq)_n
+            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(c, N - n + 1)
+            if n > 1:  # the factors indexed by n - 1 are empty products at n = 1
+                t = t.mul_binomial(z * d / c, n - 1)
+            return t.scale(c).shift(1).div_binomial(z, n)
+
+        total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N)
         return div_poch(total, c, 1, N).scale(z / c * (c - d))
 
     return Identity(
@@ -383,28 +371,21 @@ def _r06() -> Identity:
 def _r07() -> Identity:
     def lhs(env, N, T):
         z, c = env.get("z"), env.get("c")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            if n * n > T:
-                break
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t.scale((z * c) ** n).shift(n * n)
-            t = div_poch(t, z, 1, n)
-            t = div_poch(t, c, 1, n)
-            total = total + t
-        return total
+
+        def step(t, n):  # [N,n] (q)_n (zc)^n q^{n^2} / ((zq)_n (cq)_n)
+            t = binomial_step(t, N, n).mul_binomial(1, n).scale(z * c).shift(2 * n - 1)
+            return t.div_binomial(z, n).div_binomial(c, n)
+
+        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
 
     def rhs(env, N, T):
         z, c = env.get("z"), env.get("c")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(c, 1, N - n, T)
-            t = t.scale(c**n).shift(n)
-            t = div_poch(t, z, 1, n)
-            total = total + t
+
+        def step(t, n):  # [N,n] (q)_n (cq)_{N-n} (cq)^n / (zq)_n
+            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(c, N - n + 1)
+            return t.scale(c).shift(1).div_binomial(z, n)
+
+        total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N)
         return div_poch(total, c, 1, N).scale(z)
 
     return Identity(
@@ -424,28 +405,21 @@ def _r07() -> Identity:
 def _r08() -> Identity:
     def lhs(env, N, T):
         z = env.get("z")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            if n * n > T:
-                break
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t.shift(n * n)
-            t = div_poch(t, z, 1, n)
-            t = div_poch(t, 1 / z, 1, n)
-            total = total + t
-        return total
+
+        def step(t, n):  # [N,n] (q)_n q^{n^2} / ((zq)_n (q/z)_n)
+            t = binomial_step(t, N, n).mul_binomial(1, n).shift(2 * n - 1)
+            return t.div_binomial(z, n).div_binomial(1 / z, n)
+
+        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
 
     def rhs(env, N, T):
         z = env.get("z")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            t = q_binomial(N, n, T)
-            t = t * poch(1, 1, n, T)
-            t = t * poch(1 / z, 1, N - n, T)
-            t = t.scale((1 / z) ** n).shift(n)
-            t = div_poch(t, z, 1, n)
-            total = total + t
+
+        def step(t, n):  # [N,n] (q)_n (q/z)_{N-n} (q/z)^n / (zq)_n
+            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(1 / z, N - n + 1)
+            return t.scale(1 / z).shift(1).div_binomial(z, n)
+
+        total = term_sum(step(poch(1 / z, 1, N, T), 1), step, start=1, stop=N)
         return div_poch(total, 1 / z, 1, N).scale(z)
 
     return Identity(
@@ -467,20 +441,18 @@ def _r09() -> Identity:
     def lhs(env, N, T):
         z, c = env.get("z"), env.get("c")
 
-        def term(n):
-            t = QSeries.monomial((z * c) ** n, n * n, T)
-            t = div_poch(t, z, 1, n)
-            return div_poch(t, c, 1, n)
+        def step(t, n):  # z^n c^n q^{n^2} / ((zq)_n (cq)_n)
+            return t.scale(z * c).shift(2 * n - 1).div_binomial(z, n).div_binomial(c, n)
 
-        return truncating_sum(T, 1, lambda n: n * n, term)
+        return term_sum(step(QSeries.one(T), 1), step, start=1)
 
     def rhs(env, N, T):
         z, c = env.get("z"), env.get("c")
 
-        def term(n):
-            return div_poch(QSeries.monomial(c**n, n, T), z, 1, n)
+        def step(t, n):  # (cq)^n / (zq)_n
+            return t.scale(c).shift(1).div_binomial(z, n)
 
-        return truncating_sum(T, 1, lambda n: n, term).scale(z)
+        return term_sum(step(QSeries.one(T), 1), step, start=1).scale(z)
 
     return Identity(
         id="R09",

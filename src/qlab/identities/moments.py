@@ -13,8 +13,8 @@ non-negativity.
 from __future__ import annotations
 
 from ..laurent import LaurentZQSeries
-from ..series import QSeries, div_poch, poch, q_binomial
-from .common import truncating_sum
+from ..series import QSeries, div_poch, poch, q_binomial, term_sum
+from .common import binomial_step, div_q_n, times_n
 from .model import FINITE, Identity
 
 
@@ -45,84 +45,59 @@ def first_moment_extraction(f: LaurentZQSeries) -> QSeries:
     return f.z_derivative().positive_z_part().set_z_one()
 
 
+def _moment_sum(N: int, order: int, exp_step, weight=None) -> QSeries:
+    """sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{e(n)} w_n / ((q)_{n+N} (1-q^n)),
+    with e(n) - e(n-1) = exp_step(n) and w_n applied by weight (default 1)."""
+
+    def step(t, n):  # [N,n] (-1)^{n+1} (q)_n q^{e(n)} / (q)_{n+N}
+        t = binomial_step(t, N, n).mul_binomial(1, n).scale(-1).shift(exp_step(n))
+        return t.div_binomial(1, n + N)
+
+    def term(t, n):
+        return (t if weight is None else weight(t, n)).div_binomial(1, n)
+
+    first = step(div_poch(QSeries.constant(-1, order), 1, 1, N), 1)
+    return term_sum(first, step, start=1, stop=N, weight=term)
+
+
 def crank_moment_finite(N: int, order: int) -> QSeries:
     """Closed form: sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{n(n+1)/2}
     / ((q)_{n+N} (1-q^n))."""
-    total = QSeries.zero(order)
-    for n in range(1, N + 1):
-        e = n * (n + 1) // 2
-        if e > order:
-            break
-        t = q_binomial(N, n, order) * poch(1, 1, n, order)
-        t = t.scale((-1) ** (n + 1)).shift(e)
-        t = div_poch(t, 1, 1, n + N)
-        t = t.div_binomial(1, n)
-        total = total + t
-    return total
+    return _moment_sum(N, order, lambda n: n)
 
 
 def rank_moment_finite(N: int, order: int) -> QSeries:
     """Closed form: sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{n(3n+1)/2}
     / ((q)_{n+N} (1-q^n))."""
-    total = QSeries.zero(order)
-    for n in range(1, N + 1):
-        e = n * (3 * n + 1) // 2
-        if e > order:
-            break
-        t = q_binomial(N, n, order) * poch(1, 1, n, order)
-        t = t.scale((-1) ** (n + 1)).shift(e)
-        t = div_poch(t, 1, 1, n + N)
-        t = t.div_binomial(1, n)
-        total = total + t
-    return total
+    return _moment_sum(N, order, lambda n: 3 * n - 1)
 
 
 def moment_difference_finite(N: int, order: int) -> QSeries:
     """sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{n(n+1)/2} (1 - q^{n^2})
     / ((q)_{n+N} (1-q^n)); the crank-minus-rank moment difference."""
-    total = QSeries.zero(order)
-    for n in range(1, N + 1):
-        e = n * (n + 1) // 2
-        if e > order:
-            break
-        t = q_binomial(N, n, order) * poch(1, 1, n, order)
-        t = t.scale((-1) ** (n + 1)).shift(e).mul_binomial(1, n * n)
-        t = div_poch(t, 1, 1, n + N)
-        t = t.div_binomial(1, n)
-        total = total + t
-    return total
+    return _moment_sum(N, order, lambda n: n, lambda t, n: t.mul_binomial(1, n * n))
 
 
 def crank_moment_infinite(order: int) -> QSeries:
     """(1/(q)_inf) sum_{n>=1} (-1)^{n+1} q^{n(n+1)/2} / (1-q^n)."""
-
-    def term(n):
-        t = QSeries.monomial((-1) ** (n + 1), n * (n + 1) // 2, order)
-        return t.div_binomial(1, n)
-
-    total = truncating_sum(order, 1, lambda n: n * (n + 1) // 2, term)
+    first = QSeries.monomial(1, 1, order)
+    total = term_sum(first, lambda t, n: t.scale(-1).shift(n), start=1, weight=div_q_n)
     return div_poch(total, 1, 1, None)
 
 
 def crank_moment_infinite_positive_form(order: int) -> QSeries:
     """sum_{k>=0} k q^{k^2} / (q)_k^2, the other stated form of the same series."""
 
-    def term(k):
-        t = QSeries.monomial(k, k * k, order)
-        t = div_poch(t, 1, 1, k)
-        return div_poch(t, 1, 1, k)
+    def step(t, k):  # q^{k^2} / (q)_k^2
+        return t.shift(2 * k - 1).div_binomial(1, k).div_binomial(1, k)
 
-    return truncating_sum(order, 1, lambda k: k * k, term)
+    return term_sum(step(QSeries.one(order), 1), step, start=1, weight=times_n)
 
 
 def rank_moment_infinite(order: int) -> QSeries:
     """(1/(q)_inf) sum_{n>=1} (-1)^{n+1} q^{n(3n+1)/2} / (1-q^n)."""
-
-    def term(n):
-        t = QSeries.monomial((-1) ** (n + 1), n * (3 * n + 1) // 2, order)
-        return t.div_binomial(1, n)
-
-    total = truncating_sum(order, 1, lambda n: n * (3 * n + 1) // 2, term)
+    first = QSeries.monomial(1, 2, order)
+    total = term_sum(first, lambda t, n: t.scale(-1).shift(3 * n - 1), start=1, weight=div_q_n)
     return div_poch(total, 1, 1, None)
 
 

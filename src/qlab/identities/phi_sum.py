@@ -3,12 +3,20 @@
 The right side of the harmonic-sum lemma and of the main theorem carry
 an infinite-product prefactor and an inner 2-phi-1 whose argument rides
 on q^k, so every sum here truncates on its own.
+
+Every sum is a term_sum: each term is the previous one times its ratio,
+and the sum stops after its cutoff or at the first term that vanishes to
+order T, since every later term is a power-series multiple of it.  That
+holds because each step divides only by factors (1 - c q^e) with a
+nonzero constant term, here always e >= 1.  No sum here needs the
+geometric tail for terms that never vanish.  Per-index factors that are
+not ratios (the harmonic partial sums, the inner 2-phi-1) are weights.
 """
 
 from __future__ import annotations
 
-from ..series import QMonomial, QSeries, div_poch, geometric_fraction, phi_series, poch, q_binomial
-from .common import all_nonzero, distinct, domain_all, nonzero, rules
+from ..series import QMonomial, QSeries, div_poch, geometric_fraction, phi_series, poch, term_sum
+from .common import all_nonzero, binomial_step, distinct, div_q_n, domain_all, nonzero, rules
 from .model import FINITE, Identity
 
 
@@ -25,22 +33,20 @@ def _phi_block_rhs(env, N: int, T: int) -> QSeries:
     * sum_{k=1}^{N} [N,k] d^k q^{k(k+1)} / ((dq)_k (1-q^k))
       * 2phi1(dq, dq^{N+1}; dq^{k+1}; (c/d) q^k)."""
     c, d = env.get("c"), env.get("d")
-    total = QSeries.zero(T)
-    for k in range(1, N + 1):
-        e = k * (k + 1)
-        if e > T:
-            break
+
+    def step(t, k):  # [N,k] d^k q^{k(k+1)} / (dq)_k
+        return binomial_step(t, N, k).scale(d).shift(2 * k).div_binomial(d, k)
+
+    def weight(t, k):
         inner = phi_series(
             [QMonomial(d, 1), QMonomial(d, N + 1)],
             [QMonomial(d, k + 1)],
             QMonomial(c / d, k),
-            None,
             T,
         )
-        t = q_binomial(N, k, T).scale(d**k).shift(e)
-        t = div_poch(t, d, 1, k)
-        t = t.div_binomial(1, k)
-        total = total + t * inner
+        return t.div_binomial(1, k) * inner
+
+    total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=weight)
     prefactor = poch(c / d, 0, None, T) * poch(d, 1, None, T)
     prefactor = div_poch(prefactor, 1, 1, N)
     prefactor = div_poch(prefactor, c, 1, None)
@@ -48,21 +54,22 @@ def _phi_block_rhs(env, N: int, T: int) -> QSeries:
     return prefactor * total
 
 
+def _alternating_sum(env, N: int, T: int, weight) -> QSeries:
+    """sum_{n=1}^{N} (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} w_n
+    / ((q)_n (q)_{N-n} (cq)_n), with w_n applied by weight."""
+    c, d = env.get("c"), env.get("d")
+
+    def step(t, n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n)
+        t = t.mul_binomial(c / d, n - 1).scale(-d).shift(n)
+        return t.div_binomial(1, n).mul_binomial(1, N - n + 1).div_binomial(c, n)
+
+    first = step(div_poch(-QSeries.one(T), 1, 1, N), 1)
+    return term_sum(first, step, start=1, stop=N, weight=weight)
+
+
 def _r20() -> Identity:
     def lhs(env, N, T):
-        c, d = env.get("c"), env.get("d")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            e = n * (n + 1) // 2
-            if e > T:
-                break
-            t = poch(c / d, 0, n, T)
-            t = t.scale((-1) ** (n - 1) * d**n).shift(e)
-            t = div_poch(t, 1, 1, n)
-            t = div_poch(t, 1, 1, N - n)
-            t = div_poch(t, c, 1, n)
-            total = total + t * _harmonic_partial(n, T)
-        return total
+        return _alternating_sum(env, N, T, lambda t, n: t * _harmonic_partial(n, T))
 
     return Identity(
         id="R20",
@@ -85,16 +92,12 @@ def _r20() -> Identity:
 def _r21() -> Identity:
     def lhs(env, N, T):
         c, d = env.get("c"), env.get("d")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            e = n * (n + 1) // 2
-            if e > T:
-                break
-            t = q_binomial(N, n, T) * poch(c / d, 0, n, T)
-            t = t.scale((-1) ** (n - 1) * d**n).shift(e)
-            t = div_poch(t, c, 1, n)
-            total = total + t
-        return total
+
+        def step(t, n):  # [N,n] (c/d)_n d^n (-1)^{n-1} q^{n(n+1)/2} / (cq)_n
+            t = binomial_step(t, N, n).mul_binomial(c / d, n - 1)
+            return t.scale(-d).shift(n).div_binomial(c, n)
+
+        return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N)
 
     def rhs(env, N, T):
         c, d = env.get("c"), env.get("d")
@@ -118,35 +121,21 @@ def _r21() -> Identity:
 
 def _r22() -> Identity:
     def lhs(env, N, T):
-        c, d = env.get("c"), env.get("d")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            e = n * (n + 1) // 2
-            if e > T:
-                break
-            t = poch(c / d, 0, n, T)
-            t = t.scale((-1) ** (n - 1) * n * d**n).shift(e)
-            t = div_poch(t, 1, 1, n)
-            t = div_poch(t, 1, 1, N - n)
-            t = div_poch(t, c, 1, n)
-            total = total + t
-        return total + _phi_block_rhs(env, N, T)
+        head = _alternating_sum(env, N, T, lambda t, n: t.scale(n))
+        return head + _phi_block_rhs(env, N, T)
 
     def rhs(env, N, T):
         c, d = env.get("c"), env.get("d")
         ratio = div_poch(poch(d, 1, N, T), c, 1, N)
         head = (QSeries.one(T) - ratio) * div_poch(QSeries.one(T), 1, 1, N)
         head = head.scale(c / (c - d))
-        total = QSeries.zero(T)
-        for k in range(1, N + 1):
-            if k > T:
-                break
-            t = poch(c / d, 1, k, T) * poch(d, 1, N - k, T)
-            t = t.scale(d**k).shift(k)
-            t = div_poch(t, 1, 1, k)
-            t = div_poch(t, 1, 1, N - k)
-            t = t.div_binomial(1, k)
-            total = total + t
+
+        def step(t, k):  # (cq/d)_k (dq)_{N-k} (dq)^k / ((q)_k (q)_{N-k})
+            t = t.mul_binomial(c / d, k).div_binomial(d, N - k + 1).scale(d).shift(1)
+            return t.div_binomial(1, k).mul_binomial(1, N - k + 1)
+
+        first = step(div_poch(poch(d, 1, N, T), 1, 1, N), 1)
+        total = term_sum(first, step, start=1, stop=N, weight=div_q_n)
         return head + div_poch(total, c, 1, N)
 
     return Identity(

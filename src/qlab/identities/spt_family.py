@@ -9,8 +9,17 @@ from __future__ import annotations
 
 from ..partitions import moment, partition_count, spt
 from ..rational import ONE, rat
-from ..series import QSeries, div_poch, poch
-from .common import all_nonzero, distinct, domain_all, nonzero, not_value, rules, truncating_sum
+from ..series import QSeries, div_poch, poch, term_sum
+from .common import (
+    all_nonzero,
+    distinct,
+    div_q_n,
+    domain_all,
+    nonzero,
+    not_value,
+    rules,
+    times_n,
+)
 from .model import INFINITE, Identity, ParamEnv
 
 
@@ -18,12 +27,15 @@ def n_sc_generating_function(order: int) -> QSeries:
     """sum_n N_SC(n) q^n = (1/(q)_inf) sum_{n>=1} n (-1)^{n-1} q^{n(n+1)/2}
     / ((q)_n (1 + q^n))."""
 
-    def term(n):
-        t = QSeries.monomial(rat(-1) ** (n - 1) * n, n * (n + 1) // 2, order)
-        t = div_poch(t, 1, 1, n)
-        return t.div_binomial(-1, n)
+    def step(t, n):  # (-1)^{n-1} q^{n(n+1)/2} / (q)_n
+        return t.scale(-1).shift(n).div_binomial(1, n)
 
-    total = truncating_sum(order, 1, lambda n: n * (n + 1) // 2, term)
+    total = term_sum(
+        step(-QSeries.one(order), 1),
+        step,
+        start=1,
+        weight=lambda t, n: t.scale(n).div_binomial(-1, n),
+    )
     return div_poch(total, 1, 1, None)
 
 
@@ -31,70 +43,85 @@ def overlined_largest_series(order: int) -> QSeries:
     """sum_{n>=1} n q^n (-q)_{n-1} / (q)_n, the series counterpart of the
     overlined-largest-part statistic."""
 
-    def term(n):
-        t = poch(-1, 1, n - 1, order).scale(n).shift(n)
-        return div_poch(t, 1, 1, n)
+    def step(t, n):  # q^n (-q)_{n-1} / (q)_n
+        return t.mul_binomial(-1, n - 1).shift(1).div_binomial(1, n)
 
-    return truncating_sum(order, 1, lambda n: n, term)
-
-
-def _inner_quotient_sum(d, T: int, upper: int | None = None) -> QSeries:
-    """sum over 1 <= n (<= upper) of q^n / ((1 - d q^n)(1 - q^n))."""
-    total = QSeries.zero(T)
-    top = T if upper is None else min(upper, T)
-    for n in range(1, top + 1):
-        total = total + QSeries.monomial(1, n, T).div_binomial(d, n).div_binomial(1, n)
-    return total
+    first = QSeries.monomial(1, 1, order).div_binomial(1, 1)
+    return term_sum(first, step, start=1, weight=times_n)
 
 
-def _poch_ratio_sum(num_c, num_e, den_c, den_e, arg_c, arg_e, T: int) -> QSeries:
-    """sum_{m>=0} (num_c q^num_e)_m / ((den_c q^den_e)_m (q)_m) * (arg_c q^arg_e)^m,
-    with no extra sign or q-weight (unlike the standard phi convention)."""
-    if arg_e < 1:
-        raise ValueError("the argument must carry a positive power of q")
-    total = QSeries.one(T)
-    term = QSeries.one(T)
-    m = 1
-    while m * arg_e <= T:
-        term = term.mul_binomial(num_c, num_e + m - 1)
-        term = term.div_binomial(den_c, den_e + m - 1)
-        term = term.div_binomial(1, m)
-        term = term.scale(arg_c).shift(arg_e)
-        total = total + term
-        m += 1
-    return total
+def _q_power_sum(T: int, top: int, weight) -> QSeries:
+    """sum_{n=1}^{top} weight(q^n, n), the inner sums of the double sums."""
+    return term_sum(
+        QSeries.monomial(1, 1, T), lambda t, n: t.shift(1), start=1, stop=top, weight=weight
+    )
+
+
+def _square_sum(T: int, inner) -> QSeries:
+    """sum_{j>=1} q^{j^2} / (q)_j^2 * inner(j)."""
+
+    def step(t, j):  # q^{j^2} / (q)_j^2
+        return t.shift(2 * j - 1).div_binomial(1, j).div_binomial(1, j)
+
+    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=lambda t, j: t * inner(j))
+
+
+def _dq_block(d, x, T: int) -> QSeries:
+    """sum_{k>=1} d^k q^{k(k+1)} / ((q)_k (dq)_k (1-q^k))
+    * sum_{m>=0} (dq)_m (x q^k)^m / ((dq^{k+1})_m (q)_m)."""
+
+    def inner(k):
+        def step(u, m):  # (dq)_m (x q^k)^m / ((dq^{k+1})_m (q)_m)
+            u = u.mul_binomial(d, m).div_binomial(d, k + m).div_binomial(1, m)
+            return u.scale(x).shift(k)
+
+        return term_sum(QSeries.one(T), step)
+
+    def step(t, k):  # d^k q^{k(k+1)} / ((q)_k (dq)_k)
+        return t.scale(d).shift(2 * k).div_binomial(1, k).div_binomial(d, k)
+
+    return term_sum(
+        step(QSeries.one(T), 1),
+        step,
+        start=1,
+        weight=lambda t, k: t.div_binomial(1, k) * inner(k),
+    )
+
+
+def _quotient_tail(x, d, T: int) -> QSeries:
+    """sum_{k>=1} (xq)_k (dq)^k / ((q)_k (1-q^k))."""
+
+    def step(t, k):
+        return t.mul_binomial(x, k).scale(d).shift(1).div_binomial(1, k)
+
+    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
 
 
 def _r23() -> Identity:
     def lhs(env, N, T):
         d = env.get("d")
 
-        def term(n):
-            t = poch(1 / d, 1, n - 1, T)
-            t = t.scale(n * (-d) ** (n - 1)).shift(n * (n + 1) // 2)
-            t = div_poch(t, 1, 1, n)
-            return div_poch(t, 1, 1, n)
+        def step(t, n):  # (-d)^{n-1} (q/d)_{n-1} q^{n(n+1)/2} / (q)_n^2
+            t = t.mul_binomial(1 / d, n - 1).scale(-d).shift(n)
+            return t.div_binomial(1, n).div_binomial(1, n)
 
-        total = truncating_sum(T, 1, lambda n: n * (n + 1) // 2, term)
+        first = QSeries.monomial(1, 1, T).div_binomial(1, 1).div_binomial(1, 1)
+        total = term_sum(first, step, start=1, weight=times_n)
         return div_poch(total, 1, 1, None)
 
     def rhs(env, N, T):
         d = env.get("d")
 
-        def first(n):
-            t = poch(d, 1, n - 1, T).scale(n).shift(n)
-            return div_poch(t, 1, 1, n)
+        def step(t, n):  # q^n (dq)_{n-1} / (q)_n
+            return t.mul_binomial(d, n - 1).shift(1).div_binomial(1, n)
 
-        head = div_poch(truncating_sum(T, 1, lambda n: n, first), 1, 1, None)
+        first = QSeries.monomial(1, 1, T).div_binomial(1, 1)
+        head = div_poch(term_sum(first, step, start=1, weight=times_n), 1, 1, None)
 
-        def second(j):
-            t = QSeries.monomial(1, j * j, T)
-            t = div_poch(t, 1, 1, j)
-            t = div_poch(t, 1, 1, j)
-            return t * _inner_quotient_sum(d, T, j)
+        def inner(j):  # sum_{n=1}^{j} q^n / ((1 - d q^n)(1 - q^n))
+            return _q_power_sum(T, j, lambda t, n: t.div_binomial(d, n).div_binomial(1, n))
 
-        tail = truncating_sum(T, 1, lambda j: j * j + 1, second)
-        tail = tail * poch(d, 1, None, T)
+        tail = _square_sum(T, inner) * poch(d, 1, None, T)
         return head - div_poch(tail, 1, 1, None)
 
     return Identity(
@@ -139,27 +166,20 @@ def _r24() -> Identity:
 
 def _r25() -> Identity:
     def lhs(env, N, T):
-        def term(n):
-            t = poch(-1, 1, n - 1, T).scale(n).shift(n * (n + 1) // 2)
-            t = div_poch(t, 1, 1, n)
-            return div_poch(t, 1, 1, n)
+        def step(t, n):  # (-q)_{n-1} q^{n(n+1)/2} / (q)_n^2
+            t = t.mul_binomial(-1, n - 1).shift(n)
+            return t.div_binomial(1, n).div_binomial(1, n)
 
-        return truncating_sum(T, 1, lambda n: n * (n + 1) // 2, term)
+        first = QSeries.monomial(1, 1, T).div_binomial(1, 1).div_binomial(1, 1)
+        return term_sum(first, step, start=1, weight=times_n)
 
     def rhs(env, N, T):
         head = overlined_largest_series(T)
 
-        def second(j):
-            t = QSeries.monomial(1, j * j, T)
-            t = div_poch(t, 1, 1, j)
-            t = div_poch(t, 1, 1, j)
-            inner = QSeries.zero(T)
-            for n in range(1, min(j, T) + 1):
-                inner = inner + QSeries.monomial(1, n, T).div_binomial(1, 2 * n)
-            return t * inner
+        def inner(j):  # sum_{n=1}^{j} q^n / (1 - q^{2n})
+            return _q_power_sum(T, j, lambda t, n: t.div_binomial(1, 2 * n))
 
-        tail = truncating_sum(T, 1, lambda j: j * j + 1, second)
-        return head - poch(-1, 1, None, T) * tail
+        return head - poch(-1, 1, None, T) * _square_sum(T, inner)
 
     return Identity(
         id="R25",
@@ -179,44 +199,19 @@ def _r26() -> Identity:
     def lhs(env, N, T):
         d = env.get("d")
 
-        def div_even_poch(t, n):
-            # divide by (q^2; q^2)_n
-            for k in range(1, n + 1):
-                t = t.div_binomial(1, 2 * k)
-            return t
+        def step(t, n):  # (-1)^{n-1} (-1/d)_n d^n q^{n(n+1)/2} / (q^2;q^2)_n
+            return t.mul_binomial(-1 / d, n - 1).scale(-d).shift(n).div_binomial(1, 2 * n)
 
-        def first(n):
-            t = poch(-1 / d, 0, n, T)
-            t = t.scale(rat(-1) ** (n - 1) * n * d**n).shift(n * (n + 1) // 2)
-            return div_even_poch(t, n)
-
-        head = truncating_sum(T, 1, lambda n: n * (n + 1) // 2, first)
-
-        def second(k):
-            inner = _poch_ratio_sum(d, 1, d, k + 1, -1 / d, k, T)
-            t = QSeries.monomial(d**k, k * (k + 1), T)
-            t = div_poch(t, 1, 1, k)
-            t = div_poch(t, d, 1, k)
-            t = t.div_binomial(1, k)
-            return t * inner
-
-        block = truncating_sum(T, 1, lambda k: k * (k + 1), second)
+        head = term_sum(step(-QSeries.one(T), 1), step, start=1, weight=times_n)
         prefactor = poch(-1 / d, 0, None, T) * poch(d, 1, None, T)
         prefactor = div_poch(prefactor, -1, 1, None)
-        return head + prefactor * block
+        return head + prefactor * _dq_block(d, -1 / d, T)
 
     def rhs(env, N, T):
         d = env.get("d")
         ratio = div_poch(poch(d, 1, None, T), -1, 1, None)
         head = (QSeries.one(T) - ratio).scale(ONE / (ONE + d))
-
-        def term(n):
-            t = poch(-1 / d, 1, n, T).scale(d**n).shift(n)
-            t = div_poch(t, 1, 1, n)
-            return t.div_binomial(1, n)
-
-        tail = truncating_sum(T, 1, lambda n: n, term)
-        return head + ratio * tail
+        return head + ratio * _quotient_tail(-1 / d, d, T)
 
     return Identity(
         id="R26",
@@ -243,26 +238,27 @@ def _r27() -> Identity:
     def lhs(env, N, T):
         head = poch(1, 1, None, T) * n_sc_generating_function(T)
 
-        def term(n):
-            bracket = div_poch(poch(-1, 1, n, T), 1, 1, n) - QSeries.one(T)
-            t = QSeries.monomial(1, n * (n + 1) // 2, T)
-            t = t.div_binomial(1, n)
-            t = div_poch(t, 1, 1, n)
-            return t * bracket
+        # the bracket (-q)_n/(q)_n - 1 splits the sum in two term-ratio sums
+        def with_bracket(t, n):  # q^{n(n+1)/2} (-q)_n / (q)_n^2
+            t = t.shift(n).mul_binomial(-1, n)
+            return t.div_binomial(1, n).div_binomial(1, n)
 
-        tail = truncating_sum(T, 1, lambda n: n * (n + 1) // 2, term)
+        def without(t, n):  # q^{n(n+1)/2} / (q)_n
+            return t.shift(n).div_binomial(1, n)
+
+        one = QSeries.one(T)
+        tail = term_sum(with_bracket(one, 1), with_bracket, start=1, weight=div_q_n)
+        tail = tail - term_sum(without(one, 1), without, start=1, weight=div_q_n)
         ratio = div_poch(poch(1, 1, None, T), -1, 1, None)
         return head + ratio.scale(rat(1, 2)) * tail
 
     def rhs(env, N, T):
         ratio = div_poch(poch(1, 1, None, T), -1, 1, None)
 
-        def term(n):
-            t = poch(-1, 1, n, T).shift(n)
-            t = div_poch(t, 1, 1, n)
-            return t.div_binomial(1, n)
+        def step(t, n):  # (-q)_n q^n / (q)_n
+            return t.mul_binomial(-1, n).shift(1).div_binomial(1, n)
 
-        tail = truncating_sum(T, 1, lambda n: n, term)
+        tail = term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
         return (
             QSeries.constant(rat(1, 4), T)
             - ratio.scale(rat(1, 4))
@@ -288,31 +284,24 @@ def _r28() -> Identity:
     def lhs(env, N, T):
         d = env.get("d")
 
-        def first(n):
-            t = QSeries.monomial(rat(-1) ** (n - 1) * n * d**n, n * (n + 1) // 2, T)
-            return div_poch(t, 1, 1, n)
+        def first(t, n):  # (-1)^{n-1} d^n q^{n(n+1)/2} / (q)_n
+            return t.scale(-d).shift(n).div_binomial(1, n)
 
-        head = div_poch(
-            truncating_sum(T, 1, lambda n: n * (n + 1) // 2, first), d, 1, None
-        )
+        def second(t, n):  # d^n q^{n(n+1)} / ((q)_n (dq)_n)
+            return t.scale(d).shift(2 * n).div_binomial(1, n).div_binomial(d, n)
 
-        def second(n):
-            t = QSeries.monomial(d**n, n * (n + 1), T)
-            t = div_poch(t, 1, 1, n)
-            t = div_poch(t, d, 1, n)
-            return t.div_binomial(1, n)
-
-        return head + truncating_sum(T, 1, lambda n: n * (n + 1), second)
+        one = QSeries.one(T)
+        head = term_sum(first(-one, 1), first, start=1, weight=times_n)
+        block = term_sum(second(one, 1), second, start=1, weight=div_q_n)
+        return div_poch(head, d, 1, None) + block
 
     def rhs(env, N, T):
         d = env.get("d")
 
-        def term(n):
-            t = QSeries.monomial(d**n, n, T)
-            t = div_poch(t, 1, 1, n)
-            return t.div_binomial(1, n)
+        def step(t, n):  # (dq)^n / (q)_n
+            return t.scale(d).shift(1).div_binomial(1, n)
 
-        return truncating_sum(T, 1, lambda n: n, term)
+        return term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
 
     return Identity(
         id="R28",
@@ -361,28 +350,22 @@ def _r29() -> Identity:
 
 def _r30() -> Identity:
     def lhs(env, N, T):
-        def first(n):
-            return div_poch(QSeries.monomial(n, n * (n + 1) // 2, T), 1, 1, n)
+        def first(t, n):  # q^{n(n+1)/2} / (q)_n
+            return t.shift(n).div_binomial(1, n)
 
-        head = div_poch(
-            truncating_sum(T, 1, lambda n: n * (n + 1) // 2, first), -1, 1, None
-        ).scale(-1)
+        def second(t, n):  # (-1)^n q^{n(n+1)} / (q^2;q^2)_n
+            return t.scale(-1).shift(2 * n).div_binomial(1, 2 * n)
 
-        def second(n):
-            t = QSeries.monomial(rat(-1) ** n, n * (n + 1), T)
-            for k in range(1, n + 1):
-                t = t.div_binomial(1, 2 * k)
-            return t.div_binomial(1, n)
-
-        return head + truncating_sum(T, 1, lambda n: n * (n + 1), second)
+        one = QSeries.one(T)
+        head = term_sum(first(one, 1), first, start=1, weight=times_n)
+        head = div_poch(head, -1, 1, None).scale(-1)
+        return head + term_sum(second(one, 1), second, start=1, weight=div_q_n)
 
     def rhs(env, N, T):
-        def term(n):
-            t = QSeries.monomial(rat(-1) ** n, n, T)
-            t = div_poch(t, 1, 1, n)
-            return t.div_binomial(1, n)
+        def step(t, n):  # (-q)^n / (q)_n
+            return t.scale(-1).shift(1).div_binomial(1, n)
 
-        return truncating_sum(T, 1, lambda n: n, term)
+        return term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
 
     return Identity(
         id="R30",
@@ -402,40 +385,40 @@ def _r31() -> Identity:
     def lhs(env, N, T):
         c = env.get("c")
 
-        def first(n):
-            t = QSeries.monomial(n * c**n, n * n, T)
-            t = div_poch(t, 1, 1, n)
-            return div_poch(t, c, 1, n)
+        def first(t, n):  # c^n q^{n^2} / ((q)_n (cq)_n)
+            return t.scale(c).shift(2 * n - 1).div_binomial(1, n).div_binomial(c, n)
 
-        head = truncating_sum(T, 1, lambda n: n * n, first)
+        one = QSeries.one(T)
+        head = term_sum(first(one, 1), first, start=1, weight=times_n)
 
-        def second(k):
-            inner = QSeries.zero(T)
-            j = 0
-            while (j + k) * (j + k) <= T:
-                t = QSeries.monomial(c**j, (j + k) * (j + k), T)
-                t = div_poch(t, c, 1, j + k)
-                t = div_poch(t, 1, 1, j)
-                inner = inner + t
-                j += 1
-            t = QSeries.monomial((-c) ** k, k * (k + 1) // 2, T)
-            t = div_poch(t, 1, 1, k)
-            t = t.div_binomial(1, k)
-            return t * inner
+        # The j = 0 term q^{k^2}/(cq)_k of the inner sum rides on the outer
+        # term; the inner sum is then its ratio to that term,
+        # sum_{j>=0} c^j q^{j^2+2jk} / ((cq^{k+1})_j (q)_j).
+        def inner(k):
+            def step(u, j):
+                return u.scale(c).shift(2 * (j + k) - 1).div_binomial(c, j + k).div_binomial(1, j)
 
-        block = truncating_sum(T, 1, lambda k: k * (k + 1) // 2 + k * k, second)
+            return term_sum(one, step)
+
+        def second(t, k):  # (-c)^k q^{k(k+1)/2} q^{k^2} / ((q)_k (cq)_k)
+            return t.scale(-c).shift(3 * k - 1).div_binomial(1, k).div_binomial(c, k)
+
+        block = term_sum(
+            second(one, 1),
+            second,
+            start=1,
+            weight=lambda t, k: t.div_binomial(1, k) * inner(k),
+        )
         return head - block
 
     def rhs(env, N, T):
         c = env.get("c")
         inv_cq = div_poch(QSeries.one(T), c, 1, None)
 
-        def term(k):
-            t = QSeries.monomial((-c) ** k, k * (k + 3) // 2, T)
-            t = div_poch(t, 1, 1, k)
-            return t.div_binomial(1, k)
+        def step(t, k):  # (-c)^k q^{k(k+3)/2} / (q)_k
+            return t.scale(-c).shift(k + 1).div_binomial(1, k)
 
-        tail = truncating_sum(T, 1, lambda k: k * (k + 3) // 2, term)
+        tail = term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
         return inv_cq - QSeries.one(T) - inv_cq * tail
 
     return Identity(
@@ -459,43 +442,23 @@ def _r32() -> Identity:
     def lhs(env, N, T):
         c, d = env.get("c"), env.get("d")
 
-        def first(n):
-            t = poch(c / d, 0, n, T)
-            t = t.scale(rat(-1) ** (n - 1) * n * d**n).shift(n * (n + 1) // 2)
-            t = div_poch(t, 1, 1, n)
-            return div_poch(t, c, 1, n)
+        def step(t, n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n)
+            t = t.mul_binomial(c / d, n - 1).scale(-d).shift(n)
+            return t.div_binomial(1, n).div_binomial(c, n)
 
-        head = div_poch(
-            truncating_sum(T, 1, lambda n: n * (n + 1) // 2, first), 1, 1, None
-        )
-
-        def second(k):
-            inner = _poch_ratio_sum(d, 1, d, k + 1, c / d, k, T)
-            t = QSeries.monomial(d**k, k * (k + 1), T)
-            t = div_poch(t, d, 1, k)
-            t = div_poch(t, 1, 1, k)
-            t = t.div_binomial(1, k)
-            return t * inner
-
-        block = truncating_sum(T, 1, lambda k: k * (k + 1), second)
+        head = term_sum(step(-QSeries.one(T), 1), step, start=1, weight=times_n)
+        head = div_poch(head, 1, 1, None)
         prefactor = poch(c / d, 0, None, T) * poch(d, 1, None, T)
         prefactor = div_poch(prefactor, 1, 1, None)
         prefactor = div_poch(prefactor, c, 1, None)
-        return head + prefactor * block
+        return head + prefactor * _dq_block(d, c / d, T)
 
     def rhs(env, N, T):
         c, d = env.get("c"), env.get("d")
         ratio = div_poch(poch(d, 1, None, T), c, 1, None)
         head = QSeries.one(T) - ratio
         head = div_poch(head, 1, 1, None).scale(c / (c - d))
-
-        def term(k):
-            t = poch(c / d, 1, k, T).scale(d**k).shift(k)
-            t = div_poch(t, 1, 1, k)
-            return t.div_binomial(1, k)
-
-        tail = truncating_sum(T, 1, lambda k: k, term)
-        tail = ratio * div_poch(tail, 1, 1, None)
+        tail = ratio * div_poch(_quotient_tail(c / d, d, T), 1, 1, None)
         return head + tail
 
     return Identity(
@@ -522,19 +485,10 @@ def _r32() -> Identity:
 
 def _r36() -> Identity:
     def lhs(env, N, T):
-        def term(j):
-            t = QSeries.monomial(1, j * j, T)
-            t = div_poch(t, 1, 1, j)
-            t = div_poch(t, 1, 1, j)
-            inner = QSeries.zero(T)
-            for n in range(1, min(j, T) + 1):
-                inner = (
-                    inner
-                    + QSeries.monomial(1, n, T).div_binomial(1, n + 1).div_binomial(1, n)
-                )
-            return t * inner
+        def inner(j):  # sum_{n=1}^{j} q^n / ((1 - q^{n+1})(1 - q^n))
+            return _q_power_sum(T, j, lambda t, n: t.div_binomial(1, n + 1).div_binomial(1, n))
 
-        return truncating_sum(T, 1, lambda j: j * j + 1, term)
+        return _square_sum(T, inner)
 
     def rhs(env, N, T):
         t = QSeries.monomial(1, 2, T).div_binomial(1, 1).div_binomial(1, 1)

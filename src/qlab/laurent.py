@@ -75,9 +75,6 @@ class LaurentZQSeries:
         r = self._rows[n]
         return max((abs(k) for k in r), default=0)
 
-    def is_z_free(self) -> bool:
-        return all(set(r) <= {0} for r in self._rows)
-
     def _common(self, other: "LaurentZQSeries") -> int:
         return min(self.order, other.order)
 
@@ -213,17 +210,3 @@ class LaurentZQSeries:
         nonzero = sum(1 for r in self._rows if r)
         return f"LaurentZQSeries(order={self.order}, nonzero q-rows={nonzero})"
 
-
-def laurent_extract(f: LaurentZQSeries, mode: str):
-    """Named extraction transforms used by the moment derivations.
-
-    mode "z-derivative" applies z*d/dz, "positive-z-part" drops
-    non-positive z-exponents, "set-z-one" sums each q-row into a QSeries.
-    """
-    if mode == "z-derivative":
-        return f.z_derivative()
-    if mode == "positive-z-part":
-        return f.positive_z_part()
-    if mode == "set-z-one":
-        return f.set_z_one()
-    raise ValueError(f"unknown extraction mode: {mode!r}")

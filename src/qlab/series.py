@@ -24,8 +24,10 @@ b = a + (p/q) q^e b with K = T // e as ``b[n] = q^K*a[n] + p*(b[n-e] // q)``
 over ``_den*q^K``.  The floor division there is exact: unrolled,
 ``b[m] = sum_{k <= m//e} p^k q^(K-k) a[m-ke]``, so ``b[m]`` is divisible
 by ``q^(K - m//e)``, and for m = n-e that exponent is at least 1 because
-(n-e)//e < K.  q-Pochhammer symbols, Gaussian binomials and the generic
-basic hypergeometric summation loop are built on top of these paths.
+(n-e)//e < K.  q-Pochhammer symbols and Gaussian binomials are built on
+top of these paths, and so is term_sum, the one summation primitive:
+each term of a basic hypergeometric sum is the previous term times a few
+such factors.
 Values are immutable and safe to share between workers.
 """
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .rational import ONE, ZERO, Rat, rat
 
@@ -332,21 +334,6 @@ class QSeries:
         return f"QSeries({body} + O(q^{self.order + 1}))"
 
 
-# -- spec-facing operation names ----------------------------------------
-
-
-def series_add(x: QSeries, y: QSeries) -> QSeries:
-    return x + y
-
-
-def series_mul(x: QSeries, y: QSeries) -> QSeries:
-    return x * y
-
-
-def series_inverse(x: QSeries) -> QSeries:
-    return x.inverse()
-
-
 # -- q-Pochhammer symbols -------------------------------------------------
 
 
@@ -378,11 +365,6 @@ def div_poch(s: QSeries, coeff: Scalar, exp: int, n: Optional[int]) -> QSeries:
         s = s.div_binomial(coeff, exp + k)
         k += 1
     return s
-
-
-def pochhammer(x: QMonomial, n: Optional[int], order: int) -> QSeries:
-    """(x; q)_n for a monomial argument x = coeff*q^exp."""
-    return poch(x.coeff, x.exp, n, order)
 
 
 # -- Gaussian binomials ---------------------------------------------------
@@ -424,14 +406,63 @@ def q_binomial(N: int, n: int, order: int) -> QSeries:
     return _raw(poly + (0,) * (order + 1 - len(poly)), 1)
 
 
-# -- generic basic hypergeometric summation --------------------------------
+# -- term-ratio summation -----------------------------------------------------
+
+
+def term_sum(
+    first: QSeries,
+    step: Callable[[QSeries, int], QSeries],
+    start: int = 0,
+    stop: Optional[int] = None,
+    weight: Optional[Callable[[QSeries, int], QSeries]] = None,
+    tail: Optional[Scalar] = None,
+) -> QSeries:
+    """sum_{n >= start} weight(t_n, n), where t_start = first and
+    t_n = step(t_{n-1}, n); without a weight the terms t_n are summed.
+
+    A basic hypergeometric sum has this shape: each term is the previous
+    one times a scalar, a power of q and a few factors (1 - c q^e)
+    (Gasper-Rahman, Basic Hypergeometric Series, section 1.2), so a step
+    costs O(T) where rebuilding the n-th term from scratch costs O(nT).
+    A per-index factor that is not a ratio goes into weight, which must be
+    linear in t (weight(0, n) = 0).  A sum from n = 1 usually starts from
+    first = step(t_0, 1), with t_0 the term's value at n = 0: -1 for a
+    sign (-1)^(n-1), and factors indexed by n - 1 skipped in that step.
+
+    Stopping: the sum ends after n = stop, or at the first t_n that is
+    zero to the truncation order T.  The second rule is exact because
+    every later term is a power-series multiple of t_n, provided that
+    step divides only by factors with a nonzero constant term: (1 - c q^e)
+    with e >= 1, or with e = 0 and c != 1.  A step that would divide by
+    a factor with zero constant term keeps that factor in weight instead.
+
+    Tail: tail = x states that past n = T the step is the scalar x and
+    weight(t, n) no longer depends on n, both modulo q^(T+1); a factor
+    (1 - c q^e) with e > T is 1 there.  The terms past T then form a
+    geometric series, summed exactly as weight(t_m, m) / (1 - x) with
+    m = max(T + 1, start).  This is how sums whose terms never vanish to
+    order T are computed; the result is the value of the sum only inside
+    its convergence region, |x| < 1.
+    """
+    order = first.order
+    total = QSeries.zero(order)
+    n, t = start, first
+    while (stop is None or n <= stop) and not t.is_zero():
+        term = t if weight is None else weight(t, n)
+        if tail is not None and n > order:
+            return total + term.scale(geometric_tail(tail, 0))
+        total = total + term
+        if n == stop:
+            break
+        n += 1
+        t = step(t, n)
+    return total
 
 
 def phi_series(
     numerators: Sequence[QMonomial],
     denominators: Sequence[QMonomial],
     argument: QMonomial,
-    terms: Optional[int],
     order: int,
 ) -> QSeries:
     """Truncated basic hypergeometric sum in the standard convention:
@@ -439,36 +470,31 @@ def phi_series(
         sum_k  prod_i (num_i; q)_k / (prod_j (den_j; q)_k (q; q)_k)
                * [(-1)^k q^(k(k-1)/2)]^(1+s-r) * argument^k
 
-    with r = len(numerators), s = len(denominators).  When terms is
-    None the summation stops once the minimal q-order of the general
-    term exceeds the truncation order; that needs a growing term order,
-    i.e. argument.exp >= 1 or s >= r.
+    with r = len(numerators), s = len(denominators), summed by term_sum.
+    The sum stops at the first term that vanishes to the truncation
+    order, so the term order has to grow with k: argument.exp >= 1 or
+    s >= r.  A scalar-argument series with s < r is summed by term_sum
+    with a geometric tail instead.
     """
     r, s = len(numerators), len(denominators)
     weight = 1 + s - r
     if weight < 0:
         raise ValueError("series with r > s + 1 are not used by this laboratory")
-    if terms is None and argument.exp < 1 and weight < 1 and argument.coeff != 0:
+    if argument.exp < 1 and weight < 1 and argument.coeff != 0:
         raise ValueError(
-            "automatic termination needs a term order that grows with k; "
-            "pass an explicit term count"
+            "the terms never vanish to the truncation order; sum a "
+            "scalar-argument series with term_sum and a geometric tail"
         )
+    sign = rat(-1) ** weight
 
-    total = QSeries.one(order)  # k = 0 term
-    term = QSeries.one(order)
-    k = 1
-    while True:
-        if terms is not None and k > terms:
-            break
-        min_order = k * argument.exp
+    def step(term: QSeries, k: int) -> QSeries:
+        # term_k = term_{k-1} * argument * [(-1) q^{k-1}]^weight
+        #          * prod(1 - num*q^{k-1}) / (prod(1 - den*q^{k-1}) (1 - q^k))
+        term = term.scale(argument.coeff).shift(argument.exp)
         if weight > 0:
-            min_order += weight * (k * (k - 1)) // 2
-        if terms is None and min_order > order:
-            break
-        if argument.coeff == 0:
-            break
-        # term_k = term_{k-1} * prod(1 - num*q^{k-1}) / prod(1 - den*q^{k-1})
-        #          / (1 - q^k) * argument * [(-1) q^{k-1}]^weight
+            term = term.scale(sign).shift(weight * (k - 1))
+        if term.is_zero():  # the sum ends here; no pole check past its last term
+            return term
         for mono in numerators:
             term = term.mul_binomial(mono.coeff, mono.exp + k - 1)
         for mono in denominators:
@@ -477,14 +503,9 @@ def phi_series(
                     f"denominator factor (1 - q^0) vanishes at k = {k}"
                 )
             term = term.div_binomial(mono.coeff, mono.exp + k - 1)
-        term = term.div_binomial(1, k)
-        term = term.scale(argument.coeff).shift(argument.exp)
-        if weight > 0:
-            w_coeff = rat(-1) ** weight
-            term = term.scale(w_coeff).shift(weight * (k - 1))
-        total = total + term
-        k += 1
-    return total
+        return term.div_binomial(1, k)
+
+    return term_sum(QSeries.one(order), step)
 
 
 # -- small closed forms used by identity builders ---------------------------

@@ -97,6 +97,14 @@ def test_table_unknown_stat_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("stat", ["rank_moment", "crank_moment"])
+def test_table_negative_moment_order_is_usage_error(capsys, stat):
+    code, out, err = run_cli(capsys, "table", "--stat", stat, "--j", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--j" in err and "Traceback" not in err
+
+
 def test_coeffs_moment_closed_form(capsys):
     code, out, _ = run_cli(
         capsys, "coeffs", "--id", "R33", "--side", "rhs", "--N", "1", "--order", "6"

@@ -150,6 +150,22 @@ def test_run_suite_reduced_profile_passes():
     assert covered == set(REGISTRY) - {"R35"}
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_run_suite_passes_at_tiny_orders(seed, order):
+    reports = run_suite(seed=seed, order=order, samples_per_identity=5, n_max=6)
+    failed = [(r.identity_id, r.env.as_strings(), r.n_value) for r in reports if not r.passed]
+    assert reports and not failed
+
+
+def test_r19_lhs_at_order_zero_is_the_constant_term():
+    # at q^0, (q)_{n-1} and 1 - q^n are 1 and (a)_n is 1 - a, so the constant
+    # term is sum_{n>=1} a^n / (1 - a) = a / (1 - a)^2
+    a = rat(-6, 7)
+    side = build_side(get_identity("R19"), "lhs", ParamEnv(a=a), None, 0)
+    assert side.coeffs == (a / (1 - a) ** 2,)
+
+
 def test_run_suite_strict_raises_on_failure(monkeypatch):
     base = get_identity("R42")
     corrupted = Identity(

@@ -1,6 +1,6 @@
 import pytest
 
-from qlab.laurent import LaurentZQSeries, laurent_extract
+from qlab.laurent import LaurentZQSeries
 from qlab.rational import rat
 from qlab.series import QSeries, ZeroConstantTermError, poch
 from qlab.identities.moments import crank_bivariate, rank_bivariate
@@ -8,24 +8,19 @@ from qlab.identities.moments import crank_bivariate, rank_bivariate
 
 def test_z_derivative_of_z_free_series_is_zero():
     f = LaurentZQSeries.from_q_series(poch(1, 1, 3, 12))
-    assert laurent_extract(f, "z-derivative") == LaurentZQSeries.zero(12)
+    assert f.z_derivative() == LaurentZQSeries.zero(12)
 
 
 def test_positive_part_keeps_only_positive_z():
     # z q + z^{-1} q at q^1
     f = LaurentZQSeries([{}, {1: rat(1), -1: rat(1)}, {}])
-    g = laurent_extract(f, "positive-z-part")
+    g = f.positive_z_part()
     assert g.row(1) == {1: rat(1)}
 
 
 def test_set_z_one_sums_rows():
     f = LaurentZQSeries([{0: rat(2)}, {1: rat(1), -1: rat(1), 0: rat(3)}])
-    assert laurent_extract(f, "set-z-one") == QSeries([rat(2), rat(5)])
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        laurent_extract(LaurentZQSeries.one(2), "transpose")
+    assert f.set_z_one() == QSeries([rat(2), rat(5)])
 
 
 def test_mul_and_div_binomial_roundtrip():

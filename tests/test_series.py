@@ -15,11 +15,8 @@ from qlab.series import (
     geometric_fraction,
     phi_series,
     poch,
-    pochhammer,
     q_binomial,
-    series_add,
-    series_inverse,
-    series_mul,
+    term_sum,
 )
 
 from _oracles import (
@@ -122,16 +119,16 @@ def test_inverse_needs_nonzero_constant():
 
 
 def test_pochhammer_empty_product():
-    assert pochhammer(QMonomial(rat(5, 7), 3), 0, 10) == QSeries.one(10)
+    assert poch(rat(5, 7), 3, 0, 10) == QSeries.one(10)
 
 
 def test_pochhammer_q_two_factors():
-    assert pochhammer(QMonomial(rat(1), 1), 2, 6) == qs(1, -1, -1, 1, 0, 0, 0)
+    assert poch(rat(1), 1, 2, 6) == qs(1, -1, -1, 1, 0, 0, 0)
 
 
 def test_pochhammer_infinite_matches_pentagonal_oracle():
     expected = from_fractions(pentagonal_coeffs(7))
-    assert pochhammer(QMonomial(rat(1), 1), None, 7) == expected
+    assert poch(rat(1), 1, None, 7) == expected
     assert poch(1, 1, None, 30) == from_fractions(pentagonal_coeffs(30))
 
 
@@ -194,7 +191,7 @@ def test_q_binomial_properties(n_top):
 
 
 def test_phi_series_trivial():
-    assert phi_series([], [], QMonomial(rat(0), 0), None, 10) == QSeries.one(10)
+    assert phi_series([], [], QMonomial(rat(0), 0), 10) == QSeries.one(10)
 
 
 def test_phi_series_chu_vandermonde_instance():
@@ -223,7 +220,7 @@ def test_phi_series_heine_pair_with_monomial_argument():
     alpha, beta, gamma = rat(1, 2), rat(1, 3), rat(1, 5)
     z = QMonomial(rat(1, 2), 1)
     left = phi_series(
-        [QMonomial(alpha, 0), QMonomial(beta, 0)], [QMonomial(gamma, 0)], z, None, order
+        [QMonomial(alpha, 0), QMonomial(beta, 0)], [QMonomial(gamma, 0)], z, order
     )
     # (beta)_inf (alpha z)_inf / ((gamma)_inf (z)_inf)
     #   * 2phi1(gamma/beta, z; alpha z; beta), with tail in the scalar argument
@@ -254,14 +251,68 @@ def test_phi_series_pole_detection():
             [QMonomial(rat(1, 2), 1)],
             [QMonomial(rat(1), 0)],
             QMonomial(rat(1), 1),
-            None,
             10,
         )
 
 
 def test_phi_series_scalar_argument_needs_explicit_terms():
     with pytest.raises(ValueError):
-        phi_series([QMonomial(rat(1, 2), 0)], [], QMonomial(rat(1, 3), 0), None, 10)
+        phi_series([QMonomial(rat(1, 2), 0)], [], QMonomial(rat(1, 3), 0), 10)
+
+
+# -- term-ratio summation ----------------------------------------------------
+
+
+def test_term_sum_stops_at_the_first_vanishing_term():
+    # sum_{n>=0} q^{n(n+1)/2} / (q)_n: term 5 is the first with n(n+1)/2 > 10,
+    # so it is zero to order 10 and no step is taken past it
+    steps = []
+
+    def step(t, n):
+        steps.append(n)
+        return t.shift(n).div_binomial(1, n)
+
+    total = term_sum(QSeries.one(10), step)
+    expected = QSeries.zero(10)
+    for n in range(5):
+        expected = expected + div_poch(QSeries.monomial(1, n * (n + 1) // 2, 10), 1, 1, n)
+    assert total == expected
+    assert steps == [1, 2, 3, 4, 5]
+
+
+def test_term_sum_stop_is_inclusive_and_empty_past_it():
+    # sum_{n=1}^{3} n x^n with t_n = x^n and weight n
+    x = rat(2, 3)
+
+    def step(t, n):
+        return t.scale(x)
+
+    total = term_sum(QSeries.constant(x, 4), step, start=1, stop=3, weight=lambda t, n: t.scale(n))
+    assert total == QSeries.constant(x + 2 * x**2 + 3 * x**3, 4)
+    assert term_sum(QSeries.one(4), step, start=2, stop=1).is_zero()
+
+
+@pytest.mark.parametrize("order", [0, 1, 5])
+def test_term_sum_geometric_tail(order):
+    # sum_{n>=1} x^n / (1 - q^n): weight frozen past T, ratio x; at q^0 the
+    # value is x/(1-x) even when the first term already lies past T
+    x = rat(-6, 7)
+    total = term_sum(
+        QSeries.constant(x, order),
+        lambda t, n: t.scale(x),
+        start=1,
+        weight=lambda t, n: t.div_binomial(1, n),
+        tail=x,
+    )
+    assert total[0] == x / (1 - x)
+    # the q^k coefficient is sum_{m | k} x^m
+    for k in range(1, order + 1):
+        assert total[k] == sum(x**m for m in range(1, k + 1) if k % m == 0)
+
+
+def test_term_sum_tail_at_ratio_one_is_rejected():
+    with pytest.raises(ZeroConstantTermError):
+        term_sum(QSeries.one(3), lambda t, n: t, tail=1)
 
 
 # -- ring laws (property suite) ---------------------------------------------
@@ -270,7 +321,7 @@ def test_phi_series_scalar_argument_needs_explicit_terms():
 @settings(max_examples=60, deadline=None)
 @given(series_st, series_st)
 def test_mul_commutative(x, y):
-    assert series_mul(x, y) == series_mul(y, x)
+    assert x * y == y * x
 
 
 @settings(max_examples=40, deadline=None)
@@ -283,7 +334,7 @@ def test_mul_associative(x, y, z):
 @given(series_st, series_st, series_st)
 def test_distributive(x, y, z):
     assert x * (y + z) == x * y + x * z
-    assert series_add(x, y) * z == x * z + y * z
+    assert (x + y) * z == x * z + y * z
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,9 +342,9 @@ def test_distributive(x, y, z):
 def test_inverse_roundtrip(x):
     if x.constant_term == 0:
         with pytest.raises(ZeroConstantTermError):
-            series_inverse(x)
+            x.inverse()
     else:
-        assert x * series_inverse(x) == QSeries.one(T)
+        assert x * x.inverse() == QSeries.one(T)
 
 
 # -- misc helpers ------------------------------------------------------------
