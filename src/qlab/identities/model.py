@@ -132,7 +132,8 @@ class VerificationReport:
     lhs_coeff: Optional[Rat] = None
     rhs_coeff: Optional[Rat] = None
     mismatch_side: Optional[str] = None
-    elapsed_ms: int = 0
+    # timing differs between identical runs, so equality ignores it
+    elapsed_ms: int = field(default=0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {

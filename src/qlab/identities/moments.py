@@ -13,7 +13,7 @@ non-negativity.
 from __future__ import annotations
 
 from ..laurent import LaurentZQSeries
-from ..series import QSeries, div_poch, poch, q_binomial, term_sum
+from ..series import QSeries, div_poch, poch, term_sum
 from .common import binomial_step, div_q_n, times_n
 from .model import FINITE, Identity
 
@@ -28,16 +28,12 @@ def crank_bivariate(N: int, order: int) -> LaurentZQSeries:
 
 def rank_bivariate(N: int, order: int) -> LaurentZQSeries:
     """sum_{n=0}^{N} [N,n] (q)_n q^{n^2} / ((zq)_n (q/z)_n)."""
-    total = LaurentZQSeries.zero(order)
-    for n in range(0, N + 1):
-        if n * n > order:
-            break
-        base = (q_binomial(N, n, order) * poch(1, 1, n, order)).shift(n * n)
-        t = LaurentZQSeries.from_q_series(base)
-        for k in range(1, min(n, order) + 1):
-            t = t.div_binomial(1, 1, k).div_binomial(1, -1, k)
-        total = total + t
-    return total
+
+    def step(t, n):  # [N,n]/[N,n-1] (1-q^n) = 1-q^{N-n+1}
+        t = t.mul_binomial(1, 0, N - n + 1).shift(2 * n - 1)
+        return t.div_binomial(1, 1, n).div_binomial(1, -1, n)
+
+    return term_sum(LaurentZQSeries.from_q_series(QSeries.one(order)), step, stop=N)
 
 
 def first_moment_extraction(f: LaurentZQSeries) -> QSeries:

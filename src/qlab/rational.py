@@ -13,7 +13,7 @@ only when a coefficient is read (``coeffs``, indexing,
 ``constant_term``), and is taken apart with ``int(x.numerator)`` and
 ``int(x.denominator)`` when a series or a scalar argument comes in.  The
 remaining scalar arithmetic on Rats is on parameters, in the identity
-builders and the Laurent series.
+builders.
 
 Rationals cross text boundaries (CLI flags, JSON, TSV) as "p/q" strings,
 never as decimals.

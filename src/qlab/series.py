@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 from .rational import ONE, ZERO, Rat, rat
 
@@ -409,16 +409,22 @@ def q_binomial(N: int, n: int, order: int) -> QSeries:
 # -- term-ratio summation -----------------------------------------------------
 
 
+S = TypeVar("S")  # QSeries, or LaurentZQSeries for sums without a tail
+
+
 def term_sum(
-    first: QSeries,
-    step: Callable[[QSeries, int], QSeries],
+    first: S,
+    step: Callable[[S, int], S],
     start: int = 0,
     stop: Optional[int] = None,
-    weight: Optional[Callable[[QSeries, int], QSeries]] = None,
+    weight: Optional[Callable[[S, int], S]] = None,
     tail: Optional[Scalar] = None,
-) -> QSeries:
+) -> S:
     """sum_{n >= start} weight(t_n, n), where t_start = first and
     t_n = step(t_{n-1}, n); without a weight the terms t_n are summed.
+    The terms are QSeries, or LaurentZQSeries for a sum in q and z: any
+    series type with ``order``, ``is_zero``, ``+`` and ``zero(order)``,
+    and ``scale`` when a tail is given.
 
     A basic hypergeometric sum has this shape: each term is the previous
     one times a scalar, a power of q and a few factors (1 - c q^e)
@@ -433,8 +439,9 @@ def term_sum(
     zero to the truncation order T.  The second rule is exact because
     every later term is a power-series multiple of t_n, provided that
     step divides only by factors with a nonzero constant term: (1 - c q^e)
-    with e >= 1, or with e = 0 and c != 1.  A step that would divide by
-    a factor with zero constant term keeps that factor in weight instead.
+    or (1 - c z^s q^e) with e >= 1, or (1 - c) with c != 1.  A step that
+    would divide by a factor with zero constant term keeps that factor in
+    weight instead.
 
     Tail: tail = x states that past n = T the step is the scalar x and
     weight(t, n) no longer depends on n, both modulo q^(T+1); a factor
@@ -445,7 +452,7 @@ def term_sum(
     its convergence region, |x| < 1.
     """
     order = first.order
-    total = QSeries.zero(order)
+    total = type(first).zero(order)
     n, t = start, first
     while (stop is None or n <= stop) and not t.is_zero():
         term = t if weight is None else weight(t, n)

@@ -5,13 +5,15 @@ the pentagonal expansion is a direct lattice sum, the product oracle a
 naive convolution over plain lists, the Gaussian binomial a quotient of
 factorial polynomials evaluated through Fraction arithmetic.  The
 ``ref_*`` functions are naive per-coefficient Fraction versions of the
-QSeries kernels, with the same truncation and edge-case conventions.
+QSeries kernels, and the ``ref_laurent_*`` ones of the LaurentZQSeries
+kernels on per-q-row dicts, with the same truncation and edge-case
+conventions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 def pentagonal_coeffs(order: int) -> List[Fraction]:
@@ -138,3 +140,53 @@ def ref_first_difference(a: List[Fraction], b: List[Fraction]) -> Optional[int]:
         if x != y:
             return n
     return None
+
+
+# -- reference Laurent-in-z kernels: a series is a list of q-rows, each a
+# -- {z-exponent: Fraction} dict without zero values, truncated to the shorter
+
+
+def _clean(row: Dict[int, Fraction]) -> Dict[int, Fraction]:
+    return {k: v for k, v in row.items() if v != 0}
+
+
+def ref_laurent_add(a: List[dict], b: List[dict]) -> List[dict]:
+    out = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for k, v in rb.items():
+            row[k] = row.get(k, Fraction(0)) + v
+        out.append(_clean(row))
+    return out
+
+
+def ref_laurent_mul_binomial(a: List[dict], c: Fraction, s: int, e: int) -> List[dict]:
+    """a * (1 - c z^s q^e); e >= 1, or e = 0 with s = 0."""
+    rows = [dict(r) for r in a]
+    for n in range(e, len(a)):
+        for k, v in a[n - e].items():
+            rows[n][k + s] = rows[n].get(k + s, Fraction(0)) - c * v
+    return [_clean(r) for r in rows]
+
+
+def ref_laurent_div_binomial(a: List[dict], c: Fraction, s: int, e: int) -> List[dict]:
+    """a / (1 - c z^s q^e); e >= 1, or e = 0 with s = 0 and c != 1."""
+    if e == 0:
+        return [_clean({k: v / (1 - c) for k, v in r.items()}) for r in a]
+    rows = [dict(r) for r in a]
+    for n in range(e, len(a)):
+        for k, v in rows[n - e].items():
+            rows[n][k + s] = rows[n].get(k + s, Fraction(0)) + c * v
+    return [_clean(r) for r in rows]
+
+
+def ref_laurent_z_derivative(a: List[dict]) -> List[dict]:
+    return [{k: k * v for k, v in r.items() if k != 0} for r in a]
+
+
+def ref_laurent_positive_z_part(a: List[dict]) -> List[dict]:
+    return [{k: v for k, v in r.items() if k > 0} for r in a]
+
+
+def ref_laurent_set_z_one(a: List[dict]) -> List[Fraction]:
+    return [sum(r.values(), Fraction(0)) for r in a]
