@@ -175,6 +175,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     n_values = [cfg.n_value] if cfg.n_value is not None else None
     if n_values and n_values[0] < 1:
         raise UsageError("--N must be >= 1")
+    if cfg.n_max < 1:
+        raise UsageError("--N-max must be >= 1")
     reports = run_suite(
         seed=cfg.seed,
         samples_per_identity=cfg.samples,
@@ -216,8 +218,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_table(cfg: RunConfig) -> int:
-    if cfg.stat in ("p_restricted", "spt_restricted") and cfg.n_value is None:
-        raise UsageError(f"--stat {cfg.stat} needs --N (the largest-part bound)")
+    if cfg.stat in ("p_restricted", "spt_restricted"):
+        if cfg.n_value is None:
+            raise UsageError(f"--stat {cfg.stat} needs --N (the largest-part bound)")
+        if cfg.n_value < 0:
+            raise UsageError("--N (the largest-part bound) must be non-negative")
     if cfg.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     if cfg.j < 0:

@@ -18,15 +18,7 @@ with the instances 0 <= n <= N combined through a free weight parameter.
 from __future__ import annotations
 
 from ..rational import ONE
-from ..series import (
-    QMonomial,
-    QSeries,
-    div_poch,
-    geometric_fraction,
-    phi_series,
-    poch,
-    term_sum,
-)
+from ..series import QMonomial, QSeries, div_poch, phi_series, poch, term_sum
 from .common import (
     all_nonzero,
     binomial_step,
@@ -36,6 +28,7 @@ from .common import (
     inside_unit,
     nonzero,
     not_one,
+    q_power_sum,
     rules,
     times_n,
 )
@@ -302,10 +295,7 @@ def _r41() -> Identity:
 
 def _r42() -> Identity:
     def lhs(env, N, T):
-        total = QSeries.zero(T)
-        for k in range(1, min(N, T) + 1):
-            total = total + geometric_fraction(1, k, T)
-        return total
+        return q_power_sum(T, N, div_q_n)
 
     def rhs(env, N, T):
         def step(t, k):  # [N,k] (-1)^{k-1} q^{k(k+1)/2}
@@ -329,12 +319,8 @@ def _r42() -> Identity:
 def _r43() -> Identity:
     def lhs(env, N, T):
         x = env.get("a")
-        total = QSeries.zero(T)
-        for k in range(1, min(N, T) + 1):
-            total = total + geometric_fraction(1, k, T)
-        for k in range(1, min(N - 1, T) + 1):
-            total = total - geometric_fraction(x, k, T)
-        return total
+        harmonic = q_power_sum(T, N, div_q_n)
+        return harmonic - q_power_sum(T, N - 1, lambda t, k: t.scale(x).div_binomial(x, k))
 
     def rhs(env, N, T):
         x = env.get("a")
@@ -368,10 +354,7 @@ def _r43() -> Identity:
 def _r44() -> Identity:
     def lhs(env, N, T):
         d = env.get("d")
-        total = QSeries.zero(T)
-        for n in range(1, T + 1):
-            total = total + QSeries.monomial(1, n, T).div_binomial(d, n).div_binomial(1, n)
-        return total
+        return q_power_sum(T, T, lambda t, n: t.div_binomial(d, n).div_binomial(1, n))
 
     def rhs(env, N, T):
         d = env.get("d")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..rational import ONE, Rat
-from ..series import QSeries
+from ..series import QSeries, term_sum
 from .model import ParamEnv
 
 
@@ -23,6 +23,20 @@ def times_n(t: QSeries, n: int) -> QSeries:
 def div_q_n(t: QSeries, n: int) -> QSeries:
     """The weight t_n / (1 - q^n), for n >= 1."""
     return t.div_binomial(1, n)
+
+
+def lambert_bracket(t: QSeries, x: Rat, y: Rat, m: int) -> QSeries:
+    """t * (x q^m/(1 - x q^m) - y q^m/(1 - y q^m))
+    = t * (x - y) q^m / ((1 - x q^m)(1 - y q^m)); at m = 0 it needs
+    x, y != 1, and (1 - 1) raises ZeroConstantTermError."""
+    return t.shift(m).scale(x - y).div_binomial(x, m).div_binomial(y, m)
+
+
+def q_power_sum(T: int, top: int, weight: Callable[[QSeries, int], QSeries]) -> QSeries:
+    """sum_{n=1}^{top} weight(q^n, n), to order T."""
+    return term_sum(
+        QSeries.monomial(1, 1, T), lambda t, n: t.shift(1), start=1, stop=top, weight=weight
+    )
 
 
 # -- constraint rule combinators -------------------------------------------

@@ -7,29 +7,37 @@ coefficient, which the stabilization tests exercise separately.
 
 from __future__ import annotations
 
-from ..series import (
-    QSeries,
-    arithmetic_geometric_tail,
-    div_poch,
-    geometric_fraction,
-    geometric_fraction_squared,
-    geometric_tail,
-    poch,
-    term_sum,
-)
+from ..series import QSeries, div_poch, poch, term_sum
 from .common import (
     all_nonzero,
     binomial_step,
     div_q_n,
     domain_all,
     inside_unit,
+    lambert_bracket,
     nonzero,
     not_one,
+    q_power_sum,
     rules,
     times_n,
 )
 from .four_parameter import _r01
 from .model import FINITE, INFINITE, Identity
+
+
+def _squared_lambert_sum(a, T: int, top=None) -> QSeries:
+    """sum_{k=0}^{top} a q^k / (1 - a q^k)^2, to order T.
+
+    With top = None this is sum_{m>=1} m a^m / (1 - q^m) taken over the
+    powers of its denominator: sum_{m>=1} m (a q^k)^m = a q^k/(1 - a q^k)^2.
+    The rearrangement is exact as formal power series: for j >= 1, [q^j]
+    of both forms is sum_{mk=j} m a^m, and [q^0] is a/(1-a)^2 on both."""
+    return term_sum(
+        QSeries.constant(a, T),
+        lambda t, k: t.shift(1),
+        stop=top,
+        weight=lambda t, k: t.div_binomial(a, k).div_binomial(a, k),
+    )
 
 
 def _r10() -> Identity:
@@ -115,14 +123,14 @@ def _r12() -> Identity:
 
     def rhs(env, N, T):
         a, b = env.get("a"), env.get("b")
-        total = QSeries.zero(T)
-        for m in range(1, T + 1):
-            # (1 - q^{mN})/(1 - q^m) = 1 + q^m + ... + q^{m(N-1)}
-            t = QSeries.constant(a**m - b**m, T)
-            t = t.div_binomial(1, m).mul_binomial(1, m * N)
-            total = total + t
-        tail = geometric_tail(a, T + 1) - geometric_tail(b, T + 1)
-        return total + QSeries.constant(tail, T)
+        # (1 - q^{mN})/(1 - q^m) = sum_{j=0}^{N-1} q^{mj}, and summed over m
+        # the power q^{mj} gives the bracket a q^j/(1 - a q^j) - b q^j/(1 - b q^j)
+        return term_sum(
+            QSeries.one(T),
+            lambda t, j: t,
+            stop=min(N - 1, T),
+            weight=lambda t, j: lambert_bracket(t, a, b, j),
+        )
 
     return Identity(
         id="R12",
@@ -155,10 +163,7 @@ def _r13() -> Identity:
 
     def rhs(env, N, T):
         a = env.get("a")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            total = total + geometric_fraction(a, n, T)
-        return total
+        return q_power_sum(T, N, lambda t, n: t.scale(a).div_binomial(a, n))
 
     return Identity(
         id="R13",
@@ -188,11 +193,7 @@ def _r14() -> Identity:
         return div_poch(total, a, 0, N)
 
     def rhs(env, N, T):
-        a = env.get("a")
-        total = QSeries.zero(T)
-        for n in range(1, N + 1):
-            total = total + geometric_fraction_squared(a, n - 1, T)
-        return total
+        return _squared_lambert_sum(env.get("a"), T, N - 1)
 
     return Identity(
         id="R14",
@@ -335,11 +336,7 @@ def _r19() -> Identity:
         )
 
     def rhs(env, N, T):
-        a = env.get("a")
-        total = QSeries.zero(T)
-        for m in range(1, T + 1):
-            total = total + QSeries.constant(m * a**m, T).div_binomial(1, m)
-        return total + QSeries.constant(arithmetic_geometric_tail(a, T + 1), T)
+        return _squared_lambert_sum(env.get("a"), T)
 
     return Identity(
         id="R19",

@@ -12,27 +12,25 @@ Sides whose terms keep a nonzero q^0 coefficient for every summation
 index (so the sum never truncates on its own) are computed as the first
 T+1 terms plus an exact geometric tail: past index T every Pochhammer
 factor is frozen modulo q^(T+1), so the step is a scalar x and the rest
-is a geometric series, summed in closed form by term_sum's tail.
-Sampling stays inside the stated convergence regions so those closed
-forms are the values of the sums.
+is a geometric series, summed in closed form by term_sum's tail.  The
+Lambert-type sum sum_m (a^m - b^m)/(1 - c q^{m+n}) has no term ratio; it
+is summed over the powers of its denominator instead, each a bracket of
+two factors x q^k/(1 - x q^k), whose k = 0 term a/(1-a) - b/(1-b) is the
+closed form of its constant coefficients.  Sampling stays inside the
+stated convergence regions so those closed forms are the values of the
+sums.
 """
 
 from __future__ import annotations
 
-from ..series import (
-    QSeries,
-    div_poch,
-    geometric_fraction,
-    geometric_tail,
-    poch,
-    term_sum,
-)
+from ..series import QSeries, div_poch, poch, term_sum
 from .common import (
     all_nonzero,
     binomial_step,
     distinct,
     domain_all,
     inside_unit,
+    lambert_bracket,
     nonzero,
     not_one,
     rules,
@@ -69,15 +67,21 @@ def _quotient_sum_lhs(env: ParamEnv, c_factor, T: int) -> QSeries:
 
 
 def _lambert_difference(a, b, c, shift: int, T: int) -> QSeries:
-    """sum_{m>=1} (a^m - b^m) / (1 - c q^{m+shift}): the terms with
-    m + shift <= T, plus the geometric tails of the rest, whose
-    denominators are 1 modulo q^(T+1)."""
-    top = max(T - shift, 0)
-    total = QSeries.zero(T)
-    for m in range(1, top + 1):
-        total = total + QSeries.constant(a**m - b**m, T).div_binomial(c, m + shift)
-    tail = geometric_tail(a, top + 1) - geometric_tail(b, top + 1)
-    return total + QSeries.constant(tail, T)
+    """sum_{m>=1} (a^m - b^m) / (1 - c q^{m+shift}), taken over the powers
+    of its denominator: sum_{k>=0} c^k q^{k shift} times the bracket
+    a q^k/(1 - a q^k) - b q^k/(1 - b q^k), which is O(q^k).
+
+    The rearrangement is exact as formal power series, so it holds for
+    parameters outside the convergence region as well: for j >= 1,
+    [q^j] of both forms is sum_{i(k+shift)=j, i,k>=1} c^k (a^i - b^i), and
+    [q^0] is a/(1-a) - b/(1-b) on both, the closed form of the constant
+    coefficients sum_{m>=1} (a^m - b^m)."""
+    return term_sum(
+        QSeries.one(T),
+        lambda t, k: t.scale(c).shift(shift),
+        stop=T,
+        weight=lambda t, k: lambert_bracket(t, a, b, k),
+    )
 
 
 def _r01() -> Identity:
@@ -116,10 +120,9 @@ def _r02() -> Identity:
         def step(t, m):  # (b/c)_m c^m / (b)_m
             return t.mul_binomial(b / c, m - 1).div_binomial(b, m - 1).scale(c)
 
-        def weight(t, m):
-            return t * (geometric_fraction(a, m, T) - geometric_fraction(b, m, T))
+        def weight(t, m):  # the bracket is O(q^m), so the terms past m = T vanish
+            return lambert_bracket(t, a, b, m)
 
-        # the bracket is O(q^m), so the terms past m = T vanish
         return term_sum(QSeries.one(T), step, stop=T, weight=weight)
 
     def rhs_nested(env, N, T):
@@ -192,7 +195,7 @@ def _r03() -> Identity:
             return t
 
         def weight(t, n):
-            return t * (geometric_fraction(a, n - 1, T) - geometric_fraction(b, n - 1, T))
+            return lambert_bracket(t, a, b, n - 1)
 
         total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N, weight=weight)
         return div_poch(total, c, 1, N)
@@ -237,10 +240,9 @@ def _r04() -> Identity:
             t = t.mul_binomial(a, m - 1).mul_binomial(b * d / c, m - 1)
             return t.div_binomial(b, m - 1).div_binomial(ad, m - 1).scale(c)
 
-        def weight(t, m):
-            return t * (geometric_fraction(ad, m, T) - geometric_fraction(b, m, T))
+        def weight(t, m):  # the bracket is O(q^m), so the terms past m = T vanish
+            return lambert_bracket(t, ad, b, m)
 
-        # the bracket is O(q^m), so the terms past m = T vanish
         return term_sum(QSeries.one(T), step, stop=T, weight=weight).scale(prefactor)
 
     return Identity(
@@ -297,7 +299,7 @@ def _r05() -> Identity:
             return t
 
         def weight(t, n):
-            return t * (geometric_fraction(ad, n - 1, T) - geometric_fraction(b, n - 1, T))
+            return lambert_bracket(t, ad, b, n - 1)
 
         total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N, weight=weight)
         return div_poch(total, c, 1, N).scale(prefactor)

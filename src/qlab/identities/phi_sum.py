@@ -15,17 +15,18 @@ not ratios (the harmonic partial sums, the inner 2-phi-1) are weights.
 
 from __future__ import annotations
 
-from ..series import QMonomial, QSeries, div_poch, geometric_fraction, phi_series, poch, term_sum
-from .common import all_nonzero, binomial_step, distinct, div_q_n, domain_all, nonzero, rules
+from ..series import QMonomial, QSeries, div_poch, phi_series, poch, term_sum
+from .common import (
+    all_nonzero,
+    binomial_step,
+    distinct,
+    div_q_n,
+    domain_all,
+    nonzero,
+    q_power_sum,
+    rules,
+)
 from .model import FINITE, Identity
-
-
-def _harmonic_partial(n: int, T: int) -> QSeries:
-    """sum_{k=1}^{n} q^k / (1 - q^k)."""
-    total = QSeries.zero(T)
-    for k in range(1, min(n, T) + 1):
-        total = total + geometric_fraction(1, k, T)
-    return total
 
 
 def _phi_block_rhs(env, N: int, T: int) -> QSeries:
@@ -69,7 +70,8 @@ def _alternating_sum(env, N: int, T: int, weight) -> QSeries:
 
 def _r20() -> Identity:
     def lhs(env, N, T):
-        return _alternating_sum(env, N, T, lambda t, n: t * _harmonic_partial(n, T))
+        # the weight is the harmonic partial sum sum_{k=1}^{n} q^k / (1 - q^k)
+        return _alternating_sum(env, N, T, lambda t, n: t * q_power_sum(T, n, div_q_n))
 
     return Identity(
         id="R20",

@@ -17,6 +17,7 @@ from .common import (
     domain_all,
     nonzero,
     not_value,
+    q_power_sum,
     rules,
     times_n,
 )
@@ -48,13 +49,6 @@ def overlined_largest_series(order: int) -> QSeries:
 
     first = QSeries.monomial(1, 1, order).div_binomial(1, 1)
     return term_sum(first, step, start=1, weight=times_n)
-
-
-def _q_power_sum(T: int, top: int, weight) -> QSeries:
-    """sum_{n=1}^{top} weight(q^n, n), the inner sums of the double sums."""
-    return term_sum(
-        QSeries.monomial(1, 1, T), lambda t, n: t.shift(1), start=1, stop=top, weight=weight
-    )
 
 
 def _square_sum(T: int, inner) -> QSeries:
@@ -119,7 +113,7 @@ def _r23() -> Identity:
         head = div_poch(term_sum(first, step, start=1, weight=times_n), 1, 1, None)
 
         def inner(j):  # sum_{n=1}^{j} q^n / ((1 - d q^n)(1 - q^n))
-            return _q_power_sum(T, j, lambda t, n: t.div_binomial(d, n).div_binomial(1, n))
+            return q_power_sum(T, j, lambda t, n: t.div_binomial(d, n).div_binomial(1, n))
 
         tail = _square_sum(T, inner) * poch(d, 1, None, T)
         return head - div_poch(tail, 1, 1, None)
@@ -177,7 +171,7 @@ def _r25() -> Identity:
         head = overlined_largest_series(T)
 
         def inner(j):  # sum_{n=1}^{j} q^n / (1 - q^{2n})
-            return _q_power_sum(T, j, lambda t, n: t.div_binomial(1, 2 * n))
+            return q_power_sum(T, j, lambda t, n: t.div_binomial(1, 2 * n))
 
         return head - poch(-1, 1, None, T) * _square_sum(T, inner)
 
@@ -486,7 +480,7 @@ def _r32() -> Identity:
 def _r36() -> Identity:
     def lhs(env, N, T):
         def inner(j):  # sum_{n=1}^{j} q^n / ((1 - q^{n+1})(1 - q^n))
-            return _q_power_sum(T, j, lambda t, n: t.div_binomial(1, n + 1).div_binomial(1, n))
+            return q_power_sum(T, j, lambda t, n: t.div_binomial(1, n + 1).div_binomial(1, n))
 
         return _square_sum(T, inner)
 

@@ -150,11 +150,23 @@ def spt(n: int, max_part: Optional[int] = None) -> int:
     return total
 
 
+def _rank(parts: Tuple[int, ...]) -> int:
+    return parts[0] - len(parts)
+
+
+def _crank(parts: Tuple[int, ...]) -> int:
+    omega = parts.count(1)
+    if omega == 0:
+        return parts[0]
+    mu = sum(1 for part in parts if part > omega)
+    return mu - omega
+
+
 def rank(p: Partition) -> int:
     """Dyson's rank: largest part minus number of parts."""
     if not p.parts:
         raise EmptyPartitionError("rank of the empty partition")
-    return p.parts[0] - len(p.parts)
+    return _rank(p.parts)
 
 
 def crank(p: Partition) -> int:
@@ -163,18 +175,15 @@ def crank(p: Partition) -> int:
     exceeding omega."""
     if not p.parts:
         raise EmptyPartitionError("crank of the empty partition")
-    omega = p.parts.count(1)
-    if omega == 0:
-        return p.parts[0]
-    mu = sum(1 for part in p.parts if part > omega)
-    return mu - omega
+    return _crank(p.parts)
 
 
 def _statistic(kind: str):
+    """The statistic on a nonempty parts tuple."""
     if kind == "rank":
-        return rank
+        return _rank
     if kind == "crank":
-        return crank
+        return _crank
     raise ValueError(f"unknown statistic kind: {kind!r}")
 
 
@@ -187,8 +196,10 @@ def moment(kind: str, j: int, n: int, positive_only: bool) -> int:
         raise ValueError("moment order must be non-negative")
     stat = _statistic(kind)
     total = 0
+    # the enumerated tuples are valid nonempty partitions, so the statistic
+    # reads them directly instead of through a validated Partition
     for parts in partition_tuples(n):
-        k = stat(Partition(parts))
+        k = stat(parts)
         if positive_only and k < 1:
             continue
         total += k**j

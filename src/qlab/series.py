@@ -37,7 +37,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
-from .rational import ONE, ZERO, Rat, rat
+from .rational import Rat, rat
 
 
 class ZeroConstantTermError(ZeroDivisionError):
@@ -204,14 +204,6 @@ class QSeries:
     def __rmul__(self, other: Scalar) -> "QSeries":
         return self.scale(other)
 
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QSeries.one(self.order)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def _scaled(self, p: int, q: int) -> "QSeries":
         """self * p/q for p/q in lowest terms with q > 0; cross-cancelling
         first keeps the result reduced without a gcd over the products."""
@@ -305,10 +297,6 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return _first_difference(self, other) is None
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # equality is up-to-common-order, not hashable
 
@@ -423,8 +411,8 @@ def term_sum(
     """sum_{n >= start} weight(t_n, n), where t_start = first and
     t_n = step(t_{n-1}, n); without a weight the terms t_n are summed.
     The terms are QSeries, or LaurentZQSeries for a sum in q and z: any
-    series type with ``order``, ``is_zero``, ``+`` and ``zero(order)``,
-    and ``scale`` when a tail is given.
+    series type with ``order``, ``is_zero``, ``+`` and ``zero(order)``;
+    a tail needs QSeries terms.
 
     A basic hypergeometric sum has this shape: each term is the previous
     one times a scalar, a power of q and a few factors (1 - c q^e)
@@ -447,9 +435,17 @@ def term_sum(
     weight(t, n) no longer depends on n, both modulo q^(T+1); a factor
     (1 - c q^e) with e > T is 1 there.  The terms past T then form a
     geometric series, summed exactly as weight(t_m, m) / (1 - x) with
-    m = max(T + 1, start).  This is how sums whose terms never vanish to
-    order T are computed; the result is the value of the sum only inside
-    its convergence region, |x| < 1.
+    m = max(T + 1, start), by the kernel for a factor (1 - x q^0), which
+    raises ZeroConstantTermError at x = 1.  This is how sums whose terms
+    never vanish to order T are computed; the result is the value of the
+    sum only inside its convergence region, |x| < 1.
+
+    A Lambert-type sum such as sum_{m>=1} (a^m - b^m) / (1 - q^m) has no
+    such term ratio; it becomes a term_sum once it is taken over the
+    powers of its denominator, since sum_{m>=1} x^m q^(mk) is the kernel
+    factor x q^k / (1 - x q^k).  The sum then runs over k with those
+    factors as weight, and its k = 0 term x / (1 - x) is the closed form
+    of the constant coefficients.
     """
     order = first.order
     total = type(first).zero(order)
@@ -457,7 +453,7 @@ def term_sum(
     while (stop is None or n <= stop) and not t.is_zero():
         term = t if weight is None else weight(t, n)
         if tail is not None and n > order:
-            return total + term.scale(geometric_tail(tail, 0))
+            return total + term.div_binomial(tail, 0)
         total = total + term
         if n == stop:
             break
@@ -514,55 +510,3 @@ def phi_series(
 
     return term_sum(QSeries.one(order), step)
 
-
-# -- small closed forms used by identity builders ---------------------------
-
-
-def geometric_fraction(coeff: Scalar, exp: int, order: int) -> QSeries:
-    """c*q^e / (1 - c*q^e) exactly; a constant series when e = 0 (needs c != 1)."""
-    if exp < 0:
-        raise ValueError("q-exponent must be non-negative")
-    if exp == 0:
-        denom = ONE - rat(1) * coeff
-        if denom == 0:
-            raise ZeroConstantTermError("x/(1-x) undefined at x = 1")
-        return QSeries.constant(coeff / denom, order)
-    c = [ZERO] * (order + 1)
-    power = ONE
-    for i in range(1, order // exp + 1):
-        power = power * coeff
-        c[i * exp] = power
-    return QSeries(c)
-
-
-def geometric_fraction_squared(coeff: Scalar, exp: int, order: int) -> QSeries:
-    """c*q^e / (1 - c*q^e)^2 = sum_{i>=1} i c^i q^{ie} (constant for e = 0)."""
-    if exp < 0:
-        raise ValueError("q-exponent must be non-negative")
-    if exp == 0:
-        denom = ONE - rat(1) * coeff
-        if denom == 0:
-            raise ZeroConstantTermError("x/(1-x)^2 undefined at x = 1")
-        return QSeries.constant(coeff / (denom * denom), order)
-    c = [ZERO] * (order + 1)
-    power = ONE
-    for i in range(1, order // exp + 1):
-        power = power * coeff
-        c[i * exp] = i * power
-    return QSeries(c)
-
-
-def geometric_tail(x: Rat, start: int) -> Rat:
-    """sum_{n >= start} x^n = x^start / (1 - x); needs x != 1."""
-    denom = ONE - x
-    if denom == 0:
-        raise ZeroConstantTermError("geometric tail diverges at ratio 1")
-    return x**start / denom
-
-
-def arithmetic_geometric_tail(x: Rat, start: int) -> Rat:
-    """sum_{n >= start} n * x^n; needs x != 1."""
-    denom = ONE - x
-    if denom == 0:
-        raise ZeroConstantTermError("geometric tail diverges at ratio 1")
-    return x**start * (rat(start) / denom + x / (denom * denom))

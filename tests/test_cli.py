@@ -97,6 +97,22 @@ def test_table_unknown_stat_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("stat", ["p_restricted", "spt_restricted"])
+def test_table_negative_part_bound_is_usage_error(capsys, stat):
+    code, out, err = run_cli(capsys, "table", "--stat", stat, "--N", "-2", "--max-n", "5")
+    assert code == 2
+    assert out == ""
+    assert "--N" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_verify_n_max_below_one_is_usage_error(capsys, n_max):
+    code, out, err = run_cli(capsys, "verify", "--id", "R10", "--N-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert "--N-max" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("stat", ["rank_moment", "crank_moment"])
 def test_table_negative_moment_order_is_usage_error(capsys, stat):
     code, out, err = run_cli(capsys, "table", "--stat", stat, "--j", "-1")

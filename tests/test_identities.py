@@ -18,8 +18,9 @@ from qlab.identities import (
     sample_env,
     verify,
 )
+from qlab.identities.common import lambert_bracket
 from qlab.rational import rat
-from qlab.series import QSeries
+from qlab.series import QSeries, ZeroConstantTermError
 
 
 def test_registry_is_complete():
@@ -164,6 +165,43 @@ def test_r19_lhs_at_order_zero_is_the_constant_term():
     a = rat(-6, 7)
     side = build_side(get_identity("R19"), "lhs", ParamEnv(a=a), None, 0)
     assert side.coeffs == (a / (1 - a) ** 2,)
+
+
+def _geometric_fraction(x, m, T):
+    """x q^m / (1 - x q^m) from its expansion; the constant x / (1 - x) at m = 0."""
+    if m == 0:
+        return QSeries.constant(x / (1 - x), T)
+    coeffs = [rat(0)] * (T + 1)
+    for i in range(1, T // m + 1):
+        coeffs[i * m] = x**i
+    return QSeries(coeffs)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 9])
+def test_lambert_bracket_is_a_difference_of_geometric_fractions(m):
+    T = 8
+    x, y = rat(1, 2), rat(-7, 3)
+    t = QSeries([rat(k + 1, 3) for k in range(T + 1)])
+    expected = t * (_geometric_fraction(x, m, T) - _geometric_fraction(y, m, T))
+    assert lambert_bracket(t, x, y, m) == expected
+    with pytest.raises(ZeroConstantTermError):
+        lambert_bracket(t, rat(1), rat(1), 0)
+
+
+@pytest.mark.parametrize("a, b", [(rat(5, 2), rat(-7, 3)), (rat(-1, 3), rat(1, 2))])
+def test_lambert_sides_are_divisor_sums(a, b):
+    # sum_{m>=1} f(m) / (1 - q^m) has [q^j] = sum_{m | j} f(m) for j >= 1 and
+    # the closed form of sum_{m>=1} f(m) at q^0, inside the domain or not
+    T = 12
+
+    def divisor_sums(f):
+        return [sum(f(m) for m in range(1, j + 1) if j % m == 0) for j in range(1, T + 1)]
+
+    r01 = build_side(get_identity("R01"), "rhs", ParamEnv(a=a, b=b), None, T)
+    head = a / (1 - a) - b / (1 - b)
+    assert r01.coeffs == tuple([head] + divisor_sums(lambda m: a**m - b**m))
+    r19 = build_side(get_identity("R19"), "rhs", ParamEnv(a=a), None, T)
+    assert r19.coeffs == tuple([a / (1 - a) ** 2] + divisor_sums(lambda m: m * a**m))
 
 
 def test_run_suite_strict_raises_on_failure(monkeypatch):
