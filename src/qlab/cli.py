@@ -29,12 +29,12 @@ from .identities import (
     positivity_scan,
     run_suite,
 )
+from .identities.model import FINITE, PARAM_NAMES
 from .partitions import _TABLE_STATS, statistic_table
 from .rational import format_rat, parse_rat
 from .series import ZeroConstantTermError
 
-_ENV_NAMES = ("a", "b", "c", "d", "z")
-_ENV_FLAGS = tuple(f"--{name}" for name in _ENV_NAMES)
+_ENV_FLAGS = tuple(f"--{name}" for name in PARAM_NAMES)
 _NEGATIVE_LITERAL = re.compile(r"-\d")
 
 
@@ -99,7 +99,7 @@ def _parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--id", dest="identity_id", required=True)
     p_coeffs.add_argument("--side", default="lhs")
     p_coeffs.add_argument("--N", dest="n_value", type=int)
-    for name in _ENV_NAMES:
+    for name in PARAM_NAMES:
         p_coeffs.add_argument(
             f"--{name}", dest=f"env_{name}", help=f"exact rational value for {name}"
         )
@@ -137,7 +137,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     ):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
-    for name in _ENV_NAMES:
+    for name in PARAM_NAMES:
         value = getattr(args, f"env_{name}", None)
         if value is not None:
             cfg.env_values[name] = value
@@ -154,8 +154,11 @@ def _emit(cfg: RunConfig, json_obj, tsv_rows: List[Sequence]) -> None:
     else:
         text = "\n".join("\t".join(str(x) for x in row) for row in tsv_rows) + "\n"
     if cfg.out:
-        with open(cfg.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.out, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write --out: {err}") from None
     else:
         sys.stdout.write(text)
 
@@ -170,7 +173,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         try:
             get_identity(cfg.identity_id)
         except KeyError as err:
-            raise UsageError(str(err)) from None
+            raise UsageError(err.args[0]) from None
         ids = [cfg.identity_id]
     n_values = [cfg.n_value] if cfg.n_value is not None else None
     if n_values and n_values[0] < 1:
@@ -249,7 +252,7 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     try:
         identity = get_identity(cfg.identity_id)
     except KeyError as err:
-        raise UsageError(str(err)) from None
+        raise UsageError(err.args[0]) from None
     try:
         env = ParamEnv(**{k: parse_rat(v) for k, v in cfg.env_values.items()})
     except ValueError as err:
@@ -259,12 +262,12 @@ def cmd_coeffs(cfg: RunConfig) -> int:
         raise UsageError(
             f"{identity.id} needs values for: {', '.join(missing)} (pass --{missing[0]} p/q)"
         )
-    if identity.kind == "finite" and cfg.n_value is None:
+    if identity.kind == FINITE and cfg.n_value is None:
         raise UsageError(f"{identity.id} is a finite identity; pass --N")
     try:
         series = build_side(identity, cfg.side, env, cfg.n_value, cfg.order)
     except KeyError as err:
-        raise UsageError(str(err)) from None
+        raise UsageError(err.args[0]) from None
     except (ConstraintViolationError, UnsupportedNError, ZeroConstantTermError) as err:
         raise UsageError(str(err)) from None
     coeff_strings = [format_rat(c) for c in series.coeffs]
@@ -272,7 +275,7 @@ def cmd_coeffs(cfg: RunConfig) -> int:
         "id": identity.id,
         "side": cfg.side,
         "env": env.as_strings(),
-        "N": cfg.n_value if identity.kind == "finite" else None,
+        "N": cfg.n_value if identity.kind == FINITE else None,
         "T": cfg.order,
         "coeffs": coeff_strings,
     }

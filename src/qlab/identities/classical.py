@@ -17,7 +17,6 @@ with the instances 0 <= n <= N combined through a free weight parameter.
 
 from __future__ import annotations
 
-from ..rational import ONE
 from ..series import QMonomial, QSeries, div_poch, phi_series, poch, term_sum
 from .common import (
     all_nonzero,
@@ -45,7 +44,7 @@ def _r37() -> Identity:
             t = t.mul_binomial(1, N - n + 1)
             for v in lowers:
                 t = t.div_binomial(v, n - 1)
-            return t.div_binomial(1, n).div_binomial(1 / g, N - n).scale(ONE / g)
+            return t.div_binomial(1, n).div_binomial(1 / g, N - n).scale(1 / g)
 
         return term_sum(QSeries.one(T), step, stop=N)
 
@@ -64,7 +63,7 @@ def _r37() -> Identity:
         inner = _phi43_sum((A, D / B, D / C), (D, de_bc), g2, N, T)
         prefactor = poch(E / A, 0, N, T) * poch(de_bc, 0, N, T)
         prefactor = div_poch(prefactor, E, 0, N)
-        prefactor = div_poch(prefactor, ONE / g, 0, N)
+        prefactor = div_poch(prefactor, 1 / g, 0, N)
         return prefactor * inner
 
     return Identity(
@@ -324,7 +323,7 @@ def _r43() -> Identity:
 
     def rhs(env, N, T):
         x = env.get("a")
-        head = QSeries.constant(x / (ONE - x), T)
+        head = QSeries.constant(x / (1 - x), T)
 
         def step(t, k):  # [N,k] (q/x)_k (x)_{N-k} x^k
             t = binomial_step(t, N, k).mul_binomial(1 / x, k)
@@ -391,7 +390,7 @@ def _r45() -> Identity:
     def rhs(env, N, T):
         d = env.get("d")
         ratio = div_poch(poch(1, 1, None, T), d, 1, None)
-        return (QSeries.one(T) - ratio).scale(ONE / (ONE - d))
+        return (QSeries.one(T) - ratio).scale(1 / (1 - d))
 
     return Identity(
         id="R45",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..rational import ONE, Rat
+from ..rational import Rat
 from ..series import QSeries, term_sum
 from .model import ParamEnv
 
@@ -90,27 +90,6 @@ def distinct(first: str, second: str, why: str) -> Rule:
     def rule(env: ParamEnv) -> Optional[str]:
         if env.get(first) == env.get(second):
             return f"{first} = {second}: {why}"
-        return None
-
-    return rule
-
-
-def product_not_one(names: tuple, why: str) -> Rule:
-    def rule(env: ParamEnv) -> Optional[str]:
-        prod = ONE
-        for name in names:
-            prod = prod * env.get(name)
-        if prod == 1:
-            return f"{'*'.join(names)} = 1: {why}"
-        return None
-
-    return rule
-
-
-def expr_not_one(label: str, expr: Callable[[ParamEnv], Rat], why: str) -> Rule:
-    def rule(env: ParamEnv) -> Optional[str]:
-        if expr(env) == 1:
-            return f"{label} = 1: {why}"
         return None
 
     return rule

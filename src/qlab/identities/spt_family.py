@@ -8,7 +8,7 @@ so it doubles as the combinatorial anchor of the registry.
 from __future__ import annotations
 
 from ..partitions import moment, partition_count, spt
-from ..rational import ONE, rat
+from ..rational import rat
 from ..series import QSeries, div_poch, poch, term_sum
 from .common import (
     all_nonzero,
@@ -204,7 +204,7 @@ def _r26() -> Identity:
     def rhs(env, N, T):
         d = env.get("d")
         ratio = div_poch(poch(d, 1, None, T), -1, 1, None)
-        head = (QSeries.one(T) - ratio).scale(ONE / (ONE + d))
+        head = (QSeries.one(T) - ratio).scale(1 / (1 + d))
         return head + ratio * _quotient_tail(-1 / d, d, T)
 
     return Identity(

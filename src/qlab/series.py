@@ -13,9 +13,9 @@ over one positive int denominator ``_den``, so the coefficient of q^n is
 unique.  Each kernel works on plain ints over a common denominator (the
 fraction-free technique of Bareiss elimination) and reduces once at the
 end with a single C-level ``math.gcd`` call, instead of normalising a
-rational per coefficient operation.  Rationals of the backend type
-appear only at the boundary: the constructor takes them, and
-``coeffs``, indexing and ``constant_term`` return them.
+rational per coefficient operation.  Fractions appear only at the
+boundary: the constructor takes them, and ``coeffs``, indexing and
+``constant_term`` return them.
 
 Multiplication and division by a single Pochhammer factor (1 - c*q^e)
 have dedicated O(T) paths.  For c = p/q, multiplication gives
@@ -59,8 +59,8 @@ Scalar = Union[int, Rat]
 
 
 def _ratio(x: Scalar) -> Tuple[int, int]:
-    """(numerator, denominator) of an int or backend rational, as Python ints."""
-    return int(x.numerator), int(x.denominator)
+    """(numerator, denominator) of an int or a Fraction."""
+    return x.numerator, x.denominator
 
 
 def _reduced(nums: Sequence[int], den: int) -> "QSeries":

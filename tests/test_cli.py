@@ -25,6 +25,7 @@ def test_verify_single_identity_passes(capsys):
 def test_verify_unknown_id_exits_2_naming_valid_ids(capsys):
     code, _, err = run_cli(capsys, "verify", "--id", "NOSUCH")
     assert code == 2
+    assert err.startswith("qlab: error: unknown identity id 'NOSUCH'")
     assert "R01" in err and "R45" in err
 
 
@@ -159,6 +160,19 @@ def test_coeffs_missing_parameter_named(capsys):
     assert "b" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--id", "R99"), "unknown identity id 'R99'"),
+        (("--id", "R33", "--N", "2", "--side", "mid"), "R33 has no side 'mid'"),
+    ],
+)
+def test_coeffs_unknown_id_or_side_message_is_unquoted(capsys, argv, message):
+    code, out, err = run_cli(capsys, "coeffs", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"qlab: error: {message}")
+
+
 def test_coeffs_negative_fraction_as_separate_token(capsys):
     base = ("coeffs", "--id", "R01", "--b", "1/2", "--order", "6")
     attached = run_cli(capsys, *base, "--a=-7/3")
@@ -188,6 +202,13 @@ def test_out_writes_file(capsys, tmp_path):
     listing = json.loads(target.read_text())
     assert len(listing) == 45
     assert listing[0]["id"] == "R01"
+
+
+def test_out_to_unopenable_path_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "list", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("qlab: error: cannot write --out") and str(target) in err
 
 
 def test_list_tsv(capsys):

@@ -97,7 +97,7 @@ def laurent_columns(draw):
 def to_laurent(case) -> LaurentZQSeries:
     order, cols = case
     return LaurentZQSeries(
-        {k: QSeries([rat(c.numerator, c.denominator) for c in col]) for k, col in cols.items()},
+        {k: QSeries(col) for k, col in cols.items()},
         order,
     )
 
@@ -111,14 +111,7 @@ def as_rows(f: LaurentZQSeries) -> list:
     """The q-rows with Fraction values, checking the column invariants."""
     assert all(col.order == f.order and not col.is_zero() for col in f._cols.values())
     assert f.is_zero() == (not f._cols)
-    return [
-        {k: Fraction(int(v.numerator), int(v.denominator)) for k, v in f.row(n).items()}
-        for n in range(f.order + 1)
-    ]
-
-
-def as_scalar(value):
-    return value if isinstance(value, int) else rat(value.numerator, value.denominator)
+    return [f.row(n) for n in range(f.order + 1)]
 
 
 @st.composite
@@ -142,19 +135,19 @@ GAP = (6, {-2: [Fraction(0), Fraction(0), Fraction(1)] + [Fraction(0)] * 4,
 @example(((4, {}), 1), 1, 1)
 def test_binomial_kernels_match_reference(case_e, c, s):
     case, e = case_e
-    f, rows, coeff = to_laurent(case), to_rows(case), as_scalar(c)
+    f, rows = to_laurent(case), to_rows(case)
     if e == 0 and s != 0:
         with pytest.raises(ValueError):
-            f.mul_binomial(coeff, s, e)
+            f.mul_binomial(c, s, e)
         with pytest.raises(ValueError):
-            f.div_binomial(coeff, s, e)
+            f.div_binomial(c, s, e)
         return
-    assert as_rows(f.mul_binomial(coeff, s, e)) == ref_laurent_mul_binomial(rows, Fraction(c), s, e)
+    assert as_rows(f.mul_binomial(c, s, e)) == ref_laurent_mul_binomial(rows, Fraction(c), s, e)
     if e == 0 and c == 1:
         with pytest.raises(ZeroConstantTermError):
-            f.div_binomial(coeff, s, e)
+            f.div_binomial(c, s, e)
     else:
-        assert as_rows(f.div_binomial(coeff, s, e)) == ref_laurent_div_binomial(rows, Fraction(c), s, e)
+        assert as_rows(f.div_binomial(c, s, e)) == ref_laurent_div_binomial(rows, Fraction(c), s, e)
 
 
 @settings(max_examples=80, deadline=None)
@@ -169,8 +162,6 @@ def test_linear_kernels_match_reference(case, k):
     f, rows = to_laurent(case), to_rows(case)
     assert as_rows(f.z_derivative()) == ref_laurent_z_derivative(rows)
     assert as_rows(f.positive_z_part()) == ref_laurent_positive_z_part(rows)
-    assert [Fraction(int(c.numerator), int(c.denominator)) for c in f.set_z_one().coeffs] == (
-        ref_laurent_set_z_one(rows)
-    )
+    assert list(f.set_z_one().coeffs) == ref_laurent_set_z_one(rows)
     assert as_rows(f.shift(k)) == ([{}] * k + rows)[: len(rows)]
     assert f.is_zero() == (not any(rows))
