@@ -14,7 +14,6 @@ from .partitions import (
     SPartitionTriple,
     StatisticTable,
     crank,
-    enumerate_partitions,
     moment,
     n_sc,
     ospt,

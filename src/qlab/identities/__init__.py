@@ -15,11 +15,11 @@ from .model import (
     ConstraintViolationError,
     Identity,
     ParamEnv,
-    SuiteFailure,
+    SampleExhaustionError,
     UnsupportedNError,
     VerificationReport,
 )
-from .registry import REGISTRY, all_ids, get_identity
+from .registry import REGISTRY, get_identity
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -31,10 +31,9 @@ __all__ = [
     "ParamEnv",
     "PositivityRow",
     "REGISTRY",
-    "SuiteFailure",
+    "SampleExhaustionError",
     "UnsupportedNError",
     "VerificationReport",
-    "all_ids",
     "build_side",
     "crank_rank_extraction_check",
     "get_identity",

@@ -1,9 +1,9 @@
 """Verification harness: single checks, the sampled suite, and the scans.
 
 Sampling draws rational parameter values with numerator and denominator
-bounded (|num| <= 9, 1 <= den <= 9 by default), rejection-resampled
-until the identity's pole constraint and convergence domain both accept
-the environment, so a seeded run is fully deterministic.  Identities
+bounded (|num| <= 9, 1 <= den <= 9), rejection-resampled until the
+identity's pole constraint and convergence domain both accept the
+environment, so a seeded run is fully deterministic.  Identities
 with no free parameters are exercised once per suite run: every sampled
 environment would be the same empty one.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..rational import Rat, rat
 from ..series import QSeries
@@ -22,7 +22,7 @@ from .model import (
     ConstraintViolationError,
     Identity,
     ParamEnv,
-    SuiteFailure,
+    SampleExhaustionError,
     UnsupportedNError,
     VerificationReport,
 )
@@ -33,6 +33,10 @@ DEFAULT_ORDER = 40
 DEFAULT_SAMPLES = 5
 DEFAULT_N_MAX = 6
 DEFAULT_SEED = 0
+
+_MAX_NUMERATOR = 9
+_MAX_DENOMINATOR = 9
+_MAX_ATTEMPTS = 10_000
 
 
 def build_side(
@@ -85,30 +89,18 @@ def verify(
     )
 
 
-def sample_env(
-    rng: random.Random,
-    identity: Identity,
-    max_numerator: int = 9,
-    max_denominator: int = 9,
-    max_attempts: int = 10_000,
-) -> ParamEnv:
+def sample_env(rng: random.Random, identity: Identity) -> ParamEnv:
     """Rejection-sample an admissible environment for one identity."""
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         values = {}
         for name in identity.params:
-            num = rng.randint(-max_numerator, max_numerator)
-            den = rng.randint(1, max_denominator)
+            num = rng.randint(-_MAX_NUMERATOR, _MAX_NUMERATOR)
+            den = rng.randint(1, _MAX_DENOMINATOR)
             values[name] = rat(num, den)
         env = ParamEnv(**values)
         if identity.constraint(env) is None and identity.domain(env):
             return env
     raise RuntimeError(f"could not sample an admissible environment for {identity.id}")
-
-
-def applicable_n_values(identity: Identity, n_max: int) -> Sequence[Optional[int]]:
-    if identity.kind == FINITE:
-        return list(range(1, n_max + 1))
-    return [None]
 
 
 def run_suite(
@@ -118,14 +110,13 @@ def run_suite(
     n_max: int = DEFAULT_N_MAX,
     ids: Optional[Iterable[str]] = None,
     n_values: Optional[Sequence[int]] = None,
-    strict: bool = False,
     progress=None,
 ) -> List[VerificationReport]:
     """Verify every (identity, sampled env, applicable N) combination.
 
-    Deterministic for a fixed seed; scan-only entries are skipped.  With
-    strict=True a SuiteFailure carrying all reports is raised if any
-    verification fails.
+    Deterministic for a fixed seed; scan-only entries are skipped.  Raises
+    SampleExhaustionError when an identity has fewer distinct admissible
+    environments than samples_per_identity.
     """
     if ids is None:
         selected = [i for i in REGISTRY.values() if not i.scan_only]
@@ -146,7 +137,7 @@ def run_suite(
                 guard += 1
                 if key in seen:
                     if guard > 1000 * samples_per_identity:
-                        raise RuntimeError(
+                        raise SampleExhaustionError(
                             f"could not draw {samples_per_identity} distinct "
                             f"environments for {identity.id}"
                         )
@@ -155,10 +146,9 @@ def run_suite(
                 envs.append(env)
         else:
             envs = [ParamEnv()]
-        if identity.kind == FINITE and n_values is not None:
-            cutoffs: Sequence[Optional[int]] = list(n_values)
-        else:
-            cutoffs = applicable_n_values(identity, n_max)
+        cutoffs: Sequence[Optional[int]] = [None]
+        if identity.kind == FINITE:
+            cutoffs = list(range(1, n_max + 1)) if n_values is None else list(n_values)
         for env in envs:
             for n_value in cutoffs:
                 report = verify(identity, env, n_value, order)
@@ -166,8 +156,6 @@ def run_suite(
                 if progress is not None:
                     progress(report)
     reports.sort(key=lambda r: (r.identity_id, r.env.sort_key(), r.n_value or 0))
-    if strict and any(not r.passed for r in reports):
-        raise SuiteFailure(reports)
     return reports
 
 

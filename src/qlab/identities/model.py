@@ -27,14 +27,9 @@ class UnsupportedNError(ValueError):
     """The cutoff N is outside the identity's applicable range."""
 
 
-class SuiteFailure(AssertionError):
-    """One or more suite verifications failed; carries every report."""
-
-    def __init__(self, reports):
-        fails = [r for r in reports if not r.passed]
-        super().__init__(f"{len(fails)} of {len(reports)} verifications failed")
-        self.reports = reports
-        self.failures = fails
+class SampleExhaustionError(RuntimeError):
+    """An identity has fewer distinct admissible environments than the
+    number of samples asked for."""
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from . import classical, entries, four_parameter, moments, phi_sum, spt_family
 from .model import Identity
@@ -19,10 +19,6 @@ def _build() -> Dict[str, Identity]:
 
 
 REGISTRY: Dict[str, Identity] = _build()
-
-
-def all_ids() -> List[str]:
-    return list(REGISTRY)
 
 
 def get_identity(identity_id: str) -> Identity:

@@ -33,16 +33,8 @@ class Partition:
                 raise ValueError("parts must be weakly decreasing")
 
     @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
     def num_parts(self) -> int:
         return len(self.parts)
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
 
     @property
     def smallest(self) -> int:
@@ -74,10 +66,6 @@ class SPartitionTriple:
                 raise ValueError("smallest-part constraint violated")
         if self.weight != (-1) ** (self.pi1.num_parts - 1):
             raise ValueError("weight must be (-1)^(#pi1 - 1)")
-
-    @property
-    def n(self) -> int:
-        return self.pi1.n + self.pi2.n + self.pi3.n
 
 
 @dataclass(frozen=True)
@@ -126,12 +114,6 @@ def distinct_partition_tuples(
                 yield (first,) + rest
 
     return gen(n, top)
-
-
-def enumerate_partitions(n: int, max_part: Optional[int] = None) -> Iterator[Partition]:
-    """Each partition of n with largest part <= max_part, exactly once."""
-    for parts in partition_tuples(n, max_part):
-        yield Partition(parts)
 
 
 def partition_count(n: int, max_part: Optional[int] = None) -> int:

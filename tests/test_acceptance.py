@@ -27,11 +27,12 @@ from qlab.identities.moments import (
 )
 from qlab.identities.spt_family import overlined_largest_series
 from qlab.partitions import (
-    enumerate_partitions,
+    Partition,
     moment,
     n_sc,
     overlined_largest_sum,
     partition_count,
+    partition_tuples,
     rank,
     spt,
 )
@@ -187,7 +188,7 @@ def test_criterion_8_property_suites():
     # rank symmetry N(-k, n) = N(k, n) for n <= 25
     for n in range(1, 26):
         counts = {}
-        for p in enumerate_partitions(n):
+        for p in map(Partition, partition_tuples(n)):
             k = rank(p)
             counts[k] = counts.get(k, 0) + 1
         for k, c in counts.items():

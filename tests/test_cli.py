@@ -33,6 +33,12 @@ def test_verify_zero_samples_is_empty(capsys):
     code, out, _ = run_cli(capsys, "verify", "--samples", "0")
     assert code == 0
     assert json.loads(out) == []
+    code, out, _ = run_cli(capsys, "verify", "--samples", "0", "--format", "tsv")
+    assert code == 0
+    assert out.split("\t") == [
+        "id", "env", "N", "T", "outcome",
+        "first_mismatch_order", "lhs_coeff", "rhs_coeff", "elapsed_ms\n",
+    ]
 
 
 def test_verify_json_roundtrips_report_fields(capsys):
@@ -216,3 +222,35 @@ def test_list_tsv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 46  # header + 45 entries
+
+
+def test_verify_more_samples_than_distinct_environments_is_usage_error(capsys):
+    # R11 has one parameter a = p/q with |p|, q <= 9 and a != 1: 110 distinct values
+    code, out, err = run_cli(
+        capsys, "verify", "--id", "R11", "--samples", "111", "--N", "1", "--order", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == "qlab: error: could not draw 111 distinct environments for R11\n"
+
+
+def test_verify_tsv_rows_follow_the_json_reports(capsys):
+    args = ("verify", "--id", "R01", "--samples", "2", "--order", "8", "--seed", "5")
+    _, json_out, _ = run_cli(capsys, *args)
+    code, tsv_out, _ = run_cli(capsys, *args, "--format", "tsv")
+    assert code == 0
+    reports = json.loads(json_out)
+    header, *rows = [line.split("\t") for line in tsv_out.splitlines()]
+    assert header == list(reports[0])
+    assert len(rows) == len(reports) == 2
+    for row, report in zip(rows, reports):
+        env = f"a={report['env']['a']};b={report['env']['b']}"
+        expected = {**report, "env": env, "elapsed_ms": row[-1]}
+        assert row == [str(v) for v in expected.values()]
+
+
+@pytest.mark.parametrize("argv", [("table", "--stat", "p"), ("list",)])
+def test_order_is_not_an_option_of_table_or_list(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--order", "5"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --order 5" in capsys.readouterr().err
