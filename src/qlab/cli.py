@@ -156,11 +156,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.stat in ("p_restricted", "spt_restricted"):
+    _, reads = _TABLE_STATS[args.stat]
+    if "max_part" in reads:
         if args.n_value is None:
             raise UsageError(f"--stat {args.stat} needs --N (the largest-part bound)")
         if args.n_value < 0:
             raise UsageError("--N (the largest-part bound) must be non-negative")
+    elif args.n_value is not None:
+        raise UsageError(f"--stat {args.stat} takes no --N (the largest-part bound)")
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     if args.j < 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..rational import Rat, rat
 from ..series import QSeries
@@ -103,6 +103,25 @@ def sample_env(rng: random.Random, identity: Identity) -> ParamEnv:
     raise RuntimeError(f"could not sample an admissible environment for {identity.id}")
 
 
+def _distinct_envs(rng: random.Random, identity: Identity, count: int) -> List[ParamEnv]:
+    """count distinct admissible environments in draw order, or the one
+    empty environment when the identity has no parameters."""
+    if not identity.params:
+        return [ParamEnv()]
+    envs: Dict[Tuple[Tuple[str, str], ...], ParamEnv] = {}
+    draws = 0
+    while len(envs) < count:
+        env = sample_env(rng, identity)
+        key = env.sort_key()
+        draws += 1
+        if key in envs and draws > 1000 * count:
+            raise SampleExhaustionError(
+                f"could not draw {count} distinct environments for {identity.id}"
+            )
+        envs.setdefault(key, env)
+    return list(envs.values())
+
+
 def run_suite(
     seed: int = DEFAULT_SEED,
     samples_per_identity: int = DEFAULT_SAMPLES,
@@ -122,30 +141,17 @@ def run_suite(
         selected = [i for i in REGISTRY.values() if not i.scan_only]
     else:
         selected = [get_identity(i) for i in ids]
-    reports: List[VerificationReport] = []
+    if samples_per_identity < 1:
+        return []
     rng = random.Random(seed)
-    for identity in sorted(selected, key=lambda i: i.id):
-        if samples_per_identity < 1:
-            continue
-        if identity.params:
-            envs: List[ParamEnv] = []
-            seen = set()
-            guard = 0
-            while len(envs) < samples_per_identity:
-                env = sample_env(rng, identity)
-                key = env.sort_key()
-                guard += 1
-                if key in seen:
-                    if guard > 1000 * samples_per_identity:
-                        raise SampleExhaustionError(
-                            f"could not draw {samples_per_identity} distinct "
-                            f"environments for {identity.id}"
-                        )
-                    continue
-                seen.add(key)
-                envs.append(env)
-        else:
-            envs = [ParamEnv()]
+    # every environment is drawn before the first verify, so a sample count
+    # that some identity cannot meet fails before any verification work
+    plan = [
+        (identity, _distinct_envs(rng, identity, samples_per_identity))
+        for identity in sorted(selected, key=lambda i: i.id)
+    ]
+    reports: List[VerificationReport] = []
+    for identity, envs in plan:
         cutoffs: Sequence[Optional[int]] = [None]
         if identity.kind == FINITE:
             cutoffs = list(range(1, n_max + 1)) if n_values is None else list(n_values)

@@ -137,16 +137,13 @@ def _r23() -> Identity:
 
 def _r24() -> Identity:
     def lhs(env, N, T):
-        coeffs = [rat(0)] * (T + 1)
-        for n in range(1, T + 1):
-            coeffs[n] = rat(spt(n))
-        return QSeries(coeffs)
+        return QSeries([rat(0)] + [rat(spt(n)) for n in range(1, T + 1)])
 
     def rhs(env, N, T):
-        coeffs = [rat(0)] * (T + 1)
-        for n in range(1, T + 1):
-            coeffs[n] = rat(n) * partition_count(n) - rat(moment("rank", 2, n, False), 2)
-        return QSeries(coeffs)
+        def value(n):  # n p(n) - N_2(n) / 2
+            return rat(n) * partition_count(n) - rat(moment("rank", 2, n, False), 2)
+
+        return QSeries([rat(0)] + [value(n) for n in range(1, T + 1)])
 
     return Identity(
         id="R24",

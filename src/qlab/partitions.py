@@ -3,12 +3,18 @@
 Everything here is computed by direct enumeration, deliberately free of
 generating functions, so these values can serve as independent oracles
 for the series side.  Feasible at desk scale (n up to roughly 40).
+
+One recursive generator, behind partition_tuples and
+distinct_partition_tuples, enumerates every partition, and the statistics
+read the parts tuples it yields; they build no Partition or SPartitionTriple.
+_TABLE_STATS maps each tabulated statistic to its value and the parameters
+it reads, for statistic_table and the qlab table command alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 
 class EmptyPartitionError(ValueError):
@@ -77,43 +83,36 @@ class StatisticTable:
     params: Dict[str, object] = field(default_factory=dict)
 
 
-def partition_tuples(
-    n: int, max_part: Optional[int] = None, min_part: int = 1
+def _partition_tuples(
+    n: int, top: int, min_part: int, gap: int
 ) -> Iterator[Tuple[int, ...]]:
-    """All partitions of n with parts in [min_part, max_part], as tuples,
-    in descending lexicographic order."""
+    """Partitions of n with parts in [min_part, top], each part at most the
+    one before it minus gap, in descending lexicographic order."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    top = n if max_part is None else min(max_part, n)
 
     def gen(remaining: int, cap: int) -> Iterator[Tuple[int, ...]]:
         if remaining == 0:
             yield ()
             return
         for first in range(min(cap, remaining), min_part - 1, -1):
-            for rest in gen(remaining - first, first):
+            for rest in gen(remaining - first, first - gap):
                 yield (first,) + rest
 
     return gen(n, top)
 
 
-def distinct_partition_tuples(
-    n: int, max_part: Optional[int] = None
+def partition_tuples(
+    n: int, max_part: Optional[int] = None, min_part: int = 1
 ) -> Iterator[Tuple[int, ...]]:
+    """All partitions of n with parts in [min_part, max_part], as tuples,
+    in descending lexicographic order."""
+    return _partition_tuples(n, n if max_part is None else max_part, min_part, 0)
+
+
+def distinct_partition_tuples(n: int) -> Iterator[Tuple[int, ...]]:
     """Partitions of n into distinct parts, descending lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    top = n if max_part is None else min(max_part, n)
-
-    def gen(remaining: int, cap: int) -> Iterator[Tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first - 1):
-                yield (first,) + rest
-
-    return gen(n, top)
+    return _partition_tuples(n, n, 1, 1)
 
 
 def partition_count(n: int, max_part: Optional[int] = None) -> int:
@@ -160,13 +159,15 @@ def crank(p: Partition) -> int:
     return _crank(p.parts)
 
 
+_STATISTICS = {"rank": _rank, "crank": _crank}
+
+
 def _statistic(kind: str):
     """The statistic on a nonempty parts tuple."""
-    if kind == "rank":
-        return _rank
-    if kind == "crank":
-        return _crank
-    raise ValueError(f"unknown statistic kind: {kind!r}")
+    try:
+        return _STATISTICS[kind]
+    except KeyError:
+        raise ValueError(f"unknown statistic kind: {kind!r}") from None
 
 
 def moment(kind: str, j: int, n: int, positive_only: bool) -> int:
@@ -200,27 +201,28 @@ def ospt(n: int) -> int:
     return moment("crank", 1, n, True) - moment("rank", 1, n, True)
 
 
-def self_conjugate_s_partitions(n: int) -> Iterator[SPartitionTriple]:
-    """Triples (pi1, pi2, pi2) of total size n satisfying the S-constraint."""
+def self_conjugate_s_partitions(
+    n: int,
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+    """The triples (pi1, pi2, pi2) of total size n satisfying the
+    S-constraint, as (pi1 parts, pi2 parts, weight): pi1 has distinct parts,
+    every part of pi2 is at least the smallest part of pi1, and the weight
+    is (-1)^(#pi1 - 1)."""
     if n < 1:
         raise ValueError("n must be positive")
     for m1 in range(1, n + 1):
         rest = n - m1
         if rest % 2:
             continue
-        m2 = rest // 2
         for parts1 in distinct_partition_tuples(m1):
-            s1 = parts1[-1]
-            pi1 = Partition(parts1)
             weight = (-1) ** (len(parts1) - 1)
-            for parts2 in partition_tuples(m2, min_part=s1):
-                pi2 = Partition(parts2)
-                yield SPartitionTriple(pi1, pi2, pi2, weight)
+            for parts2 in partition_tuples(rest // 2, min_part=parts1[-1]):
+                yield parts1, parts2, weight
 
 
 def n_sc(n: int) -> int:
     """Weighted count of self-conjugate S-partitions of n."""
-    return sum(t.weight for t in self_conjugate_s_partitions(n))
+    return sum(weight for _, _, weight in self_conjugate_s_partitions(n))
 
 
 def overlined_largest_sum(n: int) -> int:
@@ -240,17 +242,21 @@ def overlined_largest_sum(n: int) -> int:
     return total
 
 
-_TABLE_STATS = (
-    "p",
-    "p_restricted",
-    "spt",
-    "spt_restricted",
-    "rank_moment",
-    "crank_moment",
-    "ospt",
-    "n_sc",
-    "overlined_largest_sum",
-)
+# statistic name -> (its value at n, None where undefined; the
+# statistic_table parameters it reads, passed to it by keyword).  The
+# lambdas look the per-n functions up at call time, so a wrapper installed
+# on those module names sees the calls made through statistic_table.
+_TABLE_STATS: Dict[str, Tuple[Callable[..., Optional[int]], Tuple[str, ...]]] = {
+    "p": (lambda n: partition_count(n), ()),
+    "p_restricted": (lambda n, max_part: partition_count(n, max_part), ("max_part",)),
+    "spt": (lambda n: spt(n), ()),
+    "spt_restricted": (lambda n, max_part: spt(n, max_part), ("max_part",)),
+    "rank_moment": (lambda n, **m: moment("rank", n=n, **m), ("j", "positive_only")),
+    "crank_moment": (lambda n, **m: moment("crank", n=n, **m), ("j", "positive_only")),
+    "ospt": (lambda n: ospt(n) if n >= 2 else None, ()),
+    "n_sc": (lambda n: n_sc(n), ()),
+    "overlined_largest_sum": (lambda n: overlined_largest_sum(n), ()),
+}
 
 
 def statistic_table(
@@ -265,31 +271,12 @@ def statistic_table(
         raise ValueError(
             f"unknown statistic {statistic!r}; choose from {', '.join(_TABLE_STATS)}"
         )
-    values: Dict[int, int] = {}
-    params: Dict[str, object] = {}
-    for n in range(1, max_n + 1):
-        if statistic == "p":
-            values[n] = partition_count(n)
-        elif statistic == "p_restricted":
-            values[n] = partition_count(n, max_part)
-        elif statistic == "spt":
-            values[n] = spt(n)
-        elif statistic == "spt_restricted":
-            values[n] = spt(n, max_part)
-        elif statistic == "rank_moment":
-            values[n] = moment("rank", j, n, positive_only)
-        elif statistic == "crank_moment":
-            values[n] = moment("crank", j, n, positive_only)
-        elif statistic == "ospt":
-            if n >= 2:
-                values[n] = ospt(n)
-        elif statistic == "n_sc":
-            values[n] = n_sc(n)
-        elif statistic == "overlined_largest_sum":
-            values[n] = overlined_largest_sum(n)
-    if statistic in ("p_restricted", "spt_restricted"):
-        params["max_part"] = max_part
-    if statistic in ("rank_moment", "crank_moment"):
-        params["j"] = j
-        params["positive_only"] = positive_only
+    value_at, reads = _TABLE_STATS[statistic]
+    given = {"max_part": max_part, "j": j, "positive_only": positive_only}
+    params: Dict[str, object] = {name: given[name] for name in reads}
+    values = {
+        n: value
+        for n in range(1, max_n + 1)
+        if (value := value_at(n, **params)) is not None
+    }
     return StatisticTable(statistic, values, params)

@@ -12,8 +12,9 @@ conventions.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 def pentagonal_coeffs(order: int) -> List[Fraction]:
@@ -87,6 +88,22 @@ def gaussian_binomial_poly(n_top: int, n_bottom: int) -> List[Fraction]:
     for k in range(1, n_bottom + 1):
         den = poly_mul(den, one_minus_q_pow(k))
     return poly_divide_exact(num, den)
+
+
+def ref_partitions(n: int) -> List[Tuple[int, ...]]:
+    """The partitions of n in descending lexicographic order: the sorted
+    set of the compositions of n, each with its parts sorted descending."""
+    found = set()
+    for cuts in itertools.product((False, True), repeat=max(n - 1, 0)):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        found.add(tuple(sorted(parts + [run] if n else parts, reverse=True)))
+    return sorted(found, reverse=True)
 
 
 # -- reference QSeries kernels (lists of Fraction, truncated to the shorter) --

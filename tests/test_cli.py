@@ -112,6 +112,17 @@ def test_table_negative_part_bound_is_usage_error(capsys, stat):
     assert "--N" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "stat",
+    ["p", "spt", "rank_moment", "crank_moment", "ospt", "n_sc", "overlined_largest_sum"],
+)
+def test_table_part_bound_on_unbounded_stat_is_usage_error(capsys, stat):
+    code, out, err = run_cli(capsys, "table", "--stat", stat, "--N", "3", "--max-n", "5")
+    assert code == 2
+    assert out == ""
+    assert "--N" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_verify_n_max_below_one_is_usage_error(capsys, n_max):
     code, out, err = run_cli(capsys, "verify", "--id", "R10", "--N-max", n_max)

@@ -7,6 +7,7 @@ from qlab.identities import (
     Identity,
     ParamEnv,
     REGISTRY,
+    SampleExhaustionError,
     UnsupportedNError,
     VerificationReport,
     build_side,
@@ -136,6 +137,18 @@ def test_sample_env_is_deterministic_and_admissible():
 
 def test_run_suite_with_zero_samples_is_empty():
     assert run_suite(samples_per_identity=0, order=10, n_max=2) == []
+
+
+def test_run_suite_samples_every_identity_before_verifying(monkeypatch):
+    # R01 draws its 111 environments, then R08 has fewer than 111 distinct
+    # admissible ones: the error comes before R01 is verified even once
+    import qlab.identities.harness as harness
+
+    calls = []
+    monkeypatch.setattr(harness, "verify", lambda *args: calls.append(args))
+    with pytest.raises(SampleExhaustionError, match="R08"):
+        run_suite(samples_per_identity=111, order=1, ids=["R01", "R08"])
+    assert calls == []
 
 
 def test_run_suite_seed_replay_is_identical():

@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import ref_partitions
 from qlab.partitions import (
+    _TABLE_STATS,
     AnomalousInputError,
     EmptyPartitionError,
     Partition,
     SPartitionTriple,
     crank,
+    distinct_partition_tuples,
     moment,
     n_sc,
     ospt,
@@ -33,6 +36,24 @@ def test_enumerate_four_unbounded():
 def test_enumerate_four_bounded():
     listed = list(partition_tuples(4, max_part=2))
     assert listed == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_enumeration_matches_the_composition_reference(n):
+    every = ref_partitions(n)
+    for max_part in [None] + list(range(n + 2)):
+        top = n if max_part is None else max_part
+        for min_part in (1, 2, 3):
+            expected = [p for p in every if all(min_part <= x <= top for x in p)]
+            listed = list(partition_tuples(n, max_part, min_part))
+            assert listed == expected, (max_part, min_part)
+    assert list(distinct_partition_tuples(n)) == [p for p in every if len(set(p)) == len(p)]
+
+
+def test_enumerators_reject_negative_n_when_called():
+    for enumerate_ in (partition_tuples, distinct_partition_tuples):
+        with pytest.raises(ValueError):
+            enumerate_(-1)
 
 
 def test_partition_validation():
@@ -79,11 +100,15 @@ def test_ospt_values():
 
 def test_s_partition_conventions():
     # the single triple of size 1: ((1), empty, empty), weight +1
-    triples = list(self_conjugate_s_partitions(1))
-    assert len(triples) == 1
-    assert triples[0].pi1.parts == (1,) and triples[0].weight == 1
+    assert list(self_conjugate_s_partitions(1)) == [((1,), (), 1)]
     assert n_sc(1) == 1
     assert n_sc(2) == 1
+    # every yielded tuple is a valid triple (pi1, pi2, pi2)
+    for n in range(1, 9):
+        for parts1, parts2, weight in self_conjugate_s_partitions(n):
+            pi2 = Partition(parts2)
+            SPartitionTriple(Partition(parts1), pi2, pi2, weight)
+            assert sum(parts1) + 2 * sum(parts2) == n
     with pytest.raises(ValueError):
         SPartitionTriple(Partition(()), Partition(()), Partition(()), 1)
     with pytest.raises(ValueError):
@@ -97,6 +122,25 @@ def test_overlined_largest_sum_values():
 
 
 def test_statistic_table_dispatch():
+    # each statistic's per-n public function, and the params it reports
+    moments = {"j": 2, "positive_only": False}
+    per_n = {
+        "p": (partition_count, {}),
+        "p_restricted": (lambda n: partition_count(n, 3), {"max_part": 3}),
+        "spt": (spt, {}),
+        "spt_restricted": (lambda n: spt(n, 3), {"max_part": 3}),
+        "rank_moment": (lambda n: moment("rank", 2, n, False), moments),
+        "crank_moment": (lambda n: moment("crank", 2, n, False), moments),
+        "ospt": (ospt, {}),
+        "n_sc": (n_sc, {}),
+        "overlined_largest_sum": (overlined_largest_sum, {}),
+    }
+    assert list(_TABLE_STATS) == list(per_n)
+    for stat, (value_at, params) in per_n.items():
+        table = statistic_table(stat, 8, max_part=3, j=2, positive_only=False)
+        first = 2 if stat == "ospt" else 1
+        assert table.values == {n: value_at(n) for n in range(first, 9)}, stat
+        assert table.params == params, stat
     table = statistic_table("spt", 6)
     assert table.values[4] == 10
     table = statistic_table("ospt", 4)
