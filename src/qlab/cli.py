@@ -74,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
     p_table.add_argument("--stat", required=True, choices=_TABLE_STATS)
     p_table.add_argument("--max-n", dest="max_n", type=int, default=10)
     p_table.add_argument("--N", dest="n_value", type=int, help="largest-part bound")
-    p_table.add_argument("--j", type=int, default=1, help="moment order")
+    p_table.add_argument("--j", type=int, help="moment order (default 1)")
     p_table.add_argument(
         "--positive-only",
         action="store_true",
@@ -162,17 +162,24 @@ def cmd_table(args: argparse.Namespace) -> int:
             raise UsageError(f"--stat {args.stat} needs --N (the largest-part bound)")
         if args.n_value < 0:
             raise UsageError("--N (the largest-part bound) must be non-negative")
-    elif args.n_value is not None:
-        raise UsageError(f"--stat {args.stat} takes no --N (the largest-part bound)")
+    flags = (  # statistic_table parameter, whether its flag was given, the flag
+        ("max_part", args.n_value is not None, "--N (the largest-part bound)"),
+        ("j", args.j is not None, "--j (the moment order)"),
+        ("positive_only", args.positive_only, "--positive-only"),
+    )
+    for name, given, flag in flags:
+        if given and name not in reads:
+            raise UsageError(f"--stat {args.stat} takes no {flag}")
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
-    if args.j < 0:
+    j = 1 if args.j is None else args.j
+    if j < 0:
         raise UsageError("--j must be non-negative")
     table = statistic_table(
         args.stat,
         args.max_n,
         max_part=args.n_value,
-        j=args.j,
+        j=j,
         positive_only=args.positive_only,
     )
     json_obj = {

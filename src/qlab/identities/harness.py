@@ -37,6 +37,10 @@ DEFAULT_SEED = 0
 _MAX_NUMERATOR = 9
 _MAX_DENOMINATOR = 9
 _MAX_ATTEMPTS = 10_000
+# consecutive draws that add no new environment before a distinct draw gives
+# up; a one-parameter identity's rarest value comes with probability at
+# least 1/171 per draw, so a run this long misses it with odds below e^-29
+_MAX_REPEATS = 5_000
 
 
 def build_side(
@@ -109,16 +113,19 @@ def _distinct_envs(rng: random.Random, identity: Identity, count: int) -> List[P
     if not identity.params:
         return [ParamEnv()]
     envs: Dict[Tuple[Tuple[str, str], ...], ParamEnv] = {}
-    draws = 0
+    repeats = 0
     while len(envs) < count:
         env = sample_env(rng, identity)
         key = env.sort_key()
-        draws += 1
-        if key in envs and draws > 1000 * count:
+        if key not in envs:
+            envs[key] = env
+            repeats = 0
+            continue
+        repeats += 1
+        if repeats == _MAX_REPEATS:
             raise SampleExhaustionError(
                 f"could not draw {count} distinct environments for {identity.id}"
             )
-        envs.setdefault(key, env)
     return list(envs.values())
 
 

@@ -4,9 +4,12 @@ Everything here is computed by direct enumeration, deliberately free of
 generating functions, so these values can serve as independent oracles
 for the series side.  Feasible at desk scale (n up to roughly 40).
 
-One recursive generator, behind partition_tuples and
-distinct_partition_tuples, enumerates every partition, and the statistics
-read the parts tuples it yields; they build no Partition or SPartitionTriple.
+One generator, behind partition_tuples and distinct_partition_tuples,
+enumerates every partition: the iterative ZS1 successor loop of Zoghbi and
+Stojmenović over one mutable parts array, extended with a lower bound on
+the parts and a minimum gap between consecutive parts (the distinct case
+is gap 1).  The statistics read the parts tuples it yields; they build no
+Partition or SPartitionTriple.
 _TABLE_STATS maps each tabulated statistic to its value and the parameters
 it reads, for statistic_table and the qlab table command alike.
 """
@@ -87,19 +90,80 @@ def _partition_tuples(
     n: int, top: int, min_part: int, gap: int
 ) -> Iterator[Tuple[int, ...]]:
     """Partitions of n with parts in [min_part, top], each part at most the
-    one before it minus gap, in descending lexicographic order."""
+    one before it minus gap, in descending lexicographic order.
+
+    ZS1 (Zoghbi and Stojmenović, "Fast algorithms for generating integer
+    partitions", 1998) as a successor loop over one mutable parts array:
+    lower the last part above the floor lo = max(min_part, 1) by one, then
+    refill the remainder r after it with the largest parts that fit.  The
+    trailing lo's are never written: like ZS1's trailing ones, they are the
+    array's initial fill.
+
+    Published ZS1 has no floor above 1 and no gap, so its refill (copies of
+    the lowered part, then what is left) is generalised.  k parts in
+    [lo, c], each at least gap below the one before, can sum to anything
+    from k lo + stair to k c - stair, where stair = gap k(k-1)/2.  The
+    refill uses the fewest k whose range holds r; each part is r minus the
+    least that the parts after it can sum to, capped at c.  When no k fits,
+    the same part is lowered again, and a part lowered to lo joins r.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
+    lo = max(min_part, 1)
 
-    def gen(remaining: int, cap: int) -> Iterator[Tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), min_part - 1, -1):
-            for rest in gen(remaining - first, first - gap):
-                yield (first,) + rest
+    def gen() -> Iterator[Tuple[int, ...]]:
+        parts = [lo] * (n + 1)  # past the last part above lo, every entry is lo
+        i, r, c = 0, n, min(top, n)  # refill r from index i, parts at most c
+        while True:
+            if c < lo:
+                k, fits = 0, r == 0
+            else:
+                k = -(-r // c)  # fewer parts cannot reach r
+                stair = 0
+                if gap:
+                    stair = gap * k * (k - 1) // 2
+                    while k * c - stair < r and k * lo + stair <= r:
+                        k += 1
+                        stair = gap * k * (k - 1) // 2
+                fits = k * lo + stair <= r
+            if fits:
+                while k:
+                    k -= 1
+                    part = r - k * lo
+                    if gap:
+                        part -= gap * k * (k - 1) // 2
+                    if part > c:
+                        part = c
+                    if part == lo:  # it and the k parts after it are lo
+                        k += 1
+                        break
+                    parts[i] = part
+                    i += 1
+                    r -= part
+                    c = part - gap
+                yield tuple(parts[: i + k])
+                r = k * lo
+            # lower the last part above lo by one
+            while True:
+                i -= 1
+                if i < 0:
+                    return
+                part = parts[i]
+                if part > lo:
+                    part -= 1
+                    parts[i] = part
+                    r += 1
+                    if part > lo or gap:
+                        break
+                    # lowered to lo with no gap (ZS1's step for a part 2):
+                    # the refill is all lo's
+                    if r % lo == 0:
+                        yield tuple(parts[: i + 1 + r // lo])
+                r += lo
+            i += 1
+            c = part - gap
 
-    return gen(n, top)
+    return gen()
 
 
 def partition_tuples(

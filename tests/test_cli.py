@@ -123,6 +123,24 @@ def test_table_part_bound_on_unbounded_stat_is_usage_error(capsys, stat):
     assert "--N" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", [("--j", "3"), ("--positive-only",)])
+@pytest.mark.parametrize(
+    "stat",
+    ["p", "spt", "ospt", "n_sc", "overlined_largest_sum", "p_restricted", "spt_restricted"],
+)
+def test_table_moment_flag_on_other_stat_is_usage_error(capsys, stat, flag):
+    bound = ("--N", "3") if stat.endswith("_restricted") else ()
+    code, out, err = run_cli(capsys, "table", "--stat", stat, *bound, *flag, "--max-n", "5")
+    assert code == 2
+    assert out == ""
+    assert flag[0] in err and "Traceback" not in err
+
+
+def test_table_moment_flags_default_to_the_first_moment_over_every_k(capsys):
+    _, out, _ = run_cli(capsys, "table", "--stat", "crank_moment", "--max-n", "5")
+    assert json.loads(out)["params"] == {"j": 1, "positive_only": False}
+
+
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_verify_n_max_below_one_is_usage_error(capsys, n_max):
     code, out, err = run_cli(capsys, "verify", "--id", "R10", "--N-max", n_max)

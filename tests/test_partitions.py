@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from _oracles import ref_partitions
 from qlab.partitions import (
     _TABLE_STATS,
+    _partition_tuples,
     AnomalousInputError,
     EmptyPartitionError,
     Partition,
@@ -38,16 +39,41 @@ def test_enumerate_four_bounded():
     assert listed == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(19))
 def test_enumeration_matches_the_composition_reference(n):
     every = ref_partitions(n)
     for max_part in [None] + list(range(n + 2)):
         top = n if max_part is None else max_part
         for min_part in (1, 2, 3):
-            expected = [p for p in every if all(min_part <= x <= top for x in p)]
+            for gap in (0, 1):
+                expected = [
+                    p
+                    for p in every
+                    if all(min_part <= x <= top for x in p)
+                    and all(x - y >= gap for x, y in zip(p, p[1:]))
+                ]
+                listed = list(_partition_tuples(n, top, min_part, gap))
+                assert listed == expected, (max_part, min_part, gap)
             listed = list(partition_tuples(n, max_part, min_part))
-            assert listed == expected, (max_part, min_part)
+            assert listed == list(_partition_tuples(n, top, min_part, 0))
     assert list(distinct_partition_tuples(n)) == [p for p in every if len(set(p)) == len(p)]
+
+
+def test_enumeration_counts_match_the_generating_functions():
+    # [q^n] 1/(q)_inf and [q^n] (-q)_inf, one factor 1/(1 - q^k) or
+    # 1 + q^k at a time, on plain integer lists
+    order = 40
+    unrestricted = [1] + [0] * order
+    distinct = [1] + [0] * order
+    for k in range(1, order + 1):
+        for e in range(k, order + 1):
+            unrestricted[e] += unrestricted[e - k]
+        for e in range(order, k - 1, -1):
+            distinct[e] += distinct[e - k]
+    assert unrestricted[40] == 37338 and distinct[40] == 1113
+    for n in range(order + 1):
+        assert sum(1 for _ in partition_tuples(n)) == unrestricted[n], n
+        assert sum(1 for _ in distinct_partition_tuples(n)) == distinct[n], n
 
 
 def test_enumerators_reject_negative_n_when_called():
