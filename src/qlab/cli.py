@@ -210,6 +210,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         )
     if identity.kind == FINITE and args.n_value is None:
         raise UsageError(f"{identity.id} is a finite identity; pass --N")
+    if identity.kind != FINITE and args.n_value is not None:
+        raise UsageError(f"{identity.id} is an infinite identity; it takes no --N")
     try:
         series = build_side(identity, args.side, env, args.n_value, args.order)
     except KeyError as err:
@@ -221,7 +223,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         "id": identity.id,
         "side": args.side,
         "env": env.as_strings(),
-        "N": args.n_value if identity.kind == FINITE else None,
+        "N": args.n_value,
         "T": args.order,
         "coeffs": coeff_strings,
     }

@@ -3,11 +3,24 @@
 R24 is the classical smallest-parts identity itself; both of its sides
 are built purely from partition enumeration, with no series machinery,
 so it doubles as the combinatorial anchor of the registry.
+
+Each R24 side sweeps the partitions of T once and reads every n <= T off
+that sweep.  A partition of T with m ones, j <= m of them dropped, is a
+partition of T - j, and every partition of every 1 <= n <= T arises
+exactly once this way (the empty partition of 0 arises from T's all-ones
+partition and is skipped).  The statistics of the dropped-ones partition
+follow from the parent's by arithmetic: its rank is the parent's plus j;
+its smallest part is 1 with multiplicity m - j while j < m, and the last
+part above 1, as often as the parent has it, when j = m.  Each side runs
+its own sweep, so the two share no more than the enumerator; the per-n
+oracles in partitions stay the independent reference for tests and tables.
 """
 
 from __future__ import annotations
 
-from ..partitions import moment, partition_count, spt
+from collections import Counter
+
+from ..partitions import partition_tuples
 from ..rational import rat
 from ..series import QSeries, div_poch, poch, term_sum
 from .common import (
@@ -136,12 +149,37 @@ def _r23() -> Identity:
 
 
 def _r24() -> Identity:
+    # Both sides read every n <= T off one sweep of the partitions of T,
+    # dropping j of a partition's m ones (see the module docstring).
+    # Partitions of T that agree in what a side reads give the same
+    # contributions, so the sweep tallies that and expands the tallies.
     def lhs(env, N, T):
-        return QSeries([rat(0)] + [rat(spt(n)) for n in range(1, T + 1)])
+        values = [0] * (T + 1)  # spt(n)
+        with_ones = [0] * (T + 1)  # partitions of T with m ones, by m
+        for parts in partition_tuples(T):
+            m = parts.count(1)
+            with_ones[m] += 1
+            if m < len(parts):  # all m dropped: the smallest is the last part above 1
+                values[T - m] += parts.count(parts[-m - 1])
+        for m, count in enumerate(with_ones):
+            for j in range(m):  # j < m dropped: the smallest is 1, m - j times
+                values[T - j] += count * (m - j)
+        return QSeries([rat(v) for v in values])
 
     def rhs(env, N, T):
+        tally = Counter()  # (rank, m) of the nonempty partitions of T
+        for parts in partition_tuples(T):
+            if parts:
+                tally[parts[0] - len(parts), parts.count(1)] += 1
+        count = [0] * (T + 1)  # p(n)
+        rank2 = [0] * (T + 1)  # N_2(n)
+        for (rank, m), c in tally.items():
+            for n in range(max(T - m, 1), T + 1):  # T - n ones dropped, n = 0 skipped
+                count[n] += c
+                rank2[n] += c * (rank + T - n) ** 2
+
         def value(n):  # n p(n) - N_2(n) / 2
-            return rat(n) * partition_count(n) - rat(moment("rank", 2, n, False), 2)
+            return rat(n) * count[n] - rat(rank2[n], 2)
 
         return QSeries([rat(0)] + [value(n) for n in range(1, T + 1)])
 

@@ -1,8 +1,12 @@
+import itertools
 import json
+import random
 
 import pytest
 
 from qlab.cli import main
+from qlab.identities import REGISTRY
+from qlab.identities.model import FINITE
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +210,36 @@ def test_coeffs_unknown_id_or_side_message_is_unquoted(capsys, argv, message):
     code, out, err = run_cli(capsys, "coeffs", *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"qlab: error: {message}")
+
+
+@pytest.mark.parametrize("identity_id, extra", [("R24", ()), ("R01", ("--a", "1/2", "--b", "1/3"))])
+def test_coeffs_cutoff_on_infinite_identity_is_usage_error(capsys, identity_id, extra):
+    code, out, err = run_cli(
+        capsys, "coeffs", "--id", identity_id, "--side", "rhs", "--N", "2", "--order", "4", *extra
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"qlab: error: {identity_id} is an infinite identity")
+    assert "--N" in err
+
+
+def test_coeffs_exit_codes_at_boundary_parameters(capsys):
+    # every side of every identity with each parameter in {0, 1, -1, 1/2}:
+    # an admissible environment prints coefficients, a pole or an excluded
+    # value is a usage error, and nothing escapes as an exception.  Past
+    # two parameters a seeded draw of 16 points keeps the run near 2 s.
+    values = ("0", "1", "-1", "1/2")
+    rng = random.Random(0)
+    for identity in REGISTRY.values():
+        cutoff = ("--N", "2") if identity.kind == FINITE else ()
+        points = list(itertools.product(values, repeat=len(identity.params)))
+        if len(points) > 16:
+            points = rng.sample(points, 16)
+        for point in points:
+            env = [f"--{name}={value}" for name, value in zip(identity.params, point)]
+            for side in identity.side_names:
+                argv = ("coeffs", "--id", identity.id, "--side", side, "--order", "4")
+                code, _, err = run_cli(capsys, *argv, *cutoff, *env)
+                assert code in (0, 2), (argv, cutoff, env, err)
 
 
 def test_coeffs_negative_fraction_as_separate_token(capsys):

@@ -279,3 +279,38 @@ def test_report_json_fields():
     }
     assert d["env"] == {"a": "1/2", "b": "1/3"}
     assert d["outcome"] == "pass"
+
+
+
+def test_r24_sweep_matches_the_per_n_oracles():
+    # the sides read every n <= T off the partitions of T; the oracles
+    # enumerate each n on its own, so the two enumeration orders must agree
+    from qlab.partitions import moment, partition_count, spt
+
+    lhs, rhs = [rat(0)], [rat(0)]
+    for n in range(1, 41):
+        lhs.append(rat(spt(n)))
+        rhs.append(rat(n) * partition_count(n) - rat(moment("rank", 2, n, False), 2))
+    identity = get_identity("R24")
+    for T in list(range(31)) + [40]:
+        assert build_side(identity, "lhs", ParamEnv(), None, T).coeffs == tuple(lhs[: T + 1])
+        assert build_side(identity, "rhs", ParamEnv(), None, T).coeffs == tuple(rhs[: T + 1])
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_r24_side_enumerates_the_partitions_of_T_once(monkeypatch, side):
+    import qlab.partitions as partitions
+    from qlab.identities import spt_family
+
+    enumerate_partitions = partitions.partition_tuples
+    calls = []
+
+    def counting(n, *args, **kwargs):
+        calls.append((n, args, kwargs))
+        return enumerate_partitions(n, *args, **kwargs)
+
+    # the per-n oracles would reach the enumerator through the partitions module
+    monkeypatch.setattr(spt_family, "partition_tuples", counting)
+    monkeypatch.setattr(partitions, "partition_tuples", counting)
+    build_side(get_identity("R24"), side, ParamEnv(), None, 12)
+    assert calls == [(12, (), {})]
