@@ -20,7 +20,6 @@ from __future__ import annotations
 from ..series import QMonomial, QSeries, div_poch, phi_series, poch, term_sum
 from .common import (
     all_nonzero,
-    binomial_step,
     distinct,
     div_q_n,
     domain_all,
@@ -39,12 +38,9 @@ def _r37() -> Identity:
         # sum_{n=0}^{N} prod(uppers)_n (q^{N-n+1})_n
         #   / (prod(lowers)_n (q)_n (q^{N-n}/g)_n g^n)
         def step(t, n):
-            for u in uppers:
-                t = t.mul_binomial(u, n - 1)
-            t = t.mul_binomial(1, N - n + 1)
-            for v in lowers:
-                t = t.div_binomial(v, n - 1)
-            return t.div_binomial(1, n).div_binomial(1 / g, N - n).scale(1 / g)
+            up = [(u, n - 1) for u in uppers] + [(1, N - n + 1)]
+            down = [(v, n - 1) for v in lowers] + [(1, n), (1 / g, N - n)]
+            return t.apply_ratio(1 / g, 0, up, down)
 
         return term_sum(QSeries.one(T), step, stop=N)
 
@@ -125,7 +121,7 @@ def _r38() -> Identity:
         w, x = env.get("a"), env.get("b")
 
         def step(t, n):  # (-w)^n q^{n(n-1)/2} (x q^{N-n+1})_n
-            return t.mul_binomial(x, N - n + 1).scale(-w).shift(n - 1)
+            return t.apply_ratio(-w, n - 1, ((x, N - n + 1),))
 
         return term_sum(QSeries.one(T), step, stop=N)
 
@@ -148,9 +144,8 @@ def _r39() -> Identity:
         a, b, c, t_par = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
         def step(t, n):  # (a)_n (b)_n (q^{N-n+1})_n t^n / ((c)_n (q)_n (t q^{N-n})_n)
-            t = t.mul_binomial(a, n - 1).mul_binomial(b, n - 1).mul_binomial(1, N - n + 1)
-            t = t.scale(t_par).div_binomial(c, n - 1).div_binomial(1, n)
-            return t.div_binomial(t_par, N - n)
+            up = ((a, n - 1), (b, n - 1), (1, N - n + 1))
+            return t.apply_ratio(t_par, 0, up, ((c, n - 1), (1, n), (t_par, N - n)))
 
         return term_sum(QSeries.one(T), step, stop=N)
 
@@ -159,10 +154,8 @@ def _r39() -> Identity:
 
         def step(t, n):
             # (abt/c)_n (b)_n (q^{N-n+1})_n (c/b)^n / ((bt)_n (q)_n (q^{N-n} c/b)_n)
-            t = t.mul_binomial(a * b * t_par / c, n - 1).mul_binomial(b, n - 1)
-            t = t.mul_binomial(1, N - n + 1).scale(c / b)
-            t = t.div_binomial(b * t_par, n - 1).div_binomial(1, n)
-            return t.div_binomial(c / b, N - n)
+            up = ((a * b * t_par / c, n - 1), (b, n - 1), (1, N - n + 1))
+            return t.apply_ratio(c / b, 0, up, ((b * t_par, n - 1), (1, n), (c / b, N - n)))
 
         total = term_sum(QSeries.one(T), step, stop=N)
         prefactor = poch(c / b, 0, N, T) * poch(b * t_par, 0, N, T)
@@ -208,8 +201,7 @@ def _heine_lhs(env, N, T):
     alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
     def step(t, n):  # (alpha)_n (beta)_n z^n / ((gamma)_n (q)_n)
-        t = t.mul_binomial(alpha, n - 1).mul_binomial(beta, n - 1)
-        return t.div_binomial(gamma, n - 1).div_binomial(1, n).scale(z)
+        return t.apply_ratio(z, 0, ((alpha, n - 1), (beta, n - 1)), ((gamma, n - 1), (1, n)))
 
     return term_sum(QSeries.one(T), step, tail=z)
 
@@ -219,8 +211,8 @@ def _r40() -> Identity:
         alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
         def step(t, n):  # (gamma/beta)_n (z)_n beta^n / ((alpha z)_n (q)_n)
-            t = t.mul_binomial(gamma / beta, n - 1).mul_binomial(z, n - 1)
-            return t.div_binomial(alpha * z, n - 1).div_binomial(1, n).scale(beta)
+            up, down = ((gamma / beta, n - 1), (z, n - 1)), ((alpha * z, n - 1), (1, n))
+            return t.apply_ratio(beta, 0, up, down)
 
         inner = term_sum(QSeries.one(T), step, tail=beta)
         prefactor = poch(beta, 0, None, T) * poch(alpha * z, 0, None, T)
@@ -294,11 +286,11 @@ def _r41() -> Identity:
 
 def _r42() -> Identity:
     def lhs(env, N, T):
-        return q_power_sum(T, N, div_q_n)
+        return q_power_sum(QSeries.one(T), N, div_q_n)
 
     def rhs(env, N, T):
         def step(t, k):  # [N,k] (-1)^{k-1} q^{k(k+1)/2}
-            return binomial_step(t, N, k).scale(-1).shift(k)
+            return t.apply_ratio(-1, k, ((1, N - k + 1),), ((1, k),))
 
         return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
 
@@ -318,16 +310,16 @@ def _r42() -> Identity:
 def _r43() -> Identity:
     def lhs(env, N, T):
         x = env.get("a")
-        harmonic = q_power_sum(T, N, div_q_n)
-        return harmonic - q_power_sum(T, N - 1, lambda t, k: t.scale(x).div_binomial(x, k))
+        one = QSeries.one(T)
+        harmonic = q_power_sum(one, N, div_q_n)
+        return harmonic - q_power_sum(one, N - 1, lambda t, k: t.apply_ratio(x, down=((x, k),)))
 
     def rhs(env, N, T):
         x = env.get("a")
         head = QSeries.constant(x / (1 - x), T)
 
         def step(t, k):  # [N,k] (q/x)_k (x)_{N-k} x^k
-            t = binomial_step(t, N, k).mul_binomial(1 / x, k)
-            return t.div_binomial(x, N - k).scale(x)
+            return t.apply_ratio(x, 0, ((1, N - k + 1), (1 / x, k)), ((1, k), (x, N - k)))
 
         total = term_sum(step(poch(x, 0, N, T), 1), step, start=1, stop=N, weight=div_q_n)
         return head - div_poch(total, x, 0, N)
@@ -353,13 +345,13 @@ def _r43() -> Identity:
 def _r44() -> Identity:
     def lhs(env, N, T):
         d = env.get("d")
-        return q_power_sum(T, T, lambda t, n: t.div_binomial(d, n).div_binomial(1, n))
+        return q_power_sum(QSeries.one(T), T, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
 
     def rhs(env, N, T):
         d = env.get("d")
 
         def step(t, n):  # q^n (q^{n+1})_inf / (d q^n)_inf
-            return t.div_binomial(1, n).mul_binomial(d, n - 1).shift(1)
+            return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
 
         first = div_poch(poch(1, 2, None, T).shift(1), d, 1, None)
         return term_sum(first, step, start=1, weight=times_n)
@@ -382,7 +374,7 @@ def _r45() -> Identity:
         d = env.get("d")
 
         def step(t, k):  # d^{k-1} (q/d)_{k-1} q^k / (q)_k
-            return t.mul_binomial(1 / d, k - 1).scale(d).shift(1).div_binomial(1, k)
+            return t.apply_ratio(d, 1, ((1 / d, k - 1),), ((1, k),))
 
         first = QSeries.monomial(1, 1, T).div_binomial(1, 1)
         return term_sum(first, step, start=1)

@@ -9,12 +9,6 @@ from ..series import QSeries, term_sum
 from .model import ParamEnv
 
 
-def binomial_step(t: QSeries, N: int, n: int) -> QSeries:
-    """t * [N,n] / [N,n-1] = t * (1 - q^(N-n+1)) / (1 - q^n), the Gaussian
-    binomial's term ratio; 1 <= n <= N, so the divisor has constant term 1."""
-    return t.mul_binomial(1, N - n + 1).div_binomial(1, n)
-
-
 def times_n(t: QSeries, n: int) -> QSeries:
     """The weight n * t_n."""
     return t.scale(n)
@@ -29,14 +23,12 @@ def lambert_bracket(t: QSeries, x: Rat, y: Rat, m: int) -> QSeries:
     """t * (x q^m/(1 - x q^m) - y q^m/(1 - y q^m))
     = t * (x - y) q^m / ((1 - x q^m)(1 - y q^m)); at m = 0 it needs
     x, y != 1, and (1 - 1) raises ZeroConstantTermError."""
-    return t.shift(m).scale(x - y).div_binomial(x, m).div_binomial(y, m)
+    return t.apply_ratio(x - y, m, down=((x, m), (y, m)))
 
 
-def q_power_sum(T: int, top: int, weight: Callable[[QSeries, int], QSeries]) -> QSeries:
-    """sum_{n=1}^{top} weight(q^n, n), to order T."""
-    return term_sum(
-        QSeries.monomial(1, 1, T), lambda t, n: t.shift(1), start=1, stop=top, weight=weight
-    )
+def q_power_sum(t: QSeries, top: int, weight: Callable[[QSeries, int], QSeries]) -> QSeries:
+    """sum_{n=1}^{top} weight(t q^n, n); an inner sum starts from its outer term t."""
+    return term_sum(t.shift(1), lambda u, n: u.shift(1), start=1, stop=top, weight=weight)
 
 
 # -- constraint rule combinators -------------------------------------------

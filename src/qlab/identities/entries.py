@@ -10,7 +10,6 @@ from __future__ import annotations
 from ..series import QSeries, div_poch, poch, term_sum
 from .common import (
     all_nonzero,
-    binomial_step,
     div_q_n,
     domain_all,
     inside_unit,
@@ -36,7 +35,7 @@ def _squared_lambert_sum(a, T: int, top=None) -> QSeries:
         QSeries.constant(a, T),
         lambda t, k: t.shift(1),
         stop=top,
-        weight=lambda t, k: t.div_binomial(a, k).div_binomial(a, k),
+        weight=lambda t, k: t.apply_ratio(down=((a, k), (a, k))),
     )
 
 
@@ -45,8 +44,7 @@ def _r10() -> Identity:
         a, b = env.get("a"), env.get("b")
 
         def step(t, n):  # [N,n] (-b/a)_n a^n q^{n(n+1)/2} / (bq)_n
-            t = binomial_step(t, N, n).mul_binomial(-b / a, n - 1)
-            return t.scale(a).shift(n).div_binomial(b, n)
+            return t.apply_ratio(a, n, ((1, N - n + 1), (-b / a, n - 1)), ((1, n), (b, n)))
 
         return term_sum(QSeries.one(T), step, stop=N)
 
@@ -54,8 +52,7 @@ def _r10() -> Identity:
         a, b = env.get("a"), env.get("b")
 
         def step(t, n):  # [N,n] (-a/b)_n (bq)_{N-n} (bq)^n
-            t = binomial_step(t, N, n).mul_binomial(-a / b, n - 1)
-            return t.div_binomial(b, N - n + 1).scale(b).shift(1)
+            return t.apply_ratio(b, 1, ((1, N - n + 1), (-a / b, n - 1)), ((1, n), (b, N - n + 1)))
 
         total = term_sum(poch(b, 1, N, T), step, stop=N)
         return div_poch(total, b, 1, N)
@@ -83,7 +80,7 @@ def _r11() -> Identity:
         a = env.get("a")
 
         def step(t, n):  # [N,n] a^n q^{n^2} / (aq)_n
-            return binomial_step(t, N, n).scale(a).shift(2 * n - 1).div_binomial(a, n)
+            return t.apply_ratio(a, 2 * n - 1, ((1, N - n + 1),), ((1, n), (a, n)))
 
         total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=times_n)
         return total * poch(a, 1, N, T)
@@ -92,7 +89,7 @@ def _r11() -> Identity:
         a = env.get("a")
 
         def step(t, n):  # [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2}
-            return binomial_step(t, N, n).mul_binomial(1, n).scale(-a).shift(n)
+            return t.apply_ratio(-a, n, ((1, N - n + 1),))
 
         return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
 
@@ -115,8 +112,7 @@ def _r12() -> Identity:
         a, b = env.get("a"), env.get("b")
 
         def step(t, n):  # [N,n] (q)_n (b/a)_n (a)_{N-n} a^n / (b)_n
-            t = binomial_step(t, N, n).mul_binomial(1, n).mul_binomial(b / a, n - 1)
-            return t.div_binomial(a, N - n).scale(a).div_binomial(b, n - 1)
+            return t.apply_ratio(a, 0, ((1, N - n + 1), (b / a, n - 1)), ((a, N - n), (b, n - 1)))
 
         total = term_sum(step(poch(a, 0, N, T), 1), step, start=1, stop=N, weight=div_q_n)
         return div_poch(total, a, 0, N)
@@ -156,14 +152,13 @@ def _r13() -> Identity:
         a = env.get("a")
 
         def step(t, n):  # [N,n] (-1)^{n-1} a^n q^{n(n+1)/2} (q)_n / (aq)_n
-            t = binomial_step(t, N, n).mul_binomial(1, n)
-            return t.scale(-a).shift(n).div_binomial(a, n)
+            return t.apply_ratio(-a, n, ((1, N - n + 1),), ((a, n),))
 
         return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
 
     def rhs(env, N, T):
         a = env.get("a")
-        return q_power_sum(T, N, lambda t, n: t.scale(a).div_binomial(a, n))
+        return q_power_sum(QSeries.one(T), N, lambda t, n: t.apply_ratio(a, down=((a, n),)))
 
     return Identity(
         id="R13",
@@ -184,10 +179,9 @@ def _r14() -> Identity:
         a = env.get("a")
 
         def step(t, n):  # [N,n] (q)_n (q)_{n-1} (a)_{N-n} a^n / (a)_n
-            t = binomial_step(t, N, n).mul_binomial(1, n)
-            if n > 1:  # the factors indexed by n - 1 are empty products at n = 1
-                t = t.mul_binomial(1, n - 1)
-            return t.div_binomial(a, N - n).scale(a).div_binomial(a, n - 1)
+            # (q)_{n-1} is an empty product at n = 1
+            up = ((1, N - n + 1), (1, n - 1)) if n > 1 else ((1, N),)
+            return t.apply_ratio(a, 0, up, ((a, N - n), (a, n - 1)))
 
         total = term_sum(step(poch(a, 0, N, T), 1), step, start=1, stop=N, weight=div_q_n)
         return div_poch(total, a, 0, N)
@@ -221,8 +215,7 @@ def _r15() -> Identity:
         a, b = env.get("a"), env.get("b")
 
         def step(t, n):  # (-b/a)_n a^n q^{n(n+1)/2} / ((q)_n (bq)_n)
-            t = t.mul_binomial(-b / a, n - 1).scale(a).shift(n)
-            return t.div_binomial(1, n).div_binomial(b, n)
+            return t.apply_ratio(a, n, ((-b / a, n - 1),), ((1, n), (b, n)))
 
         return term_sum(QSeries.one(T), step)
 
@@ -246,7 +239,7 @@ def _r16() -> Identity:
         a = env.get("a")
 
         def step(t, n):  # a^n q^{n^2} / ((q)_n (aq)_n)
-            return t.scale(a).shift(2 * n - 1).div_binomial(1, n).div_binomial(a, n)
+            return t.apply_ratio(a, 2 * n - 1, down=((1, n), (a, n)))
 
         total = term_sum(step(QSeries.one(T), 1), step, start=1, weight=times_n)
         return total * poch(a, 1, None, T)
@@ -255,7 +248,7 @@ def _r16() -> Identity:
         a = env.get("a")
         return term_sum(
             QSeries.monomial(a, 1, T),
-            lambda t, n: t.scale(-a).shift(n),  # (-1)^{n-1} a^n q^{n(n+1)/2}
+            lambda t, n: t.apply_ratio(-a, n),  # (-1)^{n-1} a^n q^{n(n+1)/2}
             start=1,
             weight=div_q_n,
         )
@@ -293,7 +286,7 @@ def _r18() -> Identity:
         a = env.get("a")
 
         def step(t, n):  # (-1)^{n-1} a^n q^{n(n+1)/2} / (aq)_n
-            return t.scale(-a).shift(n).div_binomial(a, n)
+            return t.apply_ratio(-a, n, down=((a, n),))
 
         return term_sum(step(-QSeries.one(T), 1), step, start=1, weight=div_q_n)
 
@@ -301,7 +294,7 @@ def _r18() -> Identity:
         a = env.get("a")
         return term_sum(
             QSeries.monomial(a, 1, T),
-            lambda t, n: t.scale(a).shift(1),  # a^n q^n
+            lambda t, n: t.apply_ratio(a, 1),  # a^n q^n
             start=1,
             weight=div_q_n,
         )
@@ -325,7 +318,7 @@ def _r19() -> Identity:
         a = env.get("a")
 
         def step(t, n):  # (q)_{n-1} a^n / (a)_n
-            return t.mul_binomial(1, n - 1).div_binomial(a, n - 1).scale(a)
+            return t.apply_ratio(a, 0, ((1, n - 1),), ((a, n - 1),))
 
         return term_sum(
             QSeries.constant(a, T).div_binomial(a, 0),

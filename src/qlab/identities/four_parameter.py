@@ -1,7 +1,8 @@
 """The four-parameter sum transformation, its finite form and corollaries.
 
 Every sum is a term_sum: each term is the previous one times its ratio,
-a scalar, a power of q and a few factors (1 - c q^e), and the sum stops
+a scalar, a power of q and a few factors (1 - c q^e) applied by one
+apply_ratio call, and the sum stops
 after its last index or at the first term that vanishes to order T (all
 later terms are multiples of it).  A step divides only by factors with a
 nonzero constant term; where that needs a parameter off 1, the
@@ -16,9 +17,10 @@ is a geometric series, summed in closed form by term_sum's tail.  The
 Lambert-type sum sum_m (a^m - b^m)/(1 - c q^{m+n}) has no term ratio; it
 is summed over the powers of its denominator instead, each a bracket of
 two factors x q^k/(1 - x q^k), whose k = 0 term a/(1-a) - b/(1-b) is the
-closed form of its constant coefficients.  Sampling stays inside the
-stated convergence regions so those closed forms are the values of the
-sums.
+closed form of its constant coefficients.  In the nested right side of
+R02 that sum starts from the outer term, so it needs no product with
+it.  Sampling stays inside the stated convergence regions so those closed
+forms are the values of the sums.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from ..series import QSeries, div_poch, poch, term_sum
 from .common import (
     all_nonzero,
-    binomial_step,
     distinct,
     domain_all,
     inside_unit,
@@ -55,7 +56,7 @@ def _quotient_sum_lhs(env: ParamEnv, c_factor, T: int) -> QSeries:
     a, b = env.get("a"), env.get("b")
 
     def step(t, n):  # (b/a)_n a^n / (b)_n
-        return t.mul_binomial(b / a, n - 1).div_binomial(b, n - 1).scale(a)
+        return t.apply_ratio(a, 0, ((b / a, n - 1),), ((b, n - 1),))
 
     return term_sum(
         step(QSeries.one(T), 1),
@@ -66,10 +67,11 @@ def _quotient_sum_lhs(env: ParamEnv, c_factor, T: int) -> QSeries:
     )
 
 
-def _lambert_difference(a, b, c, shift: int, T: int) -> QSeries:
-    """sum_{m>=1} (a^m - b^m) / (1 - c q^{m+shift}), taken over the powers
-    of its denominator: sum_{k>=0} c^k q^{k shift} times the bracket
-    a q^k/(1 - a q^k) - b q^k/(1 - b q^k), which is O(q^k).
+def _lambert_difference(t: QSeries, a, b, c, shift: int) -> QSeries:
+    """t * sum_{m>=1} (a^m - b^m) / (1 - c q^{m+shift}), taken over the
+    powers of its denominator: sum_{k>=0} c^k q^{k shift} times the bracket
+    a q^k/(1 - a q^k) - b q^k/(1 - b q^k), which is O(q^k).  The sum starts
+    from t, so a nested sum passes its outer term and needs no product.
 
     The rearrangement is exact as formal power series, so it holds for
     parameters outside the convergence region as well: for j >= 1,
@@ -77,10 +79,10 @@ def _lambert_difference(a, b, c, shift: int, T: int) -> QSeries:
     [q^0] is a/(1-a) - b/(1-b) on both, the closed form of the constant
     coefficients sum_{m>=1} (a^m - b^m)."""
     return term_sum(
-        QSeries.one(T),
-        lambda t, k: t.scale(c).shift(shift),
-        stop=T,
-        weight=lambda t, k: lambert_bracket(t, a, b, k),
+        t,
+        lambda u, k: u.apply_ratio(c, shift),
+        stop=t.order,
+        weight=lambda u, k: lambert_bracket(u, a, b, k),
     )
 
 
@@ -89,7 +91,7 @@ def _r01() -> Identity:
         return _quotient_sum_lhs(env, 1, T)
 
     def rhs(env, N, T):
-        return _lambert_difference(env.get("a"), env.get("b"), 1, 0, T)
+        return _lambert_difference(QSeries.one(T), env.get("a"), env.get("b"), 1, 0)
 
     return Identity(
         id="R01",
@@ -118,7 +120,7 @@ def _r02() -> Identity:
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
         def step(t, m):  # (b/c)_m c^m / (b)_m
-            return t.mul_binomial(b / c, m - 1).div_binomial(b, m - 1).scale(c)
+            return t.apply_ratio(c, 0, ((b / c, m - 1),), ((b, m - 1),))
 
         def weight(t, m):  # the bracket is O(q^m), so the terms past m = T vanish
             return lambert_bracket(t, a, b, m)
@@ -129,13 +131,14 @@ def _r02() -> Identity:
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
         def step(t, n):  # (c)_n (b/c)^n / (q)_n
-            return t.mul_binomial(c, n - 1).div_binomial(1, n).scale(b / c)
+            return t.apply_ratio(b / c, 0, ((c, n - 1),), ((1, n),))
 
-        # the inner sum is a constant series once n >= T
+        # the inner sum starts from the outer term t, and is t times a series
+        # that no longer depends on n once n >= T
         total = term_sum(
             QSeries.one(T),
             step,
-            weight=lambda t, n: t * _lambert_difference(a, b, c, n, T),
+            weight=lambda t, n: _lambert_difference(t, a, b, c, n),
             tail=b / c,
         )
         prefactor = div_poch(poch(b / c, 0, None, T), b, 0, None)
@@ -173,8 +176,7 @@ def _r03() -> Identity:
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
         def step(t, n):  # [N,n] (b/a)_n (q)_n (a)_{N-n} a^n / (b)_n
-            t = binomial_step(t, N, n).mul_binomial(b / a, n - 1).mul_binomial(1, n)
-            return t.div_binomial(a, N - n).scale(a).div_binomial(b, n - 1)
+            return t.apply_ratio(a, 0, ((1, N - n + 1), (b / a, n - 1)), ((a, N - n), (b, n - 1)))
 
         total = term_sum(
             step(poch(a, 0, N, T), 1),
@@ -189,15 +191,14 @@ def _r03() -> Identity:
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
         def step(t, n):  # [N,n] (b/c)_{n-1} (q)_n (cq)_{N-n} c^{n-1} / (b)_{n-1}
-            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(c, N - n + 1)
-            if n > 1:  # the factors indexed by n - 1 are empty products at n = 1
-                t = t.mul_binomial(b / c, n - 2).div_binomial(b, n - 2).scale(c)
-            return t
+            up, down = ((1, N - n + 1), (b / c, n - 2)), ((c, N - n + 1), (b, n - 2))
+            return t.apply_ratio(c, 0, up, down)
 
         def weight(t, n):
             return lambert_bracket(t, a, b, n - 1)
 
-        total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N, weight=weight)
+        first = poch(c, 1, N - 1, T).mul_binomial(1, N)  # n = 1: (1 - q^N) (cq)_{N-1}
+        total = term_sum(first, step, start=1, stop=N, weight=weight)
         return div_poch(total, c, 1, N)
 
     return Identity(
@@ -226,8 +227,8 @@ def _r04() -> Identity:
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
         def step(t, n):  # (b/a)_n (c/d)_n (ad)^n / ((b)_n (cq)_n)
-            t = t.mul_binomial(b / a, n - 1).mul_binomial(c / d, n - 1)
-            return t.div_binomial(b, n - 1).div_binomial(c, n).scale(a * d)
+            up, down = ((b / a, n - 1), (c / d, n - 1)), ((b, n - 1), (c, n))
+            return t.apply_ratio(a * d, 0, up, down)
 
         return term_sum(step(QSeries.one(T), 1), step, start=1, tail=a * d)
 
@@ -237,8 +238,8 @@ def _r04() -> Identity:
         prefactor = (a - b) * (d - c) / (ad - b)
 
         def step(t, m):  # (a)_m (bd/c)_m c^m / ((b)_m (ad)_m)
-            t = t.mul_binomial(a, m - 1).mul_binomial(b * d / c, m - 1)
-            return t.div_binomial(b, m - 1).div_binomial(ad, m - 1).scale(c)
+            up, down = ((a, m - 1), (b * d / c, m - 1)), ((b, m - 1), (ad, m - 1))
+            return t.apply_ratio(c, 0, up, down)
 
         def weight(t, m):  # the bracket is O(q^m), so the terms past m = T vanish
             return lambert_bracket(t, ad, b, m)
@@ -277,10 +278,8 @@ def _r05() -> Identity:
         ad = a * d
 
         def step(t, n):  # [N,n] (q)_n (b/a)_n (c/d)_n (ad)_{N-n} (ad)^n / ((b)_n (cq)_n)
-            t = binomial_step(t, N, n).mul_binomial(1, n)
-            t = t.mul_binomial(b / a, n - 1).mul_binomial(c / d, n - 1)
-            t = t.div_binomial(ad, N - n).scale(ad)
-            return t.div_binomial(b, n - 1).div_binomial(c, n)
+            up = ((1, N - n + 1), (b / a, n - 1), (c / d, n - 1))
+            return t.apply_ratio(ad, 0, up, ((ad, N - n), (b, n - 1), (c, n)))
 
         total = term_sum(step(poch(ad, 0, N, T), 1), step, start=1, stop=N)
         return div_poch(total, ad, 0, N)
@@ -292,16 +291,14 @@ def _r05() -> Identity:
 
         def step(t, n):
             # [N,n] (a)_{n-1} (bd/c)_{n-1} (q)_n (cq)_{N-n} c^{n-1} / ((b)_{n-1} (ad)_{n-1})
-            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(c, N - n + 1)
-            if n > 1:  # the factors indexed by n - 1 are empty products at n = 1
-                t = t.mul_binomial(a, n - 2).mul_binomial(b * d / c, n - 2).scale(c)
-                t = t.div_binomial(b, n - 2).div_binomial(ad, n - 2)
-            return t
+            up = ((1, N - n + 1), (a, n - 2), (b * d / c, n - 2))
+            return t.apply_ratio(c, 0, up, ((c, N - n + 1), (b, n - 2), (ad, n - 2)))
 
         def weight(t, n):
             return lambert_bracket(t, ad, b, n - 1)
 
-        total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N, weight=weight)
+        first = poch(c, 1, N - 1, T).mul_binomial(1, N)  # n = 1: (1 - q^N) (cq)_{N-1}
+        total = term_sum(first, step, start=1, stop=N, weight=weight)
         return div_poch(total, c, 1, N).scale(prefactor)
 
     return Identity(
@@ -334,8 +331,7 @@ def _r06() -> Identity:
         z, c, d = env.get("z"), env.get("c"), env.get("d")
 
         def step(t, n):  # [N,n] (q)_n (c/d)_n (-zd)^n q^{n(n+1)/2} / ((zq)_n (cq)_n)
-            t = binomial_step(t, N, n).mul_binomial(1, n).mul_binomial(c / d, n - 1)
-            return t.scale(-z * d).shift(n).div_binomial(z, n).div_binomial(c, n)
+            return t.apply_ratio(-z * d, n, ((1, N - n + 1), (c / d, n - 1)), ((z, n), (c, n)))
 
         return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
 
@@ -343,12 +339,12 @@ def _r06() -> Identity:
         z, c, d = env.get("z"), env.get("c"), env.get("d")
 
         def step(t, n):  # [N,n] (q)_n (zdq/c)_{n-1} (cq)_{N-n} (cq)^n / (zq)_n
-            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(c, N - n + 1)
-            if n > 1:  # the factors indexed by n - 1 are empty products at n = 1
-                t = t.mul_binomial(z * d / c, n - 1)
-            return t.scale(c).shift(1).div_binomial(z, n)
+            up, down = ((1, N - n + 1), (z * d / c, n - 1)), ((c, N - n + 1), (z, n))
+            return t.apply_ratio(c, 1, up, down)
 
-        total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N)
+        # the n = 1 term, (1 - q^N) (cq)_{N-1} cq / (1 - zq)
+        first = poch(c, 1, N - 1, T).apply_ratio(c, 1, ((1, N),), ((z, 1),))
+        total = term_sum(first, step, start=1, stop=N)
         return div_poch(total, c, 1, N).scale(z / c * (c - d))
 
     return Identity(
@@ -375,8 +371,7 @@ def _r07() -> Identity:
         z, c = env.get("z"), env.get("c")
 
         def step(t, n):  # [N,n] (q)_n (zc)^n q^{n^2} / ((zq)_n (cq)_n)
-            t = binomial_step(t, N, n).mul_binomial(1, n).scale(z * c).shift(2 * n - 1)
-            return t.div_binomial(z, n).div_binomial(c, n)
+            return t.apply_ratio(z * c, 2 * n - 1, ((1, N - n + 1),), ((z, n), (c, n)))
 
         return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
 
@@ -384,8 +379,7 @@ def _r07() -> Identity:
         z, c = env.get("z"), env.get("c")
 
         def step(t, n):  # [N,n] (q)_n (cq)_{N-n} (cq)^n / (zq)_n
-            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(c, N - n + 1)
-            return t.scale(c).shift(1).div_binomial(z, n)
+            return t.apply_ratio(c, 1, ((1, N - n + 1),), ((c, N - n + 1), (z, n)))
 
         total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N)
         return div_poch(total, c, 1, N).scale(z)
@@ -409,8 +403,7 @@ def _r08() -> Identity:
         z = env.get("z")
 
         def step(t, n):  # [N,n] (q)_n q^{n^2} / ((zq)_n (q/z)_n)
-            t = binomial_step(t, N, n).mul_binomial(1, n).shift(2 * n - 1)
-            return t.div_binomial(z, n).div_binomial(1 / z, n)
+            return t.apply_ratio(1, 2 * n - 1, ((1, N - n + 1),), ((z, n), (1 / z, n)))
 
         return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
 
@@ -418,8 +411,7 @@ def _r08() -> Identity:
         z = env.get("z")
 
         def step(t, n):  # [N,n] (q)_n (q/z)_{N-n} (q/z)^n / (zq)_n
-            t = binomial_step(t, N, n).mul_binomial(1, n).div_binomial(1 / z, N - n + 1)
-            return t.scale(1 / z).shift(1).div_binomial(z, n)
+            return t.apply_ratio(1 / z, 1, ((1, N - n + 1),), ((1 / z, N - n + 1), (z, n)))
 
         total = term_sum(step(poch(1 / z, 1, N, T), 1), step, start=1, stop=N)
         return div_poch(total, 1 / z, 1, N).scale(z)
@@ -444,7 +436,7 @@ def _r09() -> Identity:
         z, c = env.get("z"), env.get("c")
 
         def step(t, n):  # z^n c^n q^{n^2} / ((zq)_n (cq)_n)
-            return t.scale(z * c).shift(2 * n - 1).div_binomial(z, n).div_binomial(c, n)
+            return t.apply_ratio(z * c, 2 * n - 1, down=((z, n), (c, n)))
 
         return term_sum(step(QSeries.one(T), 1), step, start=1)
 
@@ -452,7 +444,7 @@ def _r09() -> Identity:
         z, c = env.get("z"), env.get("c")
 
         def step(t, n):  # (cq)^n / (zq)_n
-            return t.scale(c).shift(1).div_binomial(z, n)
+            return t.apply_ratio(c, 1, down=((z, n),))
 
         return term_sum(step(QSeries.one(T), 1), step, start=1).scale(z)
 

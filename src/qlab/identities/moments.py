@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..laurent import LaurentZQSeries
 from ..series import QSeries, div_poch, poch, term_sum
-from .common import binomial_step, div_q_n, times_n
+from .common import div_q_n, times_n
 from .model import FINITE, Identity
 
 
@@ -46,8 +46,7 @@ def _moment_sum(N: int, order: int, exp_step, weight=None) -> QSeries:
     with e(n) - e(n-1) = exp_step(n) and w_n applied by weight (default 1)."""
 
     def step(t, n):  # [N,n] (-1)^{n+1} (q)_n q^{e(n)} / (q)_{n+N}
-        t = binomial_step(t, N, n).mul_binomial(1, n).scale(-1).shift(exp_step(n))
-        return t.div_binomial(1, n + N)
+        return t.apply_ratio(-1, exp_step(n), ((1, N - n + 1),), ((1, n + N),))
 
     def term(t, n):
         return (t if weight is None else weight(t, n)).div_binomial(1, n)
@@ -77,7 +76,7 @@ def moment_difference_finite(N: int, order: int) -> QSeries:
 def crank_moment_infinite(order: int) -> QSeries:
     """(1/(q)_inf) sum_{n>=1} (-1)^{n+1} q^{n(n+1)/2} / (1-q^n)."""
     first = QSeries.monomial(1, 1, order)
-    total = term_sum(first, lambda t, n: t.scale(-1).shift(n), start=1, weight=div_q_n)
+    total = term_sum(first, lambda t, n: t.apply_ratio(-1, n), start=1, weight=div_q_n)
     return div_poch(total, 1, 1, None)
 
 
@@ -85,7 +84,7 @@ def crank_moment_infinite_positive_form(order: int) -> QSeries:
     """sum_{k>=0} k q^{k^2} / (q)_k^2, the other stated form of the same series."""
 
     def step(t, k):  # q^{k^2} / (q)_k^2
-        return t.shift(2 * k - 1).div_binomial(1, k).div_binomial(1, k)
+        return t.apply_ratio(1, 2 * k - 1, down=((1, k), (1, k)))
 
     return term_sum(step(QSeries.one(order), 1), step, start=1, weight=times_n)
 
@@ -93,7 +92,7 @@ def crank_moment_infinite_positive_form(order: int) -> QSeries:
 def rank_moment_infinite(order: int) -> QSeries:
     """(1/(q)_inf) sum_{n>=1} (-1)^{n+1} q^{n(3n+1)/2} / (1-q^n)."""
     first = QSeries.monomial(1, 2, order)
-    total = term_sum(first, lambda t, n: t.scale(-1).shift(3 * n - 1), start=1, weight=div_q_n)
+    total = term_sum(first, lambda t, n: t.apply_ratio(-1, 3 * n - 1), start=1, weight=div_q_n)
     return div_poch(total, 1, 1, None)
 
 

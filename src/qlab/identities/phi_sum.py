@@ -5,20 +5,22 @@ an infinite-product prefactor and an inner 2-phi-1 whose argument rides
 on q^k, so every sum here truncates on its own.
 
 Every sum is a term_sum: each term is the previous one times its ratio,
-and the sum stops after its cutoff or at the first term that vanishes to
-order T, since every later term is a power-series multiple of it.  That
-holds because each step divides only by factors (1 - c q^e) with a
-nonzero constant term, here always e >= 1.  No sum here needs the
-geometric tail for terms that never vanish.  Per-index factors that are
-not ratios (the harmonic partial sums, the inner 2-phi-1) are weights.
+one apply_ratio call, and the sum stops after its cutoff or at the first
+term that vanishes to order T, since every later term is a power-series
+multiple of it.  That holds because each step divides only by factors
+(1 - c q^e) with a nonzero constant term, here always e >= 1.  No sum
+here needs the geometric tail for terms that never vanish.  Per-index
+factors that are not ratios (the harmonic partial sums, the inner
+2-phi-1) are weights, and each is an inner term_sum that starts from the
+outer term: the 2-phi-1 for index k from t_k / (1 - q^k), so its terms
+vanish once t_k (c/d)^j q^{kj} does, and no full product is needed.
 """
 
 from __future__ import annotations
 
-from ..series import QMonomial, QSeries, div_poch, phi_series, poch, term_sum
+from ..series import QSeries, div_poch, poch, term_sum
 from .common import (
     all_nonzero,
-    binomial_step,
     distinct,
     div_q_n,
     domain_all,
@@ -36,16 +38,13 @@ def _phi_block_rhs(env, N: int, T: int) -> QSeries:
     c, d = env.get("c"), env.get("d")
 
     def step(t, k):  # [N,k] d^k q^{k(k+1)} / (dq)_k
-        return binomial_step(t, N, k).scale(d).shift(2 * k).div_binomial(d, k)
+        return t.apply_ratio(d, 2 * k, ((1, N - k + 1),), ((1, k), (d, k)))
 
-    def weight(t, k):
-        inner = phi_series(
-            [QMonomial(d, 1), QMonomial(d, N + 1)],
-            [QMonomial(d, k + 1)],
-            QMonomial(c / d, k),
-            T,
-        )
-        return t.div_binomial(1, k) * inner
+    def weight(t, k):  # the 2phi1, started from its outer term t / (1 - q^k)
+        def inner(u, j):  # (dq)_j (dq^{N+1})_j (c/d)^j q^{kj} / ((dq^{k+1})_j (q)_j)
+            return u.apply_ratio(c / d, k, ((d, j), (d, N + j)), ((d, k + j), (1, j)))
+
+        return term_sum(t.div_binomial(1, k), inner)
 
     total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=weight)
     prefactor = poch(c / d, 0, None, T) * poch(d, 1, None, T)
@@ -61,8 +60,7 @@ def _alternating_sum(env, N: int, T: int, weight) -> QSeries:
     c, d = env.get("c"), env.get("d")
 
     def step(t, n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n)
-        t = t.mul_binomial(c / d, n - 1).scale(-d).shift(n)
-        return t.div_binomial(1, n).mul_binomial(1, N - n + 1).div_binomial(c, n)
+        return t.apply_ratio(-d, n, ((c / d, n - 1), (1, N - n + 1)), ((1, n), (c, n)))
 
     first = step(div_poch(-QSeries.one(T), 1, 1, N), 1)
     return term_sum(first, step, start=1, stop=N, weight=weight)
@@ -71,7 +69,7 @@ def _alternating_sum(env, N: int, T: int, weight) -> QSeries:
 def _r20() -> Identity:
     def lhs(env, N, T):
         # the weight is the harmonic partial sum sum_{k=1}^{n} q^k / (1 - q^k)
-        return _alternating_sum(env, N, T, lambda t, n: t * q_power_sum(T, n, div_q_n))
+        return _alternating_sum(env, N, T, lambda t, n: q_power_sum(t, n, div_q_n))
 
     return Identity(
         id="R20",
@@ -96,8 +94,7 @@ def _r21() -> Identity:
         c, d = env.get("c"), env.get("d")
 
         def step(t, n):  # [N,n] (c/d)_n d^n (-1)^{n-1} q^{n(n+1)/2} / (cq)_n
-            t = binomial_step(t, N, n).mul_binomial(c / d, n - 1)
-            return t.scale(-d).shift(n).div_binomial(c, n)
+            return t.apply_ratio(-d, n, ((1, N - n + 1), (c / d, n - 1)), ((1, n), (c, n)))
 
         return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N)
 
@@ -133,8 +130,7 @@ def _r22() -> Identity:
         head = head.scale(c / (c - d))
 
         def step(t, k):  # (cq/d)_k (dq)_{N-k} (dq)^k / ((q)_k (q)_{N-k})
-            t = t.mul_binomial(c / d, k).div_binomial(d, N - k + 1).scale(d).shift(1)
-            return t.div_binomial(1, k).mul_binomial(1, N - k + 1)
+            return t.apply_ratio(d, 1, ((c / d, k), (1, N - k + 1)), ((d, N - k + 1), (1, k)))
 
         first = step(div_poch(poch(d, 1, N, T), 1, 1, N), 1)
         total = term_sum(first, step, start=1, stop=N, weight=div_q_n)

@@ -14,6 +14,12 @@ its smallest part is 1 with multiplicity m - j while j < m, and the last
 part above 1, as often as the parent has it, when j = m.  Each side runs
 its own sweep, so the two share no more than the enumerator; the per-n
 oracles in partitions stay the independent reference for tests and tables.
+
+The series sides are term_sums whose steps are single apply_ratio calls.
+Their double sums (the d-q block of R26 and R32, the block in R31's left
+side, and the q^{j^2}/(q)_j^2 sums of R23, R25 and R36) start each inner
+sum from the outer term, so no full product runs per outer index and the
+inner terms vanish to order T as soon as their product with it does.
 """
 
 from __future__ import annotations
@@ -42,13 +48,13 @@ def n_sc_generating_function(order: int) -> QSeries:
     / ((q)_n (1 + q^n))."""
 
     def step(t, n):  # (-1)^{n-1} q^{n(n+1)/2} / (q)_n
-        return t.scale(-1).shift(n).div_binomial(1, n)
+        return t.apply_ratio(-1, n, down=((1, n),))
 
     total = term_sum(
         step(-QSeries.one(order), 1),
         step,
         start=1,
-        weight=lambda t, n: t.scale(n).div_binomial(-1, n),
+        weight=lambda t, n: t.apply_ratio(n, down=((-1, n),)),
     )
     return div_poch(total, 1, 1, None)
 
@@ -58,48 +64,45 @@ def overlined_largest_series(order: int) -> QSeries:
     overlined-largest-part statistic."""
 
     def step(t, n):  # q^n (-q)_{n-1} / (q)_n
-        return t.mul_binomial(-1, n - 1).shift(1).div_binomial(1, n)
+        return t.apply_ratio(1, 1, ((-1, n - 1),), ((1, n),))
 
     first = QSeries.monomial(1, 1, order).div_binomial(1, 1)
     return term_sum(first, step, start=1, weight=times_n)
 
 
-def _square_sum(T: int, inner) -> QSeries:
-    """sum_{j>=1} q^{j^2} / (q)_j^2 * inner(j)."""
+def _square_sum(T: int, weight) -> QSeries:
+    """sum_{j>=1} q^{j^2} / (q)_j^2 * sum_{n=1}^{j} weight(q^n, n), each inner
+    sum started from its outer term."""
 
     def step(t, j):  # q^{j^2} / (q)_j^2
-        return t.shift(2 * j - 1).div_binomial(1, j).div_binomial(1, j)
+        return t.apply_ratio(1, 2 * j - 1, down=((1, j), (1, j)))
 
-    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=lambda t, j: t * inner(j))
+    return term_sum(
+        step(QSeries.one(T), 1), step, start=1, weight=lambda t, j: q_power_sum(t, j, weight)
+    )
 
 
 def _dq_block(d, x, T: int) -> QSeries:
     """sum_{k>=1} d^k q^{k(k+1)} / ((q)_k (dq)_k (1-q^k))
     * sum_{m>=0} (dq)_m (x q^k)^m / ((dq^{k+1})_m (q)_m)."""
 
-    def inner(k):
-        def step(u, m):  # (dq)_m (x q^k)^m / ((dq^{k+1})_m (q)_m)
-            u = u.mul_binomial(d, m).div_binomial(d, k + m).div_binomial(1, m)
-            return u.scale(x).shift(k)
-
-        return term_sum(QSeries.one(T), step)
-
     def step(t, k):  # d^k q^{k(k+1)} / ((q)_k (dq)_k)
-        return t.scale(d).shift(2 * k).div_binomial(1, k).div_binomial(d, k)
+        return t.apply_ratio(d, 2 * k, down=((1, k), (d, k)))
 
-    return term_sum(
-        step(QSeries.one(T), 1),
-        step,
-        start=1,
-        weight=lambda t, k: t.div_binomial(1, k) * inner(k),
-    )
+    def weight(t, k):  # the inner sum, started from its outer term t / (1 - q^k)
+        def inner(u, m):  # (dq)_m (x q^k)^m / ((dq^{k+1})_m (q)_m)
+            return u.apply_ratio(x, k, ((d, m),), ((d, k + m), (1, m)))
+
+        return term_sum(t.div_binomial(1, k), inner)
+
+    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=weight)
 
 
 def _quotient_tail(x, d, T: int) -> QSeries:
     """sum_{k>=1} (xq)_k (dq)^k / ((q)_k (1-q^k))."""
 
-    def step(t, k):
-        return t.mul_binomial(x, k).scale(d).shift(1).div_binomial(1, k)
+    def step(t, k):  # (xq)_k (dq)^k / (q)_k
+        return t.apply_ratio(d, 1, ((x, k),), ((1, k),))
 
     return term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
 
@@ -109,10 +112,9 @@ def _r23() -> Identity:
         d = env.get("d")
 
         def step(t, n):  # (-d)^{n-1} (q/d)_{n-1} q^{n(n+1)/2} / (q)_n^2
-            t = t.mul_binomial(1 / d, n - 1).scale(-d).shift(n)
-            return t.div_binomial(1, n).div_binomial(1, n)
+            return t.apply_ratio(-d, n, ((1 / d, n - 1),), ((1, n), (1, n)))
 
-        first = QSeries.monomial(1, 1, T).div_binomial(1, 1).div_binomial(1, 1)
+        first = QSeries.monomial(1, 1, T).apply_ratio(down=((1, 1), (1, 1)))
         total = term_sum(first, step, start=1, weight=times_n)
         return div_poch(total, 1, 1, None)
 
@@ -120,15 +122,14 @@ def _r23() -> Identity:
         d = env.get("d")
 
         def step(t, n):  # q^n (dq)_{n-1} / (q)_n
-            return t.mul_binomial(d, n - 1).shift(1).div_binomial(1, n)
+            return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
 
         first = QSeries.monomial(1, 1, T).div_binomial(1, 1)
         head = div_poch(term_sum(first, step, start=1, weight=times_n), 1, 1, None)
 
-        def inner(j):  # sum_{n=1}^{j} q^n / ((1 - d q^n)(1 - q^n))
-            return q_power_sum(T, j, lambda t, n: t.div_binomial(d, n).div_binomial(1, n))
-
-        tail = _square_sum(T, inner) * poch(d, 1, None, T)
+        # the inner sum is sum_{n=1}^{j} q^n / ((1 - d q^n)(1 - q^n))
+        tail = _square_sum(T, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
+        tail = tail * poch(d, 1, None, T)
         return head - div_poch(tail, 1, 1, None)
 
     return Identity(
@@ -196,19 +197,16 @@ def _r24() -> Identity:
 def _r25() -> Identity:
     def lhs(env, N, T):
         def step(t, n):  # (-q)_{n-1} q^{n(n+1)/2} / (q)_n^2
-            t = t.mul_binomial(-1, n - 1).shift(n)
-            return t.div_binomial(1, n).div_binomial(1, n)
+            return t.apply_ratio(1, n, ((-1, n - 1),), ((1, n), (1, n)))
 
-        first = QSeries.monomial(1, 1, T).div_binomial(1, 1).div_binomial(1, 1)
+        first = QSeries.monomial(1, 1, T).apply_ratio(down=((1, 1), (1, 1)))
         return term_sum(first, step, start=1, weight=times_n)
 
     def rhs(env, N, T):
         head = overlined_largest_series(T)
 
-        def inner(j):  # sum_{n=1}^{j} q^n / (1 - q^{2n})
-            return q_power_sum(T, j, lambda t, n: t.div_binomial(1, 2 * n))
-
-        return head - poch(-1, 1, None, T) * _square_sum(T, inner)
+        # the inner sum is sum_{n=1}^{j} q^n / (1 - q^{2n})
+        return head - poch(-1, 1, None, T) * _square_sum(T, lambda t, n: t.div_binomial(1, 2 * n))
 
     return Identity(
         id="R25",
@@ -229,7 +227,7 @@ def _r26() -> Identity:
         d = env.get("d")
 
         def step(t, n):  # (-1)^{n-1} (-1/d)_n d^n q^{n(n+1)/2} / (q^2;q^2)_n
-            return t.mul_binomial(-1 / d, n - 1).scale(-d).shift(n).div_binomial(1, 2 * n)
+            return t.apply_ratio(-d, n, ((-1 / d, n - 1),), ((1, 2 * n),))
 
         head = term_sum(step(-QSeries.one(T), 1), step, start=1, weight=times_n)
         prefactor = poch(-1 / d, 0, None, T) * poch(d, 1, None, T)
@@ -269,11 +267,10 @@ def _r27() -> Identity:
 
         # the bracket (-q)_n/(q)_n - 1 splits the sum in two term-ratio sums
         def with_bracket(t, n):  # q^{n(n+1)/2} (-q)_n / (q)_n^2
-            t = t.shift(n).mul_binomial(-1, n)
-            return t.div_binomial(1, n).div_binomial(1, n)
+            return t.apply_ratio(1, n, ((-1, n),), ((1, n), (1, n)))
 
         def without(t, n):  # q^{n(n+1)/2} / (q)_n
-            return t.shift(n).div_binomial(1, n)
+            return t.apply_ratio(1, n, down=((1, n),))
 
         one = QSeries.one(T)
         tail = term_sum(with_bracket(one, 1), with_bracket, start=1, weight=div_q_n)
@@ -285,7 +282,7 @@ def _r27() -> Identity:
         ratio = div_poch(poch(1, 1, None, T), -1, 1, None)
 
         def step(t, n):  # (-q)_n q^n / (q)_n
-            return t.mul_binomial(-1, n).shift(1).div_binomial(1, n)
+            return t.apply_ratio(1, 1, ((-1, n),), ((1, n),))
 
         tail = term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
         return (
@@ -314,10 +311,10 @@ def _r28() -> Identity:
         d = env.get("d")
 
         def first(t, n):  # (-1)^{n-1} d^n q^{n(n+1)/2} / (q)_n
-            return t.scale(-d).shift(n).div_binomial(1, n)
+            return t.apply_ratio(-d, n, down=((1, n),))
 
         def second(t, n):  # d^n q^{n(n+1)} / ((q)_n (dq)_n)
-            return t.scale(d).shift(2 * n).div_binomial(1, n).div_binomial(d, n)
+            return t.apply_ratio(d, 2 * n, down=((1, n), (d, n)))
 
         one = QSeries.one(T)
         head = term_sum(first(-one, 1), first, start=1, weight=times_n)
@@ -328,7 +325,7 @@ def _r28() -> Identity:
         d = env.get("d")
 
         def step(t, n):  # (dq)^n / (q)_n
-            return t.scale(d).shift(1).div_binomial(1, n)
+            return t.apply_ratio(d, 1, down=((1, n),))
 
         return term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
 
@@ -380,10 +377,10 @@ def _r29() -> Identity:
 def _r30() -> Identity:
     def lhs(env, N, T):
         def first(t, n):  # q^{n(n+1)/2} / (q)_n
-            return t.shift(n).div_binomial(1, n)
+            return t.apply_ratio(1, n, down=((1, n),))
 
         def second(t, n):  # (-1)^n q^{n(n+1)} / (q^2;q^2)_n
-            return t.scale(-1).shift(2 * n).div_binomial(1, 2 * n)
+            return t.apply_ratio(-1, 2 * n, down=((1, 2 * n),))
 
         one = QSeries.one(T)
         head = term_sum(first(one, 1), first, start=1, weight=times_n)
@@ -392,7 +389,7 @@ def _r30() -> Identity:
 
     def rhs(env, N, T):
         def step(t, n):  # (-q)^n / (q)_n
-            return t.scale(-1).shift(1).div_binomial(1, n)
+            return t.apply_ratio(-1, 1, down=((1, n),))
 
         return term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
 
@@ -415,29 +412,24 @@ def _r31() -> Identity:
         c = env.get("c")
 
         def first(t, n):  # c^n q^{n^2} / ((q)_n (cq)_n)
-            return t.scale(c).shift(2 * n - 1).div_binomial(1, n).div_binomial(c, n)
+            return t.apply_ratio(c, 2 * n - 1, down=((1, n), (c, n)))
 
         one = QSeries.one(T)
         head = term_sum(first(one, 1), first, start=1, weight=times_n)
 
-        # The j = 0 term q^{k^2}/(cq)_k of the inner sum rides on the outer
-        # term; the inner sum is then its ratio to that term,
-        # sum_{j>=0} c^j q^{j^2+2jk} / ((cq^{k+1})_j (q)_j).
-        def inner(k):
-            def step(u, j):
-                return u.scale(c).shift(2 * (j + k) - 1).div_binomial(c, j + k).div_binomial(1, j)
-
-            return term_sum(one, step)
-
         def second(t, k):  # (-c)^k q^{k(k+1)/2} q^{k^2} / ((q)_k (cq)_k)
-            return t.scale(-c).shift(3 * k - 1).div_binomial(1, k).div_binomial(c, k)
+            return t.apply_ratio(-c, 3 * k - 1, down=((1, k), (c, k)))
 
-        block = term_sum(
-            second(one, 1),
-            second,
-            start=1,
-            weight=lambda t, k: t.div_binomial(1, k) * inner(k),
-        )
+        # The j = 0 term q^{k^2}/(cq)_k of the inner sum rides on the outer
+        # term, so the inner sum starts from it, t / (1 - q^k), and its
+        # terms are the ratios c^j q^{j^2+2jk} / ((cq^{k+1})_j (q)_j).
+        def weight(t, k):
+            def inner(u, j):
+                return u.apply_ratio(c, 2 * (j + k) - 1, down=((c, j + k), (1, j)))
+
+            return term_sum(t.div_binomial(1, k), inner)
+
+        block = term_sum(second(one, 1), second, start=1, weight=weight)
         return head - block
 
     def rhs(env, N, T):
@@ -445,7 +437,7 @@ def _r31() -> Identity:
         inv_cq = div_poch(QSeries.one(T), c, 1, None)
 
         def step(t, k):  # (-c)^k q^{k(k+3)/2} / (q)_k
-            return t.scale(-c).shift(k + 1).div_binomial(1, k)
+            return t.apply_ratio(-c, k + 1, down=((1, k),))
 
         tail = term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
         return inv_cq - QSeries.one(T) - inv_cq * tail
@@ -472,8 +464,7 @@ def _r32() -> Identity:
         c, d = env.get("c"), env.get("d")
 
         def step(t, n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n)
-            t = t.mul_binomial(c / d, n - 1).scale(-d).shift(n)
-            return t.div_binomial(1, n).div_binomial(c, n)
+            return t.apply_ratio(-d, n, ((c / d, n - 1),), ((1, n), (c, n)))
 
         head = term_sum(step(-QSeries.one(T), 1), step, start=1, weight=times_n)
         head = div_poch(head, 1, 1, None)
@@ -514,13 +505,11 @@ def _r32() -> Identity:
 
 def _r36() -> Identity:
     def lhs(env, N, T):
-        def inner(j):  # sum_{n=1}^{j} q^n / ((1 - q^{n+1})(1 - q^n))
-            return q_power_sum(T, j, lambda t, n: t.div_binomial(1, n + 1).div_binomial(1, n))
-
-        return _square_sum(T, inner)
+        # the inner sum is sum_{n=1}^{j} q^n / ((1 - q^{n+1})(1 - q^n))
+        return _square_sum(T, lambda t, n: t.apply_ratio(down=((1, n + 1), (1, n))))
 
     def rhs(env, N, T):
-        t = QSeries.monomial(1, 2, T).div_binomial(1, 1).div_binomial(1, 1)
+        t = QSeries.monomial(1, 2, T).apply_ratio(down=((1, 1), (1, 1)))
         return div_poch(t, 1, 1, None)
 
     return Identity(

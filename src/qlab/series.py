@@ -17,17 +17,20 @@ rational per coefficient operation.  Fractions appear only at the
 boundary: the constructor takes them, and ``coeffs``, indexing and
 ``constant_term`` return them.
 
-Multiplication and division by a single Pochhammer factor (1 - c*q^e)
-have dedicated O(T) paths.  For c = p/q, multiplication gives
-``q*a[n] - p*a[n-e]`` over ``_den*q``.  Division solves
+One kernel, ``apply_ratio``, multiplies a series by a term ratio: a
+scalar, a power of q, and Pochhammer factors (1 - c*q^e) above and below.
+It applies every factor to one list of int numerators in O(T) each and
+reduces once at the end.  For c = p/q, a factor above gives
+``q*a[n] - p*a[n-e]`` over ``_den*q``.  A factor below solves
 b = a + (p/q) q^e b with K = T // e as ``b[n] = q^K*a[n] + p*(b[n-e] // q)``
-over ``_den*q^K``.  The floor division there is exact: unrolled,
+over ``_den*q^K``.  The floor division there is exact for any int
+numerators a, reduced or not: unrolled,
 ``b[m] = sum_{k <= m//e} p^k q^(K-k) a[m-ke]``, so ``b[m]`` is divisible
 by ``q^(K - m//e)``, and for m = n-e that exponent is at least 1 because
-(n-e)//e < K.  q-Pochhammer symbols and Gaussian binomials are built on
-top of these paths, and so is term_sum, the one summation primitive:
-each term of a basic hypergeometric sum is the previous term times a few
-such factors.
+(n-e)//e < K.  Multiplication and division by one factor, q-Pochhammer
+symbols, and every step of term_sum, the one summation primitive, are
+single calls of this kernel: each term of a basic hypergeometric sum is
+the previous term times its ratio.
 Values are immutable and safe to share between workers.
 """
 
@@ -250,46 +253,70 @@ class QSeries:
         nums = [scale * cn * pw for cn, pw in zip(c, reversed(powers[: t + 1]))]
         return _reduced(nums, abs(den))
 
-    # -- single-factor fast paths --------------------------------------
+    # -- the term-ratio kernel ------------------------------------------
+
+    def apply_ratio(
+        self,
+        scalar: Scalar = 1,
+        shift: int = 0,
+        up: Iterable[Tuple[Scalar, int]] = (),
+        down: Iterable[Tuple[Scalar, int]] = (),
+    ) -> "QSeries":
+        """self * scalar * q^shift * prod_up (1 - c q^e) / prod_down (1 - c q^e)
+        in O(T) per factor, reduced once at the end; see the module
+        docstring for the recurrences and why their floor division is exact.
+        A factor with e > T is 1 to the truncation order."""
+        if shift < 0:
+            raise ValueError("q-exponent must be non-negative")
+        size = len(self._nums)
+        p, den = _ratio(scalar)
+        head = self._nums[: max(size - shift, 0)] if p else ()
+        a = [0] * (size - len(head)) + (list(head) if p == 1 else [p * x for x in head])
+        den *= self._den
+        for c, e in up:
+            if e < 0:
+                raise ValueError("q-exponent must be non-negative")
+            p, q = c.numerator, c.denominator
+            if p == 0 or e >= size:
+                continue
+            den *= q
+            if e == 0:
+                a = [(q - p) * x for x in a]
+            elif q == 1:
+                a = a[:e] + list(map(sub, a[e:], a if p == 1 else map(p.__mul__, a)))
+            else:
+                a = [q * x for x in a[:e]] + [q * x - p * y for x, y in zip(a[e:], a)]
+        for c, e in down:
+            if e < 0:
+                raise ValueError("q-exponent must be non-negative")
+            p, q = c.numerator, c.denominator
+            if e == 0:
+                if p == q:
+                    raise ZeroConstantTermError("division by (1 - c) with c = 1")
+                if p:
+                    a = [q * x for x in a] if q > p else [-q * x for x in a]
+                    den *= abs(q - p)
+                continue
+            if p == 0 or e >= size:
+                continue
+            if q == 1:
+                for n in range(e, size):
+                    a[n] += p * a[n - e]
+            else:
+                qk = q ** ((size - 1) // e)
+                a = [qk * x for x in a]
+                for n in range(e, size):
+                    a[n] += p * (a[n - e] // q)
+                den *= qk
+        return _reduced(a, den)
 
     def mul_binomial(self, coeff: Scalar, exp: int) -> "QSeries":
-        """self * (1 - coeff*q^exp) in O(T)."""
-        p, q = _ratio(coeff)
-        if p == 0 or exp > self.order:
-            return self
-        if exp < 0:
-            raise ValueError("q-exponent must be non-negative")
-        if exp == 0:
-            return self._scaled(q - p, q)
-        a = self._nums
-        head = a if q == 1 else list(map(q.__mul__, a))
-        out = list(head[:exp])
-        out += map(sub, head[exp:], map(p.__mul__, a))
-        return _reduced(out, self._den * q)
+        """self * (1 - coeff*q^exp)."""
+        return self.apply_ratio(up=((coeff, exp),))
 
     def div_binomial(self, coeff: Scalar, exp: int) -> "QSeries":
-        """self / (1 - coeff*q^exp) in O(T); see the module docstring for
-        why the floor division is exact."""
-        p, q = _ratio(coeff)
-        if p == 0 or exp > self.order:
-            return self
-        if exp < 0:
-            raise ValueError("q-exponent must be non-negative")
-        if exp == 0:
-            if p == q:
-                raise ZeroConstantTermError("division by (1 - c) with c = 1")
-            return self._scaled(q, q - p) if q > p else self._scaled(-q, p - q)
-        t = self.order
-        if q == 1:
-            out = list(self._nums)
-            for n in range(exp, t + 1):
-                out[n] += p * out[n - exp]
-            return _reduced(out, self._den)
-        qk = q ** (t // exp)
-        out = list(map(qk.__mul__, self._nums))
-        for n in range(exp, t + 1):
-            out[n] += p * (out[n - exp] // q)
-        return _reduced(out, self._den * qk)
+        """self / (1 - coeff*q^exp)."""
+        return self.apply_ratio(down=((coeff, exp),))
 
     # -- comparison & display -------------------------------------------
 
@@ -331,28 +358,22 @@ def poch(coeff: Scalar, exp: int, n: Optional[int], order: int) -> QSeries:
     n = None means the infinite product; factors with e+k > order are
     identically 1 + O(q^{order+1}) and are skipped either way.
     """
-    if exp < 0:
-        raise ValueError("q-exponent must be non-negative")
-    if n is not None and n < 0:
-        raise ValueError("Pochhammer length must be non-negative")
-    result = QSeries.one(order)
-    k = 0
-    while (n is None or k < n) and exp + k <= order:
-        result = result.mul_binomial(coeff, exp + k)
-        k += 1
-    return result
+    return QSeries.one(order).apply_ratio(up=_poch_factors(coeff, exp, n, order))
 
 
 def div_poch(s: QSeries, coeff: Scalar, exp: int, n: Optional[int]) -> QSeries:
     """s / (c*q^e; q)_n, with the same truncation conventions as poch."""
+    return s.apply_ratio(down=_poch_factors(coeff, exp, n, s.order))
+
+
+def _poch_factors(coeff: Scalar, exp: int, n: Optional[int], order: int) -> list:
+    """The factors (c, e + k) of (c*q^e; q)_n that are not 1 to `order`."""
     if exp < 0:
         raise ValueError("q-exponent must be non-negative")
-    order = s.order
-    k = 0
-    while (n is None or k < n) and exp + k <= order:
-        s = s.div_binomial(coeff, exp + k)
-        k += 1
-    return s
+    if n is not None and n < 0:
+        raise ValueError("Pochhammer length must be non-negative")
+    top = order + 1 if n is None else min(exp + n, order + 1)
+    return [(coeff, e) for e in range(exp, top)]
 
 
 # -- Gaussian binomials ---------------------------------------------------
@@ -416,12 +437,17 @@ def term_sum(
 
     A basic hypergeometric sum has this shape: each term is the previous
     one times a scalar, a power of q and a few factors (1 - c q^e)
-    (Gasper-Rahman, Basic Hypergeometric Series, section 1.2), so a step
-    costs O(T) where rebuilding the n-th term from scratch costs O(nT).
-    A per-index factor that is not a ratio goes into weight, which must be
-    linear in t (weight(0, n) = 0).  A sum from n = 1 usually starts from
-    first = step(t_0, 1), with t_0 the term's value at n = 0: -1 for a
-    sign (-1)^(n-1), and factors indexed by n - 1 skipped in that step.
+    (Gasper-Rahman, Basic Hypergeometric Series, section 1.2), so a QSeries
+    step is one ``t.apply_ratio(scalar, shift, up, down)`` call and costs
+    O(T) per factor where rebuilding the n-th term from scratch costs
+    O(nT).  A per-index factor that is not a ratio goes into weight, which
+    must be linear in t (weight(0, n) = 0).  A sum from n = 1 usually
+    starts from first = step(t_0, 1), with t_0 the term's value at n = 0:
+    -1 for a sign (-1)^(n-1), and factors indexed by n - 1 skipped in that
+    step.  A nested sum whose inner sum is a weight starts that inner sum
+    from the outer term t, as term_sum(t * (inner first term), ...), so
+    no full product runs per outer index and the inner terms vanish to
+    order T as soon as their product with t does.
 
     Stopping: the sum ends after n = stop, or at the first t_n that is
     zero to the truncation order T.  The second rule is exact because
@@ -493,20 +519,13 @@ def phi_series(
     def step(term: QSeries, k: int) -> QSeries:
         # term_k = term_{k-1} * argument * [(-1) q^{k-1}]^weight
         #          * prod(1 - num*q^{k-1}) / (prod(1 - den*q^{k-1}) (1 - q^k))
-        term = term.scale(argument.coeff).shift(argument.exp)
-        if weight > 0:
-            term = term.scale(sign).shift(weight * (k - 1))
-        if term.is_zero():  # the sum ends here; no pole check past its last term
-            return term
-        for mono in numerators:
-            term = term.mul_binomial(mono.coeff, mono.exp + k - 1)
-        for mono in denominators:
-            if mono.exp + k - 1 == 0 and mono.coeff == 1:
-                raise PoleInTermRangeError(
-                    f"denominator factor (1 - q^0) vanishes at k = {k}"
-                )
-            term = term.div_binomial(mono.coeff, mono.exp + k - 1)
-        return term.div_binomial(1, k)
+        scalar, shift = sign * argument.coeff, argument.exp + weight * (k - 1)
+        if any(mono.exp + k == 1 and mono.coeff == 1 for mono in denominators):
+            if term.apply_ratio(scalar, shift).is_zero():
+                return QSeries.zero(order)  # the sum ends here, before the pole
+            raise PoleInTermRangeError(f"denominator factor (1 - q^0) vanishes at k = {k}")
+        up = [(mono.coeff, mono.exp + k - 1) for mono in numerators]
+        down = [(mono.coeff, mono.exp + k - 1) for mono in denominators]
+        return term.apply_ratio(scalar, shift, up, down + [(1, k)])
 
     return term_sum(QSeries.one(order), step)
-

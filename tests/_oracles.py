@@ -7,7 +7,10 @@ factorial polynomials evaluated through Fraction arithmetic.  The
 ``ref_*`` functions are naive per-coefficient Fraction versions of the
 QSeries kernels, and the ``ref_laurent_*`` ones of the LaurentZQSeries
 kernels on per-q-row dicts, with the same truncation and edge-case
-conventions.
+conventions.  The ``ref_*`` nested sums at the end rebuild each inner
+sum from 1 for every outer index and multiply it in by a full product:
+the form that the builders, whose inner sums start from the outer term,
+are checked against.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
+
+from qlab.series import QMonomial, QSeries, div_poch, phi_series, poch, term_sum
 
 
 def pentagonal_coeffs(order: int) -> List[Fraction]:
@@ -207,3 +212,82 @@ def ref_laurent_positive_z_part(a: List[dict]) -> List[dict]:
 
 def ref_laurent_set_z_one(a: List[dict]) -> List[Fraction]:
     return [sum(r.values(), Fraction(0)) for r in a]
+
+
+# -- nested sums in rebuild-and-multiply form --------------------------------
+
+
+def ref_phi_block(c, d, N: int, T: int):
+    """The 2-phi-1 block of R20's right side, each inner 2-phi-1 rebuilt by
+    phi_series and multiplied into its outer term."""
+
+    def step(t, k):  # [N,k] d^k q^{k(k+1)} / (dq)_k
+        t = t.mul_binomial(1, N - k + 1).div_binomial(1, k)
+        return t.scale(d).shift(2 * k).div_binomial(d, k)
+
+    def weight(t, k):
+        numerators = [QMonomial(d, 1), QMonomial(d, N + 1)]
+        inner = phi_series(numerators, [QMonomial(d, k + 1)], QMonomial(c / d, k), T)
+        return t.div_binomial(1, k) * inner
+
+    total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=weight)
+    prefactor = poch(c / d, 0, None, T) * poch(d, 1, None, T)
+    prefactor = div_poch(prefactor, 1, 1, N)
+    prefactor = div_poch(prefactor, c, 1, None)
+    return div_poch(prefactor, d, N + 1, None) * total
+
+
+def _ref_lambert_difference(a, b, c, shift: int, T: int):
+    """sum_{m>=1} (a^m - b^m) / (1 - c q^{m+shift}), summed from 1."""
+
+    def bracket(t, k):  # t (a - b) q^k / ((1 - a q^k)(1 - b q^k))
+        return t.shift(k).scale(a - b).div_binomial(a, k).div_binomial(b, k)
+
+    return term_sum(QSeries.one(T), lambda t, k: t.scale(c).shift(shift), stop=T, weight=bracket)
+
+
+def ref_r02_rhs_nested(a, b, c, T: int):
+    """R02's nested right side, its Lambert sum rebuilt for every n."""
+
+    def step(t, n):  # (c)_n (b/c)^n / (q)_n
+        return t.mul_binomial(c, n - 1).div_binomial(1, n).scale(b / c)
+
+    def weight(t, n):
+        return t * _ref_lambert_difference(a, b, c, n, T)
+
+    total = term_sum(QSeries.one(T), step, weight=weight, tail=b / c)
+    return div_poch(poch(b / c, 0, None, T), b, 0, None) * total
+
+
+def ref_dq_block(d, x, T: int):
+    """sum_{k>=1} d^k q^{k(k+1)} / ((q)_k (dq)_k (1-q^k))
+    * sum_{m>=0} (dq)_m (x q^k)^m / ((dq^{k+1})_m (q)_m), inner sums from 1."""
+
+    def inner(k):
+        def step(u, m):
+            u = u.mul_binomial(d, m).div_binomial(d, k + m).div_binomial(1, m)
+            return u.scale(x).shift(k)
+
+        return term_sum(QSeries.one(T), step)
+
+    def step(t, k):
+        return t.scale(d).shift(2 * k).div_binomial(1, k).div_binomial(d, k)
+
+    def weight(t, k):
+        return t.div_binomial(1, k) * inner(k)
+
+    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=weight)
+
+
+def ref_square_sum(T: int, weight):
+    """sum_{j>=1} q^{j^2} / (q)_j^2 * sum_{n=1}^{j} weight(q^n, n), inner sums
+    from q^1."""
+
+    def inner(j):
+        first = QSeries.monomial(1, 1, T)
+        return term_sum(first, lambda t, n: t.shift(1), start=1, stop=j, weight=weight)
+
+    def step(t, j):
+        return t.shift(2 * j - 1).div_binomial(1, j).div_binomial(1, j)
+
+    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=lambda t, j: t * inner(j))

@@ -19,8 +19,12 @@ from qlab.identities import (
     verify,
 )
 from qlab.identities.common import lambert_bracket
+from qlab.identities.phi_sum import _phi_block_rhs
+from qlab.identities.spt_family import _dq_block, _square_sum
 from qlab.rational import rat
 from qlab.series import QSeries, ZeroConstantTermError
+
+from _oracles import ref_dq_block, ref_phi_block, ref_r02_rhs_nested, ref_square_sum
 
 
 def test_registry_is_complete():
@@ -314,3 +318,40 @@ def test_r24_side_enumerates_the_partitions_of_T_once(monkeypatch, side):
     monkeypatch.setattr(partitions, "partition_tuples", counting)
     build_side(get_identity("R24"), side, ParamEnv(), None, 12)
     assert calls == [(12, (), {})]
+
+
+# -- nested sums that start from their outer term ------------------------------
+
+NESTED_ORDERS = [0, 1, 12, 40]
+
+
+def same_value(x: QSeries, y: QSeries) -> bool:
+    """Equal to the same order, in the same reduced numerators and denominator."""
+    return x.order == y.order and x._nums == y._nums and x._den == y._den
+
+
+@pytest.mark.parametrize("T", NESTED_ORDERS)
+def test_phi_block_equals_its_rebuild_and_multiply_form(T):
+    for c, d in ((rat(-7, 9), rat(5, 8)), (rat(2), rat(-1, 3))):
+        env = ParamEnv(c=c, d=d)
+        for N in range(1, 7):
+            assert same_value(_phi_block_rhs(env, N, T), ref_phi_block(c, d, N, T))
+
+
+@pytest.mark.parametrize("T", NESTED_ORDERS)
+def test_r02_nested_side_equals_its_rebuild_and_multiply_form(T):
+    identity = get_identity("R02")
+    for a, b, c in ((rat(1, 2), rat(-1, 3), rat(3, 5)), (rat(1, 2), rat(-7, 3), rat(2, 5))):
+        side = build_side(identity, "rhs_nested", ParamEnv(a=a, b=b, c=c), None, T)
+        assert same_value(side, ref_r02_rhs_nested(a, b, c, T))
+
+
+@pytest.mark.parametrize("T", NESTED_ORDERS)
+def test_double_sums_equal_their_rebuild_and_multiply_forms(T):
+    for d, x in ((rat(5, 8), rat(-7, 5)), (rat(-2), rat(1, 2))):
+        assert same_value(_dq_block(d, x, T), ref_dq_block(d, x, T))
+    for weight in (
+        lambda t, n: t.div_binomial(rat(3, 4), n).div_binomial(1, n),
+        lambda t, n: t.div_binomial(1, 2 * n),
+    ):
+        assert same_value(_square_sum(T, weight), ref_square_sum(T, weight))

@@ -435,8 +435,43 @@ def test_first_difference_matches_reference(a, tail, k):
     assert (x == y) == (expected is None)
 
 
+factors = st.lists(st.tuples(scalars, exponents), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, scalars, st.one_of(st.just(0), exponents), factors, factors)
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 0, 0, [(2, 1)], [(Fraction(1, 3), 1)])
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], Fraction(-7, 3), 3, [], [(3, 1)])
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 1, 0, [(1, 0)], [(1, 1)])
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 2, 0, [(-3, 0)], [(Fraction(7, 3), 0)])
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 1, 1, [(Fraction(5, 2), 9)], [(-2, 4)])
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 1, 0, [(2, 2)], [(Fraction(3, 4), 2)])
+@example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 0, 1, [], [(1, 0)])
+def test_apply_ratio_matches_reference(a, scalar, shift, up, down):
+    # the reference applies the scalar, the shift and each factor in turn
+    expected = ref_shift(ref_scale(a, Fraction(scalar)), shift)
+    for c, e in up:
+        expected = ref_mul_binomial(expected, Fraction(c), e)
+    x = QSeries(a)
+    if (1, 0) in down:
+        with pytest.raises(ZeroConstantTermError):
+            x.apply_ratio(scalar, shift, up, down)
+        return
+    for c, e in down:
+        expected = ref_div_binomial(expected, Fraction(c), e)
+    assert as_fractions(x.apply_ratio(scalar, shift, up, down)) == expected
+
+
 def test_binomial_kernels_reject_negative_exponent():
-    with pytest.raises(ValueError):
-        qs(1, 2).mul_binomial(1, -1)
-    with pytest.raises(ValueError):
-        qs(1, 2).div_binomial(1, -1)
+    # for every coefficient, including c = 0, whose factor would be 1
+    x = qs(1, 2)
+    for coeff in (0, 1, rat(-1, 2)):
+        for call in (
+            lambda: x.mul_binomial(coeff, -1),
+            lambda: x.div_binomial(coeff, -1),
+            lambda: x.apply_ratio(coeff, -1),
+            lambda: x.apply_ratio(up=((1, 1), (coeff, -1))),
+            lambda: x.apply_ratio(down=((coeff, -1),)),
+        ):
+            with pytest.raises(ValueError):
+                call()
