@@ -17,15 +17,14 @@ with the instances 0 <= n <= N combined through a free weight parameter.
 
 from __future__ import annotations
 
-from ..series import QMonomial, QSeries, div_poch, phi_series, poch, term_sum
+from ..series import QMonomial, QSeries, div_poch, phi_series, poch, poch_ratio, term_sum
 from .common import (
     all_nonzero,
     distinct,
     div_q_n,
     domain_all,
     inside_unit,
-    nonzero,
-    not_one,
+    not_value,
     q_power_sum,
     rules,
     times_n,
@@ -57,10 +56,7 @@ def _r37() -> Identity:
         g2 = A / E
         de_bc = D * E / (B * C)
         inner = _phi43_sum((A, D / B, D / C), (D, de_bc), g2, N, T)
-        prefactor = poch(E / A, 0, N, T) * poch(de_bc, 0, N, T)
-        prefactor = div_poch(prefactor, E, 0, N)
-        prefactor = div_poch(prefactor, 1 / g, 0, N)
-        return prefactor * inner
+        return poch_ratio(inner, up=((E / A, 0, N), (de_bc, 0, N)), down=((E, 0, N), (1 / g, 0, N)))
 
     return Identity(
         id="R37",
@@ -75,13 +71,13 @@ def _r37() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("a", "the balancing ratio needs A != 0"),
-            nonzero("b", "the balancing ratio needs B != 0"),
-            nonzero("c", "the balancing ratio needs C != 0"),
-            nonzero("d", "the balancing ratio needs D != 0"),
-            nonzero("z", "the balancing ratio needs E != 0"),
-            not_one("d", "(D)_n in a denominator vanishes"),
-            not_one("z", "(E)_N in a denominator vanishes"),
+            not_value("a", 0, "the balancing ratio needs A != 0"),
+            not_value("b", 0, "the balancing ratio needs B != 0"),
+            not_value("c", 0, "the balancing ratio needs C != 0"),
+            not_value("d", 0, "the balancing ratio needs D != 0"),
+            not_value("z", 0, "the balancing ratio needs E != 0"),
+            not_value("d", 1, "(D)_n in a denominator vanishes"),
+            not_value("z", 1, "(E)_N in a denominator vanishes"),
             _sears_g_not_one,
             _sears_g2_not_one,
             _sears_debc_not_one,
@@ -158,10 +154,8 @@ def _r39() -> Identity:
             return t.apply_ratio(c / b, 0, up, ((b * t_par, n - 1), (1, n), (c / b, N - n)))
 
         total = term_sum(QSeries.one(T), step, stop=N)
-        prefactor = poch(c / b, 0, N, T) * poch(b * t_par, 0, N, T)
-        prefactor = div_poch(prefactor, c, 0, N)
-        prefactor = div_poch(prefactor, t_par, 0, N)
-        return prefactor * total
+        up, down = ((c / b, 0, N), (b * t_par, 0, N)), ((c, 0, N), (t_par, 0, N))
+        return poch_ratio(total, up=up, down=down)
 
     return Identity(
         id="R39",
@@ -177,11 +171,11 @@ def _r39() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("b", "the ratio c/b is undefined"),
-            nonzero("c", "the ratio b/c is undefined"),
-            nonzero("d", "the rewritten lower column (t q^{N-n})_n needs t != 0"),
-            not_one("c", "(c)_n in a denominator vanishes"),
-            not_one("d", "(t)_N and (t q^{N-n})_n in denominators vanish"),
+            not_value("b", 0, "the ratio c/b is undefined"),
+            not_value("c", 0, "the ratio b/c is undefined"),
+            not_value("d", 0, "the rewritten lower column (t q^{N-n})_n needs t != 0"),
+            not_value("c", 1, "(c)_n in a denominator vanishes"),
+            not_value("d", 1, "(t)_N and (t q^{N-n})_n in denominators vanish"),
             _r39_bt_not_one,
             distinct("b", "c", "the rewritten lower column (q^{N-n} c/b)_n hits a zero factor"),
         ),
@@ -215,10 +209,8 @@ def _r40() -> Identity:
             return t.apply_ratio(beta, 0, up, down)
 
         inner = term_sum(QSeries.one(T), step, tail=beta)
-        prefactor = poch(beta, 0, None, T) * poch(alpha * z, 0, None, T)
-        prefactor = div_poch(prefactor, gamma, 0, None)
-        prefactor = div_poch(prefactor, z, 0, None)
-        return prefactor * inner
+        up, down = ((beta, 0, None), (alpha * z, 0, None)), ((gamma, 0, None), (z, 0, None))
+        return poch_ratio(inner, up=up, down=down)
 
     return Identity(
         id="R40",
@@ -231,10 +223,10 @@ def _r40() -> Identity:
         kind=INFINITE,
         sides=(("lhs", _heine_lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("b", "the ratio gamma/beta is undefined"),
-            not_one("b", "the transformed series' geometric tail diverges at beta = 1"),
-            not_one("c", "(gamma)_n in a denominator vanishes"),
-            not_one("d", "(z)_inf in a denominator vanishes and the tail diverges"),
+            not_value("b", 0, "the ratio gamma/beta is undefined"),
+            not_value("b", 1, "the transformed series' geometric tail diverges at beta = 1"),
+            not_value("c", 1, "(gamma)_n in a denominator vanishes"),
+            not_value("d", 1, "(z)_inf in a denominator vanishes and the tail diverges"),
             _r40_alpha_z_not_one,
         ),
         domain=domain_all(
@@ -260,8 +252,7 @@ def _r41() -> Identity:
             QMonomial(beta * z, 0),
             T,
         )
-        prefactor = div_poch(poch(alpha * z, 0, None, T), z, 0, None)
-        return prefactor * inner
+        return poch_ratio(inner, up=((alpha * z, 0, None),), down=((z, 0, None),))
 
     return Identity(
         id="R41",
@@ -275,9 +266,9 @@ def _r41() -> Identity:
         kind=INFINITE,
         sides=(("lhs", _heine_lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("b", "the ratio gamma/beta is undefined"),
-            not_one("c", "(gamma)_n in a denominator vanishes"),
-            not_one("d", "(z)_inf in a denominator vanishes and the tail diverges"),
+            not_value("b", 0, "the ratio gamma/beta is undefined"),
+            not_value("c", 1, "(gamma)_n in a denominator vanishes"),
+            not_value("d", 1, "(z)_inf in a denominator vanishes and the tail diverges"),
             _r40_alpha_z_not_one,
         ),
         domain=domain_all(inside_unit("d"), all_nonzero("b", "d")),
@@ -335,8 +326,8 @@ def _r43() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("a", "the quotient argument q/x is undefined"),
-            not_one("a", "(x)_n in a denominator vanishes and x/(1-x) has a pole"),
+            not_value("a", 0, "the quotient argument q/x is undefined"),
+            not_value("a", 1, "(x)_n in a denominator vanishes and x/(1-x) has a pole"),
         ),
         domain=all_nonzero("a"),
     )
@@ -353,7 +344,7 @@ def _r44() -> Identity:
         def step(t, n):  # q^n (q^{n+1})_inf / (d q^n)_inf
             return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
 
-        first = div_poch(poch(1, 2, None, T).shift(1), d, 1, None)
+        first = poch_ratio(QSeries.monomial(1, 1, T), up=((1, 2, None),), down=((d, 1, None),))
         return term_sum(first, step, start=1, weight=times_n)
 
     return Identity(
@@ -381,8 +372,8 @@ def _r45() -> Identity:
 
     def rhs(env, N, T):
         d = env.get("d")
-        ratio = div_poch(poch(1, 1, None, T), d, 1, None)
-        return (QSeries.one(T) - ratio).scale(1 / (1 - d))
+        one = QSeries.one(T)
+        return (one - poch_ratio(one, up=((1, 1, None),), down=((d, 1, None),))).scale(1 / (1 - d))
 
     return Identity(
         id="R45",
@@ -395,8 +386,8 @@ def _r45() -> Identity:
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("d", "the quotient argument q/d is undefined"),
-            not_one("d", "the prefactor 1/(1-d) has a pole"),
+            not_value("d", 0, "the quotient argument q/d is undefined"),
+            not_value("d", 1, "the prefactor 1/(1-d) has a pole"),
         ),
         domain=all_nonzero("d"),
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..rational import Rat
-from ..series import QSeries, term_sum
+from ..series import QSeries, Scalar, term_sum
 from .model import ParamEnv
 
 
@@ -51,25 +51,7 @@ def rules(*parts: Rule) -> Callable[[ParamEnv], Optional[str]]:
     return constraint
 
 
-def nonzero(name: str, why: str) -> Rule:
-    def rule(env: ParamEnv) -> Optional[str]:
-        if env.get(name) == 0:
-            return f"{name} = 0: {why}"
-        return None
-
-    return rule
-
-
-def not_one(name: str, why: str) -> Rule:
-    def rule(env: ParamEnv) -> Optional[str]:
-        if env.get(name) == 1:
-            return f"{name} = 1: {why}"
-        return None
-
-    return rule
-
-
-def not_value(name: str, value: Rat, why: str) -> Rule:
+def not_value(name: str, value: Scalar, why: str) -> Rule:
     def rule(env: ParamEnv) -> Optional[str]:
         if env.get(name) == value:
             return f"{name} = {value}: {why}"

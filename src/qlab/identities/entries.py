@@ -7,15 +7,14 @@ coefficient, which the stabilization tests exercise separately.
 
 from __future__ import annotations
 
-from ..series import QSeries, div_poch, poch, term_sum
+from ..series import QSeries, div_poch, poch, poch_ratio, term_sum
 from .common import (
     all_nonzero,
     div_q_n,
     domain_all,
     inside_unit,
     lambert_bracket,
-    nonzero,
-    not_one,
+    not_value,
     q_power_sum,
     rules,
     times_n,
@@ -68,8 +67,8 @@ def _r10() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("a", "the quotient argument -b/a is undefined"),
-            nonzero("b", "the quotient argument -a/b is undefined"),
+            not_value("a", 0, "the quotient argument -b/a is undefined"),
+            not_value("b", 0, "the quotient argument -a/b is undefined"),
         ),
         domain=all_nonzero("a", "b"),
     )
@@ -83,7 +82,7 @@ def _r11() -> Identity:
             return t.apply_ratio(a, 2 * n - 1, ((1, N - n + 1),), ((1, n), (a, n)))
 
         total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=times_n)
-        return total * poch(a, 1, N, T)
+        return poch_ratio(total, up=((a, 1, N),))
 
     def rhs(env, N, T):
         a = env.get("a")
@@ -139,9 +138,9 @@ def _r12() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("a", "the quotient argument b/a is undefined"),
-            not_one("a", "(a)_N in a denominator vanishes and the tail diverges"),
-            not_one("b", "(b)_n in a denominator vanishes and the tail diverges"),
+            not_value("a", 0, "the quotient argument b/a is undefined"),
+            not_value("a", 1, "(a)_N in a denominator vanishes and the tail diverges"),
+            not_value("b", 1, "(b)_n in a denominator vanishes and the tail diverges"),
         ),
         domain=domain_all(inside_unit("a", "b"), all_nonzero("a")),
     )
@@ -179,11 +178,11 @@ def _r14() -> Identity:
         a = env.get("a")
 
         def step(t, n):  # [N,n] (q)_n (q)_{n-1} (a)_{N-n} a^n / (a)_n
-            # (q)_{n-1} is an empty product at n = 1
-            up = ((1, N - n + 1), (1, n - 1)) if n > 1 else ((1, N),)
-            return t.apply_ratio(a, 0, up, ((a, N - n), (a, n - 1)))
+            return t.apply_ratio(a, 0, ((1, N - n + 1), (1, n - 1)), ((a, N - n), (a, n - 1)))
 
-        total = term_sum(step(poch(a, 0, N, T), 1), step, start=1, stop=N, weight=div_q_n)
+        # n = 1, where (q)_{n-1} is an empty product: (1 - q^N) (a)_{N-1} a / (1 - a)
+        first = poch(a, 0, N - 1, T).apply_ratio(a, 0, ((1, N),), ((a, 0),))
+        total = term_sum(first, step, start=1, stop=N, weight=div_q_n)
         return div_poch(total, a, 0, N)
 
     def rhs(env, N, T):
@@ -200,7 +199,7 @@ def _r14() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            not_one("a", "(a)_n in a denominator vanishes and a/(1-a)^2 has a pole"),
+            not_value("a", 1, "(a)_n in a denominator vanishes and a/(1-a)^2 has a pole"),
         ),
         domain=all_nonzero("a"),
     )
@@ -209,7 +208,7 @@ def _r14() -> Identity:
 def _r15() -> Identity:
     def lhs(env, N, T):
         a, b = env.get("a"), env.get("b")
-        return poch(-a, 1, None, T) * div_poch(QSeries.one(T), b, 1, None)
+        return poch_ratio(QSeries.one(T), up=((-a, 1, None),), down=((b, 1, None),))
 
     def rhs(env, N, T):
         a, b = env.get("a"), env.get("b")
@@ -229,7 +228,7 @@ def _r15() -> Identity:
         params=("a", "b"),
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
-        constraint=rules(nonzero("a", "the quotient argument -b/a is undefined")),
+        constraint=rules(not_value("a", 0, "the quotient argument -b/a is undefined")),
         domain=all_nonzero("a", "b"),
     )
 
@@ -242,7 +241,7 @@ def _r16() -> Identity:
             return t.apply_ratio(a, 2 * n - 1, down=((1, n), (a, n)))
 
         total = term_sum(step(QSeries.one(T), 1), step, start=1, weight=times_n)
-        return total * poch(a, 1, None, T)
+        return poch_ratio(total, up=((a, 1, None),))
 
     def rhs(env, N, T):
         a = env.get("a")
@@ -341,7 +340,7 @@ def _r19() -> Identity:
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            not_one("a", "(a)_n in a denominator vanishes and the tails diverge"),
+            not_value("a", 1, "(a)_n in a denominator vanishes and the tails diverge"),
         ),
         domain=domain_all(inside_unit("a"), all_nonzero("a")),
     )

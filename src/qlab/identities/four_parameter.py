@@ -25,15 +25,14 @@ forms are the values of the sums.
 
 from __future__ import annotations
 
-from ..series import QSeries, div_poch, poch, term_sum
+from ..series import QSeries, div_poch, poch, poch_ratio, term_sum
 from .common import (
     all_nonzero,
     distinct,
     domain_all,
     inside_unit,
     lambert_bracket,
-    nonzero,
-    not_one,
+    not_value,
     rules,
 )
 from .model import FINITE, INFINITE, Identity, ParamEnv
@@ -104,9 +103,9 @@ def _r01() -> Identity:
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("a", "the quotient argument b/a is undefined"),
-            not_one("a", "the geometric tail in a diverges"),
-            not_one("b", "(b)_n in a denominator vanishes, as does the tail in b"),
+            not_value("a", 0, "the quotient argument b/a is undefined"),
+            not_value("a", 1, "the geometric tail in a diverges"),
+            not_value("b", 1, "(b)_n in a denominator vanishes, as does the tail in b"),
         ),
         domain=domain_all(inside_unit("a", "b"), all_nonzero("a")),
     )
@@ -141,8 +140,7 @@ def _r02() -> Identity:
             weight=lambda t, n: _lambert_difference(t, a, b, c, n),
             tail=b / c,
         )
-        prefactor = div_poch(poch(b / c, 0, None, T), b, 0, None)
-        return prefactor * total
+        return poch_ratio(total, up=((b / c, 0, None),), down=((b, 0, None),))
 
     return Identity(
         id="R02",
@@ -157,10 +155,10 @@ def _r02() -> Identity:
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs), ("rhs_nested", rhs_nested)),
         constraint=rules(
-            nonzero("a", "the quotient argument b/a is undefined"),
-            nonzero("c", "the quotient argument b/c is undefined"),
-            not_one("a", "the geometric tail in a diverges"),
-            not_one("b", "(b)_n in a denominator vanishes"),
+            not_value("a", 0, "the quotient argument b/a is undefined"),
+            not_value("c", 0, "the quotient argument b/c is undefined"),
+            not_value("a", 1, "the geometric tail in a diverges"),
+            not_value("b", 1, "(b)_n in a denominator vanishes"),
             distinct("b", "c", "the outer geometric tail in b/c diverges"),
         ),
         domain=domain_all(
@@ -213,10 +211,10 @@ def _r03() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("a", "the quotient argument b/a is undefined"),
-            nonzero("c", "the quotient argument b/c is undefined"),
-            not_one("a", "(a)_N in a denominator vanishes"),
-            not_one("b", "(b)_n in a denominator vanishes"),
+            not_value("a", 0, "the quotient argument b/a is undefined"),
+            not_value("c", 0, "the quotient argument b/c is undefined"),
+            not_value("a", 1, "(a)_N in a denominator vanishes"),
+            not_value("b", 1, "(b)_n in a denominator vanishes"),
         ),
         domain=all_nonzero("a", "b", "c"),
     )
@@ -258,10 +256,10 @@ def _r04() -> Identity:
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("a", "the quotient argument b/a is undefined"),
-            nonzero("d", "the quotient argument c/d is undefined"),
-            nonzero("c", "the quotient argument bd/c is undefined"),
-            not_one("b", "(b)_n in a denominator vanishes"),
+            not_value("a", 0, "the quotient argument b/a is undefined"),
+            not_value("d", 0, "the quotient argument c/d is undefined"),
+            not_value("c", 0, "the quotient argument bd/c is undefined"),
+            not_value("b", 1, "(b)_n in a denominator vanishes"),
             _ad_not_one,
             _ad_not_b,
         ),
@@ -315,10 +313,10 @@ def _r05() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("a", "the quotient argument b/a is undefined"),
-            nonzero("d", "the quotient argument c/d is undefined"),
-            nonzero("c", "the quotient argument bd/c is undefined"),
-            not_one("b", "(b)_n in a denominator vanishes"),
+            not_value("a", 0, "the quotient argument b/a is undefined"),
+            not_value("d", 0, "the quotient argument c/d is undefined"),
+            not_value("c", 0, "the quotient argument bd/c is undefined"),
+            not_value("b", 1, "(b)_n in a denominator vanishes"),
             _ad_not_one,
             _ad_not_b,
         ),
@@ -359,8 +357,8 @@ def _r06() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("c", "the prefactor z/c and the argument zdq/c are undefined"),
-            nonzero("d", "the quotient argument c/d is undefined"),
+            not_value("c", 0, "the prefactor z/c and the argument zdq/c are undefined"),
+            not_value("d", 0, "the quotient argument c/d is undefined"),
         ),
         domain=all_nonzero("z", "c", "d"),
     )
@@ -426,7 +424,7 @@ def _r08() -> Identity:
         params=("z",),
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
-        constraint=rules(nonzero("z", "the reciprocal argument q/z is undefined")),
+        constraint=rules(not_value("z", 0, "the reciprocal argument q/z is undefined")),
         domain=all_nonzero("z"),
     )
 

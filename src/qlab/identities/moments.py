@@ -29,8 +29,8 @@ def crank_bivariate(N: int, order: int) -> LaurentZQSeries:
 def rank_bivariate(N: int, order: int) -> LaurentZQSeries:
     """sum_{n=0}^{N} [N,n] (q)_n q^{n^2} / ((zq)_n (q/z)_n)."""
 
-    def step(t, n):  # [N,n]/[N,n-1] (1-q^n) = 1-q^{N-n+1}
-        t = t.mul_binomial(1, 0, N - n + 1).shift(2 * n - 1)
+    def step(t, n):  # [N,n]/[N,n-1] (1-q^n) = 1-q^{N-n+1}, then q^{2n-1}/((1-zq^n)(1-q^n/z))
+        t = t.apply_ratio(1, 2 * n - 1, ((1, N - n + 1),))
         return t.div_binomial(1, 1, n).div_binomial(1, -1, n)
 
     return term_sum(LaurentZQSeries.from_q_series(QSeries.one(order)), step, stop=N)

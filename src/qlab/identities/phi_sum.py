@@ -18,13 +18,13 @@ vanish once t_k (c/d)^j q^{kj} does, and no full product is needed.
 
 from __future__ import annotations
 
-from ..series import QSeries, div_poch, poch, term_sum
+from ..series import QSeries, div_poch, poch_ratio, term_sum
 from .common import (
     all_nonzero,
     distinct,
     div_q_n,
     domain_all,
-    nonzero,
+    not_value,
     q_power_sum,
     rules,
 )
@@ -47,11 +47,8 @@ def _phi_block_rhs(env, N: int, T: int) -> QSeries:
         return term_sum(t.div_binomial(1, k), inner)
 
     total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=weight)
-    prefactor = poch(c / d, 0, None, T) * poch(d, 1, None, T)
-    prefactor = div_poch(prefactor, 1, 1, N)
-    prefactor = div_poch(prefactor, c, 1, None)
-    prefactor = div_poch(prefactor, d, N + 1, None)
-    return prefactor * total
+    up, down = ((c / d, 0, None), (d, 1, None)), ((1, 1, N), (c, 1, None), (d, N + 1, None))
+    return poch_ratio(total, up=up, down=down)
 
 
 def _alternating_sum(env, N: int, T: int, weight) -> QSeries:
@@ -84,7 +81,7 @@ def _r20() -> Identity:
         params=("c", "d"),
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", _phi_block_rhs)),
-        constraint=rules(nonzero("d", "the quotient argument c/d is undefined")),
+        constraint=rules(not_value("d", 0, "the quotient argument c/d is undefined")),
         domain=all_nonzero("c", "d"),
     )
 
@@ -100,8 +97,8 @@ def _r21() -> Identity:
 
     def rhs(env, N, T):
         c, d = env.get("c"), env.get("d")
-        ratio = div_poch(poch(d, 1, N, T), c, 1, N)
-        return QSeries.one(T) - ratio
+        one = QSeries.one(T)
+        return one - poch_ratio(one, up=((d, 1, N),), down=((c, 1, N),))
 
     return Identity(
         id="R21",
@@ -113,7 +110,7 @@ def _r21() -> Identity:
         params=("c", "d"),
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
-        constraint=rules(nonzero("d", "the quotient argument c/d is undefined")),
+        constraint=rules(not_value("d", 0, "the quotient argument c/d is undefined")),
         domain=all_nonzero("c", "d"),
     )
 
@@ -125,14 +122,14 @@ def _r22() -> Identity:
 
     def rhs(env, N, T):
         c, d = env.get("c"), env.get("d")
-        ratio = div_poch(poch(d, 1, N, T), c, 1, N)
-        head = (QSeries.one(T) - ratio) * div_poch(QSeries.one(T), 1, 1, N)
-        head = head.scale(c / (c - d))
+        one = QSeries.one(T)
+        ratio = poch_ratio(one, up=((d, 1, N),), down=((c, 1, N),))
+        head = div_poch(one - ratio, 1, 1, N).scale(c / (c - d))
 
         def step(t, k):  # (cq/d)_k (dq)_{N-k} (dq)^k / ((q)_k (q)_{N-k})
             return t.apply_ratio(d, 1, ((c / d, k), (1, N - k + 1)), ((d, N - k + 1), (1, k)))
 
-        first = step(div_poch(poch(d, 1, N, T), 1, 1, N), 1)
+        first = step(poch_ratio(one, up=((d, 1, N),), down=((1, 1, N),)), 1)
         total = term_sum(first, step, start=1, stop=N, weight=div_q_n)
         return head + div_poch(total, c, 1, N)
 
@@ -153,7 +150,7 @@ def _r22() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("d", "the quotient arguments c/d and cq/d are undefined"),
+            not_value("d", 0, "the quotient arguments c/d and cq/d are undefined"),
             distinct("c", "d", "the prefactor denominator (c - d) vanishes"),
         ),
         domain=domain_all(all_nonzero("c", "d")),

@@ -28,13 +28,12 @@ from collections import Counter
 
 from ..partitions import partition_tuples
 from ..rational import rat
-from ..series import QSeries, div_poch, poch, term_sum
+from ..series import QSeries, div_poch, poch_ratio, term_sum
 from .common import (
     all_nonzero,
     distinct,
     div_q_n,
     domain_all,
-    nonzero,
     not_value,
     q_power_sum,
     rules,
@@ -129,8 +128,7 @@ def _r23() -> Identity:
 
         # the inner sum is sum_{n=1}^{j} q^n / ((1 - d q^n)(1 - q^n))
         tail = _square_sum(T, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
-        tail = tail * poch(d, 1, None, T)
-        return head - div_poch(tail, 1, 1, None)
+        return head - poch_ratio(tail, up=((d, 1, None),), down=((1, 1, None),))
 
     return Identity(
         id="R23",
@@ -144,7 +142,7 @@ def _r23() -> Identity:
         params=("d",),
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
-        constraint=rules(nonzero("d", "the quotient argument q/d is undefined")),
+        constraint=rules(not_value("d", 0, "the quotient argument q/d is undefined")),
         domain=all_nonzero("d"),
     )
 
@@ -206,7 +204,8 @@ def _r25() -> Identity:
         head = overlined_largest_series(T)
 
         # the inner sum is sum_{n=1}^{j} q^n / (1 - q^{2n})
-        return head - poch(-1, 1, None, T) * _square_sum(T, lambda t, n: t.div_binomial(1, 2 * n))
+        tail = _square_sum(T, lambda t, n: t.div_binomial(1, 2 * n))
+        return head - poch_ratio(tail, up=((-1, 1, None),))
 
     return Identity(
         id="R25",
@@ -230,15 +229,15 @@ def _r26() -> Identity:
             return t.apply_ratio(-d, n, ((-1 / d, n - 1),), ((1, 2 * n),))
 
         head = term_sum(step(-QSeries.one(T), 1), step, start=1, weight=times_n)
-        prefactor = poch(-1 / d, 0, None, T) * poch(d, 1, None, T)
-        prefactor = div_poch(prefactor, -1, 1, None)
-        return head + prefactor * _dq_block(d, -1 / d, T)
+        up = ((-1 / d, 0, None), (d, 1, None))
+        return head + poch_ratio(_dq_block(d, -1 / d, T), up=up, down=((-1, 1, None),))
 
     def rhs(env, N, T):
         d = env.get("d")
-        ratio = div_poch(poch(d, 1, None, T), -1, 1, None)
-        head = (QSeries.one(T) - ratio).scale(1 / (1 + d))
-        return head + ratio * _quotient_tail(-1 / d, d, T)
+        # (1 - ratio)/(1 + d) + ratio * tail = x + ratio * (tail - x), x = 1/(1 + d)
+        x = QSeries.constant(1 / (1 + d), T)
+        tail = _quotient_tail(-1 / d, d, T) - x
+        return x + poch_ratio(tail, up=((d, 1, None),), down=((-1, 1, None),))
 
     return Identity(
         id="R26",
@@ -254,8 +253,8 @@ def _r26() -> Identity:
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("d", "the quotient argument -1/d is undefined"),
-            not_value("d", rat(-1), "the prefactor 1/(1+d) has a pole"),
+            not_value("d", 0, "the quotient argument -1/d is undefined"),
+            not_value("d", -1, "the prefactor 1/(1+d) has a pole"),
         ),
         domain=all_nonzero("d"),
     )
@@ -263,7 +262,7 @@ def _r26() -> Identity:
 
 def _r27() -> Identity:
     def lhs(env, N, T):
-        head = poch(1, 1, None, T) * n_sc_generating_function(T)
+        head = poch_ratio(n_sc_generating_function(T), up=((1, 1, None),))
 
         # the bracket (-q)_n/(q)_n - 1 splits the sum in two term-ratio sums
         def with_bracket(t, n):  # q^{n(n+1)/2} (-q)_n / (q)_n^2
@@ -275,21 +274,17 @@ def _r27() -> Identity:
         one = QSeries.one(T)
         tail = term_sum(with_bracket(one, 1), with_bracket, start=1, weight=div_q_n)
         tail = tail - term_sum(without(one, 1), without, start=1, weight=div_q_n)
-        ratio = div_poch(poch(1, 1, None, T), -1, 1, None)
-        return head + ratio.scale(rat(1, 2)) * tail
+        return head + poch_ratio(tail.scale(rat(1, 2)), up=((1, 1, None),), down=((-1, 1, None),))
 
     def rhs(env, N, T):
-        ratio = div_poch(poch(1, 1, None, T), -1, 1, None)
-
         def step(t, n):  # (-q)_n q^n / (q)_n
             return t.apply_ratio(1, 1, ((-1, n),), ((1, n),))
 
         tail = term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
-        return (
-            QSeries.constant(rat(1, 4), T)
-            - ratio.scale(rat(1, 4))
-            + ratio.scale(rat(1, 2)) * tail
-        )
+        # 1/4 - ratio/4 + ratio * tail/2 = 1/4 + ratio * (tail/2 - 1/4)
+        quarter = QSeries.constant(rat(1, 4), T)
+        tail = tail.scale(rat(1, 2)) - quarter
+        return quarter + poch_ratio(tail, up=((1, 1, None),), down=((-1, 1, None),))
 
     return Identity(
         id="R27",
@@ -434,13 +429,13 @@ def _r31() -> Identity:
 
     def rhs(env, N, T):
         c = env.get("c")
-        inv_cq = div_poch(QSeries.one(T), c, 1, None)
 
         def step(t, k):  # (-c)^k q^{k(k+3)/2} / (q)_k
             return t.apply_ratio(-c, k + 1, down=((1, k),))
 
-        tail = term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
-        return inv_cq - QSeries.one(T) - inv_cq * tail
+        one = QSeries.one(T)
+        tail = term_sum(step(one, 1), step, start=1, weight=div_q_n)
+        return div_poch(one - tail, c, 1, None) - one
 
     return Identity(
         id="R31",
@@ -468,18 +463,15 @@ def _r32() -> Identity:
 
         head = term_sum(step(-QSeries.one(T), 1), step, start=1, weight=times_n)
         head = div_poch(head, 1, 1, None)
-        prefactor = poch(c / d, 0, None, T) * poch(d, 1, None, T)
-        prefactor = div_poch(prefactor, 1, 1, None)
-        prefactor = div_poch(prefactor, c, 1, None)
-        return head + prefactor * _dq_block(d, c / d, T)
+        up, down = ((c / d, 0, None), (d, 1, None)), ((1, 1, None), (c, 1, None))
+        return head + poch_ratio(_dq_block(d, c / d, T), up=up, down=down)
 
     def rhs(env, N, T):
         c, d = env.get("c"), env.get("d")
-        ratio = div_poch(poch(d, 1, None, T), c, 1, None)
-        head = QSeries.one(T) - ratio
-        head = div_poch(head, 1, 1, None).scale(c / (c - d))
-        tail = ratio * div_poch(_quotient_tail(c / d, d, T), 1, 1, None)
-        return head + tail
+        # x (1 - ratio) + ratio * tail = x + ratio * (tail - x), x = c/(c - d), over (q)_inf
+        x = QSeries.constant(c / (c - d), T)
+        tail = _quotient_tail(c / d, d, T) - x
+        return div_poch(x + poch_ratio(tail, up=((d, 1, None),), down=((c, 1, None),)), 1, 1, None)
 
     return Identity(
         id="R32",
@@ -496,7 +488,7 @@ def _r32() -> Identity:
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(
-            nonzero("d", "the quotient arguments c/d and cq/d are undefined"),
+            not_value("d", 0, "the quotient arguments c/d and cq/d are undefined"),
             distinct("c", "d", "the prefactor denominator (c - d) vanishes"),
         ),
         domain=domain_all(all_nonzero("c", "d")),

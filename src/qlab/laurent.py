@@ -8,8 +8,10 @@ finite Laurent polynomial.
 A series is stored by z-columns: ``{k: C_k}``, where the QSeries C_k(q)
 of truncation order T is the coefficient of z^k.  Only nonzero columns
 are kept, and by the bound above C_k starts at q^{|k|}, so at most
-2T + 1 columns exist.  Every operation is a few QSeries calls per
-column; values are immutable.
+2T + 1 columns exist.  A z-free ratio, a scalar, a power of q and
+factors (1 - c q^e), is one QSeries.apply_ratio call per column; a factor
+with z moves terms between columns and goes through div_binomial's
+column walk.  Values are immutable.
 
 Division by (1 - c z^s q^e) solves the column recurrence
 B_k = A_k + c q^e B_{k-s}, walking k upward for s > 0 and downward for
@@ -22,19 +24,12 @@ T/e steps.  Zero columns between input keys do not end it.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .rational import Rat
 from .series import QSeries, ZeroConstantTermError
 
 Scalar = Union[int, Rat]
-
-
-def _check_binomial(zexp: int, qexp: int) -> None:
-    if qexp < 0:
-        raise ValueError("q-exponent must be non-negative")
-    if qexp == 0 and zexp != 0:
-        raise ValueError("z powers must ride on at least one power of q")
 
 
 class LaurentZQSeries:
@@ -87,30 +82,31 @@ class LaurentZQSeries:
             cols[k] = cols[k] + col if k in cols else col
         return LaurentZQSeries(cols, min(self._order, other._order))
 
-    def shift(self, exp: int) -> "LaurentZQSeries":
-        """Multiply by q^exp, keeping the truncation order."""
-        return self._map(lambda k, col: col.shift(exp))
-
-    def mul_binomial(self, coeff: Scalar, zexp: int, qexp: int) -> "LaurentZQSeries":
-        """self * (1 - coeff * z^zexp * q^qexp): B_{k+s} = A_{k+s} - c q^e A_k."""
-        _check_binomial(zexp, qexp)
-        if zexp == 0:
-            return self._map(lambda k, col: col.mul_binomial(coeff, qexp))
-        cols = dict(self._cols)
-        for k, col in self._cols.items():
-            moved = col.shift(qexp).scale(coeff)
-            target = k + zexp
-            cols[target] = cols[target] - moved if target in cols else -moved
-        return LaurentZQSeries(cols, self._order)
+    def apply_ratio(
+        self,
+        scalar: Scalar = 1,
+        shift: int = 0,
+        up: Sequence[Tuple[Scalar, int]] = (),
+        down: Sequence[Tuple[Scalar, int]] = (),
+    ) -> "LaurentZQSeries":
+        """self * scalar * q^shift * prod_up (1 - c q^e) / prod_down (1 - c q^e),
+        a z-free ratio, by QSeries.apply_ratio on each column; the zero
+        series runs it on one zero column, so its factors are checked too."""
+        cols = self._cols or {0: QSeries.zero(self._order)}
+        ratio = {k: col.apply_ratio(scalar, shift, up, down) for k, col in cols.items()}
+        return LaurentZQSeries(ratio, self._order)
 
     def div_binomial(self, coeff: Scalar, zexp: int, qexp: int) -> "LaurentZQSeries":
         """self / (1 - coeff * z^zexp * q^qexp); see the module docstring
         for the column walk and why it ends."""
-        _check_binomial(zexp, qexp)
+        if qexp < 0:
+            raise ValueError("q-exponent must be non-negative")
+        if qexp == 0 and zexp != 0:
+            raise ValueError("z powers must ride on at least one power of q")
         if qexp == 0 and coeff == 1:
             raise ZeroConstantTermError("division by (1 - c) with c = 1")
         if zexp == 0:
-            return self._map(lambda k, col: col.div_binomial(coeff, qexp))
+            return self.apply_ratio(down=((coeff, qexp),))
         if not self._cols:
             return self
         step = 1 if zexp > 0 else -1
@@ -121,7 +117,7 @@ class LaurentZQSeries:
             col = self._cols.get(k)
             carried = out.get(k - zexp)
             if carried is not None:
-                carried = carried.shift(qexp).scale(coeff)
+                carried = carried.apply_ratio(coeff, qexp)
                 col = carried if col is None else col + carried
             if col is not None and not col.is_zero():
                 out[k] = col

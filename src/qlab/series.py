@@ -27,10 +27,12 @@ over ``_den*q^K``.  The floor division there is exact for any int
 numerators a, reduced or not: unrolled,
 ``b[m] = sum_{k <= m//e} p^k q^(K-k) a[m-ke]``, so ``b[m]`` is divisible
 by ``q^(K - m//e)``, and for m = n-e that exponent is at least 1 because
-(n-e)//e < K.  Multiplication and division by one factor, q-Pochhammer
-symbols, and every step of term_sum, the one summation primitive, are
-single calls of this kernel: each term of a basic hypergeometric sum is
-the previous term times its ratio.
+(n-e)//e < K.  Multiplication and division by one factor, every step of
+term_sum, the one summation primitive, and a quotient of q-Pochhammer
+symbols applied to a series (poch_ratio, whose one-symbol cases are poch
+and div_poch) are single calls of this kernel: each term of a basic
+hypergeometric sum is the previous term times its ratio, and most sides
+are such a sum times such a quotient.
 Values are immutable and safe to share between workers.
 """
 
@@ -352,18 +354,32 @@ class QSeries:
 # -- q-Pochhammer symbols -------------------------------------------------
 
 
-def poch(coeff: Scalar, exp: int, n: Optional[int], order: int) -> QSeries:
-    """(c*q^e; q)_n = prod_{k=0}^{n-1} (1 - c*q^{e+k}), truncated at `order`.
+Symbol = Tuple[Scalar, int, Optional[int]]  # (c, e, n) for (c*q^e; q)_n
 
-    n = None means the infinite product; factors with e+k > order are
-    identically 1 + O(q^{order+1}) and are skipped either way.
+
+def poch_ratio(s: QSeries, up: Iterable[Symbol] = (), down: Iterable[Symbol] = ()) -> QSeries:
+    """s * prod_up (c*q^e; q)_n / prod_down (c*q^e; q)_n for symbols (c, e, n).
+
+    (c*q^e; q)_n = prod_{k=0}^{n-1} (1 - c*q^{e+k}), and n = None means the
+    infinite product; factors with e+k > order are identically
+    1 + O(q^{order+1}) and are skipped either way.  The whole quotient is
+    one apply_ratio call over the factors of every symbol.
     """
-    return QSeries.one(order).apply_ratio(up=_poch_factors(coeff, exp, n, order))
+    order = s.order
+    return s.apply_ratio(
+        up=[f for c, e, n in up for f in _poch_factors(c, e, n, order)],
+        down=[f for c, e, n in down for f in _poch_factors(c, e, n, order)],
+    )
+
+
+def poch(coeff: Scalar, exp: int, n: Optional[int], order: int) -> QSeries:
+    """(c*q^e; q)_n truncated at `order`, the poch_ratio of 1 by one symbol."""
+    return poch_ratio(QSeries.one(order), up=((coeff, exp, n),))
 
 
 def div_poch(s: QSeries, coeff: Scalar, exp: int, n: Optional[int]) -> QSeries:
-    """s / (c*q^e; q)_n, with the same truncation conventions as poch."""
-    return s.apply_ratio(down=_poch_factors(coeff, exp, n, s.order))
+    """s / (c*q^e; q)_n, the poch_ratio of s by one symbol below."""
+    return poch_ratio(s, down=((coeff, exp, n),))
 
 
 def _poch_factors(coeff: Scalar, exp: int, n: Optional[int], order: int) -> list:

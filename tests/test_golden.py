@@ -3,10 +3,14 @@
 The expected strings were recorded from the Fraction-per-coefficient
 series implementation.  Together the sides run every QSeries kernel the
 identity builders call (apply_ratio, with its single-factor wrappers
-mul_binomial and div_binomial, the full product, +, -, scale and shift),
-the Laurent extraction (R33) and a finite sum (R20), so any change to the
-coefficient representation must reproduce them exactly.  inverse, truncate and negation, which no builder calls,
-are checked against the reference kernels in test_series.py.
+mul_binomial and div_binomial and the Pochhammer quotients of poch_ratio,
++, -, scale and shift), the Laurent extraction (R33) and a finite sum
+(R20), so any change to the coefficient representation must reproduce
+them exactly.  The full product is reached only by R38's left side, the
+denominator-cleared inversion rule; its case was recorded when the
+Pochhammer prefactors of the other sides were still multiplied in.
+inverse, truncate and negation, which no builder calls, are checked
+against the reference kernels in test_series.py.
 
 The Lambert-type sides (R01, R12, R14, R19 right sides, R43 left side)
 were recorded from the loops over their numerators with closed-form
@@ -314,6 +318,36 @@ GOLDEN = [
     "3039/1024",
     "2047/2048",
     "15551/4096"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R38 --side lhs --order 12 --a 1/2 --b=-7/3 --N 4".split(),
+        """\
+{
+  "id": "R38",
+  "side": "lhs",
+  "env": {
+    "a": "1/2",
+    "b": "-7/3"
+  },
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "1/2",
+    "1/4",
+    "0",
+    "-1/8",
+    "-7/12",
+    "7/24",
+    "-11/48",
+    "-7/48",
+    "119/144",
+    "-7/36",
+    "-7/36",
+    "49/72",
+    "-49/108"
   ]
 }
 """,

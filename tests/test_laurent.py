@@ -40,12 +40,6 @@ def test_set_z_one_sums_rows():
     assert f.set_z_one() == QSeries([rat(2), rat(5)])
 
 
-def test_mul_and_div_binomial_roundtrip():
-    f = crank_bivariate(3, 15)
-    g = f.mul_binomial(rat(2, 3), 1, 2).div_binomial(rat(2, 3), 1, 2)
-    assert g == f
-
-
 def test_z_powers_must_ride_on_q():
     with pytest.raises(ValueError):
         LaurentZQSeries.from_q_series(QSeries.one(5)).div_binomial(rat(1), 1, 0)
@@ -133,17 +127,22 @@ GAP = (6, {-2: [Fraction(0), Fraction(0), Fraction(1)] + [Fraction(0)] * 4,
 @example((GAP, 2), Fraction(-2, 3), 2)
 @example((GAP, 1), Fraction(-2, 3), -2)
 @example(((4, {}), 1), 1, 1)
+@example(((4, {}), 0), 1, 0)  # the zero series still rejects the factor (1 - 1)
 def test_binomial_kernels_match_reference(case_e, c, s):
     case, e = case_e
     f, rows = to_laurent(case), to_rows(case)
+    # apply_ratio takes z-free factors: the references at s = 0
+    assert as_rows(f.apply_ratio(up=((c, e),))) == ref_laurent_mul_binomial(rows, Fraction(c), 0, e)
+    if e == 0 and c == 1:
+        with pytest.raises(ZeroConstantTermError):
+            f.apply_ratio(down=((c, e),))
+    else:
+        expected = ref_laurent_div_binomial(rows, Fraction(c), 0, e)
+        assert as_rows(f.apply_ratio(down=((c, e),))) == expected
     if e == 0 and s != 0:
         with pytest.raises(ValueError):
-            f.mul_binomial(c, s, e)
-        with pytest.raises(ValueError):
             f.div_binomial(c, s, e)
-        return
-    assert as_rows(f.mul_binomial(c, s, e)) == ref_laurent_mul_binomial(rows, Fraction(c), s, e)
-    if e == 0 and c == 1:
+    elif e == 0 and c == 1:
         with pytest.raises(ZeroConstantTermError):
             f.div_binomial(c, s, e)
     else:
@@ -163,5 +162,5 @@ def test_linear_kernels_match_reference(case, k):
     assert as_rows(f.z_derivative()) == ref_laurent_z_derivative(rows)
     assert as_rows(f.positive_z_part()) == ref_laurent_positive_z_part(rows)
     assert list(f.set_z_one().coeffs) == ref_laurent_set_z_one(rows)
-    assert as_rows(f.shift(k)) == ([{}] * k + rows)[: len(rows)]
+    assert as_rows(f.apply_ratio(1, k)) == ([{}] * k + rows)[: len(rows)]
     assert f.is_zero() == (not any(rows))

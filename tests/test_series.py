@@ -14,6 +14,7 @@ from qlab.series import (
     div_poch,
     phi_series,
     poch,
+    poch_ratio,
     q_binomial,
     term_sum,
 )
@@ -473,5 +474,47 @@ def test_binomial_kernels_reject_negative_exponent():
             lambda: x.apply_ratio(up=((1, 1), (coeff, -1))),
             lambda: x.apply_ratio(down=((coeff, -1),)),
         ):
+            with pytest.raises(ValueError):
+                call()
+
+
+# (c, e, n) symbols with n = None (infinite), n = 0 (empty) and e > T all drawn
+symbols = st.lists(
+    st.tuples(scalars, exponents, st.one_of(st.none(), st.integers(0, 6))), max_size=3
+)
+A = [Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(0), Fraction(2, 9)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(coeff_lists, symbols, symbols)
+@example(A, [(Fraction(2, 3), 1, None), (-1, 0, 2)], [(Fraction(-7, 3), 1, 3), (2, 2, None)])
+@example(A, [(5, 0, 0), (3, 9, None)], [(1, 1, None), (Fraction(1, 2), 7, 2)])
+@example(A, [], [(1, 0, 0), (Fraction(3, 4), 0, None)])
+@example(A, [(2, 1, 1)], [(1, 0, 1)])
+@example(A, [], [(1, 0, None)])
+def test_poch_ratio_matches_reference(a, up, down):
+    # the reference folds the factors (1 - c q^(e+k)), k < n, of each symbol in turn
+    def factors(c, e, n):
+        return [(Fraction(c), e + k) for k in range(len(a) if n is None else n)]
+
+    expected = a
+    for symbol in up:
+        for c, e in factors(*symbol):
+            expected = ref_mul_binomial(expected, c, e)
+    x = QSeries(a)
+    if any(c == 1 and e == 0 and n != 0 for c, e, n in down):
+        with pytest.raises(ZeroConstantTermError):
+            poch_ratio(x, up, down)
+        return
+    for symbol in down:
+        for c, e in factors(*symbol):
+            expected = ref_div_binomial(expected, c, e)
+    assert as_fractions(poch_ratio(x, up=up, down=down)) == expected
+
+
+def test_poch_ratio_rejects_negative_exponent_and_length():
+    x = qs(1, 2, 3)
+    for bad in ((2, -1, 3), (2, 1, -1), (0, -1, None), (1, 0, -2)):
+        for call in (lambda: poch_ratio(x, up=(bad,)), lambda: poch_ratio(x, down=((2, 1, 2), bad))):
             with pytest.raises(ValueError):
                 call()
