@@ -17,7 +17,7 @@ with the instances 0 <= n <= N combined through a free weight parameter.
 
 from __future__ import annotations
 
-from ..series import QMonomial, QSeries, div_poch, phi_series, poch, poch_ratio, term_sum
+from ..series import QMonomial, QSeries, phi_series, poch_ratio, term_sum
 from .common import (
     all_nonzero,
     distinct,
@@ -309,11 +309,10 @@ def _r43() -> Identity:
         x = env.get("a")
         head = QSeries.constant(x / (1 - x), T)
 
-        def step(t, k):  # [N,k] (q/x)_k (x)_{N-k} x^k
+        def step(t, k):  # [N,k] (q/x)_k x^k / (x q^{N-k})_k
             return t.apply_ratio(x, 0, ((1, N - k + 1), (1 / x, k)), ((1, k), (x, N - k)))
 
-        total = term_sum(step(poch(x, 0, N, T), 1), step, start=1, stop=N, weight=div_q_n)
-        return head - div_poch(total, x, 0, N)
+        return head - term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
 
     return Identity(
         id="R43",

@@ -6,7 +6,7 @@ from typing import Callable, Optional
 
 from ..rational import Rat
 from ..series import QSeries, Scalar, term_sum
-from .model import ParamEnv
+from .model import Identity, ParamEnv
 
 
 def times_n(t: QSeries, n: int) -> QSeries:
@@ -29,6 +29,16 @@ def lambert_bracket(t: QSeries, x: Rat, y: Rat, m: int) -> QSeries:
 def q_power_sum(t: QSeries, top: int, weight: Callable[[QSeries, int], QSeries]) -> QSeries:
     """sum_{n=1}^{top} weight(t q^n, n); an inner sum starts from its outer term t."""
     return term_sum(t.shift(1), lambda u, n: u.shift(1), start=1, stop=top, weight=weight)
+
+
+def sides_at(base: Identity, fix: Callable[[ParamEnv], ParamEnv]) -> tuple:
+    """base's (name, builder) pairs, each builder called at fix(env): the
+    sides of an entry that restates base at fixed parameters."""
+
+    def at(builder):
+        return lambda env, N, T: builder(fix(env), N, T)
+
+    return tuple((name, at(builder)) for name, builder in base.sides)
 
 
 # -- constraint rule combinators -------------------------------------------

@@ -7,7 +7,9 @@ coefficient, which the stabilization tests exercise separately.
 
 from __future__ import annotations
 
-from ..series import QSeries, div_poch, poch, poch_ratio, term_sum
+import dataclasses
+
+from ..series import QSeries, poch_ratio, term_sum
 from .common import (
     all_nonzero,
     div_q_n,
@@ -19,7 +21,7 @@ from .common import (
     rules,
     times_n,
 )
-from .four_parameter import _r01
+from .four_parameter import _finite_quotient_sum_lhs, _r01
 from .model import FINITE, INFINITE, Identity
 
 
@@ -50,11 +52,10 @@ def _r10() -> Identity:
     def rhs(env, N, T):
         a, b = env.get("a"), env.get("b")
 
-        def step(t, n):  # [N,n] (-a/b)_n (bq)_{N-n} (bq)^n
+        def step(t, n):  # [N,n] (-a/b)_n (bq)^n / (b q^{N-n+1})_n
             return t.apply_ratio(b, 1, ((1, N - n + 1), (-a / b, n - 1)), ((1, n), (b, N - n + 1)))
 
-        total = term_sum(poch(b, 1, N, T), step, stop=N)
-        return div_poch(total, b, 1, N)
+        return term_sum(QSeries.one(T), step, stop=N)
 
     return Identity(
         id="R10",
@@ -107,14 +108,8 @@ def _r11() -> Identity:
 
 
 def _r12() -> Identity:
-    def lhs(env, N, T):
-        a, b = env.get("a"), env.get("b")
-
-        def step(t, n):  # [N,n] (q)_n (b/a)_n (a)_{N-n} a^n / (b)_n
-            return t.apply_ratio(a, 0, ((1, N - n + 1), (b / a, n - 1)), ((a, N - n), (b, n - 1)))
-
-        total = term_sum(step(poch(a, 0, N, T), 1), step, start=1, stop=N, weight=div_q_n)
-        return div_poch(total, a, 0, N)
+    def lhs(env, N, T):  # R03's left side at c = 1
+        return _finite_quotient_sum_lhs(env, 1, N, T)
 
     def rhs(env, N, T):
         a, b = env.get("a"), env.get("b")
@@ -177,13 +172,12 @@ def _r14() -> Identity:
     def lhs(env, N, T):
         a = env.get("a")
 
-        def step(t, n):  # [N,n] (q)_n (q)_{n-1} (a)_{N-n} a^n / (a)_n
+        def step(t, n):  # [N,n] (q)_n (q)_{n-1} a^n / ((a)_n (a q^{N-n})_n)
             return t.apply_ratio(a, 0, ((1, N - n + 1), (1, n - 1)), ((a, N - n), (a, n - 1)))
 
-        # n = 1, where (q)_{n-1} is an empty product: (1 - q^N) (a)_{N-1} a / (1 - a)
-        first = poch(a, 0, N - 1, T).apply_ratio(a, 0, ((1, N),), ((a, 0),))
-        total = term_sum(first, step, start=1, stop=N, weight=div_q_n)
-        return div_poch(total, a, 0, N)
+        # n = 1, where (q)_{n-1} is an empty product: (1 - q^N) a / ((1 - a q^{N-1})(1 - a))
+        first = QSeries.one(T).apply_ratio(a, 0, ((1, N),), ((a, N - 1), (a, 0)))
+        return term_sum(first, step, start=1, stop=N, weight=div_q_n)
 
     def rhs(env, N, T):
         return _squared_lambert_sum(env.get("a"), T, N - 1)
@@ -267,17 +261,7 @@ def _r16() -> Identity:
 
 
 def _r17() -> Identity:
-    base = _r01()
-    return Identity(
-        id="R17",
-        title="notebook entry 3 (limit of the finite form)",
-        statement=base.statement,
-        params=base.params,
-        kind=INFINITE,
-        sides=base.sides,
-        constraint=base.constraint,
-        domain=base.domain,
-    )
+    return dataclasses.replace(_r01(), id="R17", title="notebook entry 3 (limit of the finite form)")
 
 
 def _r18() -> Identity:

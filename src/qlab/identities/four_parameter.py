@@ -2,12 +2,13 @@
 
 Every sum is a term_sum: each term is the previous one times its ratio,
 a scalar, a power of q and a few factors (1 - c q^e) applied by one
-apply_ratio call, and the sum stops
-after its last index or at the first term that vanishes to order T (all
-later terms are multiples of it).  A step divides only by factors with a
-nonzero constant term; where that needs a parameter off 1, the
-identity's constraint excludes it, as for the descending (a)_{N-n} of
-the finite forms, whose last step divides by (1 - a).
+apply_ratio call, and the sum stops after its last index or at the first
+term that vanishes to order T (all later terms are multiples of it).  A
+step divides only by factors with a nonzero constant term; where that
+needs a parameter off 1, the identity's constraint excludes it.  A
+finite form normalised by (x)_N carries the symbol in its step, as
+(x)_{N-n}/(x)_N = 1/(x q^{N-n})_n, and starts from 1; for the
+descending (a)_{N-n} the last step, n = N, still divides by (1 - a).
 
 Sides whose terms keep a nonzero q^0 coefficient for every summation
 index (so the sum never truncates on its own) are computed as the first
@@ -25,7 +26,7 @@ forms are the values of the sums.
 
 from __future__ import annotations
 
-from ..series import QSeries, div_poch, poch, poch_ratio, term_sum
+from ..series import QSeries, poch_ratio, term_sum
 from .common import (
     all_nonzero,
     distinct,
@@ -34,6 +35,7 @@ from .common import (
     lambert_bracket,
     not_value,
     rules,
+    sides_at,
 )
 from .model import FINITE, INFINITE, Identity, ParamEnv
 
@@ -63,6 +65,22 @@ def _quotient_sum_lhs(env: ParamEnv, c_factor, T: int) -> QSeries:
         start=1,
         weight=lambda t, n: t.div_binomial(c_factor, n),
         tail=a,
+    )
+
+
+def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, T: int) -> QSeries:
+    """sum_{n=1}^{N} [N,n] (b/a)_n (q)_n (a)_{N-n} a^n / ((1 - c_factor*q^n)(b)_n (a)_N)."""
+    a, b = env.get("a"), env.get("b")
+
+    def step(t, n):  # [N,n] (b/a)_n (q)_n a^n / ((b)_n (a q^{N-n})_n)
+        return t.apply_ratio(a, 0, ((1, N - n + 1), (b / a, n - 1)), ((a, N - n), (b, n - 1)))
+
+    return term_sum(
+        step(QSeries.one(T), 1),
+        step,
+        start=1,
+        stop=N,
+        weight=lambda t, n: t.div_binomial(c_factor, n),
     )
 
 
@@ -171,33 +189,20 @@ def _r02() -> Identity:
 
 def _r03() -> Identity:
     def lhs(env, N, T):
-        a, b, c = env.get("a"), env.get("b"), env.get("c")
-
-        def step(t, n):  # [N,n] (b/a)_n (q)_n (a)_{N-n} a^n / (b)_n
-            return t.apply_ratio(a, 0, ((1, N - n + 1), (b / a, n - 1)), ((a, N - n), (b, n - 1)))
-
-        total = term_sum(
-            step(poch(a, 0, N, T), 1),
-            step,
-            start=1,
-            stop=N,
-            weight=lambda t, n: t.div_binomial(c, n),
-        )
-        return div_poch(total, a, 0, N)
+        return _finite_quotient_sum_lhs(env, env.get("c"), N, T)
 
     def rhs(env, N, T):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
-        def step(t, n):  # [N,n] (b/c)_{n-1} (q)_n (cq)_{N-n} c^{n-1} / (b)_{n-1}
+        def step(t, n):  # [N,n] (b/c)_{n-1} (q)_n c^{n-1} / ((b)_{n-1} (c q^{N-n+1})_n)
             up, down = ((1, N - n + 1), (b / c, n - 2)), ((c, N - n + 1), (b, n - 2))
             return t.apply_ratio(c, 0, up, down)
 
         def weight(t, n):
             return lambert_bracket(t, a, b, n - 1)
 
-        first = poch(c, 1, N - 1, T).mul_binomial(1, N)  # n = 1: (1 - q^N) (cq)_{N-1}
-        total = term_sum(first, step, start=1, stop=N, weight=weight)
-        return div_poch(total, c, 1, N)
+        first = QSeries.one(T).apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
+        return term_sum(first, step, start=1, stop=N, weight=weight)
 
     return Identity(
         id="R03",
@@ -275,12 +280,11 @@ def _r05() -> Identity:
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
 
-        def step(t, n):  # [N,n] (q)_n (b/a)_n (c/d)_n (ad)_{N-n} (ad)^n / ((b)_n (cq)_n)
+        def step(t, n):  # [N,n] (q)_n (b/a)_n (c/d)_n (ad)^n / ((b)_n (cq)_n (ad q^{N-n})_n)
             up = ((1, N - n + 1), (b / a, n - 1), (c / d, n - 1))
             return t.apply_ratio(ad, 0, up, ((ad, N - n), (b, n - 1), (c, n)))
 
-        total = term_sum(step(poch(ad, 0, N, T), 1), step, start=1, stop=N)
-        return div_poch(total, ad, 0, N)
+        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
 
     def rhs(env, N, T):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
@@ -288,16 +292,15 @@ def _r05() -> Identity:
         prefactor = (a - b) * (d - c) / (ad - b)
 
         def step(t, n):
-            # [N,n] (a)_{n-1} (bd/c)_{n-1} (q)_n (cq)_{N-n} c^{n-1} / ((b)_{n-1} (ad)_{n-1})
+            # [N,n] (a)_{n-1} (bd/c)_{n-1} (q)_n c^{n-1} / ((b)_{n-1} (ad)_{n-1} (c q^{N-n+1})_n)
             up = ((1, N - n + 1), (a, n - 2), (b * d / c, n - 2))
             return t.apply_ratio(c, 0, up, ((c, N - n + 1), (b, n - 2), (ad, n - 2)))
 
         def weight(t, n):
             return lambert_bracket(t, ad, b, n - 1)
 
-        first = poch(c, 1, N - 1, T).mul_binomial(1, N)  # n = 1: (1 - q^N) (cq)_{N-1}
-        total = term_sum(first, step, start=1, stop=N, weight=weight)
-        return div_poch(total, c, 1, N).scale(prefactor)
+        first = QSeries.one(T).apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
+        return term_sum(first, step, start=1, stop=N, weight=weight).scale(prefactor)
 
     return Identity(
         id="R05",
@@ -336,14 +339,13 @@ def _r06() -> Identity:
     def rhs(env, N, T):
         z, c, d = env.get("z"), env.get("c"), env.get("d")
 
-        def step(t, n):  # [N,n] (q)_n (zdq/c)_{n-1} (cq)_{N-n} (cq)^n / (zq)_n
+        def step(t, n):  # [N,n] (q)_n (zdq/c)_{n-1} (cq)^n / ((zq)_n (c q^{N-n+1})_n)
             up, down = ((1, N - n + 1), (z * d / c, n - 1)), ((c, N - n + 1), (z, n))
             return t.apply_ratio(c, 1, up, down)
 
-        # the n = 1 term, (1 - q^N) (cq)_{N-1} cq / (1 - zq)
-        first = poch(c, 1, N - 1, T).apply_ratio(c, 1, ((1, N),), ((z, 1),))
-        total = term_sum(first, step, start=1, stop=N)
-        return div_poch(total, c, 1, N).scale(z / c * (c - d))
+        # the n = 1 term, (1 - q^N) cq / ((1 - c q^N)(1 - zq))
+        first = QSeries.one(T).apply_ratio(c, 1, ((1, N),), ((c, N), (z, 1)))
+        return term_sum(first, step, start=1, stop=N).scale(z / c * (c - d))
 
     return Identity(
         id="R06",
@@ -376,11 +378,10 @@ def _r07() -> Identity:
     def rhs(env, N, T):
         z, c = env.get("z"), env.get("c")
 
-        def step(t, n):  # [N,n] (q)_n (cq)_{N-n} (cq)^n / (zq)_n
+        def step(t, n):  # [N,n] (q)_n (cq)^n / ((zq)_n (c q^{N-n+1})_n)
             return t.apply_ratio(c, 1, ((1, N - n + 1),), ((c, N - n + 1), (z, n)))
 
-        total = term_sum(step(poch(c, 1, N, T), 1), step, start=1, stop=N)
-        return div_poch(total, c, 1, N).scale(z)
+        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N).scale(z)
 
     return Identity(
         id="R07",
@@ -397,23 +398,7 @@ def _r07() -> Identity:
 
 
 def _r08() -> Identity:
-    def lhs(env, N, T):
-        z = env.get("z")
-
-        def step(t, n):  # [N,n] (q)_n q^{n^2} / ((zq)_n (q/z)_n)
-            return t.apply_ratio(1, 2 * n - 1, ((1, N - n + 1),), ((z, n), (1 / z, n)))
-
-        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
-
-    def rhs(env, N, T):
-        z = env.get("z")
-
-        def step(t, n):  # [N,n] (q)_n (q/z)_{N-n} (q/z)^n / (zq)_n
-            return t.apply_ratio(1 / z, 1, ((1, N - n + 1),), ((1 / z, N - n + 1), (z, n)))
-
-        total = term_sum(step(poch(1 / z, 1, N, T), 1), step, start=1, stop=N)
-        return div_poch(total, 1 / z, 1, N).scale(z)
-
+    # R07 at c = 1/z
     return Identity(
         id="R08",
         title="finite rank-style sum at reciprocal parameters",
@@ -423,7 +408,7 @@ def _r08() -> Identity:
         ),
         params=("z",),
         kind=FINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=sides_at(_r07(), lambda env: ParamEnv(z=env.get("z"), c=1 / env.get("z"))),
         constraint=rules(not_value("z", 0, "the reciprocal argument q/z is undefined")),
         domain=all_nonzero("z"),
     )

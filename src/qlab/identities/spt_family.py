@@ -37,6 +37,7 @@ from .common import (
     not_value,
     q_power_sum,
     rules,
+    sides_at,
     times_n,
 )
 from .model import INFINITE, Identity, ParamEnv
@@ -339,33 +340,17 @@ def _r28() -> Identity:
     )
 
 
-def _specialize_r28(identity_id: str, title: str, statement: str, value) -> Identity:
-    base = _r28()
-    fixed = ParamEnv(d=value)
-
-    def lhs(env, N, T):
-        return base.side("lhs")(fixed, N, T)
-
-    def rhs(env, N, T):
-        return base.side("rhs")(fixed, N, T)
-
+def _r29() -> Identity:
     return Identity(
-        id=identity_id,
-        title=title,
-        statement=statement,
+        id="R29",
+        title="companion identity at parameter 1",
+        statement=(
+            "(1/(q)_inf) sum n (-1)^{n-1} q^{n(n+1)/2}/(q)_n "
+            "+ sum q^{n(n+1)}/((q)_n^2 (1-q^n)) = sum q^n/((q)_n (1-q^n))"
+        ),
         params=(),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
-    )
-
-
-def _r29() -> Identity:
-    return _specialize_r28(
-        "R29",
-        "companion identity at parameter 1",
-        "(1/(q)_inf) sum n (-1)^{n-1} q^{n(n+1)/2}/(q)_n "
-        "+ sum q^{n(n+1)}/((q)_n^2 (1-q^n)) = sum q^n/((q)_n (1-q^n))",
-        rat(1),
+        sides=sides_at(_r28(), lambda env: ParamEnv(d=rat(1))),
     )
 
 
@@ -378,8 +363,7 @@ def _r30() -> Identity:
             return t.apply_ratio(-1, 2 * n, down=((1, 2 * n),))
 
         one = QSeries.one(T)
-        head = term_sum(first(one, 1), first, start=1, weight=times_n)
-        head = div_poch(head, -1, 1, None).scale(-1)
+        head = div_poch(term_sum(first(-one, 1), first, start=1, weight=times_n), -1, 1, None)
         return head + term_sum(second(one, 1), second, start=1, weight=div_q_n)
 
     def rhs(env, N, T):

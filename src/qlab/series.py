@@ -460,10 +460,12 @@ def term_sum(
     must be linear in t (weight(0, n) = 0).  A sum from n = 1 usually
     starts from first = step(t_0, 1), with t_0 the term's value at n = 0:
     -1 for a sign (-1)^(n-1), and factors indexed by n - 1 skipped in that
-    step.  A nested sum whose inner sum is a weight starts that inner sum
-    from the outer term t, as term_sum(t * (inner first term), ...), so
-    no full product runs per outer index and the inner terms vanish to
-    order T as soon as their product with t does.
+    step.  A finite sum normalised by (x)_N carries (x)_{N-n}/(x)_N
+    = 1/(x q^{N-n})_n in its step, one factor (1 - x q^{N-n}) per index,
+    and starts from 1.  A nested sum whose inner sum is a weight starts
+    that inner sum from the outer term t, as term_sum(t * (inner first
+    term), ...), so no full product runs per outer index and the inner
+    terms vanish to order T as soon as their product with t does.
 
     Stopping: the sum ends after n = stop, or at the first t_n that is
     zero to the truncation order T.  The second rule is exact because

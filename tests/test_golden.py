@@ -16,6 +16,12 @@ The Lambert-type sides (R01, R12, R14, R19 right sides, R43 left side)
 were recorded from the loops over their numerators with closed-form
 tails, before they became sums over the powers of their denominators;
 the R19 case, a = 5/2, lies outside the convergence domain |a| < 1.
+
+The finite sides normalised by a Pochhammer symbol (x)_N (R05 right
+side, with its explicit first term, bracket weight and prefactor; R14
+left side, which divides by (1 - a)) and R08's right side, which is
+R07's at c = 1/z, were recorded while those sums still started from
+(x)_N and divided it back out, and R08 still had builders of its own.
 """
 
 import pytest
@@ -348,6 +354,96 @@ GOLDEN = [
     "-7/36",
     "49/72",
     "-49/108"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R05 --side rhs --order 12 --a 1/2 --b=-7/3 --c 2/5 --d 3/7 --N 4".split(),
+        """\
+{
+  "id": "R05",
+  "side": "rhs",
+  "env": {
+    "a": "1/2",
+    "b": "-7/3",
+    "c": "2/5",
+    "d": "3/7"
+  },
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "17/550",
+    "119/5500",
+    "-6137/165000",
+    "3825527/34650000",
+    "-2281772657/7276500000",
+    "921968160587/1528065000000",
+    "-440395024957817/320893650000000",
+    "222952233121508747/67387666500000000",
+    "-110557813829592753377/14151409965000000000",
+    "53393318919580352490707/2971796092650000000000",
+    "-25965506110283712018633737/624077179456500000000000",
+    "12802968658806885733659975467/131056207685865000000000000",
+    "-6295201558471856047158000638897/27521803614031650000000000000"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R14 --side lhs --order 12 --a=-7/3 --N 4".split(),
+        """\
+{
+  "id": "R14",
+  "side": "lhs",
+  "env": {
+    "a": "-7/3"
+  },
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "-21/100",
+    "-7/3",
+    "77/9",
+    "-364/9",
+    "10486/81",
+    "-84035/243",
+    "228683/243",
+    "-5764801/2187",
+    "46896332/6561",
+    "-40436956/2187",
+    "2804331985/59049",
+    "-21750594173/177147",
+    "55557684994/177147"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R08 --side rhs --order 12 --z 1/2 --N 3".split(),
+        """\
+{
+  "id": "R08",
+  "side": "rhs",
+  "env": {
+    "z": "1/2"
+  },
+  "N": 3,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "1",
+    "5/2",
+    "21/4",
+    "85/8",
+    "341/16",
+    "1413/32",
+    "5637/64",
+    "22885/128",
+    "91749/256",
+    "369445/512",
+    "1478949/1024",
+    "5938853/2048"
   ]
 }
 """,
