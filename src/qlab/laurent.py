@@ -24,7 +24,7 @@ T/e steps.  Zero columns between input keys do not end it.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .rational import Rat
 from .series import QSeries, ZeroConstantTermError
@@ -55,6 +55,10 @@ class LaurentZQSeries:
         return cls({}, order)
 
     @classmethod
+    def sum_of(cls, terms: Iterable["LaurentZQSeries"], order: int) -> "LaurentZQSeries":
+        return sum(terms, cls.zero(order))
+
+    @classmethod
     def from_q_series(cls, s: QSeries) -> "LaurentZQSeries":
         return cls({0: s}, s.order)
 
@@ -70,9 +74,6 @@ class LaurentZQSeries:
 
     def is_zero(self) -> bool:
         return not self._cols
-
-    def _map(self, f) -> "LaurentZQSeries":
-        return LaurentZQSeries({k: f(k, col) for k, col in self._cols.items()}, self._order)
 
     def __add__(self, other: "LaurentZQSeries") -> "LaurentZQSeries":
         if not isinstance(other, LaurentZQSeries):
@@ -128,13 +129,13 @@ class LaurentZQSeries:
 
     def z_derivative(self) -> "LaurentZQSeries":
         """Apply z * d/dz: the z^k column picks up a factor k."""
-        return self._map(lambda k, col: col.scale(k))
+        return LaurentZQSeries({k: col.scale(k) for k, col in self._cols.items()}, self._order)
 
     def positive_z_part(self) -> "LaurentZQSeries":
         return LaurentZQSeries({k: c for k, c in self._cols.items() if k > 0}, self._order)
 
     def set_z_one(self) -> QSeries:
-        return sum(self._cols.values(), QSeries.zero(self._order))
+        return QSeries.sum_of(self._cols.values(), self._order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentZQSeries):

@@ -19,25 +19,38 @@ boundary: the constructor takes them, and ``coeffs``, indexing and
 
 One kernel, ``apply_ratio``, multiplies a series by a term ratio: a
 scalar, a power of q, and Pochhammer factors (1 - c*q^e) above and below.
-It applies every factor to one list of int numerators in O(T) each and
-reduces once at the end.  For c = p/q, a factor above gives
-``q*a[n] - p*a[n-e]`` over ``_den*q``.  A factor below solves
-b = a + (p/q) q^e b with K = T // e as ``b[n] = q^K*a[n] + p*(b[n-e] // q)``
+After the scalar and the shift q^v divides the series, so each factor acts
+in O(T') on the tail a = _nums[v:] of order T' = T - v (one with e > T' is
+1 there), and the kernel reduces once at the end.  For c = p/q, a factor
+above gives ``q*a[n] - p*a[n-e]`` over ``_den*q``.  A factor below solves
+b = a + (p/q) q^e b with K = T' // e as ``b[n] = q^K*a[n] + p*(b[n-e] // q)``
 over ``_den*q^K``.  The floor division there is exact for any int
 numerators a, reduced or not: unrolled,
 ``b[m] = sum_{k <= m//e} p^k q^(K-k) a[m-ke]``, so ``b[m]`` is divisible
 by ``q^(K - m//e)``, and for m = n-e that exponent is at least 1 because
-(n-e)//e < K.  Multiplication and division by one factor, every step of
-term_sum, the one summation primitive, and a quotient of q-Pochhammer
-symbols applied to a series (poch_ratio, whose one-symbol cases are poch
-and div_poch) are single calls of this kernel: each term of a basic
-hypergeometric sum is the previous term times its ratio, and most sides
-are such a sum times such a quotient.
+(n-e)//e < K.
+
+These scale the numerators by q per factor above and by q^(T'//e) per
+factor below.  The substitution q = L*x, with L the lcm of the factors'
+denominators, scales them by L^T' instead: the factors run the q = 1 loops
+on a[m]*L^m, as (p/q) q^e = p*(L/q)*L^(e-1) x^e and L/q and L^(e-1) are
+integers for e >= 1, and the result is b[m]*L^(T'-m) over _den*L^T'.  The
+kernel substitutes only when the q-powers' product exceeds L^T', as for a
+run of divisions with one q: always substituting made building the
+deep-T80 sides 1.6 times slower.
+
+Multiplication and division by one factor, every step of term_sum, the
+one summation primitive, and a quotient of q-Pochhammer symbols applied to
+a series (poch_ratio, whose one-symbol cases are poch and div_poch) are
+single calls of this kernel: each term of a basic hypergeometric sum is the
+previous term times its ratio, and most sides are such a sum times such a
+quotient.
 Values are immutable and safe to share between workers.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, compress, count, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
@@ -168,6 +181,20 @@ class QSeries:
             return self
         return _reduced(self._nums[: order + 1], self._den)
 
+    @classmethod
+    def sum_of(cls, terms: Iterable["QSeries"], order: int) -> "QSeries":
+        """The terms' sum (zero(order) for none), truncated like + to the lowest
+        order: added over the running lcm of their denominators, reduced once."""
+        total, den = [0] * (order + 1), 1
+        for s in terms:
+            m = s._den // gcd(den, s._den)
+            if m != 1:
+                total = [m * x for x in total]
+                den *= m
+            k = den // s._den
+            total = list(map(add, total, s._nums if k == 1 else map(k.__mul__, s._nums)))
+        return _reduced(total, den)
+
     # -- ring operations ----------------------------------------------
 
     def _over_common(self, other: "QSeries"):
@@ -209,18 +236,16 @@ class QSeries:
     def __rmul__(self, other: Scalar) -> "QSeries":
         return self.scale(other)
 
-    def _scaled(self, p: int, q: int) -> "QSeries":
-        """self * p/q for p/q in lowest terms with q > 0; cross-cancelling
-        first keeps the result reduced without a gcd over the products."""
+    def scale(self, value: Scalar) -> "QSeries":
+        """self * p/q for value = p/q; cross-cancelling first keeps the
+        result reduced without a gcd over the products."""
+        p, q = _ratio(value)
         if p == 0:
             return QSeries.zero(self.order)
         g1, g2 = gcd(p, self._den), gcd(q, *self._nums)
         p //= g1
         nums = self._nums if g2 == 1 else [n // g2 for n in self._nums]
         return _raw(tuple(map(p.__mul__, nums)), (self._den // g1) * (q // g2))
-
-    def scale(self, value: Scalar) -> "QSeries":
-        return self._scaled(*_ratio(value))
 
     def shift(self, exp: int) -> "QSeries":
         """Multiply by q^exp, keeping the truncation order."""
@@ -265,29 +290,29 @@ class QSeries:
         down: Iterable[Tuple[Scalar, int]] = (),
     ) -> "QSeries":
         """self * scalar * q^shift * prod_up (1 - c q^e) / prod_down (1 - c q^e)
-        in O(T) per factor, reduced once at the end; see the module
-        docstring for the recurrences and why their floor division is exact.
-        A factor with e > T is 1 to the truncation order."""
+        in O(T) per factor, reduced once at the end; see the module docstring
+        for the tail, the recurrences, why their floor division is exact, and
+        when the factors run over x = q/L.  A factor with e > T is 1 to order T."""
         if shift < 0:
             raise ValueError("q-exponent must be non-negative")
         size = len(self._nums)
-        p, den = _ratio(scalar)
+        p, den = scalar.numerator, scalar.denominator * self._den
         head = self._nums[: max(size - shift, 0)] if p else ()
-        a = [0] * (size - len(head)) + (list(head) if p == 1 else [p * x for x in head])
-        den *= self._den
+        if up or down:  # the factors act on the tail after the leading zeros
+            head = head[next(compress(count(), head), len(head)) :]
+        a = list(head) if p == 1 else [p * x for x in head]
+        top = len(a) - 1  # the tail's order
+        ups, downs, big, growth = [], [], 1, 1  # factors (p, q, e), lcm of q, q-powers
         for c, e in up:
             if e < 0:
                 raise ValueError("q-exponent must be non-negative")
             p, q = c.numerator, c.denominator
-            if p == 0 or e >= size:
-                continue
-            den *= q
-            if e == 0:
+            if e == 0 and p:
                 a = [(q - p) * x for x in a]
-            elif q == 1:
-                a = a[:e] + list(map(sub, a[e:], a if p == 1 else map(p.__mul__, a)))
-            else:
-                a = [q * x for x in a[:e]] + [q * x - p * y for x, y in zip(a[e:], a)]
+                den *= q
+            elif p and e <= top:
+                ups.append((p, q, e))
+                big, growth = lcm(big, q), growth * q
         for c, e in down:
             if e < 0:
                 raise ValueError("q-exponent must be non-negative")
@@ -298,19 +323,35 @@ class QSeries:
                 if p:
                     a = [q * x for x in a] if q > p else [-q * x for x in a]
                     den *= abs(q - p)
-                continue
-            if p == 0 or e >= size:
-                continue
+            elif p and e <= top:
+                downs.append((p, q, e))
+                big, growth = lcm(big, q), growth * q ** (top // e)
+        substitute = growth > big**top
+        if substitute:  # q = big * x makes every factor's coefficient an integer
+            powers = list(accumulate(repeat(big, top), mul, initial=1))
+            a = list(map(mul, a, powers))
+            ups, downs = ([(p * (big // q) * powers[e - 1], 1, e) for p, q, e in fs]
+                          for fs in (ups, downs))
+        for p, q, e in ups:
             if q == 1:
-                for n in range(e, size):
+                a = a[:e] + list(map(sub, a[e:], a if p == 1 else map(p.__mul__, a)))
+            else:
+                a = [q * x for x in a[:e]] + [q * x - p * y for x, y in zip(a[e:], a)]
+                den *= q
+        for p, q, e in downs:
+            if q == 1:
+                for n in range(e, top + 1):
                     a[n] += p * a[n - e]
             else:
-                qk = q ** ((size - 1) // e)
+                qk = q ** (top // e)
                 a = [qk * x for x in a]
-                for n in range(e, size):
+                for n in range(e, top + 1):
                     a[n] += p * (a[n - e] // q)
                 den *= qk
-        return _reduced(a, den)
+        if substitute:
+            a = list(map(mul, a, reversed(powers)))
+            den *= powers[-1]
+        return _reduced([0] * (size - len(a)) + a, den)
 
     def mul_binomial(self, coeff: Scalar, exp: int) -> "QSeries":
         """self * (1 - coeff*q^exp)."""
@@ -448,8 +489,8 @@ def term_sum(
     """sum_{n >= start} weight(t_n, n), where t_start = first and
     t_n = step(t_{n-1}, n); without a weight the terms t_n are summed.
     The terms are QSeries, or LaurentZQSeries for a sum in q and z: any
-    series type with ``order``, ``is_zero``, ``+`` and ``zero(order)``;
-    a tail needs QSeries terms.
+    series type with ``order``, ``is_zero`` and ``sum_of(terms, order)``,
+    which sums the terms this loop produces; a tail needs QSeries terms.
 
     A basic hypergeometric sum has this shape: each term is the previous
     one times a scalar, a power of q and a few factors (1 - c q^e)
@@ -492,18 +533,21 @@ def term_sum(
     of the constant coefficients.
     """
     order = first.order
-    total = type(first).zero(order)
-    n, t = start, first
-    while (stop is None or n <= stop) and not t.is_zero():
-        term = t if weight is None else weight(t, n)
-        if tail is not None and n > order:
-            return total + term.div_binomial(tail, 0)
-        total = total + term
-        if n == stop:
-            break
-        n += 1
-        t = step(t, n)
-    return total
+
+    def terms():
+        n, t = start, first
+        while (stop is None or n <= stop) and not t.is_zero():
+            term = t if weight is None else weight(t, n)
+            if tail is not None and n > order:
+                yield term.div_binomial(tail, 0)
+                return
+            yield term
+            if n == stop:
+                return
+            n += 1
+            t = step(t, n)
+
+    return type(first).sum_of(terms(), order)
 
 
 def phi_series(

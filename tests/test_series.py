@@ -437,6 +437,9 @@ def test_first_difference_matches_reference(a, tail, k):
 
 
 factors = st.lists(st.tuples(scalars, exponents), max_size=4)
+# 13 coefficients, T = 12
+B13 = [Fraction(c) for c in "1/2 3 -5/7 0 2/9 -1 4/5 1/3 0 -7/2 6 1/7 -2/3".split()]
+HIGH = [Fraction(0)] * 10 + [Fraction(1, 2), Fraction(-3), Fraction(5, 7)]  # zero below q^10
 
 
 @settings(max_examples=150, deadline=None)
@@ -448,6 +451,16 @@ factors = st.lists(st.tuples(scalars, exponents), max_size=4)
 @example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 1, 1, [(Fraction(5, 2), 9)], [(-2, 4)])
 @example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 1, 0, [(2, 2)], [(Fraction(3, 4), 2)])
 @example([Fraction(1, 2), Fraction(3), Fraction(-5, 7)], 0, 1, [], [(1, 0)])
+# substitution q = 12 x: the q-powers 3^18 * 4^12 exceed 12^12
+@example(B13, 1, 0, [], [(Fraction(2, 3), 1), (Fraction(-3, 4), 1), (Fraction(2, 3), 2)])
+# a tail of order 2 after ten zeros: the factor (2, 3) is skipped
+@example(HIGH, 1, 0, [(2, 3), (Fraction(1, 2), 1)], [(Fraction(-1, 3), 2)])
+# shift 9 leaves a tail of order 3: the factor (1/2, 5) is skipped
+@example(B13, 2, 9, [(Fraction(1, 2), 5)], [(3, 1)])
+# the shift leaves only zeros: an empty tail, factors e = 0 and e >= 1 alike
+@example(HIGH, 1, 3, [(2, 1)], [(Fraction(1, 3), 1), (Fraction(3, 5), 0)])
+# scalar and shift only: no factors, so no scan for the tail
+@example(HIGH, Fraction(-7, 3), 1, [], [])
 def test_apply_ratio_matches_reference(a, scalar, shift, up, down):
     # the reference applies the scalar, the shift and each factor in turn
     expected = ref_shift(ref_scale(a, Fraction(scalar)), shift)
@@ -478,6 +491,27 @@ def test_binomial_kernels_reject_negative_exponent():
                 call()
 
 
+@pytest.mark.parametrize("a", [[Fraction(0)] * 13, HIGH], ids=["zero", "zero-below-q10"])
+def test_apply_ratio_checks_factors_before_skipping_them(a):
+    # on an empty or short tail every factor below is past the tail, yet a
+    # negative exponent and the factor (1 - 1) are still rejected
+    x = QSeries(a)
+    for call in (
+        lambda: x.apply_ratio(up=((2, 12), (0, -1))),
+        lambda: x.apply_ratio(down=((2, 12), (Fraction(1, 3), -2))),
+        lambda: x.apply_ratio(0, 20, down=((1, -1),)),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    for call in (
+        lambda: x.apply_ratio(down=((2, 12), (1, 0))),
+        lambda: x.apply_ratio(0, 20, down=((1, 0),)),
+        lambda: poch_ratio(x, down=((Fraction(1, 2), 11, 2), (1, 0, 1))),
+    ):
+        with pytest.raises(ZeroConstantTermError):
+            call()
+
+
 # (c, e, n) symbols with n = None (infinite), n = 0 (empty) and e > T all drawn
 symbols = st.lists(
     st.tuples(scalars, exponents, st.one_of(st.none(), st.integers(0, 6))), max_size=3
@@ -492,6 +526,16 @@ A = [Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(0), Fraction(2, 9)]
 @example(A, [], [(1, 0, 0), (Fraction(3, 4), 0, None)])
 @example(A, [(2, 1, 1)], [(1, 0, 1)])
 @example(A, [], [(1, 0, None)])
+# substitution q = 12 x, with a factor above whose coefficient is an integer
+@example(
+    B13, [(Fraction(5, 6), 2, 1), (3, 1, 1)], [(Fraction(2, 3), 1, None), (Fraction(-3, 4), 1, 2)]
+)
+# a tail of order 2 after ten zeros: the factor (2, 3) is skipped
+@example(HIGH, [(2, 3, 1)], [(Fraction(-1, 3), 1, 2)])
+# the zero series: an empty tail
+@example([Fraction(0)] * 13, [(2, 1, 3)], [(Fraction(1, 3), 0, 2)])
+# every symbol is empty: no factors, so no scan for the tail
+@example(HIGH, [(5, 0, 0)], [(2, 1, 0)])
 def test_poch_ratio_matches_reference(a, up, down):
     # the reference folds the factors (1 - c q^(e+k)), k < n, of each symbol in turn
     def factors(c, e, n):
@@ -518,3 +562,42 @@ def test_poch_ratio_rejects_negative_exponent_and_length():
         for call in (lambda: poch_ratio(x, up=(bad,)), lambda: poch_ratio(x, down=((2, 1, 2), bad))):
             with pytest.raises(ValueError):
                 call()
+
+
+# primes above every numerator fractions_st draws, so term n's denominator,
+# a multiple of PRIMES[n], differs from every other term's
+PRIMES = (37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda t: st.lists(
+            st.lists(fractions_st, min_size=t + 1, max_size=t + 1), min_size=1, max_size=9
+        )
+    ),
+    st.integers(0, 2),
+    st.one_of(st.none(), st.integers(0, 10)),
+    st.booleans(),
+    st.one_of(st.none(), fractions_st.filter(lambda x: x != 1)),
+)
+def test_term_sum_matches_a_fold_of_ref_add(rows, start, stop, weighted, tail):
+    terms = [[c / p for c in row] for row, p in zip(rows, PRIMES)]
+    order = len(terms[0]) - 1
+    expected = [Fraction(0)] * (order + 1)
+    for n, term in enumerate(terms, start):
+        if stop is not None and n > stop or not any(term):
+            break
+        if weighted:
+            term = ref_scale(term, Fraction(n + 1))
+        if tail is not None and n > order:
+            expected = ref_add(expected, ref_div_binomial(term, tail, 0))
+            break
+        expected = ref_add(expected, term)
+
+    def step(t, n):  # any map works here; the terms are drawn, not ratios
+        return QSeries(terms[n - start]) if n - start < len(terms) else QSeries.zero(order)
+
+    weight = (lambda t, n: t.scale(n + 1)) if weighted else None
+    total = term_sum(QSeries(terms[0]), step, start, stop, weight, tail)
+    assert as_fractions(total) == expected
