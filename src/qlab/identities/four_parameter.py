@@ -1,14 +1,15 @@
 """The four-parameter sum transformation, its finite form and corollaries.
 
-Every sum is a term_sum: each term is the previous one times its ratio,
-a scalar, a power of q and a few factors (1 - c q^e) applied by one
-apply_ratio call, and the sum stops after its last index or at the first
-term that vanishes to order T (all later terms are multiples of it).  A
-step divides only by factors with a nonzero constant term; where that
-needs a parameter off 1, the identity's constraint excludes it.  A
-finite form normalised by (x)_N carries the symbol in its step, as
-(x)_{N-n}/(x)_N = 1/(x q^{N-n})_n, and starts from 1; for the
-descending (a)_{N-n} the last step, n = N, still divides by (1 - a).
+Every sum but the Lambert-type one is a term_sum: each term is the
+previous one times its ratio, a scalar, a power of q and a few factors
+(1 - c q^e) applied by one apply_ratio call, and the sum stops after its
+last index or at the first term that vanishes to order T (all later
+terms are multiples of it).  A step divides only by factors with a
+nonzero constant term; where that needs a parameter off 1, the
+identity's constraint excludes it.  A finite form normalised by (x)_N
+carries the symbol in its step, as (x)_{N-n}/(x)_N = 1/(x q^{N-n})_n,
+and starts from 1; for the descending (a)_{N-n} the last step, n = N,
+still divides by (1 - a).
 
 Sides whose terms keep a nonzero q^0 coefficient for every summation
 index (so the sum never truncates on its own) are computed as the first
@@ -16,12 +17,13 @@ T+1 terms plus an exact geometric tail: past index T every Pochhammer
 factor is frozen modulo q^(T+1), so the step is a scalar x and the rest
 is a geometric series, summed in closed form by term_sum's tail.  The
 Lambert-type sum sum_m (a^m - b^m)/(1 - c q^{m+n}) has no term ratio; it
-is summed over the powers of its denominator instead, each a bracket of
-two factors x q^k/(1 - x q^k), whose k = 0 term a/(1-a) - b/(1-b) is the
-closed form of its constant coefficients.  In the nested right side of
-R02 that sum starts from the outer term, so it needs no product with
-it.  Sampling stays inside the stated convergence regions so those closed
-forms are the values of the sums.
+is summed over the powers of its denominator instead, each term one
+apply_ratio call for a bracket of two factors x q^k/(1 - x q^k), whose
+k = 0 term a/(1-a) - b/(1-b) is the closed form of its constant
+coefficients.  In the nested right side of R02 that sum starts from the
+outer term, so it needs no product with it.  Sampling stays inside the
+stated convergence regions so those closed forms are the values of the
+sums.
 """
 
 from __future__ import annotations
@@ -87,20 +89,20 @@ def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, T: int) -> QSeries
 def _lambert_difference(t: QSeries, a, b, c, shift: int) -> QSeries:
     """t * sum_{m>=1} (a^m - b^m) / (1 - c q^{m+shift}), taken over the
     powers of its denominator: sum_{k>=0} c^k q^{k shift} times the bracket
-    a q^k/(1 - a q^k) - b q^k/(1 - b q^k), which is O(q^k).  The sum starts
-    from t, so a nested sum passes its outer term and needs no product.
+    a q^k/(1 - a q^k) - b q^k/(1 - b q^k) = (a - b) q^k/((1 - a q^k)(1 - b q^k)).
+    Each term is one apply_ratio call on t and is O(q^{k(shift+1)}), so the
+    sum ends at k(shift+1) > T; a nested sum passes its outer term as t
+    and needs no product.
 
     The rearrangement is exact as formal power series, so it holds for
     parameters outside the convergence region as well: for j >= 1,
     [q^j] of both forms is sum_{i(k+shift)=j, i,k>=1} c^k (a^i - b^i), and
     [q^0] is a/(1-a) - b/(1-b) on both, the closed form of the constant
     coefficients sum_{m>=1} (a^m - b^m)."""
-    return term_sum(
-        t,
-        lambda u, k: u.apply_ratio(c, shift),
-        stop=t.order,
-        weight=lambda u, k: lambert_bracket(u, a, b, k),
-    )
+    order, rise = t.order, shift + 1
+    terms = (t.apply_ratio((a - b) * c**k, k * rise, down=((a, k), (b, k)))
+             for k in range(order // rise + 1))
+    return QSeries.sum_of(terms, order)
 
 
 def _r01() -> Identity:

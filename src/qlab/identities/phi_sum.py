@@ -47,7 +47,8 @@ def _phi_block_rhs(env, N: int, T: int) -> QSeries:
         return term_sum(t.div_binomial(1, k), inner)
 
     total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=weight)
-    up, down = ((c / d, 0, None), (d, 1, None)), ((1, 1, N), (c, 1, None), (d, N + 1, None))
+    # (dq)_inf / (dq^{N+1})_inf = (dq)_N
+    up, down = ((c / d, 0, None), (d, 1, N)), ((1, 1, N), (c, 1, None))
     return poch_ratio(total, up=up, down=down)
 
 

@@ -83,6 +83,8 @@ def _ratio(x: Scalar) -> Tuple[int, int]:
 
 def _reduced(nums: Sequence[int], den: int) -> "QSeries":
     """The series nums/den in lowest terms; den must be positive."""
+    if den == 1:  # already in lowest terms, and gcd would still scan every numerator
+        return _raw(tuple(nums), 1)
     # High orders share the fewest factors with den (the low ones of a
     # div_binomial result carry high powers of q), and once the running gcd is 1
     # math.gcd only scans the rest, so start from the top.

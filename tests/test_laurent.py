@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,10 +103,27 @@ def to_rows(case) -> list:
 
 
 def as_rows(f: LaurentZQSeries) -> list:
-    """The q-rows with Fraction values, checking the column invariants."""
-    assert all(col.order == f.order and not col.is_zero() for col in f._cols.values())
-    assert f.is_zero() == (not f._cols)
-    return [f.row(n) for n in range(f.order + 1)]
+    """The q-rows with Fraction values, checking the flat layout's invariants:
+    rows 0..T of the layout's width make up the whole flat series, which is
+    jointly reduced over one positive denominator; every nonzero entry
+    decodes to the row that row() reports, and is_zero() agrees."""
+    flat, lo, w = f._flat, f._lo, f._width
+    assert w >= 1 and len(flat._nums) == (f.order + 1) * w
+    assert flat._den > 0 and gcd(flat._den, *flat._nums) == 1
+    decoded = [{} for _ in range(f.order + 1)]
+    for i, x in enumerate(flat._nums):
+        if x:
+            decoded[i // w][lo + i % w] = Fraction(x, flat._den)
+    rows = [f.row(n) for n in range(f.order + 1)]
+    assert rows == decoded
+    assert f.is_zero() == (not any(rows))
+    return rows
+
+
+def span_width(rows: list) -> int:
+    """The number of z-exponents from the lowest to the highest nonzero one."""
+    ks = [k for row in rows for k in row]
+    return max(ks) - min(ks) + 1 if ks else 0
 
 
 @st.composite
@@ -115,9 +133,12 @@ def binomial_cases(draw):
     return case, draw(st.integers(0, case[0] + 1))
 
 
-# z-columns at -2 and 2 with nothing between them: the division walk must cross the gap
+# z-columns at -2 and 2 with nothing between them: the division must carry across the gap
 GAP = (6, {-2: [Fraction(0), Fraction(0), Fraction(1)] + [Fraction(0)] * 4,
            2: [Fraction(1, 2)] + [Fraction(0)] * 6})
+# z^4 and z^-4 at q^0 and q^1, outside the |k| <= n bound of rank and crank
+WIDE = (5, {4: [Fraction(1)] + [Fraction(0)] * 5,
+            -4: [Fraction(0), Fraction(-3, 5)] + [Fraction(0)] * 4})
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,6 +149,11 @@ GAP = (6, {-2: [Fraction(0), Fraction(0), Fraction(1)] + [Fraction(0)] * 4,
 @example((GAP, 1), Fraction(-2, 3), -2)
 @example(((4, {}), 1), 1, 1)
 @example(((4, {}), 0), 1, 0)  # the zero series still rejects the factor (1 - 1)
+@example((WIDE, 5), 1, 1)  # e = T: one step, two columns of padding
+@example((WIDE, 5), Fraction(2, 3), -2)
+@example((WIDE, 6), 1, -1)  # e > T: the quotient is the series itself
+@example((WIDE, 1), Fraction(-5, 4), 2)  # |s| = 2 with a fractional c over T//e = 5 steps
+@example((WIDE, 2), Fraction(7, 3), -2)
 def test_binomial_kernels_match_reference(case_e, c, s):
     case, e = case_e
     f, rows = to_laurent(case), to_rows(case)
@@ -146,7 +172,30 @@ def test_binomial_kernels_match_reference(case_e, c, s):
         with pytest.raises(ZeroConstantTermError):
             f.div_binomial(c, s, e)
     else:
-        assert as_rows(f.div_binomial(c, s, e)) == ref_laurent_div_binomial(rows, Fraction(c), s, e)
+        g = f.div_binomial(c, s, e)
+        expected = ref_laurent_div_binomial(rows, Fraction(c), s, e)
+        assert as_rows(g) == expected
+        if s != 0 and any(expected):  # the quotient keeps only the columns it occupies
+            assert g._width == span_width(expected)
+
+
+# (q)_2 to order 5 divided by (1 - zq), (1 - q/z), (1 - zq^2): the crank at
+# T = 5, N = 2, where padding by T//e columns instead aliases into row T
+CRANK_T5 = (5, {0: [Fraction(x) for x in (1, -1, -1, 1, 0, 0)]})
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_columns(),
+       st.lists(st.tuples(scalars, st.sampled_from([-2, -1, 1, 2]), st.integers(1, 9)),
+                min_size=3, max_size=3))
+@example(CRANK_T5, [(1, 1, 1), (1, -1, 1), (1, 1, 2)])
+@example(GAP, [(Fraction(1, 2), 2, 1), (-1, -2, 1), (Fraction(-3, 2), 1, 3)])
+def test_chained_divisions_match_reference(case, factors):
+    f, rows = to_laurent(case), to_rows(case)
+    for c, s, e in factors:
+        f, rows = f.div_binomial(c, s, e), ref_laurent_div_binomial(rows, Fraction(c), s, e)
+        assert as_rows(f) == rows
+        assert f._width == max(span_width(rows), 1)
 
 
 @settings(max_examples=80, deadline=None)
