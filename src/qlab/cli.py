@@ -218,6 +218,10 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         raise UsageError(err.args[0]) from None
     except (ConstraintViolationError, UnsupportedNError, ZeroConstantTermError) as err:
         raise UsageError(str(err)) from None
+    if not identity.domain(env):
+        point = ", ".join(f"{k}={v}" for k, v in env.as_strings().items())
+        print(f"qlab: note: {point} is outside {identity.id}'s domain, where its stated sums converge"
+              " and verify samples; the coefficients continue them formally", file=sys.stderr)
     coeff_strings = [format_rat(c) for c in series.coeffs]
     json_obj = {
         "id": identity.id,

@@ -277,7 +277,7 @@ def _r41() -> Identity:
 
 def _r42() -> Identity:
     def lhs(env, N, T):
-        return q_power_sum(QSeries.one(T), N, div_q_n)
+        return q_power_sum(T, N, div_q_n)
 
     def rhs(env, N, T):
         def step(t, k):  # [N,k] (-1)^{k-1} q^{k(k+1)/2}
@@ -301,9 +301,8 @@ def _r42() -> Identity:
 def _r43() -> Identity:
     def lhs(env, N, T):
         x = env.get("a")
-        one = QSeries.one(T)
-        harmonic = q_power_sum(one, N, div_q_n)
-        return harmonic - q_power_sum(one, N - 1, lambda t, k: t.apply_ratio(x, down=((x, k),)))
+        harmonic = q_power_sum(T, N, div_q_n)
+        return harmonic - q_power_sum(T, N - 1, lambda t, k: t.apply_ratio(x, down=((x, k),)))
 
     def rhs(env, N, T):
         x = env.get("a")
@@ -335,7 +334,7 @@ def _r43() -> Identity:
 def _r44() -> Identity:
     def lhs(env, N, T):
         d = env.get("d")
-        return q_power_sum(QSeries.one(T), T, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
+        return q_power_sum(T, T, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
 
     def rhs(env, N, T):
         d = env.get("d")

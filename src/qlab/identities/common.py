@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from itertools import accumulate
+from operator import add
+from typing import Callable, Iterable, Optional
 
 from ..rational import Rat
 from ..series import QSeries, Scalar, term_sum
@@ -26,9 +28,18 @@ def lambert_bracket(t: QSeries, x: Rat, y: Rat, m: int) -> QSeries:
     return t.apply_ratio(x - y, m, down=((x, m), (y, m)))
 
 
-def q_power_sum(t: QSeries, top: int, weight: Callable[[QSeries, int], QSeries]) -> QSeries:
-    """sum_{n=1}^{top} weight(t q^n, n); an inner sum starts from its outer term t."""
-    return term_sum(t.shift(1), lambda u, n: u.shift(1), start=1, stop=top, weight=weight)
+def q_power_sum(order: int, top: int, weight) -> QSeries:
+    """sum_{n=1}^{top} weight(q^n, n) to q^order."""
+    first = QSeries.monomial(1, 1, order)
+    return term_sum(first, lambda u, n: u.shift(1), start=1, stop=top, weight=weight)
+
+
+def nested_q_power_sum(terms: Iterable[QSeries], order: int, weight) -> QSeries:
+    """sum_{j>=1} t_j sum_{n=1}^{j} weight(q^n, n) for terms t_1, t_2, ..., interchanged
+    as sum_{n>=1} weight(q^n U_n, n) over the suffix sums U_n = sum_{j>=n} t_j."""
+    t = list(terms)
+    suffix = zip(range(len(t), 0, -1), accumulate(reversed(t), add))  # (n, U_n) from the top
+    return QSeries.sum_of((weight(u.shift(n), n) for n, u in suffix), order)
 
 
 def sides_at(base: Identity, fix: Callable[[ParamEnv], ParamEnv]) -> tuple:

@@ -32,12 +32,8 @@ def _squared_lambert_sum(a, T: int, top=None) -> QSeries:
     powers of its denominator: sum_{m>=1} m (a q^k)^m = a q^k/(1 - a q^k)^2.
     The rearrangement is exact as formal power series: for j >= 1, [q^j]
     of both forms is sum_{mk=j} m a^m, and [q^0] is a/(1-a)^2 on both."""
-    return term_sum(
-        QSeries.constant(a, T),
-        lambda t, k: t.shift(1),
-        stop=top,
-        weight=lambda t, k: t.apply_ratio(down=((a, k), (a, k))),
-    )
+    one, top = QSeries.one(T), T if top is None else min(top, T)
+    return QSeries.sum_of((one.apply_ratio(a, k, down=((a, k), (a, k))) for k in range(top + 1)), T)
 
 
 def _r10() -> Identity:
@@ -115,12 +111,8 @@ def _r12() -> Identity:
         a, b = env.get("a"), env.get("b")
         # (1 - q^{mN})/(1 - q^m) = sum_{j=0}^{N-1} q^{mj}, and summed over m
         # the power q^{mj} gives the bracket a q^j/(1 - a q^j) - b q^j/(1 - b q^j)
-        return term_sum(
-            QSeries.one(T),
-            lambda t, j: t,
-            stop=min(N - 1, T),
-            weight=lambda t, j: lambert_bracket(t, a, b, j),
-        )
+        one = QSeries.one(T)
+        return QSeries.sum_of((lambert_bracket(one, a, b, j) for j in range(min(N, T + 1))), T)
 
     return Identity(
         id="R12",
@@ -152,7 +144,7 @@ def _r13() -> Identity:
 
     def rhs(env, N, T):
         a = env.get("a")
-        return q_power_sum(QSeries.one(T), N, lambda t, n: t.apply_ratio(a, down=((a, n),)))
+        return q_power_sum(T, N, lambda t, n: t.apply_ratio(a, down=((a, n),)))
 
     return Identity(
         id="R13",

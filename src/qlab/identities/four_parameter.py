@@ -20,15 +20,19 @@ Lambert-type sum sum_m (a^m - b^m)/(1 - c q^{m+n}) has no term ratio; it
 is summed over the powers of its denominator instead, each term one
 apply_ratio call for a bracket of two factors x q^k/(1 - x q^k), whose
 k = 0 term a/(1-a) - b/(1-b) is the closed form of its constant
-coefficients.  In the nested right side of R02 that sum starts from the
-outer term, so it needs no product with it.  Sampling stays inside the
+coefficients.  In the nested right side of R02 the bracket's index k
+enters the outer terms t_n only through q^{kn}, so the double sum is
+interchanged: each bracket is one apply_ratio call per k, on
+G_k = sum_n q^{kn} t_n, not one per (n, k).  Sampling stays inside the
 stated convergence regions so those closed forms are the values of the
 sums.
 """
 
 from __future__ import annotations
 
-from ..series import QSeries, poch_ratio, term_sum
+from itertools import islice
+
+from ..series import QSeries, poch_ratio, ratio_terms, term_sum
 from .common import (
     all_nonzero,
     distinct,
@@ -86,31 +90,13 @@ def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, T: int) -> QSeries
     )
 
 
-def _lambert_difference(t: QSeries, a, b, c, shift: int) -> QSeries:
-    """t * sum_{m>=1} (a^m - b^m) / (1 - c q^{m+shift}), taken over the
-    powers of its denominator: sum_{k>=0} c^k q^{k shift} times the bracket
-    a q^k/(1 - a q^k) - b q^k/(1 - b q^k) = (a - b) q^k/((1 - a q^k)(1 - b q^k)).
-    Each term is one apply_ratio call on t and is O(q^{k(shift+1)}), so the
-    sum ends at k(shift+1) > T; a nested sum passes its outer term as t
-    and needs no product.
-
-    The rearrangement is exact as formal power series, so it holds for
-    parameters outside the convergence region as well: for j >= 1,
-    [q^j] of both forms is sum_{i(k+shift)=j, i,k>=1} c^k (a^i - b^i), and
-    [q^0] is a/(1-a) - b/(1-b) on both, the closed form of the constant
-    coefficients sum_{m>=1} (a^m - b^m)."""
-    order, rise = t.order, shift + 1
-    terms = (t.apply_ratio((a - b) * c**k, k * rise, down=((a, k), (b, k)))
-             for k in range(order // rise + 1))
-    return QSeries.sum_of(terms, order)
-
-
 def _r01() -> Identity:
     def lhs(env, N, T):
         return _quotient_sum_lhs(env, 1, T)
 
-    def rhs(env, N, T):
-        return _lambert_difference(QSeries.one(T), env.get("a"), env.get("b"), 1, 0)
+    def rhs(env, N, T):  # sum_{k>=0} (a - b) q^k / ((1 - a q^k)(1 - b q^k))
+        a, b, one = env.get("a"), env.get("b"), QSeries.one(T)
+        return QSeries.sum_of((lambert_bracket(one, a, b, k) for k in range(T + 1)), T)
 
     return Identity(
         id="R01",
@@ -152,15 +138,16 @@ def _r02() -> Identity:
         def step(t, n):  # (c)_n (b/c)^n / (q)_n
             return t.apply_ratio(b / c, 0, ((c, n - 1),), ((1, n),))
 
-        # the inner sum starts from the outer term t, and is t times a series
-        # that no longer depends on n once n >= T
-        total = term_sum(
-            QSeries.one(T),
-            step,
-            weight=lambda t, n: _lambert_difference(t, a, b, c, n),
-            tail=b / c,
-        )
-        return poch_ratio(total, up=((b / c, 0, None),), down=((b, 0, None),))
+        # interchanged: sum_k (a - b) c^k q^k / ((1 - a q^k)(1 - b q^k)) G_k
+        t = list(islice(ratio_terms(QSeries.one(T), step), T + 2))
+
+        def g(k):  # G_k = sum_n q^{kn} t_n; G_0 keeps the geometric tail in b/c
+            if k == 0:
+                return QSeries.sum_of(t[: T + 1] + [u.div_binomial(b / c, 0) for u in t[T + 1 :]], T)
+            return QSeries.sum_of((t[n].shift(k * n) for n in range(min(len(t), T // k))), T)
+
+        terms = (g(k).apply_ratio((a - b) * c**k, k, down=((a, k), (b, k))) for k in range(T, -1, -1))
+        return poch_ratio(QSeries.sum_of(terms, T), up=((b / c, 0, None),), down=((b, 0, None),))
 
     return Identity(
         id="R02",

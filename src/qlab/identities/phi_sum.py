@@ -9,24 +9,26 @@ one apply_ratio call, and the sum stops after its cutoff or at the first
 term that vanishes to order T, since every later term is a power-series
 multiple of it.  That holds because each step divides only by factors
 (1 - c q^e) with a nonzero constant term, here always e >= 1.  No sum
-here needs the geometric tail for terms that never vanish.  Per-index
-factors that are not ratios (the harmonic partial sums, the inner
-2-phi-1) are weights, and each is an inner term_sum that starts from the
-outer term: the 2-phi-1 for index k from t_k / (1 - q^k), so its terms
-vanish once t_k (c/d)^j q^{kj} does, and no full product is needed.
+here needs the geometric tail for terms that never vanish.  R20's left
+side is interchanged: sum_k q^k U_k / (1 - q^k) over the suffix sums
+U_k = sum_{n>=k} t_n.  The inner 2-phi-1 is a weight, an inner term_sum
+started from the outer term t_k / (1 - q^k), so no full product runs.
 """
 
 from __future__ import annotations
 
-from ..series import QSeries, div_poch, poch_ratio, term_sum
+from itertools import count
+
+from ..series import QSeries, div_poch, poch_ratio, ratio_terms, term_sum
 from .common import (
     all_nonzero,
     distinct,
     div_q_n,
     domain_all,
+    nested_q_power_sum,
     not_value,
-    q_power_sum,
     rules,
+    times_n,
 )
 from .model import FINITE, Identity
 
@@ -52,22 +54,21 @@ def _phi_block_rhs(env, N: int, T: int) -> QSeries:
     return poch_ratio(total, up=up, down=down)
 
 
-def _alternating_sum(env, N: int, T: int, weight) -> QSeries:
-    """sum_{n=1}^{N} (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} w_n
-    / ((q)_n (q)_{N-n} (cq)_n), with w_n applied by weight."""
+def _alternating_terms(env, N: int, T: int):
+    """The terms (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n),
+    n = 1..N."""
     c, d = env.get("c"), env.get("d")
 
-    def step(t, n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n)
+    def step(t, n):
         return t.apply_ratio(-d, n, ((c / d, n - 1), (1, N - n + 1)), ((1, n), (c, n)))
 
-    first = step(div_poch(-QSeries.one(T), 1, 1, N), 1)
-    return term_sum(first, step, start=1, stop=N, weight=weight)
+    return ratio_terms(step(div_poch(-QSeries.one(T), 1, 1, N), 1), step, start=1, stop=N)
 
 
 def _r20() -> Identity:
     def lhs(env, N, T):
         # the weight is the harmonic partial sum sum_{k=1}^{n} q^k / (1 - q^k)
-        return _alternating_sum(env, N, T, lambda t, n: q_power_sum(t, n, div_q_n))
+        return nested_q_power_sum(_alternating_terms(env, N, T), T, div_q_n)
 
     return Identity(
         id="R20",
@@ -118,7 +119,7 @@ def _r21() -> Identity:
 
 def _r22() -> Identity:
     def lhs(env, N, T):
-        head = _alternating_sum(env, N, T, lambda t, n: t.scale(n))
+        head = QSeries.sum_of(map(times_n, _alternating_terms(env, N, T), count(1)), T)
         return head + _phi_block_rhs(env, N, T)
 
     def rhs(env, N, T):

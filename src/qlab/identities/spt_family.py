@@ -16,10 +16,11 @@ its own sweep, so the two share no more than the enumerator; the per-n
 oracles in partitions stay the independent reference for tests and tables.
 
 The series sides are term_sums whose steps are single apply_ratio calls.
-Their double sums (the d-q block of R26 and R32, the block in R31's left
-side, and the q^{j^2}/(q)_j^2 sums of R23, R25 and R36) start each inner
-sum from the outer term, so no full product runs per outer index and the
-inner terms vanish to order T as soon as their product with it does.
+The q^{j^2}/(q)_j^2 sums of R23, R25 and R36 are interchanged, one weight
+per inner index over the suffix sums of the outer terms.  The other
+double sums (the d-q block of R26 and R32, the block in R31's left side)
+start each inner sum from the outer term, so no full product runs per
+outer index.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from collections import Counter
 
 from ..partitions import partition_tuples
 from ..rational import rat
-from ..series import QSeries, div_poch, poch_ratio, term_sum
+from ..series import QSeries, div_poch, poch_ratio, ratio_terms, term_sum
 from .common import (
     all_nonzero,
     distinct,
     div_q_n,
     domain_all,
+    nested_q_power_sum,
     not_value,
-    q_power_sum,
     rules,
     sides_at,
     times_n,
@@ -71,15 +72,13 @@ def overlined_largest_series(order: int) -> QSeries:
 
 
 def _square_sum(T: int, weight) -> QSeries:
-    """sum_{j>=1} q^{j^2} / (q)_j^2 * sum_{n=1}^{j} weight(q^n, n), each inner
-    sum started from its outer term."""
+    """sum_{j>=1} q^{j^2} / (q)_j^2 * sum_{n=1}^{j} weight(q^n, n), interchanged
+    over the suffix sums of its outer terms."""
 
     def step(t, j):  # q^{j^2} / (q)_j^2
         return t.apply_ratio(1, 2 * j - 1, down=((1, j), (1, j)))
 
-    return term_sum(
-        step(QSeries.one(T), 1), step, start=1, weight=lambda t, j: q_power_sum(t, j, weight)
-    )
+    return nested_q_power_sum(ratio_terms(step(QSeries.one(T), 1), step, start=1), T, weight)
 
 
 def _dq_block(d, x, T: int) -> QSeries:

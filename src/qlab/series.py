@@ -505,14 +505,15 @@ def term_sum(
     -1 for a sign (-1)^(n-1), and factors indexed by n - 1 skipped in that
     step.  A finite sum normalised by (x)_N carries (x)_{N-n}/(x)_N
     = 1/(x q^{N-n})_n in its step, one factor (1 - x q^{N-n}) per index,
-    and starts from 1.  A nested sum whose inner sum is a weight starts
-    that inner sum from the outer term t, as term_sum(t * (inner first
-    term), ...), so no full product runs per outer index and the inner
-    terms vanish to order T as soon as their product with t does.
+    and starts from 1.  A nested sum whose inner index k enters only
+    through a power of q or a summation bound is interchanged: each inner
+    factor runs once per k, on a sum of the outer terms (ratio_terms).
+    Otherwise the inner sum is a weight started from the outer term t, as
+    term_sum(t * (inner first term), ...), so no full product runs.
 
-    Stopping: the sum ends after n = stop, or at the first t_n that is
-    zero to the truncation order T.  The second rule is exact because
-    every later term is a power-series multiple of t_n, provided that
+    Stopping (ratio_terms): the sum ends after n = stop, or at the first
+    t_n that is zero to the truncation order T.  The second rule is exact
+    because every later term is a power-series multiple of t_n, provided that
     step divides only by factors with a nonzero constant term: (1 - c q^e)
     or (1 - c z^s q^e) with e >= 1, or (1 - c) with c != 1.  A step that
     would divide by a factor with zero constant term keeps that factor in
@@ -527,29 +528,34 @@ def term_sum(
     never vanish to order T are computed; the result is the value of the
     sum only inside its convergence region, |x| < 1.
 
-    A Lambert-type sum such as sum_{m>=1} (a^m - b^m) / (1 - q^m) has no
-    such term ratio; it becomes a term_sum once it is taken over the
-    powers of its denominator, since sum_{m>=1} x^m q^(mk) is the kernel
-    factor x q^k / (1 - x q^k).  The sum then runs over k with those
-    factors as weight, and its k = 0 term x / (1 - x) is the closed form
-    of the constant coefficients.
+    A Lambert-type sum such as sum_{m>=1} (a^m - b^m) / (1 - q^m) is taken
+    over the powers of its denominator, sum_{m>=1} x^m q^(mk) being the
+    kernel factor x q^k / (1 - x q^k), whose k = 0 term x / (1 - x) is the
+    closed form of the constant coefficients.
     """
     order = first.order
 
     def terms():
-        n, t = start, first
-        while (stop is None or n <= stop) and not t.is_zero():
+        for n, t in enumerate(ratio_terms(first, step, start, stop), start):
             term = t if weight is None else weight(t, n)
             if tail is not None and n > order:
                 yield term.div_binomial(tail, 0)
                 return
             yield term
-            if n == stop:
-                return
-            n += 1
-            t = step(t, n)
 
     return type(first).sum_of(terms(), order)
+
+
+def ratio_terms(first: S, step: Callable[[S, int], S], start: int = 0, stop: Optional[int] = None):
+    """term_sum's terms t_start = first, t_n = step(t_{n-1}, n), lazily, by its
+    stopping rule: through n = stop, or up to the first t_n zero to order T."""
+    n, t = start, first
+    while (stop is None or n <= stop) and not t.is_zero():
+        yield t
+        if n == stop:
+            return
+        n += 1
+        t = step(t, n)
 
 
 def phi_series(

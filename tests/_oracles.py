@@ -9,8 +9,8 @@ QSeries kernels, and the ``ref_laurent_*`` ones of the LaurentZQSeries
 kernels on per-q-row dicts, with the same truncation and edge-case
 conventions.  The ``ref_*`` nested sums at the end rebuild each inner
 sum from 1 for every outer index and multiply it in by a full product:
-the form that the builders, whose inner sums start from the outer term,
-are checked against.
+the form that the builders, whose inner sums start from the outer term
+or are interchanged with the outer sum, are checked against.
 """
 
 from __future__ import annotations
@@ -257,6 +257,22 @@ def ref_r02_rhs_nested(a, b, c, T: int):
 
     total = term_sum(QSeries.one(T), step, weight=weight, tail=b / c)
     return div_poch(poch(b / c, 0, None, T), b, 0, None) * total
+
+
+def ref_r20_lhs(c, d, N: int, T: int):
+    """R20's left side, each term built from its Pochhammer symbols and the
+    harmonic sum sum_{k=1}^{n} q^k/(1 - q^k) rebuilt from 1 for every n and
+    multiplied in."""
+    total = QSeries.zero(T)
+    for n in range(1, N + 1):
+        t = poch(c / d, 0, n, T).scale(-((-d) ** n)).shift(n * (n + 1) // 2)
+        for coeff, length in ((1, n), (1, N - n), (c, n)):
+            t = div_poch(t, coeff, 1, length)
+        harmonic = QSeries.zero(T)
+        for k in range(1, n + 1):
+            harmonic = harmonic + QSeries.one(T).shift(k).div_binomial(1, k)
+        total = total + t * harmonic
+    return total
 
 
 def ref_dq_block(d, x, T: int):

@@ -242,6 +242,14 @@ def test_coeffs_exit_codes_at_boundary_parameters(capsys):
                 assert code in (0, 2), (argv, cutoff, env, err)
 
 
+def test_coeffs_outside_the_domain_notes_it_on_stderr_only(capsys):
+    code, out, err = run_cli(capsys, "coeffs", "--id", "R19", "--a", "5/2", "--order", "4")
+    assert code == 0 and len(json.loads(out)["coeffs"]) == 5
+    assert err.startswith("qlab: note: a=5/2 is outside R19's domain") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "coeffs", "--id", "R01", "--a", "1/2", "--b", "1/3", "--order", "4")
+    assert code == 0 and out and err == ""
+
+
 def test_coeffs_negative_fraction_as_separate_token(capsys):
     base = ("coeffs", "--id", "R01", "--b", "1/2", "--order", "6")
     attached = run_cli(capsys, *base, "--a=-7/3")

@@ -22,6 +22,12 @@ side, with its explicit first term, bracket weight and prefactor; R14
 left side, which divides by (1 - a)) and R08's right side, which is
 R07's at c = 1/z, were recorded while those sums still started from
 (x)_N and divided it back out, and R08 still had builders of its own.
+
+The double sums whose inner index enters only through a power of q or a
+summation bound (R02's nested side, first in GOLDEN, and the INTERCHANGED
+cases: R20's harmonic-weighted left side, the square sum of R23's right
+side and R36's left side) were recorded while each inner sum was still
+run from every outer term, before the sums were interchanged.
 """
 
 import pytest
@@ -453,5 +459,101 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, expected", GOLDEN, ids=[f"{a[2]}-{a[4]}" for a, _ in GOLDEN])
 def test_coeffs_json_is_byte_identical(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+INTERCHANGED = [
+    (
+        "coeffs --id R20 --side lhs --order 12 --c 2/5 --d=-7/3 --N 5".split(),
+        """\
+{
+  "id": "R20",
+  "side": "lhs",
+  "env": {
+    "c": "2/5",
+    "d": "-7/3"
+  },
+  "N": 5,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "0",
+    "-41/15",
+    "-697/75",
+    "-32882/1125",
+    "-430664/5625",
+    "-4848578/28125",
+    "-157093468/421875",
+    "-1559126311/2109375",
+    "-14782803872/10546875",
+    "-132590407744/52734375",
+    "-3447561718339/791015625",
+    "-28858647905428/3955078125"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R23 --side rhs --order 12 --d 3/7".split(),
+        """\
+{
+  "id": "R23",
+  "side": "rhs",
+  "env": {
+    "d": "3/7"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "1",
+    "3",
+    "43/7",
+    "94/7",
+    "170/7",
+    "2274/49",
+    "3847/49",
+    "6641/49",
+    "10800/49",
+    "122637/343",
+    "191259/343",
+    "298502/343"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R36 --side lhs --order 12".split(),
+        """\
+{
+  "id": "R36",
+  "side": "lhs",
+  "env": {},
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "0",
+    "1",
+    "3",
+    "7",
+    "14",
+    "26",
+    "45",
+    "75",
+    "120",
+    "187",
+    "284",
+    "423"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", INTERCHANGED, ids=["R20-lhs-N5", "R23-rhs", "R36-lhs"])
+def test_interchanged_double_sums_are_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected

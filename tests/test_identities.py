@@ -24,7 +24,13 @@ from qlab.identities.spt_family import _dq_block, _square_sum
 from qlab.rational import rat
 from qlab.series import QSeries, ZeroConstantTermError
 
-from _oracles import ref_dq_block, ref_phi_block, ref_r02_rhs_nested, ref_square_sum
+from _oracles import (
+    ref_dq_block,
+    ref_phi_block,
+    ref_r02_rhs_nested,
+    ref_r20_lhs,
+    ref_square_sum,
+)
 
 
 def test_registry_is_complete():
@@ -320,7 +326,7 @@ def test_r24_side_enumerates_the_partitions_of_T_once(monkeypatch, side):
     assert calls == [(12, (), {})]
 
 
-# -- nested sums that start from their outer term ------------------------------
+# -- nested sums, interchanged or started from their outer term ---------------
 
 NESTED_ORDERS = [0, 1, 12, 40]
 
@@ -341,9 +347,26 @@ def test_phi_block_equals_its_rebuild_and_multiply_form(T):
 @pytest.mark.parametrize("T", NESTED_ORDERS)
 def test_r02_nested_side_equals_its_rebuild_and_multiply_form(T):
     identity = get_identity("R02")
-    for a, b, c in ((rat(1, 2), rat(-1, 3), rat(3, 5)), (rat(1, 2), rat(-7, 3), rat(2, 5))):
+    envs = [
+        (rat(1, 2), rat(-1, 3), rat(3, 5)),
+        (rat(1, 2), rat(-7, 3), rat(2, 5)),
+        # the outer sum ends early: (c)_n vanishes for n >= 1 at c = 1, and
+        # the ratio b/c is zero at b = 0
+        (rat(1, 2), rat(-1, 3), rat(1)),
+        (rat(-2, 3), rat(0), rat(3, 5)),
+    ]
+    for a, b, c in envs:
         side = build_side(identity, "rhs_nested", ParamEnv(a=a, b=b, c=c), None, T)
         assert same_value(side, ref_r02_rhs_nested(a, b, c, T))
+
+
+@pytest.mark.parametrize("T", NESTED_ORDERS)
+def test_r20_harmonic_weight_equals_its_rebuild_and_multiply_form(T):
+    identity = get_identity("R20")
+    for c, d in ((rat(2, 5), rat(-7, 3)), (rat(-7, 9), rat(5, 8))):
+        for N in range(1, 7):
+            side = build_side(identity, "lhs", ParamEnv(c=c, d=d), N, T)
+            assert same_value(side, ref_r20_lhs(c, d, N, T))
 
 
 @pytest.mark.parametrize("T", NESTED_ORDERS)
