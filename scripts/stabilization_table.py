@@ -8,9 +8,9 @@ order, at a fixed sample environment.
 
 import argparse
 import sys
+from fractions import Fraction
 
 from qlab.identities import ParamEnv, build_side, get_identity
-from qlab.rational import rat
 
 PAIRS = [
     ("R10", "R15", "rhs"),
@@ -27,8 +27,8 @@ def main() -> int:
     parser.add_argument("--n-limit", type=int, default=30, help="largest cutoff tried")
     args = parser.parse_args()
 
-    env2 = ParamEnv(a=rat(1, 2), b=rat(1, 3))
-    env1 = ParamEnv(a=rat(1, 2))
+    env2 = ParamEnv(a=Fraction(1, 2), b=Fraction(1, 3))
+    env1 = ParamEnv(a=Fraction(1, 2))
 
     for finite_id, infinite_id, infinite_side in PAIRS:
         finite = get_identity(finite_id)

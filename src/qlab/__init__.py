@@ -23,7 +23,7 @@ from .partitions import (
     spt,
     statistic_table,
 )
-from .rational import BACKEND, Rat, format_rat, parse_rat, rat
+from .rational import BACKEND, format_rat, parse_rat
 from .series import (
     PoleInTermRangeError,
     QMonomial,

@@ -199,6 +199,10 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     except KeyError as err:
         raise UsageError(err.args[0]) from None
     values = {name: getattr(args, name) for name in PARAM_NAMES}
+    for name, value in values.items():
+        if value is not None and name not in identity.params:
+            takes = ", ".join(identity.params) or "no parameters"
+            raise UsageError(f"{identity.id} takes no --{name} (it takes {takes})")
     try:
         env = ParamEnv(**{k: parse_rat(v) for k, v in values.items() if v is not None})
     except ValueError as err:

@@ -17,7 +17,7 @@ with the instances 0 <= n <= N combined through a free weight parameter.
 
 from __future__ import annotations
 
-from ..series import QMonomial, QSeries, phi_series, poch_ratio, term_sum
+from ..series import QMonomial, phi_series, poch_ratio, term_sum
 from .common import (
     all_nonzero,
     distinct,
@@ -25,15 +25,16 @@ from .common import (
     domain_all,
     inside_unit,
     not_value,
+    pole_when,
     q_power_sum,
     rules,
     times_n,
 )
-from .model import FINITE, INFINITE, Identity, ParamEnv
+from .model import FINITE, INFINITE, Identity
 
 
 def _r37() -> Identity:
-    def _phi43_sum(uppers, lowers, g, N, T):
+    def _phi43_sum(uppers, lowers, g, N, one):
         # sum_{n=0}^{N} prod(uppers)_n (q^{N-n+1})_n
         #   / (prod(lowers)_n (q)_n (q^{N-n}/g)_n g^n)
         def step(t, n):
@@ -41,21 +42,21 @@ def _r37() -> Identity:
             down = [(v, n - 1) for v in lowers] + [(1, n), (1 / g, N - n)]
             return t.apply_ratio(1 / g, 0, up, down)
 
-        return term_sum(QSeries.one(T), step, stop=N)
+        return term_sum(one, step, stop=N)
 
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         A, B, C = env.get("a"), env.get("b"), env.get("c")
         D, E = env.get("d"), env.get("z")
         g = A * B * C / (D * E)
-        return _phi43_sum((A, B, C), (D, E), g, N, T)
+        return _phi43_sum((A, B, C), (D, E), g, N, one)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         A, B, C = env.get("a"), env.get("b"), env.get("c")
         D, E = env.get("d"), env.get("z")
         g = A * B * C / (D * E)
         g2 = A / E
         de_bc = D * E / (B * C)
-        inner = _phi43_sum((A, D / B, D / C), (D, de_bc), g2, N, T)
+        inner = _phi43_sum((A, D / B, D / C), (D, de_bc), g2, N, one)
         return poch_ratio(inner, up=((E / A, 0, N), (de_bc, 0, N)), down=((E, 0, N), (1 / g, 0, N)))
 
     return Identity(
@@ -78,48 +79,34 @@ def _r37() -> Identity:
             not_value("z", 0, "the balancing ratio needs E != 0"),
             not_value("d", 1, "(D)_n in a denominator vanishes"),
             not_value("z", 1, "(E)_N in a denominator vanishes"),
-            _sears_g_not_one,
-            _sears_g2_not_one,
-            _sears_debc_not_one,
+            pole_when(lambda env: env.get("a") * env.get("b") * env.get("c")
+                      == env.get("d") * env.get("z"),
+                      "ABC = DE: the balanced-column factor (1 - DE/(ABC)) vanishes"),
+            pole_when(lambda env: env.get("a") == env.get("z"),
+                      "A = E: the rewritten lower column (q^{N-n} E/A)_n hits a zero factor"),
+            pole_when(lambda env: env.get("d") * env.get("z") == env.get("b") * env.get("c"),
+                      "DE = BC: (DE/(BC))_n in a denominator vanishes"),
         ),
         domain=all_nonzero("a", "b", "c", "d", "z"),
     )
 
 
-def _sears_g_not_one(env: ParamEnv):
-    if env.get("a") * env.get("b") * env.get("c") == env.get("d") * env.get("z"):
-        return "ABC = DE: the balanced-column factor (1 - DE/(ABC)) vanishes"
-    return None
-
-
-def _sears_g2_not_one(env: ParamEnv):
-    if env.get("a") == env.get("z"):
-        return "A = E: the rewritten lower column (q^{N-n} E/A)_n hits a zero factor"
-    return None
-
-
-def _sears_debc_not_one(env: ParamEnv):
-    if env.get("d") * env.get("z") == env.get("b") * env.get("c"):
-        return "DE = BC: (DE/(BC))_n in a denominator vanishes"
-    return None
-
-
 def _r38() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         w, x = env.get("a"), env.get("b")
 
         def step(t, n):  # w^n prod_{k=0}^{n-1} (x q^N - q^k)
-            return (t * (QSeries.monomial(x, N, T) - QSeries.monomial(1, n - 1, T))).scale(w)
+            return (t * (one.apply_ratio(x, N) - one.shift(n - 1))).scale(w)
 
-        return term_sum(QSeries.one(T), step, stop=N)
+        return term_sum(one, step, stop=N)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         w, x = env.get("a"), env.get("b")
 
         def step(t, n):  # (-w)^n q^{n(n-1)/2} (x q^{N-n+1})_n
             return t.apply_ratio(-w, n - 1, ((x, N - n + 1),))
 
-        return term_sum(QSeries.one(T), step, stop=N)
+        return term_sum(one, step, stop=N)
 
     return Identity(
         id="R38",
@@ -136,16 +123,16 @@ def _r38() -> Identity:
 
 
 def _r39() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a, b, c, t_par = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
         def step(t, n):  # (a)_n (b)_n (q^{N-n+1})_n t^n / ((c)_n (q)_n (t q^{N-n})_n)
             up = ((a, n - 1), (b, n - 1), (1, N - n + 1))
             return t.apply_ratio(t_par, 0, up, ((c, n - 1), (1, n), (t_par, N - n)))
 
-        return term_sum(QSeries.one(T), step, stop=N)
+        return term_sum(one, step, stop=N)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a, b, c, t_par = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
         def step(t, n):
@@ -153,7 +140,7 @@ def _r39() -> Identity:
             up = ((a * b * t_par / c, n - 1), (b, n - 1), (1, N - n + 1))
             return t.apply_ratio(c / b, 0, up, ((b * t_par, n - 1), (1, n), (c / b, N - n)))
 
-        total = term_sum(QSeries.one(T), step, stop=N)
+        total = term_sum(one, step, stop=N)
         up, down = ((c / b, 0, N), (b * t_par, 0, N)), ((c, 0, N), (t_par, 0, N))
         return poch_ratio(total, up=up, down=down)
 
@@ -176,20 +163,19 @@ def _r39() -> Identity:
             not_value("d", 0, "the rewritten lower column (t q^{N-n})_n needs t != 0"),
             not_value("c", 1, "(c)_n in a denominator vanishes"),
             not_value("d", 1, "(t)_N and (t q^{N-n})_n in denominators vanish"),
-            _r39_bt_not_one,
+            pole_when(lambda env: env.get("b") * env.get("d") == 1,
+                      "b*t = 1: (bt)_n in a denominator vanishes"),
             distinct("b", "c", "the rewritten lower column (q^{N-n} c/b)_n hits a zero factor"),
         ),
         domain=all_nonzero("a", "b", "c", "d"),
     )
 
 
-def _r39_bt_not_one(env: ParamEnv):
-    if env.get("b") * env.get("d") == 1:
-        return "b*t = 1: (bt)_n in a denominator vanishes"
-    return None
+_ALPHA_Z_POLE = pole_when(lambda env: env.get("a") * env.get("d") == 1,
+                          "alpha*z = 1: (alpha z)_n in a denominator vanishes")
 
 
-def _heine_lhs(env, N, T):
+def _heine_lhs(env, N, one):
     """2phi1(alpha, beta; gamma; z) for scalar parameters: its terms never
     vanish to order T, so the sum ends in the geometric tail in z."""
     alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
@@ -197,18 +183,18 @@ def _heine_lhs(env, N, T):
     def step(t, n):  # (alpha)_n (beta)_n z^n / ((gamma)_n (q)_n)
         return t.apply_ratio(z, 0, ((alpha, n - 1), (beta, n - 1)), ((gamma, n - 1), (1, n)))
 
-    return term_sum(QSeries.one(T), step, tail=z)
+    return term_sum(one, step, tail=z)
 
 
 def _r40() -> Identity:
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
         def step(t, n):  # (gamma/beta)_n (z)_n beta^n / ((alpha z)_n (q)_n)
             up, down = ((gamma / beta, n - 1), (z, n - 1)), ((alpha * z, n - 1), (1, n))
             return t.apply_ratio(beta, 0, up, down)
 
-        inner = term_sum(QSeries.one(T), step, tail=beta)
+        inner = term_sum(one, step, tail=beta)
         up, down = ((beta, 0, None), (alpha * z, 0, None)), ((gamma, 0, None), (z, 0, None))
         return poch_ratio(inner, up=up, down=down)
 
@@ -227,7 +213,7 @@ def _r40() -> Identity:
             not_value("b", 1, "the transformed series' geometric tail diverges at beta = 1"),
             not_value("c", 1, "(gamma)_n in a denominator vanishes"),
             not_value("d", 1, "(z)_inf in a denominator vanishes and the tail diverges"),
-            _r40_alpha_z_not_one,
+            _ALPHA_Z_POLE,
         ),
         domain=domain_all(
             inside_unit("b", "d"),
@@ -237,20 +223,14 @@ def _r40() -> Identity:
     )
 
 
-def _r40_alpha_z_not_one(env: ParamEnv):
-    if env.get("a") * env.get("d") == 1:
-        return "alpha*z = 1: (alpha z)_n in a denominator vanishes"
-    return None
-
-
 def _r41() -> Identity:
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         inner = phi_series(
             [QMonomial(alpha, 0), QMonomial(gamma / beta, 0)],
             [QMonomial(gamma, 0), QMonomial(alpha * z, 0)],
             QMonomial(beta * z, 0),
-            T,
+            one,
         )
         return poch_ratio(inner, up=((alpha * z, 0, None),), down=((z, 0, None),))
 
@@ -269,21 +249,21 @@ def _r41() -> Identity:
             not_value("b", 0, "the ratio gamma/beta is undefined"),
             not_value("c", 1, "(gamma)_n in a denominator vanishes"),
             not_value("d", 1, "(z)_inf in a denominator vanishes and the tail diverges"),
-            _r40_alpha_z_not_one,
+            _ALPHA_Z_POLE,
         ),
         domain=domain_all(inside_unit("d"), all_nonzero("b", "d")),
     )
 
 
 def _r42() -> Identity:
-    def lhs(env, N, T):
-        return q_power_sum(T, N, div_q_n)
+    def lhs(env, N, one):
+        return q_power_sum(one, N, div_q_n)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         def step(t, k):  # [N,k] (-1)^{k-1} q^{k(k+1)/2}
             return t.apply_ratio(-1, k, ((1, N - k + 1),), ((1, k),))
 
-        return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
+        return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
 
     return Identity(
         id="R42",
@@ -299,19 +279,19 @@ def _r42() -> Identity:
 
 
 def _r43() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         x = env.get("a")
-        harmonic = q_power_sum(T, N, div_q_n)
-        return harmonic - q_power_sum(T, N - 1, lambda t, k: t.apply_ratio(x, down=((x, k),)))
+        harmonic = q_power_sum(one, N, div_q_n)
+        return harmonic - q_power_sum(one, N - 1, lambda t, k: t.apply_ratio(x, down=((x, k),)))
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         x = env.get("a")
-        head = QSeries.constant(x / (1 - x), T)
+        head = one.scale(x / (1 - x))
 
         def step(t, k):  # [N,k] (q/x)_k x^k / (x q^{N-k})_k
             return t.apply_ratio(x, 0, ((1, N - k + 1), (1 / x, k)), ((1, k), (x, N - k)))
 
-        return head - term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
+        return head - term_sum(step(one, 1), step, start=1, stop=N, weight=div_q_n)
 
     return Identity(
         id="R43",
@@ -332,17 +312,17 @@ def _r43() -> Identity:
 
 
 def _r44() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         d = env.get("d")
-        return q_power_sum(T, T, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
+        return q_power_sum(one, one.order, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         d = env.get("d")
 
         def step(t, n):  # q^n (q^{n+1})_inf / (d q^n)_inf
             return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
 
-        first = poch_ratio(QSeries.monomial(1, 1, T), up=((1, 2, None),), down=((d, 1, None),))
+        first = poch_ratio(one.shift(1), up=((1, 2, None),), down=((d, 1, None),))
         return term_sum(first, step, start=1, weight=times_n)
 
     return Identity(
@@ -359,18 +339,17 @@ def _r44() -> Identity:
 
 
 def _r45() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         d = env.get("d")
 
         def step(t, k):  # d^{k-1} (q/d)_{k-1} q^k / (q)_k
             return t.apply_ratio(d, 1, ((1 / d, k - 1),), ((1, k),))
 
-        first = QSeries.monomial(1, 1, T).div_binomial(1, 1)
+        first = one.apply_ratio(1, 1, down=((1, 1),))
         return term_sum(first, step, start=1)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         d = env.get("d")
-        one = QSeries.one(T)
         return (one - poch_ratio(one, up=((1, 1, None),), down=((d, 1, None),))).scale(1 / (1 - d))
 
     return Identity(

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, Optional
 
-from ..rational import Rat
 from ..series import QSeries, Scalar, term_sum
 from .model import Identity, ParamEnv
 
@@ -21,25 +21,24 @@ def div_q_n(t: QSeries, n: int) -> QSeries:
     return t.div_binomial(1, n)
 
 
-def lambert_bracket(t: QSeries, x: Rat, y: Rat, m: int) -> QSeries:
+def lambert_bracket(t: QSeries, x: Fraction, y: Fraction, m: int) -> QSeries:
     """t * (x q^m/(1 - x q^m) - y q^m/(1 - y q^m))
     = t * (x - y) q^m / ((1 - x q^m)(1 - y q^m)); at m = 0 it needs
     x, y != 1, and (1 - 1) raises ZeroConstantTermError."""
     return t.apply_ratio(x - y, m, down=((x, m), (y, m)))
 
 
-def q_power_sum(order: int, top: int, weight) -> QSeries:
-    """sum_{n=1}^{top} weight(q^n, n) to q^order."""
-    first = QSeries.monomial(1, 1, order)
-    return term_sum(first, lambda u, n: u.shift(1), start=1, stop=top, weight=weight)
+def q_power_sum(one: QSeries, top: int, weight) -> QSeries:
+    """sum_{n=1}^{top} weight(q^n, n) to the order of one."""
+    return term_sum(one.shift(1), lambda u, n: u.shift(1), start=1, stop=top, weight=weight)
 
 
-def nested_q_power_sum(terms: Iterable[QSeries], order: int, weight) -> QSeries:
+def nested_q_power_sum(terms: Iterable[QSeries], one: QSeries, weight) -> QSeries:
     """sum_{j>=1} t_j sum_{n=1}^{j} weight(q^n, n) for terms t_1, t_2, ..., interchanged
     as sum_{n>=1} weight(q^n U_n, n) over the suffix sums U_n = sum_{j>=n} t_j."""
     t = list(terms)
     suffix = zip(range(len(t), 0, -1), accumulate(reversed(t), add))  # (n, U_n) from the top
-    return QSeries.sum_of((weight(u.shift(n), n) for n, u in suffix), order)
+    return type(one).sum_of((weight(u.shift(n), n) for n, u in suffix), one.order)
 
 
 def sides_at(base: Identity, fix: Callable[[ParamEnv], ParamEnv]) -> tuple:
@@ -47,7 +46,7 @@ def sides_at(base: Identity, fix: Callable[[ParamEnv], ParamEnv]) -> tuple:
     sides of an entry that restates base at fixed parameters."""
 
     def at(builder):
-        return lambda env, N, T: builder(fix(env), N, T)
+        return lambda env, N, one: builder(fix(env), N, one)
 
     return tuple((name, at(builder)) for name, builder in base.sides)
 
@@ -88,6 +87,11 @@ def distinct(first: str, second: str, why: str) -> Rule:
         return None
 
     return rule
+
+
+def pole_when(holds: Callable[[ParamEnv], bool], message: str) -> Rule:
+    """message when holds(env): a pole on a product or ratio of parameters."""
+    return lambda env: message if holds(env) else None
 
 
 # -- sampling-domain combinators --------------------------------------------

@@ -25,33 +25,35 @@ from .four_parameter import _finite_quotient_sum_lhs, _r01
 from .model import FINITE, INFINITE, Identity
 
 
-def _squared_lambert_sum(a, T: int, top=None) -> QSeries:
-    """sum_{k=0}^{top} a q^k / (1 - a q^k)^2, to order T.
+def _squared_lambert_sum(a, one: QSeries, top=None) -> QSeries:
+    """sum_{k=0}^{top} a q^k / (1 - a q^k)^2, to the order T of one.
 
     With top = None this is sum_{m>=1} m a^m / (1 - q^m) taken over the
     powers of its denominator: sum_{m>=1} m (a q^k)^m = a q^k/(1 - a q^k)^2.
     The rearrangement is exact as formal power series: for j >= 1, [q^j]
     of both forms is sum_{mk=j} m a^m, and [q^0] is a/(1-a)^2 on both."""
-    one, top = QSeries.one(T), T if top is None else min(top, T)
-    return QSeries.sum_of((one.apply_ratio(a, k, down=((a, k), (a, k))) for k in range(top + 1)), T)
+    T = one.order
+    top = T if top is None else min(top, T)
+    terms = (one.apply_ratio(a, k, down=((a, k), (a, k))) for k in range(top + 1))
+    return type(one).sum_of(terms, T)
 
 
 def _r10() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a, b = env.get("a"), env.get("b")
 
         def step(t, n):  # [N,n] (-b/a)_n a^n q^{n(n+1)/2} / (bq)_n
             return t.apply_ratio(a, n, ((1, N - n + 1), (-b / a, n - 1)), ((1, n), (b, n)))
 
-        return term_sum(QSeries.one(T), step, stop=N)
+        return term_sum(one, step, stop=N)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a, b = env.get("a"), env.get("b")
 
         def step(t, n):  # [N,n] (-a/b)_n (bq)^n / (b q^{N-n+1})_n
             return t.apply_ratio(b, 1, ((1, N - n + 1), (-a / b, n - 1)), ((1, n), (b, N - n + 1)))
 
-        return term_sum(QSeries.one(T), step, stop=N)
+        return term_sum(one, step, stop=N)
 
     return Identity(
         id="R10",
@@ -72,22 +74,22 @@ def _r10() -> Identity:
 
 
 def _r11() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a = env.get("a")
 
         def step(t, n):  # [N,n] a^n q^{n^2} / (aq)_n
             return t.apply_ratio(a, 2 * n - 1, ((1, N - n + 1),), ((1, n), (a, n)))
 
-        total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=times_n)
+        total = term_sum(step(one, 1), step, start=1, stop=N, weight=times_n)
         return poch_ratio(total, up=((a, 1, N),))
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a = env.get("a")
 
         def step(t, n):  # [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2}
             return t.apply_ratio(-a, n, ((1, N - n + 1),))
 
-        return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
+        return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
 
     return Identity(
         id="R11",
@@ -104,15 +106,15 @@ def _r11() -> Identity:
 
 
 def _r12() -> Identity:
-    def lhs(env, N, T):  # R03's left side at c = 1
-        return _finite_quotient_sum_lhs(env, 1, N, T)
+    def lhs(env, N, one):  # R03's left side at c = 1
+        return _finite_quotient_sum_lhs(env, 1, N, one)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a, b = env.get("a"), env.get("b")
         # (1 - q^{mN})/(1 - q^m) = sum_{j=0}^{N-1} q^{mj}, and summed over m
         # the power q^{mj} gives the bracket a q^j/(1 - a q^j) - b q^j/(1 - b q^j)
-        one = QSeries.one(T)
-        return QSeries.sum_of((lambert_bracket(one, a, b, j) for j in range(min(N, T + 1))), T)
+        T = one.order
+        return type(one).sum_of((lambert_bracket(one, a, b, j) for j in range(min(N, T + 1))), T)
 
     return Identity(
         id="R12",
@@ -134,17 +136,17 @@ def _r12() -> Identity:
 
 
 def _r13() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a = env.get("a")
 
         def step(t, n):  # [N,n] (-1)^{n-1} a^n q^{n(n+1)/2} (q)_n / (aq)_n
             return t.apply_ratio(-a, n, ((1, N - n + 1),), ((a, n),))
 
-        return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N, weight=div_q_n)
+        return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a = env.get("a")
-        return q_power_sum(T, N, lambda t, n: t.apply_ratio(a, down=((a, n),)))
+        return q_power_sum(one, N, lambda t, n: t.apply_ratio(a, down=((a, n),)))
 
     return Identity(
         id="R13",
@@ -161,18 +163,18 @@ def _r13() -> Identity:
 
 
 def _r14() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a = env.get("a")
 
         def step(t, n):  # [N,n] (q)_n (q)_{n-1} a^n / ((a)_n (a q^{N-n})_n)
             return t.apply_ratio(a, 0, ((1, N - n + 1), (1, n - 1)), ((a, N - n), (a, n - 1)))
 
         # n = 1, where (q)_{n-1} is an empty product: (1 - q^N) a / ((1 - a q^{N-1})(1 - a))
-        first = QSeries.one(T).apply_ratio(a, 0, ((1, N),), ((a, N - 1), (a, 0)))
+        first = one.apply_ratio(a, 0, ((1, N),), ((a, N - 1), (a, 0)))
         return term_sum(first, step, start=1, stop=N, weight=div_q_n)
 
-    def rhs(env, N, T):
-        return _squared_lambert_sum(env.get("a"), T, N - 1)
+    def rhs(env, N, one):
+        return _squared_lambert_sum(env.get("a"), one, N - 1)
 
     return Identity(
         id="R14",
@@ -192,17 +194,17 @@ def _r14() -> Identity:
 
 
 def _r15() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a, b = env.get("a"), env.get("b")
-        return poch_ratio(QSeries.one(T), up=((-a, 1, None),), down=((b, 1, None),))
+        return poch_ratio(one, up=((-a, 1, None),), down=((b, 1, None),))
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a, b = env.get("a"), env.get("b")
 
         def step(t, n):  # (-b/a)_n a^n q^{n(n+1)/2} / ((q)_n (bq)_n)
             return t.apply_ratio(a, n, ((-b / a, n - 1),), ((1, n), (b, n)))
 
-        return term_sum(QSeries.one(T), step)
+        return term_sum(one, step)
 
     return Identity(
         id="R15",
@@ -220,19 +222,19 @@ def _r15() -> Identity:
 
 
 def _r16() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a = env.get("a")
 
         def step(t, n):  # a^n q^{n^2} / ((q)_n (aq)_n)
             return t.apply_ratio(a, 2 * n - 1, down=((1, n), (a, n)))
 
-        total = term_sum(step(QSeries.one(T), 1), step, start=1, weight=times_n)
+        total = term_sum(step(one, 1), step, start=1, weight=times_n)
         return poch_ratio(total, up=((a, 1, None),))
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a = env.get("a")
         return term_sum(
-            QSeries.monomial(a, 1, T),
+            one.apply_ratio(a, 1),
             lambda t, n: t.apply_ratio(-a, n),  # (-1)^{n-1} a^n q^{n(n+1)/2}
             start=1,
             weight=div_q_n,
@@ -257,18 +259,18 @@ def _r17() -> Identity:
 
 
 def _r18() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a = env.get("a")
 
         def step(t, n):  # (-1)^{n-1} a^n q^{n(n+1)/2} / (aq)_n
             return t.apply_ratio(-a, n, down=((a, n),))
 
-        return term_sum(step(-QSeries.one(T), 1), step, start=1, weight=div_q_n)
+        return term_sum(step(-one, 1), step, start=1, weight=div_q_n)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a = env.get("a")
         return term_sum(
-            QSeries.monomial(a, 1, T),
+            one.apply_ratio(a, 1),
             lambda t, n: t.apply_ratio(a, 1),  # a^n q^n
             start=1,
             weight=div_q_n,
@@ -289,22 +291,22 @@ def _r18() -> Identity:
 
 
 def _r19() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a = env.get("a")
 
         def step(t, n):  # (q)_{n-1} a^n / (a)_n
             return t.apply_ratio(a, 0, ((1, n - 1),), ((a, n - 1),))
 
         return term_sum(
-            QSeries.constant(a, T).div_binomial(a, 0),
+            one.apply_ratio(a, down=((a, 0),)),
             step,
             start=1,
             weight=div_q_n,
             tail=a,
         )
 
-    def rhs(env, N, T):
-        return _squared_lambert_sum(env.get("a"), T)
+    def rhs(env, N, one):
+        return _squared_lambert_sum(env.get("a"), one)
 
     return Identity(
         id="R19",

@@ -40,25 +40,22 @@ from .common import (
     inside_unit,
     lambert_bracket,
     not_value,
+    pole_when,
     rules,
     sides_at,
 )
 from .model import FINITE, INFINITE, Identity, ParamEnv
 
 
-def _ad_not_one(env: ParamEnv):
-    if env.get("a") * env.get("d") == 1:
-        return "a*d = 1: (ad)_m in a denominator vanishes and ad/(1-ad) has a pole"
-    return None
+_AD_POLES = (
+    pole_when(lambda env: env.get("a") * env.get("d") == 1,
+              "a*d = 1: (ad)_m in a denominator vanishes and ad/(1-ad) has a pole"),
+    pole_when(lambda env: env.get("a") * env.get("d") == env.get("b"),
+              "a*d = b: the prefactor denominator (ad - b) vanishes"),
+)
 
 
-def _ad_not_b(env: ParamEnv):
-    if env.get("a") * env.get("d") == env.get("b"):
-        return "a*d = b: the prefactor denominator (ad - b) vanishes"
-    return None
-
-
-def _quotient_sum_lhs(env: ParamEnv, c_factor, T: int) -> QSeries:
+def _quotient_sum_lhs(env: ParamEnv, c_factor, one: QSeries) -> QSeries:
     """sum_{n>=1} (b/a)_n a^n / ((1 - c_factor*q^n) (b)_n) with its tail."""
     a, b = env.get("a"), env.get("b")
 
@@ -66,7 +63,7 @@ def _quotient_sum_lhs(env: ParamEnv, c_factor, T: int) -> QSeries:
         return t.apply_ratio(a, 0, ((b / a, n - 1),), ((b, n - 1),))
 
     return term_sum(
-        step(QSeries.one(T), 1),
+        step(one, 1),
         step,
         start=1,
         weight=lambda t, n: t.div_binomial(c_factor, n),
@@ -74,7 +71,7 @@ def _quotient_sum_lhs(env: ParamEnv, c_factor, T: int) -> QSeries:
     )
 
 
-def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, T: int) -> QSeries:
+def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, one: QSeries) -> QSeries:
     """sum_{n=1}^{N} [N,n] (b/a)_n (q)_n (a)_{N-n} a^n / ((1 - c_factor*q^n)(b)_n (a)_N)."""
     a, b = env.get("a"), env.get("b")
 
@@ -82,7 +79,7 @@ def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, T: int) -> QSeries
         return t.apply_ratio(a, 0, ((1, N - n + 1), (b / a, n - 1)), ((a, N - n), (b, n - 1)))
 
     return term_sum(
-        step(QSeries.one(T), 1),
+        step(one, 1),
         step,
         start=1,
         stop=N,
@@ -91,12 +88,12 @@ def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, T: int) -> QSeries
 
 
 def _r01() -> Identity:
-    def lhs(env, N, T):
-        return _quotient_sum_lhs(env, 1, T)
+    def lhs(env, N, one):
+        return _quotient_sum_lhs(env, 1, one)
 
-    def rhs(env, N, T):  # sum_{k>=0} (a - b) q^k / ((1 - a q^k)(1 - b q^k))
-        a, b, one = env.get("a"), env.get("b"), QSeries.one(T)
-        return QSeries.sum_of((lambert_bracket(one, a, b, k) for k in range(T + 1)), T)
+    def rhs(env, N, one):  # sum_{k>=0} (a - b) q^k / ((1 - a q^k)(1 - b q^k))
+        a, b, T = env.get("a"), env.get("b"), one.order
+        return type(one).sum_of((lambert_bracket(one, a, b, k) for k in range(T + 1)), T)
 
     return Identity(
         id="R01",
@@ -118,10 +115,10 @@ def _r01() -> Identity:
 
 
 def _r02() -> Identity:
-    def lhs(env, N, T):
-        return _quotient_sum_lhs(env, env.get("c"), T)
+    def lhs(env, N, one):
+        return _quotient_sum_lhs(env, env.get("c"), one)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
         def step(t, m):  # (b/c)_m c^m / (b)_m
@@ -130,24 +127,26 @@ def _r02() -> Identity:
         def weight(t, m):  # the bracket is O(q^m), so the terms past m = T vanish
             return lambert_bracket(t, a, b, m)
 
-        return term_sum(QSeries.one(T), step, stop=T, weight=weight)
+        return term_sum(one, step, stop=one.order, weight=weight)
 
-    def rhs_nested(env, N, T):
-        a, b, c = env.get("a"), env.get("b"), env.get("c")
+    def rhs_nested(env, N, one):
+        a, b, c, T = env.get("a"), env.get("b"), env.get("c"), one.order
 
         def step(t, n):  # (c)_n (b/c)^n / (q)_n
             return t.apply_ratio(b / c, 0, ((c, n - 1),), ((1, n),))
 
         # interchanged: sum_k (a - b) c^k q^k / ((1 - a q^k)(1 - b q^k)) G_k
-        t = list(islice(ratio_terms(QSeries.one(T), step), T + 2))
+        t = list(islice(ratio_terms(one, step), T + 2))
+
+        sum_of = type(one).sum_of
 
         def g(k):  # G_k = sum_n q^{kn} t_n; G_0 keeps the geometric tail in b/c
             if k == 0:
-                return QSeries.sum_of(t[: T + 1] + [u.div_binomial(b / c, 0) for u in t[T + 1 :]], T)
-            return QSeries.sum_of((t[n].shift(k * n) for n in range(min(len(t), T // k))), T)
+                return sum_of(t[: T + 1] + [u.div_binomial(b / c, 0) for u in t[T + 1 :]], T)
+            return sum_of((t[n].shift(k * n) for n in range(min(len(t), T // k))), T)
 
         terms = (g(k).apply_ratio((a - b) * c**k, k, down=((a, k), (b, k))) for k in range(T, -1, -1))
-        return poch_ratio(QSeries.sum_of(terms, T), up=((b / c, 0, None),), down=((b, 0, None),))
+        return poch_ratio(sum_of(terms, T), up=((b / c, 0, None),), down=((b, 0, None),))
 
     return Identity(
         id="R02",
@@ -177,10 +176,10 @@ def _r02() -> Identity:
 
 
 def _r03() -> Identity:
-    def lhs(env, N, T):
-        return _finite_quotient_sum_lhs(env, env.get("c"), N, T)
+    def lhs(env, N, one):
+        return _finite_quotient_sum_lhs(env, env.get("c"), N, one)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
         def step(t, n):  # [N,n] (b/c)_{n-1} (q)_n c^{n-1} / ((b)_{n-1} (c q^{N-n+1})_n)
@@ -190,7 +189,7 @@ def _r03() -> Identity:
         def weight(t, n):
             return lambert_bracket(t, a, b, n - 1)
 
-        first = QSeries.one(T).apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
+        first = one.apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
         return term_sum(first, step, start=1, stop=N, weight=weight)
 
     return Identity(
@@ -215,16 +214,16 @@ def _r03() -> Identity:
 
 
 def _r04() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
         def step(t, n):  # (b/a)_n (c/d)_n (ad)^n / ((b)_n (cq)_n)
             up, down = ((b / a, n - 1), (c / d, n - 1)), ((b, n - 1), (c, n))
             return t.apply_ratio(a * d, 0, up, down)
 
-        return term_sum(step(QSeries.one(T), 1), step, start=1, tail=a * d)
+        return term_sum(step(one, 1), step, start=1, tail=a * d)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
         prefactor = (a - b) * (d - c) / (ad - b)
@@ -236,7 +235,7 @@ def _r04() -> Identity:
         def weight(t, m):  # the bracket is O(q^m), so the terms past m = T vanish
             return lambert_bracket(t, ad, b, m)
 
-        return term_sum(QSeries.one(T), step, stop=T, weight=weight).scale(prefactor)
+        return term_sum(one, step, stop=one.order, weight=weight).scale(prefactor)
 
     return Identity(
         id="R04",
@@ -254,8 +253,7 @@ def _r04() -> Identity:
             not_value("d", 0, "the quotient argument c/d is undefined"),
             not_value("c", 0, "the quotient argument bd/c is undefined"),
             not_value("b", 1, "(b)_n in a denominator vanishes"),
-            _ad_not_one,
-            _ad_not_b,
+            *_AD_POLES,
         ),
         domain=domain_all(
             all_nonzero("a", "c", "d"),
@@ -265,7 +263,7 @@ def _r04() -> Identity:
 
 
 def _r05() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
 
@@ -273,9 +271,9 @@ def _r05() -> Identity:
             up = ((1, N - n + 1), (b / a, n - 1), (c / d, n - 1))
             return t.apply_ratio(ad, 0, up, ((ad, N - n), (b, n - 1), (c, n)))
 
-        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
+        return term_sum(step(one, 1), step, start=1, stop=N)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
         prefactor = (a - b) * (d - c) / (ad - b)
@@ -288,7 +286,7 @@ def _r05() -> Identity:
         def weight(t, n):
             return lambert_bracket(t, ad, b, n - 1)
 
-        first = QSeries.one(T).apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
+        first = one.apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
         return term_sum(first, step, start=1, stop=N, weight=weight).scale(prefactor)
 
     return Identity(
@@ -309,23 +307,22 @@ def _r05() -> Identity:
             not_value("d", 0, "the quotient argument c/d is undefined"),
             not_value("c", 0, "the quotient argument bd/c is undefined"),
             not_value("b", 1, "(b)_n in a denominator vanishes"),
-            _ad_not_one,
-            _ad_not_b,
+            *_AD_POLES,
         ),
         domain=all_nonzero("a", "b", "c", "d"),
     )
 
 
 def _r06() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         z, c, d = env.get("z"), env.get("c"), env.get("d")
 
         def step(t, n):  # [N,n] (q)_n (c/d)_n (-zd)^n q^{n(n+1)/2} / ((zq)_n (cq)_n)
             return t.apply_ratio(-z * d, n, ((1, N - n + 1), (c / d, n - 1)), ((z, n), (c, n)))
 
-        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
+        return term_sum(step(one, 1), step, start=1, stop=N)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         z, c, d = env.get("z"), env.get("c"), env.get("d")
 
         def step(t, n):  # [N,n] (q)_n (zdq/c)_{n-1} (cq)^n / ((zq)_n (c q^{N-n+1})_n)
@@ -333,7 +330,7 @@ def _r06() -> Identity:
             return t.apply_ratio(c, 1, up, down)
 
         # the n = 1 term, (1 - q^N) cq / ((1 - c q^N)(1 - zq))
-        first = QSeries.one(T).apply_ratio(c, 1, ((1, N),), ((c, N), (z, 1)))
+        first = one.apply_ratio(c, 1, ((1, N),), ((c, N), (z, 1)))
         return term_sum(first, step, start=1, stop=N).scale(z / c * (c - d))
 
     return Identity(
@@ -356,21 +353,21 @@ def _r06() -> Identity:
 
 
 def _r07() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         z, c = env.get("z"), env.get("c")
 
         def step(t, n):  # [N,n] (q)_n (zc)^n q^{n^2} / ((zq)_n (cq)_n)
             return t.apply_ratio(z * c, 2 * n - 1, ((1, N - n + 1),), ((z, n), (c, n)))
 
-        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N)
+        return term_sum(step(one, 1), step, start=1, stop=N)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         z, c = env.get("z"), env.get("c")
 
         def step(t, n):  # [N,n] (q)_n (cq)^n / ((zq)_n (c q^{N-n+1})_n)
             return t.apply_ratio(c, 1, ((1, N - n + 1),), ((c, N - n + 1), (z, n)))
 
-        return term_sum(step(QSeries.one(T), 1), step, start=1, stop=N).scale(z)
+        return term_sum(step(one, 1), step, start=1, stop=N).scale(z)
 
     return Identity(
         id="R07",
@@ -404,21 +401,21 @@ def _r08() -> Identity:
 
 
 def _r09() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         z, c = env.get("z"), env.get("c")
 
         def step(t, n):  # z^n c^n q^{n^2} / ((zq)_n (cq)_n)
             return t.apply_ratio(z * c, 2 * n - 1, down=((z, n), (c, n)))
 
-        return term_sum(step(QSeries.one(T), 1), step, start=1)
+        return term_sum(step(one, 1), step, start=1)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         z, c = env.get("z"), env.get("c")
 
         def step(t, n):  # (cq)^n / (zq)_n
             return t.apply_ratio(c, 1, down=((z, n),))
 
-        return term_sum(step(QSeries.one(T), 1), step, start=1).scale(z)
+        return term_sum(step(one, 1), step, start=1).scale(z)
 
     return Identity(
         id="R09",

@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..rational import Rat, rat
 from ..series import QSeries
 from .model import (
     FINITE,
@@ -46,7 +46,8 @@ _MAX_REPEATS = 5_000
 def build_side(
     identity: Identity, side: str, env: ParamEnv, n_value: Optional[int], order: int
 ) -> QSeries:
-    """One stated side to q^order, after constraint and cutoff validation."""
+    """One stated side to q^order, after constraint and cutoff validation;
+    the builder gets QSeries.one(order), so only this picks the series type."""
     violation = identity.constraint(env)
     if violation is not None:
         raise ConstraintViolationError(identity.id, violation)
@@ -55,7 +56,7 @@ def build_side(
             raise UnsupportedNError(f"{identity.id} needs a cutoff N >= 1, got {n_value}")
     else:
         n_value = None
-    return identity.side(side)(env, n_value, order)
+    return identity.side(side)(env, n_value, QSeries.one(order))
 
 
 def verify(
@@ -100,7 +101,7 @@ def sample_env(rng: random.Random, identity: Identity) -> ParamEnv:
         for name in identity.params:
             num = rng.randint(-_MAX_NUMERATOR, _MAX_NUMERATOR)
             den = rng.randint(1, _MAX_DENOMINATOR)
-            values[name] = rat(num, den)
+            values[name] = Fraction(num, den)
         env = ParamEnv(**values)
         if identity.constraint(env) is None and identity.domain(env):
             return env
@@ -187,7 +188,7 @@ def crank_rank_extraction_check(n_value: int, order: int) -> List[VerificationRe
 class PositivityRow:
     n_value: int
     order: int
-    coeff: Rat
+    coeff: Fraction
     non_negative: bool
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
-from ..rational import Rat, format_rat
+from ..rational import format_rat
 from ..series import QSeries
 
 FINITE = "finite"
@@ -36,13 +37,13 @@ class SampleExhaustionError(RuntimeError):
 class ParamEnv:
     """Exact rational values substituted for the identity parameters."""
 
-    a: Optional[Rat] = None
-    b: Optional[Rat] = None
-    c: Optional[Rat] = None
-    d: Optional[Rat] = None
-    z: Optional[Rat] = None
+    a: Optional[Fraction] = None
+    b: Optional[Fraction] = None
+    c: Optional[Fraction] = None
+    d: Optional[Fraction] = None
+    z: Optional[Fraction] = None
 
-    def get(self, name: str) -> Rat:
+    def get(self, name: str) -> Fraction:
         value = getattr(self, name)
         if value is None:
             raise KeyError(f"parameter {name!r} not set in this environment")
@@ -59,7 +60,10 @@ class ParamEnv:
         return tuple(sorted(self.as_strings().items()))
 
 
-SideBuilder = Callable[[ParamEnv, Optional[int], int], QSeries]
+# builder(env, N, one): N is None for an infinite identity, and one is the unit
+# series to the truncation order.  A builder builds from one alone (one.shift,
+# one.apply_ratio, type(one).sum_of, ...), so build_side picks the series type.
+SideBuilder = Callable[[ParamEnv, Optional[int], QSeries], QSeries]
 Constraint = Callable[[ParamEnv], Optional[str]]
 Domain = Callable[[ParamEnv], bool]
 
@@ -77,9 +81,11 @@ class Identity:
     """A registry entry: independent builders for each stated side.
 
     sides[0] is the reference side ("lhs"); verification compares every
-    other side against it coefficient-by-coefficient.  Identities whose
-    statement carries more than one equivalent right-hand side simply
-    register extra sides.  ``constraint`` names the violated pole (or
+    other side against it coefficient-by-coefficient.  Each builder is
+    called as builder(env, N, one) with one the unit series to the
+    truncation order (see SideBuilder), and returns a series of one's
+    type.  An identity whose statement carries more than one equivalent
+    right-hand side registers extra sides.  ``constraint`` names the violated pole (or
     returns None); ``domain`` additionally confines sampling to the
     region where the stated infinite sums converge.
     """
@@ -124,8 +130,8 @@ class VerificationReport:
     order: int
     passed: bool
     first_mismatch_order: Optional[int] = None
-    lhs_coeff: Optional[Rat] = None
-    rhs_coeff: Optional[Rat] = None
+    lhs_coeff: Optional[Fraction] = None
+    rhs_coeff: Optional[Fraction] = None
     mismatch_side: Optional[str] = None
     # timing differs between identical runs, so equality ignores it
     elapsed_ms: int = field(default=0, compare=False)

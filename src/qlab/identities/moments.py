@@ -13,27 +13,27 @@ non-negativity.
 from __future__ import annotations
 
 from ..laurent import LaurentZQSeries
-from ..series import QSeries, div_poch, poch, term_sum
+from ..series import QSeries, div_poch, poch_ratio, term_sum
 from .common import div_q_n, times_n
 from .model import FINITE, Identity
 
 
-def crank_bivariate(N: int, order: int) -> LaurentZQSeries:
+def crank_bivariate(N: int, one: QSeries) -> LaurentZQSeries:
     """(q)_N / ((zq)_N (q/z)_N) as a Laurent-in-z series."""
-    f = LaurentZQSeries.from_q_series(poch(1, 1, N, order))
-    for k in range(1, min(N, order) + 1):
+    f = LaurentZQSeries.from_q_series(poch_ratio(one, up=((1, 1, N),)))
+    for k in range(1, min(N, one.order) + 1):
         f = f.div_binomial(1, 1, k).div_binomial(1, -1, k)
     return f
 
 
-def rank_bivariate(N: int, order: int) -> LaurentZQSeries:
+def rank_bivariate(N: int, one: QSeries) -> LaurentZQSeries:
     """sum_{n=0}^{N} [N,n] (q)_n q^{n^2} / ((zq)_n (q/z)_n)."""
 
     def step(t, n):  # [N,n]/[N,n-1] (1-q^n) = 1-q^{N-n+1}, then q^{2n-1}/((1-zq^n)(1-q^n/z))
         t = t.apply_ratio(1, 2 * n - 1, ((1, N - n + 1),))
         return t.div_binomial(1, 1, n).div_binomial(1, -1, n)
 
-    return term_sum(LaurentZQSeries.from_q_series(QSeries.one(order)), step, stop=N)
+    return term_sum(LaurentZQSeries.from_q_series(one), step, stop=N)
 
 
 def first_moment_extraction(f: LaurentZQSeries) -> QSeries:
@@ -41,7 +41,7 @@ def first_moment_extraction(f: LaurentZQSeries) -> QSeries:
     return f.z_derivative().positive_z_part().set_z_one()
 
 
-def _moment_sum(N: int, order: int, exp_step, weight=None) -> QSeries:
+def _moment_sum(N: int, one: QSeries, exp_step, weight=None) -> QSeries:
     """sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{e(n)} w_n / ((q)_{n+N} (1-q^n)),
     with e(n) - e(n-1) = exp_step(n) and w_n applied by weight (default 1)."""
 
@@ -51,26 +51,31 @@ def _moment_sum(N: int, order: int, exp_step, weight=None) -> QSeries:
     def term(t, n):
         return (t if weight is None else weight(t, n)).div_binomial(1, n)
 
-    first = step(div_poch(QSeries.constant(-1, order), 1, 1, N), 1)
+    first = step(div_poch(-one, 1, 1, N), 1)
     return term_sum(first, step, start=1, stop=N, weight=term)
 
 
-def crank_moment_finite(N: int, order: int) -> QSeries:
+def crank_moment_finite(N: int, one: QSeries) -> QSeries:
     """Closed form: sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{n(n+1)/2}
     / ((q)_{n+N} (1-q^n))."""
-    return _moment_sum(N, order, lambda n: n)
+    return _moment_sum(N, one, lambda n: n)
 
 
-def rank_moment_finite(N: int, order: int) -> QSeries:
+def rank_moment_finite(N: int, one: QSeries) -> QSeries:
     """Closed form: sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{n(3n+1)/2}
     / ((q)_{n+N} (1-q^n))."""
-    return _moment_sum(N, order, lambda n: 3 * n - 1)
+    return _moment_sum(N, one, lambda n: 3 * n - 1)
+
+
+def _moment_difference(N: int, one: QSeries) -> QSeries:
+    """sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{n(n+1)/2} (1 - q^{n^2})
+    / ((q)_{n+N} (1-q^n)); the crank-minus-rank moment difference."""
+    return _moment_sum(N, one, lambda n: n, lambda t, n: t.mul_binomial(1, n * n))
 
 
 def moment_difference_finite(N: int, order: int) -> QSeries:
-    """sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{n(n+1)/2} (1 - q^{n^2})
-    / ((q)_{n+N} (1-q^n)); the crank-minus-rank moment difference."""
-    return _moment_sum(N, order, lambda n: n, lambda t, n: t.mul_binomial(1, n * n))
+    """The moment difference to q^order, the series positivity_scan reads."""
+    return _moment_difference(N, QSeries.one(order))
 
 
 def crank_moment_infinite(order: int) -> QSeries:
@@ -80,13 +85,13 @@ def crank_moment_infinite(order: int) -> QSeries:
     return div_poch(total, 1, 1, None)
 
 
-def crank_moment_infinite_positive_form(order: int) -> QSeries:
+def crank_moment_infinite_positive_form(one: QSeries) -> QSeries:
     """sum_{k>=0} k q^{k^2} / (q)_k^2, the other stated form of the same series."""
 
     def step(t, k):  # q^{k^2} / (q)_k^2
         return t.apply_ratio(1, 2 * k - 1, down=((1, k), (1, k)))
 
-    return term_sum(step(QSeries.one(order), 1), step, start=1, weight=times_n)
+    return term_sum(step(one, 1), step, start=1, weight=times_n)
 
 
 def rank_moment_infinite(order: int) -> QSeries:
@@ -97,11 +102,11 @@ def rank_moment_infinite(order: int) -> QSeries:
 
 
 def _r33() -> Identity:
-    def lhs(env, N, T):
-        return first_moment_extraction(crank_bivariate(N, T))
+    def lhs(env, N, one):
+        return first_moment_extraction(crank_bivariate(N, one))
 
-    def rhs(env, N, T):
-        return crank_moment_finite(N, T)
+    def rhs(env, N, one):
+        return crank_moment_finite(N, one)
 
     return Identity(
         id="R33",
@@ -117,11 +122,11 @@ def _r33() -> Identity:
 
 
 def _r34() -> Identity:
-    def lhs(env, N, T):
-        return first_moment_extraction(rank_bivariate(N, T))
+    def lhs(env, N, one):
+        return first_moment_extraction(rank_bivariate(N, one))
 
-    def rhs(env, N, T):
-        return rank_moment_finite(N, T)
+    def rhs(env, N, one):
+        return rank_moment_finite(N, one)
 
     return Identity(
         id="R34",
@@ -138,11 +143,11 @@ def _r34() -> Identity:
 
 
 def _r35() -> Identity:
-    def lhs(env, N, T):
-        return crank_moment_finite(N, T) - rank_moment_finite(N, T)
+    def lhs(env, N, one):
+        return crank_moment_finite(N, one) - rank_moment_finite(N, one)
 
-    def rhs(env, N, T):
-        return moment_difference_finite(N, T)
+    def rhs(env, N, one):
+        return _moment_difference(N, one)
 
     return Identity(
         id="R35",

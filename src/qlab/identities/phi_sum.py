@@ -33,7 +33,7 @@ from .common import (
 from .model import FINITE, Identity
 
 
-def _phi_block_rhs(env, N: int, T: int) -> QSeries:
+def _phi_block_rhs(env, N: int, one: QSeries) -> QSeries:
     """(c/d)_inf (dq)_inf / ((q)_N (cq)_inf (dq^{N+1})_inf)
     * sum_{k=1}^{N} [N,k] d^k q^{k(k+1)} / ((dq)_k (1-q^k))
       * 2phi1(dq, dq^{N+1}; dq^{k+1}; (c/d) q^k)."""
@@ -48,13 +48,13 @@ def _phi_block_rhs(env, N: int, T: int) -> QSeries:
 
         return term_sum(t.div_binomial(1, k), inner)
 
-    total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=weight)
+    total = term_sum(step(one, 1), step, start=1, stop=N, weight=weight)
     # (dq)_inf / (dq^{N+1})_inf = (dq)_N
     up, down = ((c / d, 0, None), (d, 1, N)), ((1, 1, N), (c, 1, None))
     return poch_ratio(total, up=up, down=down)
 
 
-def _alternating_terms(env, N: int, T: int):
+def _alternating_terms(env, N: int, one: QSeries):
     """The terms (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n),
     n = 1..N."""
     c, d = env.get("c"), env.get("d")
@@ -62,13 +62,13 @@ def _alternating_terms(env, N: int, T: int):
     def step(t, n):
         return t.apply_ratio(-d, n, ((c / d, n - 1), (1, N - n + 1)), ((1, n), (c, n)))
 
-    return ratio_terms(step(div_poch(-QSeries.one(T), 1, 1, N), 1), step, start=1, stop=N)
+    return ratio_terms(step(div_poch(-one, 1, 1, N), 1), step, start=1, stop=N)
 
 
 def _r20() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         # the weight is the harmonic partial sum sum_{k=1}^{n} q^k / (1 - q^k)
-        return nested_q_power_sum(_alternating_terms(env, N, T), T, div_q_n)
+        return nested_q_power_sum(_alternating_terms(env, N, one), one, div_q_n)
 
     return Identity(
         id="R20",
@@ -89,17 +89,16 @@ def _r20() -> Identity:
 
 
 def _r21() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         c, d = env.get("c"), env.get("d")
 
         def step(t, n):  # [N,n] (c/d)_n d^n (-1)^{n-1} q^{n(n+1)/2} / (cq)_n
             return t.apply_ratio(-d, n, ((1, N - n + 1), (c / d, n - 1)), ((1, n), (c, n)))
 
-        return term_sum(step(-QSeries.one(T), 1), step, start=1, stop=N)
+        return term_sum(step(-one, 1), step, start=1, stop=N)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         c, d = env.get("c"), env.get("d")
-        one = QSeries.one(T)
         return one - poch_ratio(one, up=((d, 1, N),), down=((c, 1, N),))
 
     return Identity(
@@ -118,13 +117,12 @@ def _r21() -> Identity:
 
 
 def _r22() -> Identity:
-    def lhs(env, N, T):
-        head = QSeries.sum_of(map(times_n, _alternating_terms(env, N, T), count(1)), T)
-        return head + _phi_block_rhs(env, N, T)
+    def lhs(env, N, one):
+        head = type(one).sum_of(map(times_n, _alternating_terms(env, N, one), count(1)), one.order)
+        return head + _phi_block_rhs(env, N, one)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         c, d = env.get("c"), env.get("d")
-        one = QSeries.one(T)
         ratio = poch_ratio(one, up=((d, 1, N),), down=((c, 1, N),))
         head = div_poch(one - ratio, 1, 1, N).scale(c / (c - d))
 

@@ -26,9 +26,9 @@ outer index.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 from ..partitions import partition_tuples
-from ..rational import rat
 from ..series import QSeries, div_poch, poch_ratio, ratio_terms, term_sum
 from .common import (
     all_nonzero,
@@ -47,12 +47,15 @@ from .model import INFINITE, Identity, ParamEnv
 def n_sc_generating_function(order: int) -> QSeries:
     """sum_n N_SC(n) q^n = (1/(q)_inf) sum_{n>=1} n (-1)^{n-1} q^{n(n+1)/2}
     / ((q)_n (1 + q^n))."""
+    return _n_sc_series(QSeries.one(order))
 
+
+def _n_sc_series(one: QSeries) -> QSeries:
     def step(t, n):  # (-1)^{n-1} q^{n(n+1)/2} / (q)_n
         return t.apply_ratio(-1, n, down=((1, n),))
 
     total = term_sum(
-        step(-QSeries.one(order), 1),
+        step(-one, 1),
         step,
         start=1,
         weight=lambda t, n: t.apply_ratio(n, down=((-1, n),)),
@@ -63,25 +66,27 @@ def n_sc_generating_function(order: int) -> QSeries:
 def overlined_largest_series(order: int) -> QSeries:
     """sum_{n>=1} n q^n (-q)_{n-1} / (q)_n, the series counterpart of the
     overlined-largest-part statistic."""
+    return _overlined_largest_series(QSeries.one(order))
 
+
+def _overlined_largest_series(one: QSeries) -> QSeries:
     def step(t, n):  # q^n (-q)_{n-1} / (q)_n
         return t.apply_ratio(1, 1, ((-1, n - 1),), ((1, n),))
 
-    first = QSeries.monomial(1, 1, order).div_binomial(1, 1)
-    return term_sum(first, step, start=1, weight=times_n)
+    return term_sum(one.apply_ratio(1, 1, down=((1, 1),)), step, start=1, weight=times_n)
 
 
-def _square_sum(T: int, weight) -> QSeries:
+def _square_sum(one: QSeries, weight) -> QSeries:
     """sum_{j>=1} q^{j^2} / (q)_j^2 * sum_{n=1}^{j} weight(q^n, n), interchanged
     over the suffix sums of its outer terms."""
 
     def step(t, j):  # q^{j^2} / (q)_j^2
         return t.apply_ratio(1, 2 * j - 1, down=((1, j), (1, j)))
 
-    return nested_q_power_sum(ratio_terms(step(QSeries.one(T), 1), step, start=1), T, weight)
+    return nested_q_power_sum(ratio_terms(step(one, 1), step, start=1), one, weight)
 
 
-def _dq_block(d, x, T: int) -> QSeries:
+def _dq_block(d, x, one: QSeries) -> QSeries:
     """sum_{k>=1} d^k q^{k(k+1)} / ((q)_k (dq)_k (1-q^k))
     * sum_{m>=0} (dq)_m (x q^k)^m / ((dq^{k+1})_m (q)_m)."""
 
@@ -94,40 +99,40 @@ def _dq_block(d, x, T: int) -> QSeries:
 
         return term_sum(t.div_binomial(1, k), inner)
 
-    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=weight)
+    return term_sum(step(one, 1), step, start=1, weight=weight)
 
 
-def _quotient_tail(x, d, T: int) -> QSeries:
+def _quotient_tail(x, d, one: QSeries) -> QSeries:
     """sum_{k>=1} (xq)_k (dq)^k / ((q)_k (1-q^k))."""
 
     def step(t, k):  # (xq)_k (dq)^k / (q)_k
         return t.apply_ratio(d, 1, ((x, k),), ((1, k),))
 
-    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
+    return term_sum(step(one, 1), step, start=1, weight=div_q_n)
 
 
 def _r23() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         d = env.get("d")
 
         def step(t, n):  # (-d)^{n-1} (q/d)_{n-1} q^{n(n+1)/2} / (q)_n^2
             return t.apply_ratio(-d, n, ((1 / d, n - 1),), ((1, n), (1, n)))
 
-        first = QSeries.monomial(1, 1, T).apply_ratio(down=((1, 1), (1, 1)))
+        first = one.apply_ratio(1, 1, down=((1, 1), (1, 1)))
         total = term_sum(first, step, start=1, weight=times_n)
         return div_poch(total, 1, 1, None)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         d = env.get("d")
 
         def step(t, n):  # q^n (dq)_{n-1} / (q)_n
             return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
 
-        first = QSeries.monomial(1, 1, T).div_binomial(1, 1)
+        first = one.apply_ratio(1, 1, down=((1, 1),))
         head = div_poch(term_sum(first, step, start=1, weight=times_n), 1, 1, None)
 
         # the inner sum is sum_{n=1}^{j} q^n / ((1 - d q^n)(1 - q^n))
-        tail = _square_sum(T, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
+        tail = _square_sum(one, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
         return head - poch_ratio(tail, up=((d, 1, None),), down=((1, 1, None),))
 
     return Identity(
@@ -152,7 +157,8 @@ def _r24() -> Identity:
     # dropping j of a partition's m ones (see the module docstring).
     # Partitions of T that agree in what a side reads give the same
     # contributions, so the sweep tallies that and expands the tallies.
-    def lhs(env, N, T):
+    def lhs(env, N, one):
+        T = one.order
         values = [0] * (T + 1)  # spt(n)
         with_ones = [0] * (T + 1)  # partitions of T with m ones, by m
         for parts in partition_tuples(T):
@@ -163,9 +169,10 @@ def _r24() -> Identity:
         for m, count in enumerate(with_ones):
             for j in range(m):  # j < m dropped: the smallest is 1, m - j times
                 values[T - j] += count * (m - j)
-        return QSeries([rat(v) for v in values])
+        return QSeries([Fraction(v) for v in values])
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
+        T = one.order
         tally = Counter()  # (rank, m) of the nonempty partitions of T
         for parts in partition_tuples(T):
             if parts:
@@ -178,9 +185,9 @@ def _r24() -> Identity:
                 rank2[n] += c * (rank + T - n) ** 2
 
         def value(n):  # n p(n) - N_2(n) / 2
-            return rat(n) * count[n] - rat(rank2[n], 2)
+            return Fraction(n) * count[n] - Fraction(rank2[n], 2)
 
-        return QSeries([rat(0)] + [value(n) for n in range(1, T + 1)])
+        return QSeries([Fraction(0)] + [value(n) for n in range(1, T + 1)])
 
     return Identity(
         id="R24",
@@ -193,18 +200,18 @@ def _r24() -> Identity:
 
 
 def _r25() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         def step(t, n):  # (-q)_{n-1} q^{n(n+1)/2} / (q)_n^2
             return t.apply_ratio(1, n, ((-1, n - 1),), ((1, n), (1, n)))
 
-        first = QSeries.monomial(1, 1, T).apply_ratio(down=((1, 1), (1, 1)))
+        first = one.apply_ratio(1, 1, down=((1, 1), (1, 1)))
         return term_sum(first, step, start=1, weight=times_n)
 
-    def rhs(env, N, T):
-        head = overlined_largest_series(T)
+    def rhs(env, N, one):
+        head = _overlined_largest_series(one)
 
         # the inner sum is sum_{n=1}^{j} q^n / (1 - q^{2n})
-        tail = _square_sum(T, lambda t, n: t.div_binomial(1, 2 * n))
+        tail = _square_sum(one, lambda t, n: t.div_binomial(1, 2 * n))
         return head - poch_ratio(tail, up=((-1, 1, None),))
 
     return Identity(
@@ -222,21 +229,21 @@ def _r25() -> Identity:
 
 
 def _r26() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         d = env.get("d")
 
         def step(t, n):  # (-1)^{n-1} (-1/d)_n d^n q^{n(n+1)/2} / (q^2;q^2)_n
             return t.apply_ratio(-d, n, ((-1 / d, n - 1),), ((1, 2 * n),))
 
-        head = term_sum(step(-QSeries.one(T), 1), step, start=1, weight=times_n)
+        head = term_sum(step(-one, 1), step, start=1, weight=times_n)
         up = ((-1 / d, 0, None), (d, 1, None))
-        return head + poch_ratio(_dq_block(d, -1 / d, T), up=up, down=((-1, 1, None),))
+        return head + poch_ratio(_dq_block(d, -1 / d, one), up=up, down=((-1, 1, None),))
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         d = env.get("d")
         # (1 - ratio)/(1 + d) + ratio * tail = x + ratio * (tail - x), x = 1/(1 + d)
-        x = QSeries.constant(1 / (1 + d), T)
-        tail = _quotient_tail(-1 / d, d, T) - x
+        x = one.scale(1 / (1 + d))
+        tail = _quotient_tail(-1 / d, d, one) - x
         return x + poch_ratio(tail, up=((d, 1, None),), down=((-1, 1, None),))
 
     return Identity(
@@ -261,8 +268,8 @@ def _r26() -> Identity:
 
 
 def _r27() -> Identity:
-    def lhs(env, N, T):
-        head = poch_ratio(n_sc_generating_function(T), up=((1, 1, None),))
+    def lhs(env, N, one):
+        head = poch_ratio(_n_sc_series(one), up=((1, 1, None),))
 
         # the bracket (-q)_n/(q)_n - 1 splits the sum in two term-ratio sums
         def with_bracket(t, n):  # q^{n(n+1)/2} (-q)_n / (q)_n^2
@@ -271,19 +278,19 @@ def _r27() -> Identity:
         def without(t, n):  # q^{n(n+1)/2} / (q)_n
             return t.apply_ratio(1, n, down=((1, n),))
 
-        one = QSeries.one(T)
         tail = term_sum(with_bracket(one, 1), with_bracket, start=1, weight=div_q_n)
         tail = tail - term_sum(without(one, 1), without, start=1, weight=div_q_n)
-        return head + poch_ratio(tail.scale(rat(1, 2)), up=((1, 1, None),), down=((-1, 1, None),))
+        up, down = ((1, 1, None),), ((-1, 1, None),)
+        return head + poch_ratio(tail.scale(Fraction(1, 2)), up=up, down=down)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         def step(t, n):  # (-q)_n q^n / (q)_n
             return t.apply_ratio(1, 1, ((-1, n),), ((1, n),))
 
-        tail = term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
+        tail = term_sum(step(one, 1), step, start=1, weight=div_q_n)
         # 1/4 - ratio/4 + ratio * tail/2 = 1/4 + ratio * (tail/2 - 1/4)
-        quarter = QSeries.constant(rat(1, 4), T)
-        tail = tail.scale(rat(1, 2)) - quarter
+        quarter = one.scale(Fraction(1, 4))
+        tail = tail.scale(Fraction(1, 2)) - quarter
         return quarter + poch_ratio(tail, up=((1, 1, None),), down=((-1, 1, None),))
 
     return Identity(
@@ -302,7 +309,7 @@ def _r27() -> Identity:
 
 
 def _r28() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         d = env.get("d")
 
         def first(t, n):  # (-1)^{n-1} d^n q^{n(n+1)/2} / (q)_n
@@ -311,18 +318,17 @@ def _r28() -> Identity:
         def second(t, n):  # d^n q^{n(n+1)} / ((q)_n (dq)_n)
             return t.apply_ratio(d, 2 * n, down=((1, n), (d, n)))
 
-        one = QSeries.one(T)
         head = term_sum(first(-one, 1), first, start=1, weight=times_n)
         block = term_sum(second(one, 1), second, start=1, weight=div_q_n)
         return div_poch(head, d, 1, None) + block
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         d = env.get("d")
 
         def step(t, n):  # (dq)^n / (q)_n
             return t.apply_ratio(d, 1, down=((1, n),))
 
-        return term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
+        return term_sum(step(one, 1), step, start=1, weight=div_q_n)
 
     return Identity(
         id="R28",
@@ -349,27 +355,26 @@ def _r29() -> Identity:
         ),
         params=(),
         kind=INFINITE,
-        sides=sides_at(_r28(), lambda env: ParamEnv(d=rat(1))),
+        sides=sides_at(_r28(), lambda env: ParamEnv(d=Fraction(1))),
     )
 
 
 def _r30() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         def first(t, n):  # q^{n(n+1)/2} / (q)_n
             return t.apply_ratio(1, n, down=((1, n),))
 
         def second(t, n):  # (-1)^n q^{n(n+1)} / (q^2;q^2)_n
             return t.apply_ratio(-1, 2 * n, down=((1, 2 * n),))
 
-        one = QSeries.one(T)
         head = div_poch(term_sum(first(-one, 1), first, start=1, weight=times_n), -1, 1, None)
         return head + term_sum(second(one, 1), second, start=1, weight=div_q_n)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         def step(t, n):  # (-q)^n / (q)_n
             return t.apply_ratio(-1, 1, down=((1, n),))
 
-        return term_sum(step(QSeries.one(T), 1), step, start=1, weight=div_q_n)
+        return term_sum(step(one, 1), step, start=1, weight=div_q_n)
 
     return Identity(
         id="R30",
@@ -386,13 +391,12 @@ def _r30() -> Identity:
 
 
 def _r31() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         c = env.get("c")
 
         def first(t, n):  # c^n q^{n^2} / ((q)_n (cq)_n)
             return t.apply_ratio(c, 2 * n - 1, down=((1, n), (c, n)))
 
-        one = QSeries.one(T)
         head = term_sum(first(one, 1), first, start=1, weight=times_n)
 
         def second(t, k):  # (-c)^k q^{k(k+1)/2} q^{k^2} / ((q)_k (cq)_k)
@@ -410,13 +414,12 @@ def _r31() -> Identity:
         block = term_sum(second(one, 1), second, start=1, weight=weight)
         return head - block
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         c = env.get("c")
 
         def step(t, k):  # (-c)^k q^{k(k+3)/2} / (q)_k
             return t.apply_ratio(-c, k + 1, down=((1, k),))
 
-        one = QSeries.one(T)
         tail = term_sum(step(one, 1), step, start=1, weight=div_q_n)
         return div_poch(one - tail, c, 1, None) - one
 
@@ -438,22 +441,22 @@ def _r31() -> Identity:
 
 
 def _r32() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         c, d = env.get("c"), env.get("d")
 
         def step(t, n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n)
             return t.apply_ratio(-d, n, ((c / d, n - 1),), ((1, n), (c, n)))
 
-        head = term_sum(step(-QSeries.one(T), 1), step, start=1, weight=times_n)
+        head = term_sum(step(-one, 1), step, start=1, weight=times_n)
         head = div_poch(head, 1, 1, None)
         up, down = ((c / d, 0, None), (d, 1, None)), ((1, 1, None), (c, 1, None))
-        return head + poch_ratio(_dq_block(d, c / d, T), up=up, down=down)
+        return head + poch_ratio(_dq_block(d, c / d, one), up=up, down=down)
 
-    def rhs(env, N, T):
+    def rhs(env, N, one):
         c, d = env.get("c"), env.get("d")
         # x (1 - ratio) + ratio * tail = x + ratio * (tail - x), x = c/(c - d), over (q)_inf
-        x = QSeries.constant(c / (c - d), T)
-        tail = _quotient_tail(c / d, d, T) - x
+        x = one.scale(c / (c - d))
+        tail = _quotient_tail(c / d, d, one) - x
         return div_poch(x + poch_ratio(tail, up=((d, 1, None),), down=((c, 1, None),)), 1, 1, None)
 
     return Identity(
@@ -479,12 +482,12 @@ def _r32() -> Identity:
 
 
 def _r36() -> Identity:
-    def lhs(env, N, T):
+    def lhs(env, N, one):
         # the inner sum is sum_{n=1}^{j} q^n / ((1 - q^{n+1})(1 - q^n))
-        return _square_sum(T, lambda t, n: t.apply_ratio(down=((1, n + 1), (1, n))))
+        return _square_sum(one, lambda t, n: t.apply_ratio(down=((1, n + 1), (1, n))))
 
-    def rhs(env, N, T):
-        t = QSeries.monomial(1, 2, T).apply_ratio(down=((1, 1), (1, 1)))
+    def rhs(env, N, one):
+        t = one.apply_ratio(1, 2, down=((1, 1), (1, 1)))
         return div_poch(t, 1, 1, None)
 
     return Identity(

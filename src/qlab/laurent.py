@@ -50,15 +50,15 @@ division is exact, as in QSeries.apply_ratio.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain, cycle
 from math import gcd, lcm
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .rational import Rat, rat
 from .series import QSeries, ZeroConstantTermError, _reduced
 
-Scalar = Union[int, Rat]
+Scalar = Union[int, Fraction]
 
 
 def _make(flat: QSeries, lo: int, width: int, order: int) -> "LaurentZQSeries":
@@ -135,13 +135,13 @@ class LaurentZQSeries:
     def order(self) -> int:
         return self._order
 
-    def row(self, n: int) -> Dict[int, Rat]:
+    def row(self, n: int) -> Dict[int, Fraction]:
         """The nonzero coefficients of q^n, as {z-exponent: rational}."""
         if not 0 <= n <= self._order:
             raise IndexError(f"q^{n} outside truncation order {self._order}")
         w, den = self._width, self._flat._den
         cells = self._flat._nums[n * w : (n + 1) * w]
-        return {self._lo + j: rat(x, den) for j, x in enumerate(cells) if x}
+        return {self._lo + j: Fraction(x, den) for j, x in enumerate(cells) if x}
 
     def is_zero(self) -> bool:
         return self._flat.is_zero()

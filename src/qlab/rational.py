@@ -21,13 +21,10 @@ from fractions import Fraction
 
 BACKEND = "fractions"  # the scalar type's name, as run provenance records it
 
-Rat = Fraction
-rat = Fraction
-
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
-def parse_rat(text: str) -> Rat:
+def parse_rat(text: str) -> Fraction:
     """Parse a strict "p/q" (or bare integer) literal.
 
     Decimals are rejected so no value can silently lose exactness.
@@ -38,6 +35,6 @@ def parse_rat(text: str) -> Rat:
     return Fraction(text)
 
 
-def format_rat(x: Rat) -> str:
+def format_rat(x: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
     return str(x)

@@ -50,12 +50,12 @@ Values are immutable and safe to share between workers.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
-from .rational import Rat, rat
 
 
 class ZeroConstantTermError(ZeroDivisionError):
@@ -69,11 +69,11 @@ class PoleInTermRangeError(ZeroDivisionError):
 class QMonomial(NamedTuple):
     """coefficient * q^exponent, the argument form of Pochhammer factors."""
 
-    coeff: Rat
+    coeff: Fraction
     exp: int
 
 
-Scalar = Union[int, Rat]
+Scalar = Union[int, Fraction]
 
 
 def _ratio(x: Scalar) -> Tuple[int, int]:
@@ -118,7 +118,7 @@ class QSeries:
 
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[Rat]):
+    def __init__(self, coeffs: Iterable[Fraction]):
         pairs = [_ratio(c) for c in coeffs]
         if not pairs:
             raise ValueError("a series needs at least the q^0 coefficient")
@@ -136,11 +136,7 @@ class QSeries:
 
     @classmethod
     def one(cls, order: int) -> "QSeries":
-        return cls.constant(1, order)
-
-    @classmethod
-    def constant(cls, value: Scalar, order: int) -> "QSeries":
-        return cls.monomial(value, 0, order)
+        return cls.monomial(1, 0, order)
 
     @classmethod
     def monomial(cls, coeff: Scalar, exp: int, order: int) -> "QSeries":
@@ -162,16 +158,16 @@ class QSeries:
     @property
     def coeffs(self) -> tuple:
         den = self._den
-        return tuple(rat(n, den) for n in self._nums)
+        return tuple(Fraction(n, den) for n in self._nums)
 
-    def __getitem__(self, n: int) -> Rat:
+    def __getitem__(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient q^{n} outside truncation order {self.order}")
-        return rat(self._nums[n], self._den)
+        return Fraction(self._nums[n], self._den)
 
     @property
-    def constant_term(self) -> Rat:
-        return rat(self._nums[0], self._den)
+    def constant_term(self) -> Fraction:
+        return Fraction(self._nums[0], self._den)
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -477,7 +473,7 @@ def q_binomial(N: int, n: int, order: int) -> QSeries:
 # -- term-ratio summation -----------------------------------------------------
 
 
-S = TypeVar("S")  # QSeries, or LaurentZQSeries for sums without a tail
+S = TypeVar("S")  # QSeries or a type with its methods; LaurentZQSeries for sums without a tail
 
 
 def term_sum(
@@ -562,14 +558,15 @@ def phi_series(
     numerators: Sequence[QMonomial],
     denominators: Sequence[QMonomial],
     argument: QMonomial,
-    order: int,
-) -> QSeries:
+    one: S,
+) -> S:
     """Truncated basic hypergeometric sum in the standard convention:
 
         sum_k  prod_i (num_i; q)_k / (prod_j (den_j; q)_k (q; q)_k)
                * [(-1)^k q^(k(k-1)/2)]^(1+s-r) * argument^k
 
-    with r = len(numerators), s = len(denominators), summed by term_sum.
+    with r = len(numerators), s = len(denominators), summed by term_sum
+    from one, the unit series of the type and truncation order to build.
     The sum stops at the first term that vanishes to the truncation
     order, so the term order has to grow with k: argument.exp >= 1 or
     s >= r.  A scalar-argument series with s < r is summed by term_sum
@@ -584,18 +581,18 @@ def phi_series(
             "the terms never vanish to the truncation order; sum a "
             "scalar-argument series with term_sum and a geometric tail"
         )
-    sign = rat(-1) ** weight
+    sign = Fraction(-1) ** weight
 
     def step(term: QSeries, k: int) -> QSeries:
         # term_k = term_{k-1} * argument * [(-1) q^{k-1}]^weight
         #          * prod(1 - num*q^{k-1}) / (prod(1 - den*q^{k-1}) (1 - q^k))
         scalar, shift = sign * argument.coeff, argument.exp + weight * (k - 1)
         if any(mono.exp + k == 1 and mono.coeff == 1 for mono in denominators):
-            if term.apply_ratio(scalar, shift).is_zero():
-                return QSeries.zero(order)  # the sum ends here, before the pole
+            if (last := term.apply_ratio(scalar, shift)).is_zero():
+                return last  # the sum ends here, before the pole
             raise PoleInTermRangeError(f"denominator factor (1 - q^0) vanishes at k = {k}")
         up = [(mono.coeff, mono.exp + k - 1) for mono in numerators]
         down = [(mono.coeff, mono.exp + k - 1) for mono in denominators]
         return term.apply_ratio(scalar, shift, up, down + [(1, k)])
 
-    return term_sum(QSeries.one(order), step)
+    return term_sum(one, step)

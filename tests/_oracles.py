@@ -7,7 +7,8 @@ factorial polynomials evaluated through Fraction arithmetic.  The
 ``ref_*`` functions are naive per-coefficient Fraction versions of the
 QSeries kernels, and the ``ref_laurent_*`` ones of the LaurentZQSeries
 kernels on per-q-row dicts, with the same truncation and edge-case
-conventions.  The ``ref_*`` nested sums at the end rebuild each inner
+conventions; ``RefSeries`` folds the former into a series type that the
+side builders run on.  The ``ref_*`` nested sums at the end rebuild each inner
 sum from 1 for every outer index and multiply it in by a full product:
 the form that the builders, whose inner sums start from the outer term
 or are interchanged with the outer sum, are checked against.
@@ -164,6 +165,75 @@ def ref_first_difference(a: List[Fraction], b: List[Fraction]) -> Optional[int]:
     return None
 
 
+class RefSeries:
+    """A truncated series stored as one Fraction per coefficient, whose every
+    operation is a fold of the ref_* kernels above: the naive series type that
+    side builders also run on, as builder(env, N, RefSeries.one(T)), so a
+    QSeries kernel fault that changes both sides of an identity alike shows."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs: List[Fraction]):
+        self.c = list(coeffs)
+
+    @classmethod
+    def one(cls, order: int) -> "RefSeries":
+        return cls([Fraction(1)] + [Fraction(0)] * order)
+
+    @classmethod
+    def sum_of(cls, terms, order: int) -> "RefSeries":
+        total = [Fraction(0)] * (order + 1)
+        for t in terms:
+            total = ref_add(total, t.c)
+        return cls(total)
+
+    @property
+    def order(self) -> int:
+        return len(self.c) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self.c)
+
+    def is_zero(self) -> bool:
+        return not any(self.c)
+
+    def __add__(self, other: "RefSeries") -> "RefSeries":
+        return RefSeries(ref_add(self.c, other.c))
+
+    def __sub__(self, other: "RefSeries") -> "RefSeries":
+        return RefSeries(ref_sub(self.c, other.c))
+
+    def __neg__(self) -> "RefSeries":
+        return self.scale(-1)
+
+    def __mul__(self, other: "RefSeries") -> "RefSeries":
+        return RefSeries(convolve(self.c, other.c))
+
+    def scale(self, value) -> "RefSeries":
+        return RefSeries(ref_scale(self.c, value))
+
+    def shift(self, exp: int) -> "RefSeries":
+        return RefSeries(ref_shift(self.c, exp))
+
+    def apply_ratio(self, scalar=1, shift=0, up=(), down=()) -> "RefSeries":
+        a = ref_shift(ref_scale(self.c, scalar), shift)
+        for c, e in up:
+            a = ref_mul_binomial(a, c, e)
+        for c, e in down:
+            a = ref_div_binomial(a, c, e)
+        return RefSeries(a)
+
+    def mul_binomial(self, coeff, exp: int) -> "RefSeries":
+        return RefSeries(ref_mul_binomial(self.c, coeff, exp))
+
+    def div_binomial(self, coeff, exp: int) -> "RefSeries":
+        return RefSeries(ref_div_binomial(self.c, coeff, exp))
+
+    def first_difference(self, other: "RefSeries") -> Optional[int]:
+        return ref_first_difference(self.c, other.c)
+
+
 # -- reference Laurent-in-z kernels: a series is a list of q-rows, each a
 # -- {z-exponent: Fraction} dict without zero values, truncated to the shorter
 
@@ -227,7 +297,7 @@ def ref_phi_block(c, d, N: int, T: int):
 
     def weight(t, k):
         numerators = [QMonomial(d, 1), QMonomial(d, N + 1)]
-        inner = phi_series(numerators, [QMonomial(d, k + 1)], QMonomial(c / d, k), T)
+        inner = phi_series(numerators, [QMonomial(d, k + 1)], QMonomial(c / d, k), QSeries.one(T))
         return t.div_binomial(1, k) * inner
 
     total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=weight)

@@ -222,6 +222,19 @@ def test_coeffs_cutoff_on_infinite_identity_is_usage_error(capsys, identity_id, 
     assert "--N" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--id", "R01", "--a", "1/2", "--b", "1/3", "--c", "5"), "R01 takes no --c (it takes a, b)"),
+        (("--id", "R24", "--a", "1"), "R24 takes no --a (it takes no parameters)"),
+    ],
+)
+def test_coeffs_parameter_the_identity_does_not_take_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "coeffs", *argv, "--order", "4")
+    assert code == 2 and out == ""
+    assert err == f"qlab: error: {message}\n"
+
+
 def test_coeffs_exit_codes_at_boundary_parameters(capsys):
     # every side of every identity with each parameter in {0, 1, -1, 1/2}:
     # an admissible environment prints coefficients, a pole or an excluded

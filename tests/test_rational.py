@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
-from qlab.rational import format_rat, parse_rat, rat
+from qlab.rational import format_rat, parse_rat
 
 
 def test_lowest_terms_and_positive_denominator():
-    x = rat(6, -4)
+    x = Fraction(6, -4)
     assert x.numerator == -3 and x.denominator == 2
 
 
@@ -21,6 +23,6 @@ def test_parse_rejects_inexact_or_malformed(bad):
 
 
 def test_exact_arithmetic():
-    x = rat(1, 3)
+    x = Fraction(1, 3)
     assert x + x + x == 1
-    assert rat(1, 10) + rat(2, 10) == rat(3, 10)
+    assert Fraction(1, 10) + Fraction(2, 10) == Fraction(3, 10)
