@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Mutation check: does a pytest selection notice known wrong edits?
+
+Each entry of MUTANTS is (file, exact old text, new text, why).  The
+entries run one after another.  For each, the script copies src/ and
+tests/ into a temporary directory, replaces the old text, which must occur
+exactly once, by the new text, and runs the pytest selection there with
+-x -q.  A run that fails, errors in collection or exceeds --timeout (a
+mutant may make a sum that should end run forever) kills the mutant; a
+passing run lets it survive.  When the old text of a picked entry no
+longer matches, the script stops with exit code 2 before it runs any, so
+a rewrite of the code an entry names must update the entry.
+
+    python3 scripts/mutants.py
+    python3 scripts/mutants.py --only 1 --select tests/test_series.py::test_apply_ratio_matches_reference
+
+Prints one line per mutant, killed or survived with the seconds taken, and
+exits 1 when one survived.  Uses the standard library only; the selection
+needs pytest and hypothesis, as the tests do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SERIES, FOUR = "src/qlab/series.py", "src/qlab/identities/four_parameter.py"
+SELECTION = ["tests/test_series.py", "tests/test_golden.py", "tests/test_reference_series.py"]
+
+MUTANTS = [
+    (SERIES, "if 2 * e > top:", "if 2 * e >= top:",
+     "a division at 2e = T' takes one step of its recurrence and loses c^2 q^(2e)"),
+    (SERIES, "a[n] += a[n - e]\n", "a[n] = a[n - e]\n",
+     "a c = 1 division drops its add, at e = 1 as at any e"),
+    (SERIES, "p, q, k = p * k, q * k, 1", "p, q = p * k, q * k",
+     "the scalar stays pending after the first factor above takes it, so it is applied twice"),
+    (FOUR, "return t.apply_ratio(c, 1, up, down)\n\n        def weight(t, n):",
+     "return t.apply_ratio(c, 0, up, down)\n\n        def weight(t, n):",
+     "R03's bracket-sum step takes shift 0, so its terms lose the bracket's q^(n-1)"),
+    (SERIES, "if shift < 0:\n            raise ValueError(\"q-exponent must be non-negative\")\n",
+     "if shift < 0:\n            raise ValueError(\"q-exponent must be non-negative\")\n"
+     "        shift, up, down = 2 * shift, [(c, 2 * e) for c, e in up], [(c, 2 * e) for c, e in down]\n",
+     "apply_ratio reads q as q^2; an identity in q also holds in q^2, so verdicts alone miss it"),
+]
+
+
+def mutate(text: str, old: str, new: str) -> str:
+    """text with its one occurrence of old replaced by new."""
+    found = text.count(old)
+    if found != 1:
+        raise LookupError(f"the old text occurs {found} times, not once: {old!r}")
+    return text.replace(old, new)
+
+
+def run(entry: tuple, selection: list, timeout: float) -> tuple:
+    """(killed, seconds) for one entry, run in a temporary copy."""
+    path, old, new, _ = entry
+    with tempfile.TemporaryDirectory(prefix="mutant_") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, pathlib.Path(tmp, part),
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        target = pathlib.Path(tmp, path)
+        target.write_text(mutate(target.read_text(), old, new))
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tmp, "src")), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+        started = time.perf_counter()
+        try:
+            code = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, timeout=timeout).returncode
+        except subprocess.TimeoutExpired:
+            code = None
+        seconds = time.perf_counter() - started
+    if code in (0, 1, 2, None):  # passed, failed, collection error, timed out
+        return code != 0, seconds
+    raise SystemExit(f"mutants: pytest exited with {code} for {path}; is the selection right?")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", type=int, action="append",
+                        help="run entry N of MUTANTS (1-based); repeatable; default all")
+    parser.add_argument("--select", nargs="+", default=SELECTION, help="the pytest selection")
+    parser.add_argument("--timeout", type=float, default=300, help="seconds before a run counts as killed")
+    args = parser.parse_args(argv)
+    picked = args.only or range(1, len(MUTANTS) + 1)
+    if any(not 1 <= n <= len(MUTANTS) for n in picked):
+        parser.error(f"--only takes 1..{len(MUTANTS)}")
+    for n in picked:
+        path, old, new, _ = MUTANTS[n - 1]
+        try:
+            mutate((ROOT / path).read_text(), old, new)
+        except LookupError as err:
+            print(f"mutants: entry {n} ({path}) is stale: {err}", file=sys.stderr)
+            return 2
+    survived = 0
+    for n in picked:
+        entry = MUTANTS[n - 1]
+        killed, seconds = run(entry, args.select, args.timeout)
+        survived += not killed
+        print(f"{n}  {'killed' if killed else 'SURVIVED'}  {seconds:6.1f} s  {entry[0]}: {entry[3]}",
+              flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,6 +26,14 @@ interchanged: each bracket is one apply_ratio call per k, on
 G_k = sum_n q^{kn} t_n, not one per (n, k).  Sampling stays inside the
 stated convergence regions so those closed forms are the values of the
 sums.
+
+The right sides of R02-R05 weight each term by a Lambert bracket
+x q^m/(1 - x q^m) - y q^m/(1 - y q^m) = (x - y) q^m/((1 - x q^m)(1 - y q^m)).
+Their steps take shift 1, so a term carries the bracket's q^m (q^{n-1}
+in the finite forms) and the weight applies the rest.  The term's tail,
+which the kernel's factors run on, then has order T - m, not T, and the
+infinite sums of R02 and R04 end at the first term that vanishes to
+order T, at m = T + 1.
 """
 
 from __future__ import annotations
@@ -121,13 +129,13 @@ def _r02() -> Identity:
     def rhs(env, N, one):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
-        def step(t, m):  # (b/c)_m c^m / (b)_m
-            return t.apply_ratio(c, 0, ((b / c, m - 1),), ((b, m - 1),))
+        def step(t, m):  # (b/c)_m c^m q^m / (b)_m, with the bracket's q^m
+            return t.apply_ratio(c, 1, ((b / c, m - 1),), ((b, m - 1),))
 
-        def weight(t, m):  # the bracket is O(q^m), so the terms past m = T vanish
-            return lambert_bracket(t, a, b, m)
+        def weight(t, m):  # the bracket without its q^m; the terms vanish past m = T
+            return t.apply_ratio(a - b, 0, down=((a, m), (b, m)))
 
-        return term_sum(one, step, stop=one.order, weight=weight)
+        return term_sum(one, step, weight=weight)
 
     def rhs_nested(env, N, one):
         a, b, c, T = env.get("a"), env.get("b"), env.get("c"), one.order
@@ -182,12 +190,12 @@ def _r03() -> Identity:
     def rhs(env, N, one):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
-        def step(t, n):  # [N,n] (b/c)_{n-1} (q)_n c^{n-1} / ((b)_{n-1} (c q^{N-n+1})_n)
+        def step(t, n):  # [N,n] (b/c)_{n-1} (q)_n (cq)^{n-1} / ((b)_{n-1} (c q^{N-n+1})_n)
             up, down = ((1, N - n + 1), (b / c, n - 2)), ((c, N - n + 1), (b, n - 2))
-            return t.apply_ratio(c, 0, up, down)
+            return t.apply_ratio(c, 1, up, down)
 
-        def weight(t, n):
-            return lambert_bracket(t, a, b, n - 1)
+        def weight(t, n):  # the bracket without its q^{n-1}, which the term carries
+            return t.apply_ratio(a - b, 0, down=((a, n - 1), (b, n - 1)))
 
         first = one.apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
         return term_sum(first, step, start=1, stop=N, weight=weight)
@@ -228,14 +236,14 @@ def _r04() -> Identity:
         ad = a * d
         prefactor = (a - b) * (d - c) / (ad - b)
 
-        def step(t, m):  # (a)_m (bd/c)_m c^m / ((b)_m (ad)_m)
+        def step(t, m):  # (a)_m (bd/c)_m c^m q^m / ((b)_m (ad)_m), with the bracket's q^m
             up, down = ((a, m - 1), (b * d / c, m - 1)), ((b, m - 1), (ad, m - 1))
-            return t.apply_ratio(c, 0, up, down)
+            return t.apply_ratio(c, 1, up, down)
 
-        def weight(t, m):  # the bracket is O(q^m), so the terms past m = T vanish
-            return lambert_bracket(t, ad, b, m)
+        def weight(t, m):  # the bracket without its q^m; the terms vanish past m = T
+            return t.apply_ratio(ad - b, 0, down=((ad, m), (b, m)))
 
-        return term_sum(one, step, stop=one.order, weight=weight).scale(prefactor)
+        return term_sum(one, step, weight=weight).scale(prefactor)
 
     return Identity(
         id="R04",
@@ -279,12 +287,12 @@ def _r05() -> Identity:
         prefactor = (a - b) * (d - c) / (ad - b)
 
         def step(t, n):
-            # [N,n] (a)_{n-1} (bd/c)_{n-1} (q)_n c^{n-1} / ((b)_{n-1} (ad)_{n-1} (c q^{N-n+1})_n)
+            # [N,n] (a)_{n-1} (bd/c)_{n-1} (q)_n (cq)^{n-1} / ((b)_{n-1} (ad)_{n-1} (c q^{N-n+1})_n)
             up = ((1, N - n + 1), (a, n - 2), (b * d / c, n - 2))
-            return t.apply_ratio(c, 0, up, ((c, N - n + 1), (b, n - 2), (ad, n - 2)))
+            return t.apply_ratio(c, 1, up, ((c, N - n + 1), (b, n - 2), (ad, n - 2)))
 
-        def weight(t, n):
-            return lambert_bracket(t, ad, b, n - 1)
+        def weight(t, n):  # the bracket without its q^{n-1}, which the term carries
+            return t.apply_ratio(ad - b, 0, down=((ad, n - 1), (b, n - 1)))
 
         first = one.apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
         return term_sum(first, step, start=1, stop=N, weight=weight).scale(prefactor)

@@ -19,10 +19,10 @@ boundary: the constructor takes them, and ``coeffs``, indexing and
 
 One kernel, ``apply_ratio``, multiplies a series by a term ratio: a
 scalar, a power of q, and Pochhammer factors (1 - c*q^e) above and below.
-After the scalar and the shift q^v divides the series, so each factor acts
-in O(T') on the tail a = _nums[v:] of order T' = T - v (one with e > T' is
-1 there), and the kernel reduces once at the end.  For c = p/q, a factor
-above gives ``q*a[n] - p*a[n-e]`` over ``_den*q``.  A factor below solves
+After the shift q^v divides the series, so each factor acts in O(T') on
+the tail a = _nums[v:] of order T' = T - v (one with e > T' is 1 there),
+and the kernel reduces once at the end.  For c = p/q, a factor above gives
+``q*a[n] - p*a[n-e]`` over ``_den*q``.  A factor below solves
 b = a + (p/q) q^e b with K = T' // e as ``b[n] = q^K*a[n] + p*(b[n-e] // q)``
 over ``_den*q^K``.  The floor division there is exact for any int
 numerators a, reduced or not: unrolled,
@@ -38,6 +38,16 @@ integers for e >= 1, and the result is b[m]*L^(T'-m) over _den*L^T'.  The
 kernel substitutes only when the q-powers' product exceeds L^T', as for a
 run of divisions with one q: always substituting made building the
 deep-T80 sides 1.6 times slower.
+
+Every pass over the tail builds a list of big ints, so none is spent on
+work a factor pass can carry.  The scalar's numerator and the constants
+of the e = 0 factors form one int multiplier, taken on by the first pass
+that rewrites the tail: the first factor above, or the q^K scaling of a
+first fractional factor below.  Only a ratio without factors, or one
+whose first factor is an integer division, scales in a pass of its own.
+A division by 1 - q^e runs ``a[n] += a[n-e]``, with no multiply by 1.
+With 2e > T', 1/(1 - c q^e) = 1 + c q^e to order T': such a division
+takes one step of its recurrence (K = 1) as a factor above with -c.
 
 Multiplication and division by one factor, every step of term_sum, the
 one summation primitive, and a quotient of q-Pochhammer symbols applied to
@@ -186,11 +196,17 @@ class QSeries:
         total, den = [0] * (order + 1), 1
         for s in terms:
             m = s._den // gcd(den, s._den)
-            if m != 1:
-                total = [m * x for x in total]
-                den *= m
+            den *= m
             k = den // s._den
-            total = list(map(add, total, s._nums if k == 1 else map(k.__mul__, s._nums)))
+            nums = s._nums  # m * total + k * nums in one pass, without multiplying by 1
+            if m == 1 and k == 1:
+                total = list(map(add, total, nums))
+            elif k == 1:
+                total = [m * x + y for x, y in zip(total, nums)]
+            elif m == 1:
+                total = [x + k * y for x, y in zip(total, nums)]
+            else:
+                total = [m * x + k * y for x, y in zip(total, nums)]
         return _reduced(total, den)
 
     # -- ring operations ----------------------------------------------
@@ -203,7 +219,7 @@ class QSeries:
             return a, b, da
         g = gcd(da, db)
         ma, mb = db // g, da // g
-        return map(ma.__mul__, a), map(mb.__mul__, b), da * ma
+        return [ma * x for x in a], [mb * x for x in b], da * ma
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -243,7 +259,7 @@ class QSeries:
         g1, g2 = gcd(p, self._den), gcd(q, *self._nums)
         p //= g1
         nums = self._nums if g2 == 1 else [n // g2 for n in self._nums]
-        return _raw(tuple(map(p.__mul__, nums)), (self._den // g1) * (q // g2))
+        return _raw(tuple([p * n for n in nums]), (self._den // g1) * (q // g2))
 
     def shift(self, exp: int) -> "QSeries":
         """Multiply by q^exp, keeping the truncation order."""
@@ -294,11 +310,13 @@ class QSeries:
         if shift < 0:
             raise ValueError("q-exponent must be non-negative")
         size = len(self._nums)
-        p, den = scalar.numerator, scalar.denominator * self._den
-        head = self._nums[: max(size - shift, 0)] if p else ()
+        # k, the scalar's numerator times the e = 0 factors' constants, waits
+        # for the first pass that rewrites the tail
+        k, den = scalar.numerator, scalar.denominator * self._den
+        head = self._nums[: max(size - shift, 0)] if k else ()
         if up or down:  # the factors act on the tail after the leading zeros
             head = head[next(compress(count(), head), len(head)) :]
-        a = list(head) if p == 1 else [p * x for x in head]
+        a = list(head)
         top = len(a) - 1  # the tail's order
         ups, downs, big, growth = [], [], 1, 1  # factors (p, q, e), lcm of q, q-powers
         for c, e in up:
@@ -306,7 +324,7 @@ class QSeries:
                 raise ValueError("q-exponent must be non-negative")
             p, q = c.numerator, c.denominator
             if e == 0 and p:
-                a = [(q - p) * x for x in a]
+                k *= q - p
                 den *= q
             elif p and e <= top:
                 ups.append((p, q, e))
@@ -319,33 +337,48 @@ class QSeries:
                 if p == q:
                     raise ZeroConstantTermError("division by (1 - c) with c = 1")
                 if p:
-                    a = [q * x for x in a] if q > p else [-q * x for x in a]
+                    k *= q if q > p else -q
                     den *= abs(q - p)
             elif p and e <= top:
-                downs.append((p, q, e))
                 big, growth = lcm(big, q), growth * q ** (top // e)
+                if 2 * e > top:  # 1/(1 - c q^e) = 1 + c q^e to order top: a factor above
+                    ups.append((-p, q, e))
+                else:
+                    downs.append((p, q, e))
         substitute = growth > big**top
         if substitute:  # q = big * x makes every factor's coefficient an integer
             powers = list(accumulate(repeat(big, top), mul, initial=1))
             a = list(map(mul, a, powers))
             ups, downs = ([(p * (big // q) * powers[e - 1], 1, e) for p, q, e in fs]
                           for fs in (ups, downs))
-        for p, q, e in ups:
-            if q == 1:
-                a = a[:e] + list(map(sub, a[e:], a if p == 1 else map(p.__mul__, a)))
-            else:
+        for p, q, e in ups:  # the first one takes the pending multiplier k
+            den *= q
+            p, q, k = p * k, q * k, 1
+            if q != 1:
                 a = [q * x for x in a[:e]] + [q * x - p * y for x, y in zip(a[e:], a)]
-                den *= q
+            elif p == 1 or p == -1:
+                a = a[:e] + list(map(sub if p == 1 else add, a[e:], a))
+            else:
+                a = a[:e] + [x - p * y for x, y in zip(a[e:], a)]
         for p, q, e in downs:
             if q == 1:
-                for n in range(e, top + 1):
-                    a[n] += p * a[n - e]
+                if k != 1:
+                    a, k = [k * x for x in a], 1
+                if p == 1:
+                    for n in range(e, top + 1):
+                        a[n] += a[n - e]
+                else:
+                    for n in range(e, top + 1):
+                        a[n] += p * a[n - e]
             else:
                 qk = q ** (top // e)
-                a = [qk * x for x in a]
+                den *= qk
+                qk *= k
+                a, k = [qk * x for x in a], 1
                 for n in range(e, top + 1):
                     a[n] += p * (a[n - e] // q)
-                den *= qk
+        if k != 1:
+            a = [k * x for x in a]
         if substitute:
             a = list(map(mul, a, reversed(powers)))
             den *= powers[-1]

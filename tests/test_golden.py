@@ -28,6 +28,10 @@ summation bound (R02's nested side, first in GOLDEN, and the INTERCHANGED
 cases: R20's harmonic-weighted left side, the square sum of R23's right
 side and R36's left side) were recorded while each inner sum was still
 run from every outer term, before the sums were interchanged.
+
+The Lambert-bracket sums of R02's and R03's right sides (last in GOLDEN;
+R04's and R05's are pinned above) were recorded while each term was
+carried to order T, before the terms carried the bracket's q^m.
 """
 
 import pytest
@@ -450,6 +454,68 @@ GOLDEN = [
     "369445/512",
     "1478949/1024",
     "5938853/2048"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R02 --side rhs --order 12 --a 1/2 --b=-7/3 --c 2/5".split(),
+        """\
+{
+  "id": "R02",
+  "side": "rhs",
+  "env": {
+    "a": "1/2",
+    "b": "-7/3",
+    "c": "2/5"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "17/10",
+    "697/300",
+    "-29971/9000",
+    "3818863/270000",
+    "-259999819/8100000",
+    "16361552947/243000000",
+    "-1057248188011/7290000000",
+    "78705771127243/218700000000",
+    "-5684347750972459/6561000000000",
+    "384712151060779867/196830000000000",
+    "-26396510909296400971/5904900000000000",
+    "1875721656995120197723/177147000000000000",
+    "-132155118261170167486699/5314410000000000000"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R03 --side rhs --order 12 --a 1/2 --b=-7/3 --c 2/5 --N 4".split(),
+        """\
+{
+  "id": "R03",
+  "side": "rhs",
+  "env": {
+    "a": "1/2",
+    "b": "-7/3",
+    "c": "2/5"
+  },
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "17/10",
+    "697/300",
+    "-29971/9000",
+    "3818863/270000",
+    "-287080819/8100000",
+    "15627611947/243000000",
+    "-1061821205011/7290000000",
+    "77203619728243/218700000000",
+    "-5571564936385459/6561000000000",
+    "379269081839248867/196830000000000",
+    "-26034304658632397971/5904900000000000",
+    "1851061702792651858723/177147000000000000",
+    "-130417137944782223179699/5314410000000000000"
   ]
 }
 """,

@@ -439,6 +439,7 @@ factors = st.lists(st.tuples(scalars, exponents), max_size=4)
 # 13 coefficients, T = 12
 B13 = [Fraction(c) for c in "1/2 3 -5/7 0 2/9 -1 4/5 1/3 0 -7/2 6 1/7 -2/3".split()]
 HIGH = [Fraction(0)] * 10 + [Fraction(1, 2), Fraction(-3), Fraction(5, 7)]  # zero below q^10
+MID = [Fraction(0)] * 3 + B13[:10]  # zero below q^3: a tail of order 9
 
 
 @settings(max_examples=150, deadline=None)
@@ -460,6 +461,25 @@ HIGH = [Fraction(0)] * 10 + [Fraction(1, 2), Fraction(-3), Fraction(5, 7)]  # ze
 @example(HIGH, 1, 3, [(2, 1)], [(Fraction(1, 3), 1), (Fraction(3, 5), 0)])
 # scalar and shift only: no factors, so no scan for the tail
 @example(HIGH, Fraction(-7, 3), 1, [], [])
+# 2e = T' + 1 takes one step of the recurrence (K = 1), 2e = T' takes the
+# full one (K = 2), each with an integer and a fractional c
+@example(B13, 1, 1, [], [(3, 6)])
+@example(B13, 1, 1, [], [(Fraction(2, 3), 6)])
+@example(B13, 1, 0, [], [(3, 6)])
+@example(B13, 1, 0, [], [(Fraction(2, 3), 6)])
+# the scalar and an e = 0 constant go into a fractional K = 1 division with
+# no factor above, into the q^K scaling of a fractional K = 5 one, into an
+# integer factor above, and into a pass of their own before an integer division
+@example(B13, Fraction(-7, 3), 1, [(Fraction(2, 5), 0)], [(Fraction(2, 3), 6)])
+@example(B13, Fraction(-7, 3), 1, [(Fraction(2, 5), 0)], [(Fraction(2, 3), 2)])
+@example(B13, Fraction(-7, 3), 1, [(Fraction(2, 5), 0), (2, 1)], [(Fraction(3, 5), 0)])
+@example(B13, Fraction(-7, 3), 1, [(Fraction(2, 5), 0)], [(Fraction(3, 5), 0), (3, 2)])
+# c = 1 divisions after leading zeros: e = 1 and e = 4 by the recurrence,
+# e = 5 in one step; c = -1 above
+@example(MID, 1, 0, [], [(1, 1), (1, 4), (1, 5)])
+@example(MID, 1, 0, [(-1, 2)], [(1, 3)])
+# scalar 0 with factors, e = 0 ones included
+@example(B13, 0, 2, [(Fraction(1, 2), 0), (2, 1)], [(Fraction(1, 3), 6), (Fraction(3, 5), 0)])
 def test_apply_ratio_matches_reference(a, scalar, shift, up, down):
     # the reference applies the scalar, the shift and each factor in turn
     expected = ref_shift(ref_scale(a, Fraction(scalar)), shift)
@@ -473,6 +493,21 @@ def test_apply_ratio_matches_reference(a, scalar, shift, up, down):
     for c, e in down:
         expected = ref_div_binomial(expected, Fraction(c), e)
     assert as_fractions(x.apply_ratio(scalar, shift, up, down)) == expected
+
+
+def test_sum_of_rescales_the_total_and_scales_the_term():
+    # over the running denominators 4, 12, 36, 36: the total is rescaled by
+    # m = 4, 3, 3, 1 and the terms scaled by k = 1, 2, 4, 18; the third term,
+    # of order 2, truncates the total
+    rows = [
+        [Fraction(1, 4), Fraction(3, 4), Fraction(1), Fraction(5)],
+        [Fraction(5, 6), Fraction(-1, 6), Fraction(2), Fraction(1, 6)],
+        [Fraction(1, 3), Fraction(7), Fraction(-2, 9)],
+        [Fraction(1, 2), Fraction(-3, 2), Fraction(1, 2), Fraction(1)],
+    ]
+    total = QSeries.sum_of([QSeries(row) for row in rows], 3)
+    assert as_fractions(total) == ref_add(ref_add(ref_add(rows[0], rows[1]), rows[2]), rows[3])
+    assert total.order == 2
 
 
 def test_binomial_kernels_reject_negative_exponent():
