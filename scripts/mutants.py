@@ -32,7 +32,9 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SERIES, FOUR = "src/qlab/series.py", "src/qlab/identities/four_parameter.py"
-SELECTION = ["tests/test_series.py", "tests/test_golden.py", "tests/test_reference_series.py"]
+LAURENT = "src/qlab/laurent.py"
+SELECTION = ["tests/test_series.py", "tests/test_golden.py", "tests/test_reference_series.py",
+             "tests/test_laurent.py"]
 
 MUTANTS = [
     (SERIES, "if 2 * e > top:", "if 2 * e >= top:",
@@ -48,6 +50,14 @@ MUTANTS = [
      "if shift < 0:\n            raise ValueError(\"q-exponent must be non-negative\")\n"
      "        shift, up, down = 2 * shift, [(c, 2 * e) for c, e in up], [(c, 2 * e) for c, e in down]\n",
      "apply_ratio reads q as q^2; an identity in q also holds in q^2, so verdicts alone miss it"),
+    (LAURENT, "return 2 * order + 2", "return 2 * order + 1",
+     "rows of width 2T + 1: z^T q^T lands in column 0 of row T + 1"),
+    (LAURENT, "qk = q ** (order // qexp)", "qk = q ** (order // qexp - 1)",
+     "a fractional z-division scales by q^(T//e - 1), so its floor division at j = T//e is inexact"),
+    (LAURENT, "lo, w = t + 2, _row_width(t)", "lo, w = t + 1, _row_width(t)",
+     "positive_z_part keeps the z^0 column, which z d/dz then zeroes in the extraction"),
+    (LAURENT, "if abs(zexp) > qexp:", "if abs(zexp) >= qexp:",
+     "div_binomial rejects |s| = e, the crank's and the rank's (1 - zq^n) at n = 1"),
 ]
 
 

@@ -37,8 +37,10 @@ def rank_bivariate(N: int, one: QSeries) -> LaurentZQSeries:
 
 
 def first_moment_extraction(f: LaurentZQSeries) -> QSeries:
-    """z d/dz, positive z-part, z = 1: the sum_k k * (z^k count) series."""
-    return f.z_derivative().positive_z_part().set_z_one()
+    """Positive z-part, z d/dz, z = 1: the sum_k k * (z^k count) series.  The
+    first two act column by column (keep z^k for k > 0, scale z^k by k), so
+    they commute, and in this order z d/dz scales only the kept half."""
+    return f.positive_z_part().z_derivative().set_z_one()
 
 
 def _moment_sum(N: int, one: QSeries, exp_step, weight=None) -> QSeries:

@@ -1,106 +1,69 @@
 """Series in q whose coefficients are Laurent polynomials in z.
 
 Used for the bivariate finite rank and crank generating functions: every
-z or 1/z in those functions rides on at least one power of q, so the
-coefficient of z^k q^n vanishes whenever |k| > n and each q-row stays a
-finite Laurent polynomial.
+z or 1/z in them rides on at least one power of q, so the coefficient of
+z^k q^n vanishes whenever |k| > n.  Every series here keeps that bound:
+the constructor rejects a column z^k with a nonzero term below q^|k|, and
+div_binomial a factor (1 - c z^s q^e) with |s| > e.
 
-Layout.  A series of truncation order T is one flat QSeries read row by
-row: for a layout of width W starting at z^lo, the coefficient of
-z^k q^n sits at index n*W + (k - lo), for lo <= k < lo + W and n <= T, all
-over the flat series' one denominator.  So the flat series is the bivariate
-one at z^k q^n = x^(n*W + k - lo), and the layout may hold columns that
-are zero.  A z-free ratio, a scalar, a power q^v and factors (1 - c q^e),
-is one QSeries.apply_ratio call with shift v*W and factors (c, e*W): a
-power of q^W moves every entry down whole rows and keeps its column.
-Values are immutable.
+Layout.  A series of truncation order T is one flat QSeries of (T + 1)*W
+entries, W = 2T + 2: the coefficient of z^k q^n sits at index
+n*W + k + T + 1, over the flat series' one denominator.  This is a
+Kronecker substitution, z = x and q = x^W, shifted by x^(T + 1); T alone
+fixes it, so no operation re-lays a series.  Values are immutable.  A
+z-free ratio, a scalar, a power q^v and factors (1 - c q^e), is one
+QSeries.apply_ratio call with shift v*W and factors (c, e*W): whole rows.
 
-Division by (1 - c z^s q^e), s != 0, e >= 1, is B = A / (1 - c x^E) with
-E = e*W + s on a layout wide enough that no term aliases: the recurrence
-B[m] = A[m] + c*B[m - E], run over whole blocks, B[b:b+E] from A[b:b+E]
-and B[b-E:b] by one C-level map each, then reduced once.  The quotient
-keeps only the columns it occupies, its rows moved down in place, so a
-stored layout stays at its occupied span (for the rank at T = 80, N = 6,
-153 columns instead of 194) and the next division's scan for that span,
-one any() per column from both ends, stops after a column or two.
+Division by (1 - c z^s q^e), 1 <= |s| <= e, is B = A / (1 - c x^E) with
+E = e*W + s: the recurrence B[m] = A[m] + c*B[m - E], run over whole
+blocks, B[b:b+E] from A[b:b+E] and B[b-E:b] by one C-level map each, then
+reduced once.  Nothing aliases: the term c^j A_{n,k} z^(k+js) q^(n+je)
+lands at index (n + je)*W + k + js + T + 1, where |k + js| <= n + je.  For
+n + je <= T the column k + js + T + 1 lies in [1, 2T + 1], so the index
+decodes to exactly (n + je, k + js).  For n + je > T the index is at
+least (n + je)(W - 1) + T + 1 >= (T + 1)W, past row T.  So each index below
+(T + 1)W holds its own coefficient of the quotient, which keeps |k| <= n.
+A width of 2T + 1 would push z^T q^T out of row T, and an offset of T
+would put z^-(T+1) q^(T+1) into it.
 
-Width rule.  Let the nonzero entries of A occupy columns klo..khi and set
-J = T//e + 1.  The division re-lays A over klo + min(0, s)*J ..
-khi + max(0, s)*J, so every column k of A lies at least |s|*J inside the
-side that s moves towards, and W > |s|*J.  The term c^j A_{n,k} z^(js)
-q^(je) of A / (1 - c z^s q^e) lands at flat index
-(n + je)*W + (k - lo) + js.  For j < J its column k + js lies inside the
-layout, so the index decodes to exactly (n + je, k + js), in row
-n + je.  Rows at most T need je <= T, that is j < J, so every term of the
-result up to row T is one of these.  For j >= J the row n + je >= Je >
-T, and the index is at least (T + 1)*W: for s > 0 it is at least
-(n + je)*W; for s < 0 the offset (k - lo) + js is at least -(j - J)*|s|,
-and the rows past T + 1 add at least (j - J)*e*W > (j - J)*|s| back.  So
-each index below (T + 1)*W holds exactly its own coefficient of the
-quotient.  Padding by J - 1 = T//e instead fails at j = J, where a term of
-row T + 1 or later lands |s| entries before (T + 1)*W, in row T.
-
-Exactness for c = p/q.  The recurrence runs as
-b[m] = q^K a[m] + p*(b[m - E] // q) with K = T//e, over den * q^K.
-Unrolled, b[m] = sum_j p^j q^(K-j) a[m - jE].  By the width rule a term
-with a[m - jE] != 0 and m < (T + 1)*W has j < J, so j <= K; for m - E
-the terms have j + 1 <= K, so b[m - E] is divisible by q and the floor
-division is exact, as in QSeries.apply_ratio.
+Exactness for c = p/q.  The recurrence runs as b[m] = q^K a[m] +
+p*(b[m - E] // q) with K = T//e, over den * q^K.  Unrolled, b[m] =
+sum_j p^j q^(K-j) a[m - jE], and a term with a[m - jE] != 0 and
+m < (T + 1)W has je <= T, so j <= K; for m - E the terms have j + 1 <= K,
+so b[m - E] is divisible by q and the floor division is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, cycle
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
-from .series import QSeries, ZeroConstantTermError, _reduced
+from .series import QSeries, _reduced
 
 Scalar = Union[int, Fraction]
 
 
-def _make(flat: QSeries, lo: int, width: int, order: int) -> "LaurentZQSeries":
+def _row_width(order: int) -> int:
+    return 2 * order + 2  # W, the flat entries of one q-row at order T
+
+
+def _make(flat: QSeries, order: int) -> "LaurentZQSeries":
     s = object.__new__(LaurentZQSeries)
-    s._flat, s._lo, s._width, s._order = flat, lo, width, order
+    s._flat, s._order = flat, order
     return s
 
 
-def _span(a: Sequence[int], w: int, lo: int) -> Optional[Tuple[int, int]]:
-    """The lowest and highest z-exponent with a nonzero entry among numerators
-    a laid out with width w from z^lo, or None when all are zero: one C-level
-    scan per column, from both ends."""
-    first = next((j for j in range(w) if any(a[j::w])), None)
-    if first is None:
-        return None
-    last = next(j for j in range(w - 1, first - 1, -1) if any(a[j::w]))
-    return lo + first, lo + last
-
-
-def _laid_out(a: Sequence[int], w: int, old: int, lo: int, hi: int, order: int) -> List[int]:
-    """Numerators a, laid out with width w from z^old, re-laid over columns
-    z^lo..z^hi for rows 0..order; entries outside those columns are dropped
-    and new columns are zero."""
-    if lo == old and hi == old + w - 1:
-        return list(a[: (order + 1) * w])
-    first, last = max(lo, old), min(hi, old + w - 1)  # the range overlaps the layout
-    left, right = [0] * (first - lo), [0] * (hi - last)
-    out: List[int] = []
-    for i in range(first - old, (order + 1) * w, w):
-        out += left
-        out += a[i : i + last - first + 1]
-        out += right
-    return out
-
-
 class LaurentZQSeries:
-    """Truncated series sum_{n<=T} sum_k a_{n,k} z^k q^n on a flat layout."""
+    """Truncated series sum_{n<=T} sum_{|k|<=n} a_{n,k} z^k q^n, flat at width 2T + 2."""
 
-    __slots__ = ("_flat", "_lo", "_width", "_order")
+    __slots__ = ("_flat", "_order")
 
     def __init__(self, columns: Mapping[int, QSeries], order: int):
-        """The series sum_k columns[k] z^k, each column of order >= order."""
+        """The series sum_k columns[k] z^k, each column of order >= order and
+        zero below q^|k|."""
         if order < 0:
             raise ValueError("truncation order must be non-negative")
         cols: Dict[int, QSeries] = {}
@@ -108,16 +71,17 @@ class LaurentZQSeries:
             if col.order < order:
                 raise ValueError(f"column z^{k} has order {col.order} < {order}")
             col = col.truncate(order)
+            if any(col._nums[: abs(k)]):
+                raise ValueError(f"column z^{k} has a nonzero term below q^{abs(k)}")
             if not col.is_zero():
                 cols[k] = col
-        lo = min(cols, default=0)
-        width = max(cols, default=0) - lo + 1
+        w = _row_width(order)
         den = lcm(*(col._den for col in cols.values()))
-        nums = [0] * ((order + 1) * width)
+        nums = [0] * ((order + 1) * w)
         for k, col in cols.items():
             m = den // col._den
-            nums[k - lo :: width] = [m * x for x in col._nums]
-        self._flat, self._lo, self._width, self._order = _reduced(nums, den), lo, width, order
+            nums[k + order + 1 :: w] = [m * x for x in col._nums]
+        self._flat, self._order = _reduced(nums, den), order
 
     @classmethod
     def zero(cls, order: int) -> "LaurentZQSeries":
@@ -125,11 +89,14 @@ class LaurentZQSeries:
 
     @classmethod
     def sum_of(cls, terms: Iterable["LaurentZQSeries"], order: int) -> "LaurentZQSeries":
-        return sum(terms, cls.zero(order))
+        """The terms' sum, each truncated to order: one QSeries.sum_of over
+        the flat series."""
+        flats = (t._flat_at(order) for t in terms)
+        return _make(QSeries.sum_of(flats, (order + 1) * _row_width(order) - 1), order)
 
     @classmethod
     def from_q_series(cls, s: QSeries) -> "LaurentZQSeries":
-        return _make(s, 0, 1, s.order)
+        return cls({0: s}, s.order)
 
     @property
     def order(self) -> int:
@@ -137,77 +104,58 @@ class LaurentZQSeries:
 
     def row(self, n: int) -> Dict[int, Fraction]:
         """The nonzero coefficients of q^n, as {z-exponent: rational}."""
-        if not 0 <= n <= self._order:
-            raise IndexError(f"q^{n} outside truncation order {self._order}")
-        w, den = self._width, self._flat._den
+        t = self._order
+        if not 0 <= n <= t:
+            raise IndexError(f"q^{n} outside truncation order {t}")
+        w, den = _row_width(t), self._flat._den
         cells = self._flat._nums[n * w : (n + 1) * w]
-        return {self._lo + j: Fraction(x, den) for j, x in enumerate(cells) if x}
+        return {j - t - 1: Fraction(x, den) for j, x in enumerate(cells) if x}
 
     def is_zero(self) -> bool:
         return self._flat.is_zero()
 
     # -- arithmetic -----------------------------------------------------
 
+    def _flat_at(self, order: int) -> QSeries:
+        """The flat series at a lower or equal order: a slice of each row."""
+        t = self._order
+        if order > t:
+            raise ValueError(f"a series of order {t} has no terms to order {order}")
+        if order == t:
+            return self._flat
+        a, w = self._flat._nums, _row_width(t)
+        rows = (a[i : i + _row_width(order)] for i in range(t - order, (order + 1) * w, w))
+        return _reduced(tuple(chain.from_iterable(rows)), self._flat._den)
+
     def __add__(self, other: "LaurentZQSeries") -> "LaurentZQSeries":
-        """The sum on the union of the two layouts, at the lower order: other's
-        rows are added in place into self's re-laid numerators, over their
-        common denominator, so other is not re-laid."""
+        """The sum at the lower order, as one sum of the flat series."""
         if not isinstance(other, LaurentZQSeries):
             return NotImplemented
         order = min(self._order, other._order)
-        lo = min(self._lo, other._lo)
-        width = max(self._lo + self._width, other._lo + other._width) - lo
-        d1, d2 = self._flat._den, other._flat._den
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        a = _laid_out(self._flat._nums, self._width, self._lo, lo, lo + width - 1, order)
-        if m1 != 1:
-            a = [m1 * x for x in a]
-        b, w = other._flat._nums, other._width
-        for i, n in zip(range(other._lo - lo, len(a), width), range(0, len(b), w)):
-            row = b[n : n + w]
-            a[i : i + w] = map(add, a[i : i + w], row if m2 == 1 else map(m2.__mul__, row))
-        return _make(_reduced(a, d1 * m1), lo, width, order)
+        return _make(self._flat_at(order) + other._flat_at(order), order)
 
-    def apply_ratio(
-        self,
-        scalar: Scalar = 1,
-        shift: int = 0,
-        up: Sequence[Tuple[Scalar, int]] = (),
-        down: Sequence[Tuple[Scalar, int]] = (),
-    ) -> "LaurentZQSeries":
+    def apply_ratio(self, scalar: Scalar = 1, shift: int = 0, up: Sequence[Tuple[Scalar, int]] = (),
+                    down: Sequence[Tuple[Scalar, int]] = ()) -> "LaurentZQSeries":
         """self * scalar * q^shift * prod_up (1 - c q^e) / prod_down (1 - c q^e),
         a z-free ratio, as one QSeries.apply_ratio call on the flat series
         with q^W in place of q; the zero series still checks the factors."""
-        w = self._width
+        w = _row_width(self._order)
         flat = self._flat.apply_ratio(
             scalar, shift * w, [(c, e * w) for c, e in up], [(c, e * w) for c, e in down])
-        return _make(flat, self._lo, w, self._order)
+        return _make(flat, self._order)
 
     def div_binomial(self, coeff: Scalar, zexp: int, qexp: int) -> "LaurentZQSeries":
-        """self / (1 - coeff * z^zexp * q^qexp); see the module docstring for
-        the layout it runs on, why nothing aliases, and the floor division."""
-        if qexp < 0:
-            raise ValueError("q-exponent must be non-negative")
-        if qexp == 0 and zexp != 0:
-            raise ValueError("z powers must ride on at least one power of q")
-        if qexp == 0 and coeff == 1:
-            raise ZeroConstantTermError("division by (1 - c) with c = 1")
+        """self / (1 - coeff z^zexp q^qexp), |zexp| <= qexp; see the module docstring."""
+        if abs(zexp) > qexp:
+            raise ValueError(f"z^{zexp} must ride on at least q^{abs(zexp)}, not q^{qexp}")
         if zexp == 0:
             return self.apply_ratio(down=((coeff, qexp),))
-        span = _span(self._flat._nums, self._width, self._lo)
-        if span is None:
-            return self
-        order, steps = self._order, self._order // qexp
-        pad = abs(zexp) * (steps + 1)
-        lo, hi = (span[0], span[1] + pad) if zexp > 0 else (span[0] - pad, span[1])
-        a = _laid_out(self._flat._nums, self._width, self._lo, lo, hi, order)
-        w = hi - lo + 1
-        jump = qexp * w + zexp
+        order = self._order
+        jump = qexp * _row_width(order) + zexp
+        a, den = list(self._flat._nums), self._flat._den
         p, q = coeff.numerator, coeff.denominator
-        den = self._flat._den
         if q != 1:
-            qk = q**steps
+            qk = q ** (order // qexp)
             a = [qk * x for x in a]
             den *= qk
         for b in range(jump, len(a), jump):
@@ -217,35 +165,25 @@ class LaurentZQSeries:
             elif p != 1:
                 prev = map(p.__mul__, prev)
             a[b : b + jump] = map(add, a[b : b + jump], prev)
-        # the quotient rarely fills the padding: keep only its occupied
-        # columns, moving each row down in place
-        klo, khi = _span(a, w, lo)
-        k = khi - klo + 1
-        if k < w:
-            for n, i in enumerate(range(klo - lo, len(a), w)):
-                a[n * k : (n + 1) * k] = a[i : i + k]
-            del a[(order + 1) * k :]
-        return _make(_reduced(a, den), klo, k, order)
+        return _make(_reduced(a, den), order)
 
     # -- extraction transforms ------------------------------------------
 
     def z_derivative(self) -> "LaurentZQSeries":
         """Apply z * d/dz: the z^k column picks up a factor k."""
-        lo, w = self._lo, self._width
-        nums = tuple(map(mul, self._flat._nums, cycle(range(lo, lo + w))))
-        return _make(_reduced(nums, self._flat._den), lo, w, self._order)
+        t = self._order
+        nums = tuple(map(mul, self._flat._nums, cycle(range(-t - 1, t + 1))))
+        return _make(_reduced(nums, self._flat._den), t)
 
     def positive_z_part(self) -> "LaurentZQSeries":
-        lo, hi = max(self._lo, 1), self._lo + self._width - 1
-        if hi < lo:
-            return LaurentZQSeries.zero(self._order)
-        a, w = self._flat._nums, self._width
-        rows = (a[i : i + hi - lo + 1] for i in range(lo - self._lo, len(a), w))
-        nums = tuple(chain.from_iterable(rows))  # no list to copy into a tuple
-        return _make(_reduced(nums, self._flat._den), lo, hi - lo + 1, self._order)
+        """The columns z^1..z^T, copied row by row; the rest is zero."""
+        t, a = self._order, self._flat._nums
+        lo, w = t + 2, _row_width(t)  # z^1 sits at column t + 2
+        rows = ((0,) * lo + a[i + lo : i + w] for i in range(0, len(a), w))
+        return _make(_reduced(tuple(chain.from_iterable(rows)), self._flat._den), t)
 
     def set_z_one(self) -> QSeries:
-        a, w = self._flat._nums, self._width
+        a, w = self._flat._nums, _row_width(self._order)
         return _reduced([sum(a[i : i + w]) for i in range(0, len(a), w)], self._flat._den)
 
     def __eq__(self, other: object) -> bool:
@@ -257,6 +195,6 @@ class LaurentZQSeries:
     __hash__ = None
 
     def __repr__(self) -> str:
-        a, w = self._flat._nums, self._width
+        a, w = self._flat._nums, _row_width(self._order)
         columns = sum(1 for j in range(w) if any(a[j::w]))
         return f"LaurentZQSeries(order={self._order}, nonzero z-columns={columns})"

@@ -4,11 +4,12 @@ The expected strings were recorded from the Fraction-per-coefficient
 series implementation.  Together the sides run every QSeries kernel the
 identity builders call (apply_ratio, with its single-factor wrappers
 mul_binomial and div_binomial and the Pochhammer quotients of poch_ratio,
-+, -, scale and shift), the Laurent extraction (R33) and a finite sum
-(R20), so any change to the coefficient representation must reproduce
-them exactly.  The full product is reached only by R38's left side, the
-denominator-cleared inversion rule; its case was recorded when the
-Pochhammer prefactors of the other sides were still multiplied in.
++, -, scale and shift), the Laurent extraction (R33, and R34 through
+the rank's sum of Laurent terms) and a finite sum (R20), so any change
+to the coefficient representation must reproduce them exactly.  The
+full product is reached only by R38's left side, the denominator-cleared
+inversion rule; its case was recorded when the Pochhammer prefactors of
+the other sides were still multiplied in.
 inverse, truncate and negation, which no builder calls, are checked
 against the reference kernels in test_series.py.
 
@@ -32,6 +33,10 @@ run from every outer term, before the sums were interchanged.
 The Lambert-bracket sums of R02's and R03's right sides (last in GOLDEN;
 R04's and R05's are pinned above) were recorded while each term was
 carried to order T, before the terms carried the bracket's q^m.
+
+R34's left side was recorded while each Laurent series was still laid
+out over its occupied z-range and re-laid before each z-division, before
+every series of order T took the one layout of width 2T + 2.
 """
 
 import pytest
@@ -155,6 +160,33 @@ GOLDEN = [
     "51",
     "66",
     "89"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R34 --side lhs --order 12 --N 4".split(),
+        """\
+{
+  "id": "R34",
+  "side": "lhs",
+  "env": {},
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "0",
+    "1",
+    "2",
+    "4",
+    "7",
+    "11",
+    "16",
+    "24",
+    "32",
+    "45",
+    "58",
+    "77"
   ]
 }
 """,

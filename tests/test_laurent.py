@@ -40,9 +40,18 @@ def test_set_z_one_sums_rows():
     assert f.set_z_one() == QSeries([Fraction(2), Fraction(5)])
 
 
-def test_z_powers_must_ride_on_q():
+@pytest.mark.parametrize("s, e", [(1, 0), (-1, 0), (2, 1), (-3, 2), (0, -1), (1, -1)])
+def test_division_needs_z_to_ride_on_q(s, e):
+    # a factor (1 - c z^s q^e) with |s| > e would break the |k| <= n bound
     with pytest.raises(ValueError):
-        LaurentZQSeries.from_q_series(QSeries.one(5)).div_binomial(Fraction(1), 1, 0)
+        LaurentZQSeries.from_q_series(QSeries.one(5)).div_binomial(Fraction(1), s, e)
+
+
+@pytest.mark.parametrize("k, col", [(1, qs(1, 0, 0)), (-2, qs(0, 3, 1)), (3, qs(0, 0, 1)),
+                                    (-5, qs(0, 0, 1))])
+def test_columns_must_vanish_below_q_to_the_abs_k(k, col):
+    with pytest.raises(ValueError):
+        LaurentZQSeries({k: col}, 2)
 
 
 @pytest.mark.parametrize("n_top", [1, 2, 4, 6])
@@ -80,13 +89,16 @@ scalars = st.one_of(st.integers(-3, 3), fractions_st)
 @st.composite
 def laurent_columns(draw):
     """(order, {z-exponent: column as Fractions}) with keys in -4..4, so
-    gaps between keys, zero columns and the empty (zero) series all occur."""
+    gaps between keys, zero columns and the empty (zero) series all occur;
+    the column of z^k is zero below q^|k|, as every series here is."""
     order = draw(st.integers(0, 8))
     column = st.one_of(
         st.lists(fractions_st, min_size=order + 1, max_size=order + 1),
         st.lists(st.integers(-4, 4).map(Fraction), min_size=order + 1, max_size=order + 1),
     )
-    return order, draw(st.dictionaries(st.integers(-4, 4), column, max_size=5))
+    cols = draw(st.dictionaries(st.integers(-4, 4), column, max_size=5))
+    return order, {k: [Fraction(0)] * min(abs(k), order + 1) + col[abs(k):]
+                   for k, col in cols.items()}
 
 
 def to_laurent(case) -> LaurentZQSeries:
@@ -103,27 +115,25 @@ def to_rows(case) -> list:
 
 
 def as_rows(f: LaurentZQSeries) -> list:
-    """The q-rows with Fraction values, checking the flat layout's invariants:
-    rows 0..T of the layout's width make up the whole flat series, which is
-    jointly reduced over one positive denominator; every nonzero entry
-    decodes to the row that row() reports, and is_zero() agrees."""
-    flat, lo, w = f._flat, f._lo, f._width
-    assert w >= 1 and len(flat._nums) == (f.order + 1) * w
+    """The q-rows with Fraction values, checking the fixed layout: the flat
+    series has (T + 1)(2T + 2) entries, z^k q^n at n(2T + 2) + k + T + 1, and
+    is jointly reduced over one positive denominator; every nonzero entry
+    decodes to some |k| <= n and to the row that row() reports, and
+    is_zero() agrees."""
+    flat, t = f._flat, f.order
+    w = 2 * t + 2
+    assert len(flat._nums) == (t + 1) * w
     assert flat._den > 0 and gcd(flat._den, *flat._nums) == 1
-    decoded = [{} for _ in range(f.order + 1)]
+    decoded = [{} for _ in range(t + 1)]
     for i, x in enumerate(flat._nums):
         if x:
-            decoded[i // w][lo + i % w] = Fraction(x, flat._den)
+            n, k = i // w, i % w - t - 1
+            assert abs(k) <= n
+            decoded[n][k] = Fraction(x, flat._den)
     rows = [f.row(n) for n in range(f.order + 1)]
     assert rows == decoded
     assert f.is_zero() == (not any(rows))
     return rows
-
-
-def span_width(rows: list) -> int:
-    """The number of z-exponents from the lowest to the highest nonzero one."""
-    ks = [k for row in rows for k in row]
-    return max(ks) - min(ks) + 1 if ks else 0
 
 
 @st.composite
@@ -135,10 +145,7 @@ def binomial_cases(draw):
 
 # z-columns at -2 and 2 with nothing between them: the division must carry across the gap
 GAP = (6, {-2: [Fraction(0), Fraction(0), Fraction(1)] + [Fraction(0)] * 4,
-           2: [Fraction(1, 2)] + [Fraction(0)] * 6})
-# z^4 and z^-4 at q^0 and q^1, outside the |k| <= n bound of rank and crank
-WIDE = (5, {4: [Fraction(1)] + [Fraction(0)] * 5,
-            -4: [Fraction(0), Fraction(-3, 5)] + [Fraction(0)] * 4})
+           2: [Fraction(0)] * 3 + [Fraction(1, 2)] + [Fraction(0)] * 3})
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,14 +153,11 @@ WIDE = (5, {4: [Fraction(1)] + [Fraction(0)] * 5,
 @example((GAP, 1), 1, 1)
 @example((GAP, 1), 1, -1)
 @example((GAP, 2), Fraction(-2, 3), 2)
-@example((GAP, 1), Fraction(-2, 3), -2)
+@example((GAP, 3), Fraction(-5, 4), -2)  # a fractional c over T//e = 2 steps
+@example((GAP, 6), Fraction(7, 3), -2)  # e = T: one step
+@example((GAP, 7), 1, -1)  # e > T: the quotient is the series itself
 @example(((4, {}), 1), 1, 1)
 @example(((4, {}), 0), 1, 0)  # the zero series still rejects the factor (1 - 1)
-@example((WIDE, 5), 1, 1)  # e = T: one step, two columns of padding
-@example((WIDE, 5), Fraction(2, 3), -2)
-@example((WIDE, 6), 1, -1)  # e > T: the quotient is the series itself
-@example((WIDE, 1), Fraction(-5, 4), 2)  # |s| = 2 with a fractional c over T//e = 5 steps
-@example((WIDE, 2), Fraction(7, 3), -2)
 def test_binomial_kernels_match_reference(case_e, c, s):
     case, e = case_e
     f, rows = to_laurent(case), to_rows(case)
@@ -165,37 +169,46 @@ def test_binomial_kernels_match_reference(case_e, c, s):
     else:
         expected = ref_laurent_div_binomial(rows, Fraction(c), 0, e)
         assert as_rows(f.apply_ratio(down=((c, e),))) == expected
-    if e == 0 and s != 0:
+    if abs(s) > e:
         with pytest.raises(ValueError):
             f.div_binomial(c, s, e)
     elif e == 0 and c == 1:
         with pytest.raises(ZeroConstantTermError):
             f.div_binomial(c, s, e)
     else:
-        g = f.div_binomial(c, s, e)
         expected = ref_laurent_div_binomial(rows, Fraction(c), s, e)
-        assert as_rows(g) == expected
-        if s != 0 and any(expected):  # the quotient keeps only the columns it occupies
-            assert g._width == span_width(expected)
+        assert as_rows(f.div_binomial(c, s, e)) == expected
 
 
-# (q)_2 to order 5 divided by (1 - zq), (1 - q/z), (1 - zq^2): the crank at
-# T = 5, N = 2, where padding by T//e columns instead aliases into row T
+# (q)_2 to order 5 divided by (1 - zq), (1 - q/z), (1 - zq^2): the crank at T = 5, N = 2
 CRANK_T5 = (5, {0: [Fraction(x) for x in (1, -1, -1, 1, 0, 0)]})
+# a factor (1 - c z^s q^e) with 1 <= |s| <= e, as the layout requires
+rides_on_q = st.integers(1, 9).flatmap(
+    lambda e: st.tuples(scalars, st.sampled_from([-2, -1, 1, 2]).filter(lambda s: abs(s) <= e),
+                        st.just(e)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(laurent_columns(),
-       st.lists(st.tuples(scalars, st.sampled_from([-2, -1, 1, 2]), st.integers(1, 9)),
-                min_size=3, max_size=3))
+@given(laurent_columns(), st.lists(rides_on_q, min_size=3, max_size=3))
 @example(CRANK_T5, [(1, 1, 1), (1, -1, 1), (1, 1, 2)])
-@example(GAP, [(Fraction(1, 2), 2, 1), (-1, -2, 1), (Fraction(-3, 2), 1, 3)])
+@example(GAP, [(Fraction(1, 2), 2, 2), (-1, -2, 3), (Fraction(-3, 2), 1, 3)])
 def test_chained_divisions_match_reference(case, factors):
     f, rows = to_laurent(case), to_rows(case)
     for c, s, e in factors:
         f, rows = f.div_binomial(c, s, e), ref_laurent_div_binomial(rows, Fraction(c), s, e)
         assert as_rows(f) == rows
-        assert f._width == max(span_width(rows), 1)
+
+
+def test_division_at_the_aliasing_edge():
+    # 1/(1 - zq) at T = 5 puts z^5 q^5 in the last column of row 5, and the
+    # quotient's division by (1 - q/z) sends z^0 q^0 to z^-6 q^6, exactly at
+    # index (T + 1)W: a width of 2T + 1 or an offset of T breaks one or the other
+    f = LaurentZQSeries.from_q_series(QSeries.one(5))
+    rows = [{0: Fraction(1)}] + [{}] * 5
+    f, rows = f.div_binomial(1, 1, 1), ref_laurent_div_binomial(rows, Fraction(1), 1, 1)
+    assert as_rows(f) == rows and rows[5] == {5: Fraction(1)}
+    f, rows = f.div_binomial(1, -1, 1), ref_laurent_div_binomial(rows, Fraction(1), -1, 1)
+    assert as_rows(f) == rows and rows[5] == {5: 1, 3: 1, 1: 1, -1: 1, -3: 1, -5: 1}
 
 
 @settings(max_examples=80, deadline=None)
@@ -213,3 +226,15 @@ def test_linear_kernels_match_reference(case, k):
     assert list(f.set_z_one().coeffs) == ref_laurent_set_z_one(rows)
     assert as_rows(f.apply_ratio(1, k)) == ([{}] * k + rows)[: len(rows)]
     assert f.is_zero() == (not any(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(laurent_columns(), min_size=1, max_size=4))
+def test_sum_of_truncates_each_term_to_the_order(cases):
+    order = min(case[0] for case in cases)
+    expected = [{} for _ in range(order + 1)]
+    for case in cases:
+        expected = ref_laurent_add(expected, to_rows(case))
+    assert as_rows(LaurentZQSeries.sum_of(map(to_laurent, cases), order)) == expected
+    with pytest.raises(ValueError):  # a term has no coefficients past its own order
+        LaurentZQSeries.sum_of(map(to_laurent, cases), order + 1)
