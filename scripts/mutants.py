@@ -37,7 +37,7 @@ SELECTION = ["tests/test_series.py", "tests/test_golden.py", "tests/test_referen
              "tests/test_laurent.py"]
 
 MUTANTS = [
-    (SERIES, "if 2 * e > top:", "if 2 * e >= top:",
+    (SERIES, "if 2 * e > top:  # 1/(1 - c q^e)", "if 2 * e >= top:  # 1/(1 - c q^e)",
      "a division at 2e = T' takes one step of its recurrence and loses c^2 q^(2e)"),
     (SERIES, "a[n] += a[n - e]\n", "a[n] = a[n - e]\n",
      "a c = 1 division drops its add, at e = 1 as at any e"),
@@ -58,6 +58,15 @@ MUTANTS = [
      "positive_z_part keeps the z^0 column, which z d/dz then zeroes in the extraction"),
     (LAURENT, "if abs(zexp) > qexp:", "if abs(zexp) >= qexp:",
      "div_binomial rejects |s| = e, the crank's and the rank's (1 - zq^n) at n = 1"),
+    (SERIES, "hi - lo + 1", "hi - lo",
+     "a window sum one factor short: a run (1 - c q^lo)..(1 - c q^hi) loses its last factor"),
+    (SERIES, "scale = lcm(scale, q)", "scale = q",
+     "the combined pass scales by the last factor's denominator, not the lcm of all of them"),
+    (SERIES, "a, k = b, 1", "a = b",
+     "the combined pass takes the pending multiplier and leaves it pending, so it is applied twice"),
+    (SERIES, "src = a\n", "src = b\n",
+     "the combined pass reads the running output, which its scaling has multiplied, "
+     "in place of a; equivalent when nothing scales"),
 ]
 
 

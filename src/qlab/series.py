@@ -46,8 +46,22 @@ that rewrites the tail: the first factor above, or the q^K scaling of a
 first fractional factor below.  Only a ratio without factors, or one
 whose first factor is an integer division, scales in a pass of its own.
 A division by 1 - q^e runs ``a[n] += a[n-e]``, with no multiply by 1.
-With 2e > T', 1/(1 - c q^e) = 1 + c q^e to order T': such a division
-takes one step of its recurrence (K = 1) as a factor above with -c.
+
+Factors with 2e > T' act together.  Any two of them multiply to 1 to
+order T', as their product's q-power exceeds T', and 1/(1 - c q^e) =
+1 + c q^e there; so together they are one linear map,
+b = a - sum_i s_i c_i q^(e_i) a with s_i = 1 above and -1 below, in which
+every term reads the input tail a.  With three or more of them the
+kernel scales the tail once by the lcm L of their denominators, a pass
+that takes the pending multiplier k, and then subtracts
+k s_i p_i (L/q_i) a[n - e_i] in one C-level pass per factor.  A run of
+one c over consecutive e = lo..hi, the upper half of every Pochhammer
+symbol longer than T'/2, is one pass over the window sums
+S[n-lo] - S[n-hi-1] of S = accumulate(a).  Every step is an exact
+integer operation over _den*L, so the reduced result is the series the
+factors give one by one.  One or two such factors run as factors above
+(a division with -c), where the extra scaling pass would cost more than
+it saves.
 
 Multiplication and division by one factor, every step of term_sum, the
 one summation primitive, and a quotient of q-Pochhammer symbols applied to
@@ -61,9 +75,9 @@ Values are immutable and safe to share between workers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 
@@ -85,6 +99,9 @@ class QMonomial(NamedTuple):
 
 Scalar = Union[int, Fraction]
 
+# apply_ratio runs its factors with 2e > T' as one pass when there are this many
+_FAR_PASS_MIN = 3
+
 
 def _ratio(x: Scalar) -> Tuple[int, int]:
     """(numerator, denominator) of an int or a Fraction."""
@@ -100,8 +117,7 @@ def _reduced(nums: Sequence[int], den: int) -> "QSeries":
     # math.gcd only scans the rest, so start from the top.
     g = gcd(den, *reversed(nums))
     if g != 1:
-        nums = [n // g for n in nums]
-        den //= g
+        return _raw(tuple(map(floordiv, nums, repeat(g))), den // g)
     return _raw(tuple(nums), den)
 
 
@@ -318,7 +334,7 @@ class QSeries:
             head = head[next(compress(count(), head), len(head)) :]
         a = list(head)
         top = len(a) - 1  # the tail's order
-        ups, downs, big, growth = [], [], 1, 1  # factors (p, q, e), lcm of q, q-powers
+        ups, downs, far, big, growth = [], [], [], 1, 1  # factors (p, q, e), lcm of q, q-powers
         for c, e in up:
             if e < 0:
                 raise ValueError("q-exponent must be non-negative")
@@ -327,8 +343,11 @@ class QSeries:
                 k *= q - p
                 den *= q
             elif p and e <= top:
-                ups.append((p, q, e))
-                big, growth = lcm(big, q), growth * q
+                if 2 * e > top:  # any two such factors multiply to 1 to order top
+                    far.append((p, q, e))
+                else:
+                    ups.append((p, q, e))
+                    big, growth = lcm(big, q), growth * q
         for c, e in down:
             if e < 0:
                 raise ValueError("q-exponent must be non-negative")
@@ -340,11 +359,39 @@ class QSeries:
                     k *= q if q > p else -q
                     den *= abs(q - p)
             elif p and e <= top:
-                big, growth = lcm(big, q), growth * q ** (top // e)
                 if 2 * e > top:  # 1/(1 - c q^e) = 1 + c q^e to order top: a factor above
-                    ups.append((-p, q, e))
+                    far.append((-p, q, e))
                 else:
                     downs.append((p, q, e))
+                    big, growth = lcm(big, q), growth * q ** (top // e)
+        if len(far) < _FAR_PASS_MIN:  # too few to share a pass: each takes its own
+            for f in far:
+                ups.append(f)
+                big, growth = lcm(big, f[1]), growth * f[1]
+        else:  # one scaling by their lcm, taking k, and one C-level pass per run of factors
+            scale = 1
+            for _, q, _ in far:  # a loop: lcm(*...) leaves its argument tuple on the free list
+                scale = lcm(scale, q)
+            den *= scale
+            # the passes read a[:top - lo + 1], below every far exponent, so when
+            # nothing scales they may write into a itself
+            ks = k * scale
+            b = [ks * x for x in a] if ks != 1 else a
+            i = 0
+            while i < len(far):
+                p, q, lo = far[i]
+                hi, i = lo, i + 1
+                while i < len(far) and far[i] == (p, q, hi + 1):  # (1 - c q^lo)..(1 - c q^hi)
+                    hi, i = hi + 1, i + 1
+                m, width = k * p * (scale // q), hi - lo + 1
+                src = a
+                if width > 1:  # sum_{e=lo}^{hi} a[n-e] = S[n-lo] - S[n-hi-1] with S = accumulate(a)
+                    src = map(sub, accumulate(src), chain(repeat(0, width), accumulate(src)))
+                if m == 1 or m == -1:
+                    b[lo:] = map(sub if m == 1 else add, b[lo:], src)
+                else:
+                    b[lo:] = map(sub, b[lo:], map(mul, src, repeat(m)))
+            a, k = b, 1
         substitute = growth > big**top
         if substitute:  # q = big * x makes every factor's coefficient an integer
             powers = list(accumulate(repeat(big, top), mul, initial=1))
@@ -562,23 +609,26 @@ def term_sum(
     kernel factor x q^k / (1 - x q^k), whose k = 0 term x / (1 - x) is the
     closed form of the constant coefficients.
     """
-    order = first.order
+    order, sum_of = first.order, type(first).sum_of
+    ts = ratio_terms(first, step, start, stop)
+    del first  # the terms drop it once the sum moves past it
 
     def terms():
-        for n, t in enumerate(ratio_terms(first, step, start, stop), start):
+        for n, t in enumerate(ts, start):
             term = t if weight is None else weight(t, n)
             if tail is not None and n > order:
                 yield term.div_binomial(tail, 0)
                 return
             yield term
 
-    return type(first).sum_of(terms(), order)
+    return sum_of(terms(), order)
 
 
 def ratio_terms(first: S, step: Callable[[S, int], S], start: int = 0, stop: Optional[int] = None):
     """term_sum's terms t_start = first, t_n = step(t_{n-1}, n), lazily, by its
     stopping rule: through n = stop, or up to the first t_n zero to order T."""
     n, t = start, first
+    del first  # t drops it at the next step
     while (stop is None or n <= stop) and not t.is_zero():
         yield t
         if n == stop:

@@ -480,6 +480,27 @@ MID = [Fraction(0)] * 3 + B13[:10]  # zero below q^3: a tail of order 9
 @example(MID, 1, 0, [(-1, 2)], [(1, 3)])
 # scalar 0 with factors, e = 0 ones included
 @example(B13, 0, 2, [(Fraction(1, 2), 0), (2, 1)], [(Fraction(1, 3), 6), (Fraction(3, 5), 0)])
+# six factors with 2e > T' = 12 in one pass: above and below, integer and
+# fractional c with different denominators, and c = 1 and c = -1
+@example(B13, 1, 0, [(3, 7), (Fraction(2, 5), 9), (1, 12)], [(Fraction(-3, 4), 8), (-1, 10), (2, 11)])
+# integer c and scalar 1: nothing scales, so the passes write into the tail
+# itself, and c = 1 above and below add and subtract without a multiply
+@example(B13, 1, 0, [(1, 7), (1, 8), (3, 9)], [(1, 10), (-2, 11), (1, 12)])
+# runs of one c over consecutive e as window sums: 7-8 and 10-12 above with
+# a gap at 9, and 7-12 below; single factors of c = -1 and 1 in between
+@example(B13, 1, 0, [(Fraction(2, 3), e) for e in (7, 8, 10, 11, 12)] + [(-1, 9)],
+         [(Fraction(-1, 2), e) for e in range(7, 13)] + [(1, 12)])
+# the edges: at T' = 12, e = 6 (2e = T') keeps its own pass and e = 7 joins
+# the combined one; at T' = 11 (shift 1), e = 6 (2e = T' + 1) joins it
+@example(B13, 1, 0, [(-2, 7), (1, 8)], [(3, 6), (Fraction(2, 3), 7)])
+@example(B13, 1, 1, [(-2, 6), (1, 8)], [(Fraction(2, 3), 5), (Fraction(2, 3), 6)])
+# the combined pass takes the scalar and the e = 0 constants, alone and
+# followed by an integer factor above and a fractional factor below
+@example(B13, Fraction(-7, 3), 1, [(Fraction(2, 5), 0), (2, 7), (2, 8)], [(Fraction(3, 5), 0), (-1, 9)])
+@example(B13, Fraction(-7, 3), 0, [(Fraction(2, 5), 0), (2, 7), (2, 8), (3, 2)],
+         [(Fraction(3, 5), 0), (-1, 9), (Fraction(1, 3), 3)])
+# leading zeros and a shift: a tail of order 8, whose factors with e >= 5 share the pass
+@example(MID, 2, 1, [(2, 5), (2, 6), (2, 7), (Fraction(1, 2), 1)], [(Fraction(1, 3), 8)])
 def test_apply_ratio_matches_reference(a, scalar, shift, up, down):
     # the reference applies the scalar, the shift and each factor in turn
     expected = ref_shift(ref_scale(a, Fraction(scalar)), shift)
@@ -551,6 +572,7 @@ symbols = st.lists(
     st.tuples(scalars, exponents, st.one_of(st.none(), st.integers(0, 6))), max_size=3
 )
 A = [Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(0), Fraction(2, 9)]
+A80 = [Fraction((-1) ** n * (n % 5 + 1), n % 3 + 1) for n in range(81)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -570,6 +592,9 @@ A = [Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(0), Fraction(2, 9)]
 @example([Fraction(0)] * 13, [(2, 1, 3)], [(Fraction(1, 3), 0, 2)])
 # every symbol is empty: no factors, so no scan for the tail
 @example(HIGH, [(5, 0, 0)], [(2, 1, 0)])
+# T = 80 with infinite symbols above and below: the upper half of each runs
+# as one window sum, the lower half factor by factor
+@example(A80, [(Fraction(4, 7), 1, None), (2, 0, 5)], [(Fraction(-2, 3), 1, None), (1, 1, 6)])
 def test_poch_ratio_matches_reference(a, up, down):
     # the reference folds the factors (1 - c q^(e+k)), k < n, of each symbol in turn
     def factors(c, e, n):
