@@ -33,6 +33,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SERIES, FOUR = "src/qlab/series.py", "src/qlab/identities/four_parameter.py"
 LAURENT = "src/qlab/laurent.py"
+PHI = "src/qlab/identities/phi_sum.py"
 SELECTION = ["tests/test_series.py", "tests/test_golden.py", "tests/test_reference_series.py",
              "tests/test_laurent.py"]
 
@@ -67,6 +68,12 @@ MUTANTS = [
     (SERIES, "src = a\n", "src = b\n",
      "the combined pass reads the running output, which its scaling has multiplied, "
      "in place of a; equivalent when nothing scales"),
+    (PHI, "inner, stop=N - k)", "inner, stop=N - k - 1)",
+     "the 2-phi-1 block's terminating inner sum ends one term short, before j = N - k"),
+    (PHI, "((c / d, k - 1), (1, N - k + 1))", "((c / d, k), (1, N - k + 1))",
+     "the block's outer factor (1 - (c/d) q^(k-1)) is read at q^k"),
+    (PHI, "u.apply_ratio(-c, k + j,", "u.apply_ratio(c, k + j,",
+     "the block's inner step drops the sign of 1 - q^(k-N+j-1) = -q^(k-N+j-1) (1 - q^(N-k-j+1))"),
 ]
 
 

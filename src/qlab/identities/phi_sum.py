@@ -1,8 +1,13 @@
 """The finite sum of a 2-phi-1 and the two lemmas feeding it.
 
-The right side of the harmonic-sum lemma and of the main theorem carry
-an infinite-product prefactor and an inner 2-phi-1 whose argument rides
-on q^k, so every sum here truncates on its own.
+R20's right side and a part of R22's left side are one block, a sum over
+k of 2phi1(dq, dq^{N+1}; dq^{k+1}; (c/d) q^k).  Euler's transformation
+(Gasper-Rahman, Basic Hypergeometric Series, (III.3)), 2phi1(a, b; e; z)
+= (abz/e)_inf / (z)_inf 2phi1(e/a, e/b; e; abz/e), makes it
+2phi1(q^k, q^{k-N}; dq^{k+1}; cq^{N+1}), which ends at j = N - k; its
+quotient of products leaves (c/d)_k in the outer term and
+(dq)_N / ((q)_N (cq)_N) in front.  phi_block builds that form; the d-q
+blocks of R26 and R32 are it at N = 2T (see spt_family).
 
 Every sum is a term_sum: each term is the previous one times its ratio,
 one apply_ratio call, and the sum stops after its cutoff or at the first
@@ -33,25 +38,23 @@ from .common import (
 from .model import FINITE, Identity
 
 
-def _phi_block_rhs(env, N: int, one: QSeries) -> QSeries:
-    """(c/d)_inf (dq)_inf / ((q)_N (cq)_inf (dq^{N+1})_inf)
-    * sum_{k=1}^{N} [N,k] d^k q^{k(k+1)} / ((dq)_k (1-q^k))
-      * 2phi1(dq, dq^{N+1}; dq^{k+1}; (c/d) q^k)."""
-    c, d = env.get("c"), env.get("d")
+def phi_block(c, d, N: int, one: QSeries) -> QSeries:
+    """(dq)_N / ((q)_N (cq)_N) * sum_{k=1}^{N} [N,k] (c/d)_k d^k q^{k(k+1)} / ((dq)_k (1-q^k))
+    * sum_{j=0}^{N-k} (q^k)_j (q^{k-N})_j (cq^{N+1})^j / ((dq^{k+1})_j (q)_j), the
+    2-phi-1 block after Euler's transformation (see the module docstring)."""
 
-    def step(t, k):  # [N,k] d^k q^{k(k+1)} / (dq)_k
-        return t.apply_ratio(d, 2 * k, ((1, N - k + 1),), ((1, k), (d, k)))
+    def step(t, k):  # [N,k] (c/d)_k d^k q^{k(k+1)} / (dq)_k
+        return t.apply_ratio(d, 2 * k, ((c / d, k - 1), (1, N - k + 1)), ((1, k), (d, k)))
 
-    def weight(t, k):  # the 2phi1, started from its outer term t / (1 - q^k)
-        def inner(u, j):  # (dq)_j (dq^{N+1})_j (c/d)^j q^{kj} / ((dq^{k+1})_j (q)_j)
-            return u.apply_ratio(c / d, k, ((d, j), (d, N + j)), ((d, k + j), (1, j)))
+    def weight(t, k):  # the inner sum, started from its outer term t / (1 - q^k)
+        def inner(u, j):  # (1 - q^{k-N+j-1}) c q^{N+1} = -c q^{k+j} (1 - q^{N-k-j+1})
+            up, down = ((1, k + j - 1), (1, N - k - j + 1)), ((d, k + j), (1, j))
+            return u.apply_ratio(-c, k + j, up, down)
 
-        return term_sum(t.div_binomial(1, k), inner)
+        return term_sum(t.div_binomial(1, k), inner, stop=N - k)
 
     total = term_sum(step(one, 1), step, start=1, stop=N, weight=weight)
-    # (dq)_inf / (dq^{N+1})_inf = (dq)_N
-    up, down = ((c / d, 0, None), (d, 1, N)), ((1, 1, N), (c, 1, None))
-    return poch_ratio(total, up=up, down=down)
+    return poch_ratio(total, up=((d, 1, N),), down=((1, 1, N), (c, 1, N)))
 
 
 def _alternating_terms(env, N: int, one: QSeries):
@@ -70,6 +73,9 @@ def _r20() -> Identity:
         # the weight is the harmonic partial sum sum_{k=1}^{n} q^k / (1 - q^k)
         return nested_q_power_sum(_alternating_terms(env, N, one), one, div_q_n)
 
+    def rhs(env, N, one):
+        return phi_block(env.get("c"), env.get("d"), N, one)
+
     return Identity(
         id="R20",
         title="harmonic-weighted sum as a 2-phi-1 block",
@@ -82,7 +88,7 @@ def _r20() -> Identity:
         ),
         params=("c", "d"),
         kind=FINITE,
-        sides=(("lhs", lhs), ("rhs", _phi_block_rhs)),
+        sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(not_value("d", 0, "the quotient argument c/d is undefined")),
         domain=all_nonzero("c", "d"),
     )
@@ -119,7 +125,7 @@ def _r21() -> Identity:
 def _r22() -> Identity:
     def lhs(env, N, one):
         head = type(one).sum_of(map(times_n, _alternating_terms(env, N, one), count(1)), one.order)
-        return head + _phi_block_rhs(env, N, one)
+        return head + phi_block(env.get("c"), env.get("d"), N, one)
 
     def rhs(env, N, one):
         c, d = env.get("c"), env.get("d")

@@ -17,10 +17,14 @@ oracles in partitions stay the independent reference for tests and tables.
 
 The series sides are term_sums whose steps are single apply_ratio calls.
 The q^{j^2}/(q)_j^2 sums of R23, R25 and R36 are interchanged, one weight
-per inner index over the suffix sums of the outer terms.  The other
-double sums (the d-q block of R26 and R32, the block in R31's left side)
-start each inner sum from the outer term, so no full product runs per
-outer index.
+per inner index over the suffix sums of the outer terms.  R31's double
+sum starts each inner sum from the outer term, so no full product runs
+per outer index.  The d-q block of R26 and R32 with its prefactor is the
+N -> infinity limit of phi_sum's finite 2-phi-1 block, built in the
+terminating form of Euler's transformation (Gasper-Rahman, (III.3)), and
+to order T it is that block at N = 2T, since every factor the cutoff adds
+((1 - q^{N-k+1}) in [N,k] with k(k+1) <= T, (dq^{N+1})_m, the tails of
+(q)_N, (dq)_N and (cq)_N) is 1 + O(q^{T+1}).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .common import (
     times_n,
 )
 from .model import INFINITE, Identity, ParamEnv
+from .phi_sum import phi_block
 
 
 def n_sc_generating_function(order: int) -> QSeries:
@@ -84,22 +89,6 @@ def _square_sum(one: QSeries, weight) -> QSeries:
         return t.apply_ratio(1, 2 * j - 1, down=((1, j), (1, j)))
 
     return nested_q_power_sum(ratio_terms(step(one, 1), step, start=1), one, weight)
-
-
-def _dq_block(d, x, one: QSeries) -> QSeries:
-    """sum_{k>=1} d^k q^{k(k+1)} / ((q)_k (dq)_k (1-q^k))
-    * sum_{m>=0} (dq)_m (x q^k)^m / ((dq^{k+1})_m (q)_m)."""
-
-    def step(t, k):  # d^k q^{k(k+1)} / ((q)_k (dq)_k)
-        return t.apply_ratio(d, 2 * k, down=((1, k), (d, k)))
-
-    def weight(t, k):  # the inner sum, started from its outer term t / (1 - q^k)
-        def inner(u, m):  # (dq)_m (x q^k)^m / ((dq^{k+1})_m (q)_m)
-            return u.apply_ratio(x, k, ((d, m),), ((d, k + m), (1, m)))
-
-        return term_sum(t.div_binomial(1, k), inner)
-
-    return term_sum(step(one, 1), step, start=1, weight=weight)
 
 
 def _quotient_tail(x, d, one: QSeries) -> QSeries:
@@ -236,8 +225,9 @@ def _r26() -> Identity:
             return t.apply_ratio(-d, n, ((-1 / d, n - 1),), ((1, 2 * n),))
 
         head = term_sum(step(-one, 1), step, start=1, weight=times_n)
-        up = ((-1 / d, 0, None), (d, 1, None))
-        return head + poch_ratio(_dq_block(d, -1 / d, one), up=up, down=((-1, 1, None),))
+        # the d-q block at c = -1; its prefactor here has no 1/(q)_inf, so (q)_inf cancels it
+        block = phi_block(-1, d, 2 * one.order, one)
+        return head + poch_ratio(block, up=((1, 1, None),))
 
     def rhs(env, N, one):
         d = env.get("d")
@@ -448,9 +438,7 @@ def _r32() -> Identity:
             return t.apply_ratio(-d, n, ((c / d, n - 1),), ((1, n), (c, n)))
 
         head = term_sum(step(-one, 1), step, start=1, weight=times_n)
-        head = div_poch(head, 1, 1, None)
-        up, down = ((c / d, 0, None), (d, 1, None)), ((1, 1, None), (c, 1, None))
-        return head + poch_ratio(_dq_block(d, c / d, one), up=up, down=down)
+        return div_poch(head, 1, 1, None) + phi_block(c, d, 2 * one.order, one)
 
     def rhs(env, N, one):
         c, d = env.get("c"), env.get("d")

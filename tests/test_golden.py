@@ -37,6 +37,12 @@ carried to order T, before the terms carried the bracket's q^m.
 R34's left side was recorded while each Laurent series was still laid
 out over its occupied z-range and re-laid before each z-division, before
 every series of order T took the one layout of width 2T + 2.
+
+The 2-phi-1 blocks (BLOCKS: R20's right side, R22's left side, and the
+d-q blocks of R26's and R32's left sides) were recorded while every inner
+2-phi-1 still ran to about T/k terms in its untransformed form and the
+d-q block had a builder of its own, before each became the terminating
+sum that Euler's transformation gives, the d-q block at cutoff N = 2T.
 """
 
 import pytest
@@ -653,5 +659,134 @@ INTERCHANGED = [
 
 @pytest.mark.parametrize("argv, expected", INTERCHANGED, ids=["R20-lhs-N5", "R23-rhs", "R36-lhs"])
 def test_interchanged_double_sums_are_byte_identical(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+BLOCKS = [
+    (
+        "coeffs --id R20 --side rhs --order 12 --c 4/7 --d=-5/3 --N 4".split(),
+        """\
+{
+  "id": "R20",
+  "side": "rhs",
+  "env": {
+    "c": "4/7",
+    "d": "-5/3"
+  },
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "0",
+    "-47/21",
+    "-1175/147",
+    "-73978/3087",
+    "-1323050/21609",
+    "-20494303/151263",
+    "-887869856/3176523",
+    "-11846185312/22235661",
+    "-150231352955/155649627",
+    "-599887472515/363182463",
+    "-62435793344248/22880495169",
+    "-693786721268761/160163466183"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R22 --side lhs --order 12 --c 4/7 --d=-5/3 --N 4".split(),
+        """\
+{
+  "id": "R22",
+  "side": "lhs",
+  "env": {
+    "c": "4/7",
+    "d": "-5/3"
+  },
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-47/21",
+    "-1175/147",
+    "-85493/3087",
+    "-1477351/21609",
+    "-23884319/151263",
+    "-346928150/1058841",
+    "-14143439327/22235661",
+    "-177824360551/155649627",
+    "-2150420901635/1089547389",
+    "-74600281961263/22880495169",
+    "-275849376130403/53387822061",
+    "-2962783146349081/373714754427"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R26 --side lhs --order 12 --d=-5/3".split(),
+        """\
+{
+  "id": "R26",
+  "side": "lhs",
+  "env": {
+    "d": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-2/3",
+    "-2/3",
+    "-32/9",
+    "-10/9",
+    "-52/9",
+    "-64/9",
+    "-236/27",
+    "-178/27",
+    "-134/9",
+    "-1996/81",
+    "-1120/81",
+    "-808/27"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R32 --side lhs --order 12 --c 4/7 --d=-5/3".split(),
+        """\
+{
+  "id": "R32",
+  "side": "lhs",
+  "env": {
+    "c": "4/7",
+    "d": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-47/21",
+    "-1175/147",
+    "-85493/3087",
+    "-1477351/21609",
+    "-24222860/151263",
+    "-365660752/1058841",
+    "-15553124051/22235661",
+    "-209324584978/155649627",
+    "-2721745852951/1089547389",
+    "-102831006055843/22880495169",
+    "-1256808660489691/160163466183",
+    "-15017802662552393/1121144263281"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", BLOCKS, ids=["R20-rhs-N4", "R22-lhs-N4", "R26-lhs", "R32-lhs"])
+def test_two_phi_one_blocks_are_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected

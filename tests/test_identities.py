@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,9 +22,9 @@ from qlab.identities import (
 )
 from qlab.identities.common import lambert_bracket
 from qlab.identities.model import FINITE
-from qlab.identities.phi_sum import _phi_block_rhs
-from qlab.identities.spt_family import _dq_block, _square_sum
-from qlab.series import QSeries, ZeroConstantTermError
+from qlab.identities.phi_sum import phi_block
+from qlab.identities.spt_family import _square_sum
+from qlab.series import QSeries, ZeroConstantTermError, div_poch, poch
 
 from _oracles import (
     ref_dq_block,
@@ -217,6 +218,30 @@ def test_run_suite_passes_at_tiny_orders(seed, order):
     assert reports and not failed
 
 
+BOUNDARY = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(-7, 3)]
+
+
+def test_every_admitted_boundary_task_passes():
+    # every non-scan identity at T = 6 over the full product of BOUNDARY, which
+    # holds zero and unit parameters, c = d (where (c/d)_k vanishes) and c = -1:
+    # a task passes or its constraint refuses it, and nothing else raises
+    passed = 0
+    for identity in REGISTRY.values():
+        if identity.scan_only:
+            continue
+        cutoffs = (1, 2, 3) if identity.kind == FINITE else (None,)
+        for values in product(BOUNDARY, repeat=len(identity.params)):
+            env = ParamEnv(**dict(zip(identity.params, values)))
+            for n_value in cutoffs:
+                try:
+                    report = verify(identity, env, n_value, 6)
+                except ConstraintViolationError:
+                    continue
+                assert report.passed, report.to_json_dict()
+                passed += 1
+    assert passed == 10141  # of 37,599 tasks; a stricter constraint would lower it
+
+
 def test_r19_lhs_at_order_zero_is_the_constant_term():
     # at q^0, (q)_{n-1} and 1 - q^n are 1 and (a)_n is 1 - a, so the constant
     # term is sum_{n>=1} a^n / (1 - a) = a / (1 - a)^2
@@ -375,9 +400,8 @@ def same_value(x: QSeries, y: QSeries) -> bool:
 @pytest.mark.parametrize("T", NESTED_ORDERS)
 def test_phi_block_equals_its_rebuild_and_multiply_form(T):
     for c, d in ((Fraction(-7, 9), Fraction(5, 8)), (Fraction(2), Fraction(-1, 3))):
-        env = ParamEnv(c=c, d=d)
         for N in range(1, 7):
-            assert same_value(_phi_block_rhs(env, N, QSeries.one(T)), ref_phi_block(c, d, N, T))
+            assert same_value(phi_block(c, d, N, QSeries.one(T)), ref_phi_block(c, d, N, T))
 
 
 @pytest.mark.parametrize("T", NESTED_ORDERS)
@@ -407,8 +431,12 @@ def test_r20_harmonic_weight_equals_its_rebuild_and_multiply_form(T):
 
 @pytest.mark.parametrize("T", NESTED_ORDERS)
 def test_double_sums_equal_their_rebuild_and_multiply_forms(T):
-    for d, x in ((Fraction(5, 8), Fraction(-7, 5)), (Fraction(-2), Fraction(1, 2))):
-        assert same_value(_dq_block(d, x, QSeries.one(T)), ref_dq_block(d, x, T))
+    # the d-q block with its prefactor (c/d)_inf (dq)_inf / ((q)_inf (cq)_inf) is,
+    # to order T, the 2-phi-1 block at N = 2T; c = -1 is R26's
+    for c, d in ((Fraction(-7, 8), Fraction(5, 8)), (Fraction(-1), Fraction(-2))):
+        prefactor = div_poch(poch(c / d, 0, None, T) * poch(d, 1, None, T), 1, 1, None)
+        expected = div_poch(prefactor, c, 1, None) * ref_dq_block(d, c / d, T)
+        assert same_value(phi_block(c, d, 2 * T, QSeries.one(T)), expected)
     for weight in (
         lambda t, n: t.div_binomial(Fraction(3, 4), n).div_binomial(1, n),
         lambda t, n: t.div_binomial(1, 2 * n),

@@ -154,6 +154,9 @@ GAP = (6, {-2: [Fraction(0), Fraction(0), Fraction(1)] + [Fraction(0)] * 4,
 @example((GAP, 1), 1, -1)
 @example((GAP, 2), Fraction(-2, 3), 2)
 @example((GAP, 3), Fraction(-5, 4), -2)  # a fractional c over T//e = 2 steps
+# from q^0 a fractional c steps T//e = 2 times, the last floor division exact only
+# because the series was scaled by q^(T//e)
+@example(((4, {0: [Fraction(1)] + [Fraction(0)] * 4}), 2), Fraction(2, 3), -1)
 @example((GAP, 6), Fraction(7, 3), -2)  # e = T: one step
 @example((GAP, 7), 1, -1)  # e > T: the quotient is the series itself
 @example(((4, {}), 1), 1, 1)
