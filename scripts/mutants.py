@@ -34,6 +34,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SERIES, FOUR = "src/qlab/series.py", "src/qlab/identities/four_parameter.py"
 LAURENT = "src/qlab/laurent.py"
 PHI = "src/qlab/identities/phi_sum.py"
+COMMON, SPT = "src/qlab/identities/common.py", "src/qlab/identities/spt_family.py"
+ENTRIES = "src/qlab/identities/entries.py"
 SELECTION = ["tests/test_series.py", "tests/test_golden.py", "tests/test_reference_series.py",
              "tests/test_laurent.py"]
 
@@ -74,6 +76,18 @@ MUTANTS = [
      "the block's outer factor (1 - (c/d) q^(k-1)) is read at q^k"),
     (PHI, "u.apply_ratio(-c, k + j,", "u.apply_ratio(c, k + j,",
      "the block's inner step drops the sign of 1 - q^(k-N+j-1) = -q^(k-N+j-1) (1 - q^(N-k-j+1))"),
+    (SPT, "t.apply_ratio(-d, n, ((ratio, n - 1),)", "t.apply_ratio(-d, n + 1, ((ratio, n - 1),)",
+     "A(c, d) steps by q^(n+1), so its terms carry q^(n(n+3)/2) for q^(n(n+1)/2)"),
+    (COMMON, "t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))", "t.apply_ratio(1, 1, ((d, n),), ((1, n),))",
+     "S(d) reads (dq)_n for (dq)_(n-1)"),
+    (SPT, "((1 / d, n - 1),), ((1, n), (1, n))", "((1 / d, n),), ((1, n), (1, n))",
+     "L(d) reads (q/d)_n for (q/d)_(n-1)"),
+    (COMMON, "t.apply_ratio(a, 2 * n - 1, down=", "t.apply_ratio(a, 2 * n, down=",
+     "M(a) steps by q^(2n), so its terms carry q^(n(n+1)) for q^(n^2)"),
+    (COMMON, "return t.apply_ratio(-a, n)\n", "return t.apply_ratio(a, n)\n",
+     "E(a) loses its alternating sign"),
+    (ENTRIES, "t.apply_ratio(-a, n, ((1, N - n + 1),), ((x, n),))", "t.apply_ratio(-a, n, ((1, N - n),), ((x, n),))",
+     "F(a, x) reads the q-binomial ratio [N,n]/[N,n-1] one power short"),
 ]
 
 

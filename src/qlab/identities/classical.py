@@ -17,6 +17,8 @@ with the instances 0 <= n <= N combined through a free weight parameter.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ..series import QMonomial, phi_series, poch_ratio, term_sum
 from .common import (
     all_nonzero,
@@ -24,13 +26,15 @@ from .common import (
     div_q_n,
     domain_all,
     inside_unit,
+    largest_part_sum,
     not_value,
     pole_when,
     q_power_sum,
     rules,
-    times_n,
+    sides_at,
 )
-from .model import FINITE, INFINITE, Identity
+from .entries import _r13
+from .model import FINITE, INFINITE, Identity, ParamEnv
 
 
 def _r37() -> Identity:
@@ -256,15 +260,7 @@ def _r41() -> Identity:
 
 
 def _r42() -> Identity:
-    def lhs(env, N, one):
-        return q_power_sum(one, N, div_q_n)
-
-    def rhs(env, N, one):
-        def step(t, k):  # [N,k] (-1)^{k-1} q^{k(k+1)/2}
-            return t.apply_ratio(-1, k, ((1, N - k + 1),), ((1, k),))
-
-        return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
-
+    (_, sum_side), (_, power_side) = sides_at(_r13(), lambda env: ParamEnv(a=Fraction(1)))
     return Identity(
         id="R42",
         title="van Hamme's alternating harmonic identity",
@@ -274,7 +270,7 @@ def _r42() -> Identity:
         ),
         params=(),
         kind=FINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(("lhs", power_side), ("rhs", sum_side)),  # R13 at a = 1, its sides swapped
     )
 
 
@@ -317,13 +313,9 @@ def _r44() -> Identity:
         return q_power_sum(one, one.order, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
 
     def rhs(env, N, one):
+        # n q^n (q^{n+1})_inf / (d q^n)_inf = ((q)_inf/(dq)_inf) n q^n (dq)_{n-1} / (q)_n
         d = env.get("d")
-
-        def step(t, n):  # q^n (q^{n+1})_inf / (d q^n)_inf
-            return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
-
-        first = poch_ratio(one.shift(1), up=((1, 2, None),), down=((d, 1, None),))
-        return term_sum(first, step, start=1, weight=times_n)
+        return poch_ratio(largest_part_sum(d, one), up=((1, 1, None),), down=((d, 1, None),))
 
     return Identity(
         id="R44",

@@ -1,4 +1,9 @@
-"""Shared helpers for identity side builders and constraint predicates."""
+"""Shared helpers for identity side builders and constraint predicates.
+
+A corollary's sum is its parent sum at fixed parameters, and each sum that
+several stated sides write has one builder.  M(a), E(a) and S(d), which
+more than one module calls, are here; the others stay in their module.
+"""
 
 from __future__ import annotations
 
@@ -31,6 +36,33 @@ def lambert_bracket(t: QSeries, x: Fraction, y: Fraction, m: int) -> QSeries:
 def q_power_sum(one: QSeries, top: int, weight) -> QSeries:
     """sum_{n=1}^{top} weight(q^n, n) to the order of one."""
     return term_sum(one.shift(1), lambda u, n: u.shift(1), start=1, stop=top, weight=weight)
+
+
+def weighted_square_sum(a, one: QSeries) -> QSeries:
+    """M(a) = sum_{n>=1} n a^n q^{n^2} / ((q)_n (aq)_n)."""
+
+    def step(t, n):  # a^n q^{n^2} / ((q)_n (aq)_n)
+        return t.apply_ratio(a, 2 * n - 1, down=((1, n), (a, n)))
+
+    return term_sum(step(one, 1), step, start=1, weight=times_n)
+
+
+def alternating_divisor_sum(a, one: QSeries) -> QSeries:
+    """E(a) = sum_{n>=1} (-1)^{n-1} a^n q^{n(n+1)/2} / (1 - q^n)."""
+
+    def step(t, n):  # (-1)^{n-1} a^n q^{n(n+1)/2}
+        return t.apply_ratio(-a, n)
+
+    return term_sum(one.apply_ratio(a, 1), step, start=1, weight=div_q_n)
+
+
+def largest_part_sum(d, one: QSeries) -> QSeries:
+    """S(d) = sum_{n>=1} n q^n (dq)_{n-1} / (q)_n."""
+
+    def step(t, n):  # q^n (dq)_{n-1} / (q)_n
+        return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
+
+    return term_sum(one.apply_ratio(1, 1, down=((1, 1),)), step, start=1, weight=times_n)
 
 
 def nested_q_power_sum(terms: Iterable[QSeries], one: QSeries, weight) -> QSeries:

@@ -12,6 +12,7 @@ import dataclasses
 from ..series import QSeries, poch_ratio, term_sum
 from .common import (
     all_nonzero,
+    alternating_divisor_sum,
     div_q_n,
     domain_all,
     inside_unit,
@@ -20,6 +21,7 @@ from .common import (
     q_power_sum,
     rules,
     times_n,
+    weighted_square_sum,
 )
 from .four_parameter import _finite_quotient_sum_lhs, _r01
 from .model import FINITE, INFINITE, Identity
@@ -36,6 +38,15 @@ def _squared_lambert_sum(a, one: QSeries, top=None) -> QSeries:
     top = T if top is None else min(top, T)
     terms = (one.apply_ratio(a, k, down=((a, k), (a, k))) for k in range(top + 1))
     return type(one).sum_of(terms, T)
+
+
+def _finite_divisor_sum(a, x, N: int, one: QSeries) -> QSeries:
+    """F(a, x) = sum_{n=1}^{N} [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2} / ((xq)_n (1-q^n))."""
+
+    def step(t, n):  # [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2} / (xq)_n
+        return t.apply_ratio(-a, n, ((1, N - n + 1),), ((x, n),))
+
+    return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
 
 
 def _r10() -> Identity:
@@ -84,12 +95,7 @@ def _r11() -> Identity:
         return poch_ratio(total, up=((a, 1, N),))
 
     def rhs(env, N, one):
-        a = env.get("a")
-
-        def step(t, n):  # [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2}
-            return t.apply_ratio(-a, n, ((1, N - n + 1),))
-
-        return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
+        return _finite_divisor_sum(env.get("a"), 0, N, one)
 
     return Identity(
         id="R11",
@@ -138,11 +144,7 @@ def _r12() -> Identity:
 def _r13() -> Identity:
     def lhs(env, N, one):
         a = env.get("a")
-
-        def step(t, n):  # [N,n] (-1)^{n-1} a^n q^{n(n+1)/2} (q)_n / (aq)_n
-            return t.apply_ratio(-a, n, ((1, N - n + 1),), ((a, n),))
-
-        return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
+        return _finite_divisor_sum(a, a, N, one)
 
     def rhs(env, N, one):
         a = env.get("a")
@@ -224,21 +226,10 @@ def _r15() -> Identity:
 def _r16() -> Identity:
     def lhs(env, N, one):
         a = env.get("a")
-
-        def step(t, n):  # a^n q^{n^2} / ((q)_n (aq)_n)
-            return t.apply_ratio(a, 2 * n - 1, down=((1, n), (a, n)))
-
-        total = term_sum(step(one, 1), step, start=1, weight=times_n)
-        return poch_ratio(total, up=((a, 1, None),))
+        return poch_ratio(weighted_square_sum(a, one), up=((a, 1, None),))
 
     def rhs(env, N, one):
-        a = env.get("a")
-        return term_sum(
-            one.apply_ratio(a, 1),
-            lambda t, n: t.apply_ratio(-a, n),  # (-1)^{n-1} a^n q^{n(n+1)/2}
-            start=1,
-            weight=div_q_n,
-        )
+        return alternating_divisor_sum(env.get("a"), one)
 
     return Identity(
         id="R16",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..laurent import LaurentZQSeries
 from ..series import QSeries, div_poch, poch_ratio, term_sum
-from .common import div_q_n, times_n
+from .common import alternating_divisor_sum, div_q_n, weighted_square_sum
 from .model import FINITE, Identity
 
 
@@ -82,18 +82,12 @@ def moment_difference_finite(N: int, order: int) -> QSeries:
 
 def crank_moment_infinite(order: int) -> QSeries:
     """(1/(q)_inf) sum_{n>=1} (-1)^{n+1} q^{n(n+1)/2} / (1-q^n)."""
-    first = QSeries.monomial(1, 1, order)
-    total = term_sum(first, lambda t, n: t.apply_ratio(-1, n), start=1, weight=div_q_n)
-    return div_poch(total, 1, 1, None)
+    return div_poch(alternating_divisor_sum(1, QSeries.one(order)), 1, 1, None)
 
 
 def crank_moment_infinite_positive_form(one: QSeries) -> QSeries:
     """sum_{k>=0} k q^{k^2} / (q)_k^2, the other stated form of the same series."""
-
-    def step(t, k):  # q^{k^2} / (q)_k^2
-        return t.apply_ratio(1, 2 * k - 1, down=((1, k), (1, k)))
-
-    return term_sum(step(one, 1), step, start=1, weight=times_n)
+    return weighted_square_sum(1, one)
 
 
 def rank_moment_infinite(order: int) -> QSeries:

@@ -57,21 +57,22 @@ def phi_block(c, d, N: int, one: QSeries) -> QSeries:
     return poch_ratio(total, up=((d, 1, N),), down=((1, 1, N), (c, 1, N)))
 
 
-def _alternating_terms(env, N: int, one: QSeries):
-    """The terms (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n),
-    n = 1..N."""
+def _alternating_terms(env, N: int, first: QSeries):
+    """The terms n = 1..N from t_0 = first: from -1, [N,n] (c/d)_n d^n (-1)^{n-1}
+    q^{n(n+1)/2} / (cq)_n, and from -1/(q)_N, the same over (q)_N, which is
+    (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n)."""
     c, d = env.get("c"), env.get("d")
 
     def step(t, n):
         return t.apply_ratio(-d, n, ((c / d, n - 1), (1, N - n + 1)), ((1, n), (c, n)))
 
-    return ratio_terms(step(div_poch(-one, 1, 1, N), 1), step, start=1, stop=N)
+    return ratio_terms(step(first, 1), step, start=1, stop=N)
 
 
 def _r20() -> Identity:
     def lhs(env, N, one):
         # the weight is the harmonic partial sum sum_{k=1}^{n} q^k / (1 - q^k)
-        return nested_q_power_sum(_alternating_terms(env, N, one), one, div_q_n)
+        return nested_q_power_sum(_alternating_terms(env, N, div_poch(-one, 1, 1, N)), one, div_q_n)
 
     def rhs(env, N, one):
         return phi_block(env.get("c"), env.get("d"), N, one)
@@ -96,12 +97,7 @@ def _r20() -> Identity:
 
 def _r21() -> Identity:
     def lhs(env, N, one):
-        c, d = env.get("c"), env.get("d")
-
-        def step(t, n):  # [N,n] (c/d)_n d^n (-1)^{n-1} q^{n(n+1)/2} / (cq)_n
-            return t.apply_ratio(-d, n, ((1, N - n + 1), (c / d, n - 1)), ((1, n), (c, n)))
-
-        return term_sum(step(-one, 1), step, start=1, stop=N)
+        return type(one).sum_of(_alternating_terms(env, N, -one), one.order)
 
     def rhs(env, N, one):
         c, d = env.get("c"), env.get("d")
@@ -124,7 +120,8 @@ def _r21() -> Identity:
 
 def _r22() -> Identity:
     def lhs(env, N, one):
-        head = type(one).sum_of(map(times_n, _alternating_terms(env, N, one), count(1)), one.order)
+        terms = _alternating_terms(env, N, div_poch(-one, 1, 1, N))
+        head = type(one).sum_of(map(times_n, terms, count(1)), one.order)
         return head + phi_block(env.get("c"), env.get("d"), N, one)
 
     def rhs(env, N, one):

@@ -25,6 +25,12 @@ terminating form of Euler's transformation (Gasper-Rahman, (III.3)), and
 to order T it is that block at N = 2T, since every factor the cutoff adds
 ((1 - q^{N-k+1}) in [N,k] with k(k+1) <= T, (dq^{N+1})_m, the tails of
 (q)_N, (dq)_N and (cq)_N) is 1 + O(q^{T+1}).
+
+A corollary's sum is its parent's at fixed parameters, with one builder:
+A(c, d) is R32's at (c, d), R26's at c = -1 ((q^2;q^2)_n = (q)_n (-q)_n)
+and R28's at c = 0; R32's right side times (q)_inf is R26's at c = -1 and
+twice R27's at (c, d) = (-1, 1); L(d) and the square-sum tail are R23's
+at d and R25's at d = -1; R29 and R30 are R28 at d = 1 and d = -1.
 """
 
 from __future__ import annotations
@@ -39,11 +45,13 @@ from .common import (
     distinct,
     div_q_n,
     domain_all,
+    largest_part_sum,
     nested_q_power_sum,
     not_value,
     rules,
     sides_at,
     times_n,
+    weighted_square_sum,
 )
 from .model import INFINITE, Identity, ParamEnv
 from .phi_sum import phi_block
@@ -52,33 +60,27 @@ from .phi_sum import phi_block
 def n_sc_generating_function(order: int) -> QSeries:
     """sum_n N_SC(n) q^n = (1/(q)_inf) sum_{n>=1} n (-1)^{n-1} q^{n(n+1)/2}
     / ((q)_n (1 + q^n))."""
-    return _n_sc_series(QSeries.one(order))
+    return div_poch(_n_sc_sum(QSeries.one(order)), 1, 1, None)
 
 
-def _n_sc_series(one: QSeries) -> QSeries:
+def _n_sc_sum(one: QSeries) -> QSeries:
+    """sum_{n>=1} n (-1)^{n-1} q^{n(n+1)/2} / ((q)_n (1 + q^n)), without the 1/(q)_inf."""
+
     def step(t, n):  # (-1)^{n-1} q^{n(n+1)/2} / (q)_n
         return t.apply_ratio(-1, n, down=((1, n),))
 
-    total = term_sum(
+    return term_sum(
         step(-one, 1),
         step,
         start=1,
         weight=lambda t, n: t.apply_ratio(n, down=((-1, n),)),
     )
-    return div_poch(total, 1, 1, None)
 
 
 def overlined_largest_series(order: int) -> QSeries:
     """sum_{n>=1} n q^n (-q)_{n-1} / (q)_n, the series counterpart of the
     overlined-largest-part statistic."""
-    return _overlined_largest_series(QSeries.one(order))
-
-
-def _overlined_largest_series(one: QSeries) -> QSeries:
-    def step(t, n):  # q^n (-q)_{n-1} / (q)_n
-        return t.apply_ratio(1, 1, ((-1, n - 1),), ((1, n),))
-
-    return term_sum(one.apply_ratio(1, 1, down=((1, 1),)), step, start=1, weight=times_n)
+    return largest_part_sum(-1, QSeries.one(order))
 
 
 def _square_sum(one: QSeries, weight) -> QSeries:
@@ -100,29 +102,48 @@ def _quotient_tail(x, d, one: QSeries) -> QSeries:
     return term_sum(step(one, 1), step, start=1, weight=div_q_n)
 
 
+def _quotient_side(c, d, one: QSeries) -> QSeries:
+    """c/(c-d) (1 - ratio) + ratio * sum_{k>=1} (cq/d)_k (dq)^k / ((q)_k (1-q^k)),
+    with ratio = (dq)_inf/(cq)_inf: R32's right side times (q)_inf."""
+    # x (1 - ratio) + ratio * tail = x + ratio * (tail - x), x = c/(c - d)
+    x = one.scale(c / (c - d))
+    tail = _quotient_tail(c / d, d, one) - x
+    return x + poch_ratio(tail, up=((d, 1, None),), down=((c, 1, None),))
+
+
+def _alternating_sum(c, d, one: QSeries) -> QSeries:
+    """A(c, d) = sum_{n>=1} n (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n);
+    at c = 0, (c/d)_n is 1 and d may be 0."""
+    ratio = c / d if c else 0
+
+    def step(t, n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n)
+        return t.apply_ratio(-d, n, ((ratio, n - 1),), ((1, n), (c, n)))
+
+    return term_sum(step(-one, 1), step, start=1, weight=times_n)
+
+
+def _spt_sum(d, one: QSeries) -> QSeries:
+    """L(d) = sum_{n>=1} n (-d)^{n-1} (q/d)_{n-1} q^{n(n+1)/2} / (q)_n^2."""
+
+    def step(t, n):  # (-d)^{n-1} (q/d)_{n-1} q^{n(n+1)/2} / (q)_n^2
+        return t.apply_ratio(-d, n, ((1 / d, n - 1),), ((1, n), (1, n)))
+
+    return term_sum(one.apply_ratio(1, 1, down=((1, 1), (1, 1))), step, start=1, weight=times_n)
+
+
+def _spt_rhs(d, one: QSeries) -> QSeries:
+    """S(d) - (dq)_inf sum_{j>=1} q^{j^2}/(q)_j^2 sum_{n=1}^{j} q^n / ((1 - d q^n)(1 - q^n)),
+    R23's right side times (q)_inf; at d = -1 the weight's denominator is 1 - q^{2n}."""
+    tail = _square_sum(one, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
+    return largest_part_sum(d, one) - poch_ratio(tail, up=((d, 1, None),))
+
+
 def _r23() -> Identity:
     def lhs(env, N, one):
-        d = env.get("d")
-
-        def step(t, n):  # (-d)^{n-1} (q/d)_{n-1} q^{n(n+1)/2} / (q)_n^2
-            return t.apply_ratio(-d, n, ((1 / d, n - 1),), ((1, n), (1, n)))
-
-        first = one.apply_ratio(1, 1, down=((1, 1), (1, 1)))
-        total = term_sum(first, step, start=1, weight=times_n)
-        return div_poch(total, 1, 1, None)
+        return div_poch(_spt_sum(env.get("d"), one), 1, 1, None)
 
     def rhs(env, N, one):
-        d = env.get("d")
-
-        def step(t, n):  # q^n (dq)_{n-1} / (q)_n
-            return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
-
-        first = one.apply_ratio(1, 1, down=((1, 1),))
-        head = div_poch(term_sum(first, step, start=1, weight=times_n), 1, 1, None)
-
-        # the inner sum is sum_{n=1}^{j} q^n / ((1 - d q^n)(1 - q^n))
-        tail = _square_sum(one, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
-        return head - poch_ratio(tail, up=((d, 1, None),), down=((1, 1, None),))
+        return div_poch(_spt_rhs(env.get("d"), one), 1, 1, None)
 
     return Identity(
         id="R23",
@@ -189,19 +210,11 @@ def _r24() -> Identity:
 
 
 def _r25() -> Identity:
-    def lhs(env, N, one):
-        def step(t, n):  # (-q)_{n-1} q^{n(n+1)/2} / (q)_n^2
-            return t.apply_ratio(1, n, ((-1, n - 1),), ((1, n), (1, n)))
-
-        first = one.apply_ratio(1, 1, down=((1, 1), (1, 1)))
-        return term_sum(first, step, start=1, weight=times_n)
+    def lhs(env, N, one):  # R23's sums at d = -1, a Fraction: 1 / -1 of ints is a float
+        return _spt_sum(Fraction(-1), one)
 
     def rhs(env, N, one):
-        head = _overlined_largest_series(one)
-
-        # the inner sum is sum_{n=1}^{j} q^n / (1 - q^{2n})
-        tail = _square_sum(one, lambda t, n: t.div_binomial(1, 2 * n))
-        return head - poch_ratio(tail, up=((-1, 1, None),))
+        return _spt_rhs(Fraction(-1), one)
 
     return Identity(
         id="R25",
@@ -220,21 +233,13 @@ def _r25() -> Identity:
 def _r26() -> Identity:
     def lhs(env, N, one):
         d = env.get("d")
-
-        def step(t, n):  # (-1)^{n-1} (-1/d)_n d^n q^{n(n+1)/2} / (q^2;q^2)_n
-            return t.apply_ratio(-d, n, ((-1 / d, n - 1),), ((1, 2 * n),))
-
-        head = term_sum(step(-one, 1), step, start=1, weight=times_n)
-        # the d-q block at c = -1; its prefactor here has no 1/(q)_inf, so (q)_inf cancels it
+        # (q^2;q^2)_n = (q)_n (-q)_n, so the sum is A(-1, d); the d-q block at
+        # c = -1 has no 1/(q)_inf in its prefactor here, so (q)_inf cancels it
         block = phi_block(-1, d, 2 * one.order, one)
-        return head + poch_ratio(block, up=((1, 1, None),))
+        return _alternating_sum(-1, d, one) + poch_ratio(block, up=((1, 1, None),))
 
-    def rhs(env, N, one):
-        d = env.get("d")
-        # (1 - ratio)/(1 + d) + ratio * tail = x + ratio * (tail - x), x = 1/(1 + d)
-        x = one.scale(1 / (1 + d))
-        tail = _quotient_tail(-1 / d, d, one) - x
-        return x + poch_ratio(tail, up=((d, 1, None),), down=((-1, 1, None),))
+    def rhs(env, N, one):  # c/(c - d) = 1/(1 + d) at c = -1
+        return _quotient_side(-1, env.get("d"), one)
 
     return Identity(
         id="R26",
@@ -259,7 +264,7 @@ def _r26() -> Identity:
 
 def _r27() -> Identity:
     def lhs(env, N, one):
-        head = poch_ratio(_n_sc_series(one), up=((1, 1, None),))
+        head = _n_sc_sum(one)
 
         # the bracket (-q)_n/(q)_n - 1 splits the sum in two term-ratio sums
         def with_bracket(t, n):  # q^{n(n+1)/2} (-q)_n / (q)_n^2
@@ -273,15 +278,8 @@ def _r27() -> Identity:
         up, down = ((1, 1, None),), ((-1, 1, None),)
         return head + poch_ratio(tail.scale(Fraction(1, 2)), up=up, down=down)
 
-    def rhs(env, N, one):
-        def step(t, n):  # (-q)_n q^n / (q)_n
-            return t.apply_ratio(1, 1, ((-1, n),), ((1, n),))
-
-        tail = term_sum(step(one, 1), step, start=1, weight=div_q_n)
-        # 1/4 - ratio/4 + ratio * tail/2 = 1/4 + ratio * (tail/2 - 1/4)
-        quarter = one.scale(Fraction(1, 4))
-        tail = tail.scale(Fraction(1, 2)) - quarter
-        return quarter + poch_ratio(tail, up=((1, 1, None),), down=((-1, 1, None),))
+    def rhs(env, N, one):  # half of R26's right side at d = 1; c/d of ints is a float
+        return _quotient_side(Fraction(-1), Fraction(1), one).scale(Fraction(1, 2))
 
     return Identity(
         id="R27",
@@ -302,23 +300,14 @@ def _r28() -> Identity:
     def lhs(env, N, one):
         d = env.get("d")
 
-        def first(t, n):  # (-1)^{n-1} d^n q^{n(n+1)/2} / (q)_n
-            return t.apply_ratio(-d, n, down=((1, n),))
-
-        def second(t, n):  # d^n q^{n(n+1)} / ((q)_n (dq)_n)
+        def step(t, n):  # d^n q^{n(n+1)} / ((q)_n (dq)_n)
             return t.apply_ratio(d, 2 * n, down=((1, n), (d, n)))
 
-        head = term_sum(first(-one, 1), first, start=1, weight=times_n)
-        block = term_sum(second(one, 1), second, start=1, weight=div_q_n)
-        return div_poch(head, d, 1, None) + block
+        block = term_sum(step(one, 1), step, start=1, weight=div_q_n)
+        return div_poch(_alternating_sum(0, d, one), d, 1, None) + block
 
     def rhs(env, N, one):
-        d = env.get("d")
-
-        def step(t, n):  # (dq)^n / (q)_n
-            return t.apply_ratio(d, 1, down=((1, n),))
-
-        return term_sum(step(one, 1), step, start=1, weight=div_q_n)
+        return _quotient_tail(0, env.get("d"), one)
 
     return Identity(
         id="R28",
@@ -350,22 +339,6 @@ def _r29() -> Identity:
 
 
 def _r30() -> Identity:
-    def lhs(env, N, one):
-        def first(t, n):  # q^{n(n+1)/2} / (q)_n
-            return t.apply_ratio(1, n, down=((1, n),))
-
-        def second(t, n):  # (-1)^n q^{n(n+1)} / (q^2;q^2)_n
-            return t.apply_ratio(-1, 2 * n, down=((1, 2 * n),))
-
-        head = div_poch(term_sum(first(-one, 1), first, start=1, weight=times_n), -1, 1, None)
-        return head + term_sum(second(one, 1), second, start=1, weight=div_q_n)
-
-    def rhs(env, N, one):
-        def step(t, n):  # (-q)^n / (q)_n
-            return t.apply_ratio(-1, 1, down=((1, n),))
-
-        return term_sum(step(one, 1), step, start=1, weight=div_q_n)
-
     return Identity(
         id="R30",
         title="companion identity at parameter -1 (distinct-parts form)",
@@ -376,18 +349,13 @@ def _r30() -> Identity:
         ),
         params=(),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=sides_at(_r28(), lambda env: ParamEnv(d=Fraction(-1))),
     )
 
 
 def _r31() -> Identity:
     def lhs(env, N, one):
         c = env.get("c")
-
-        def first(t, n):  # c^n q^{n^2} / ((q)_n (cq)_n)
-            return t.apply_ratio(c, 2 * n - 1, down=((1, n), (c, n)))
-
-        head = term_sum(first(one, 1), first, start=1, weight=times_n)
 
         def second(t, k):  # (-c)^k q^{k(k+1)/2} q^{k^2} / ((q)_k (cq)_k)
             return t.apply_ratio(-c, 3 * k - 1, down=((1, k), (c, k)))
@@ -402,7 +370,7 @@ def _r31() -> Identity:
             return term_sum(t.div_binomial(1, k), inner)
 
         block = term_sum(second(one, 1), second, start=1, weight=weight)
-        return head - block
+        return weighted_square_sum(c, one) - block
 
     def rhs(env, N, one):
         c = env.get("c")
@@ -433,19 +401,10 @@ def _r31() -> Identity:
 def _r32() -> Identity:
     def lhs(env, N, one):
         c, d = env.get("c"), env.get("d")
-
-        def step(t, n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n)
-            return t.apply_ratio(-d, n, ((c / d, n - 1),), ((1, n), (c, n)))
-
-        head = term_sum(step(-one, 1), step, start=1, weight=times_n)
-        return div_poch(head, 1, 1, None) + phi_block(c, d, 2 * one.order, one)
+        return div_poch(_alternating_sum(c, d, one), 1, 1, None) + phi_block(c, d, 2 * one.order, one)
 
     def rhs(env, N, one):
-        c, d = env.get("c"), env.get("d")
-        # x (1 - ratio) + ratio * tail = x + ratio * (tail - x), x = c/(c - d), over (q)_inf
-        x = one.scale(c / (c - d))
-        tail = _quotient_tail(c / d, d, one) - x
-        return div_poch(x + poch_ratio(tail, up=((d, 1, None),), down=((c, 1, None),)), 1, 1, None)
+        return div_poch(_quotient_side(env.get("c"), env.get("d"), one), 1, 1, None)
 
     return Identity(
         id="R32",

@@ -43,6 +43,13 @@ d-q blocks of R26's and R32's left sides) were recorded while every inner
 2-phi-1 still ran to about T/k terms in its untransformed form and the
 d-q block had a builder of its own, before each became the terminating
 sum that Euler's transformation gives, the d-q block at cutoff N = 2T.
+
+The sums that several stated sides share (SHARED: R16's sides, R25's and
+R28's left sides, R28's right side, R13's and R21's left sides, R42's
+right side and R44's right side) were recorded while each of those sides
+still wrote its sum out for itself, R42 had builders of its own and R44's
+right side carried its prefactor in the first term, before each side
+called the one parametric sum it specialises.
 """
 
 import pytest
@@ -788,5 +795,277 @@ BLOCKS = [
 
 @pytest.mark.parametrize("argv, expected", BLOCKS, ids=["R20-rhs-N4", "R22-lhs-N4", "R26-lhs", "R32-lhs"])
 def test_two_phi_one_blocks_are_byte_identical(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+SHARED = [
+    (
+        "coeffs --id R16 --side lhs --order 12 --a=-5/3".split(),
+        """\
+{
+  "id": "R16",
+  "side": "lhs",
+  "env": {
+    "a": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-5/3",
+    "-5/3",
+    "-40/9",
+    "-5/3",
+    "-40/9",
+    "-170/27",
+    "-40/9",
+    "-5/3",
+    "-245/27",
+    "-760/81",
+    "-40/9",
+    "-170/27"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R16 --side rhs --order 12 --a=-5/3".split(),
+        """\
+{
+  "id": "R16",
+  "side": "rhs",
+  "env": {
+    "a": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-5/3",
+    "-5/3",
+    "-40/9",
+    "-5/3",
+    "-40/9",
+    "-170/27",
+    "-40/9",
+    "-5/3",
+    "-245/27",
+    "-760/81",
+    "-40/9",
+    "-170/27"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R25 --side lhs --order 12".split(),
+        """\
+{
+  "id": "R25",
+  "side": "lhs",
+  "env": {},
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "1",
+    "2",
+    "5",
+    "10",
+    "19",
+    "35",
+    "60",
+    "100",
+    "163",
+    "259",
+    "402",
+    "615"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R28 --side lhs --order 12 --d=-5/3".split(),
+        """\
+{
+  "id": "R28",
+  "side": "lhs",
+  "env": {
+    "d": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-5/3",
+    "-5/9",
+    "-185/27",
+    "385/81",
+    "-3500/243",
+    "8860/729",
+    "-76565/2187",
+    "370270/6561",
+    "-1875245/19683",
+    "7796725/59049",
+    "-43841195/177147",
+    "224615155/531441"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R28 --side rhs --order 12 --d=-5/3".split(),
+        """\
+{
+  "id": "R28",
+  "side": "rhs",
+  "env": {
+    "d": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-5/3",
+    "-5/9",
+    "-185/27",
+    "385/81",
+    "-3500/243",
+    "8860/729",
+    "-76565/2187",
+    "370270/6561",
+    "-1875245/19683",
+    "7796725/59049",
+    "-43841195/177147",
+    "224615155/531441"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R13 --side lhs --order 12 --a=-5/3 --N 4".split(),
+        """\
+{
+  "id": "R13",
+  "side": "lhs",
+  "env": {
+    "a": "-5/3"
+  },
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-5/3",
+    "10/9",
+    "-170/27",
+    "715/81",
+    "-3125/243",
+    "14275/729",
+    "-78125/2187",
+    "459475/6561",
+    "-2044250/19683",
+    "9006250/59049",
+    "-48828125/177147",
+    "257171500/531441"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R21 --side lhs --order 12 --c 4/7 --d=-5/3 --N 4".split(),
+        """\
+{
+  "id": "R21",
+  "side": "lhs",
+  "env": {
+    "c": "4/7",
+    "d": "-5/3"
+  },
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-47/21",
+    "-517/147",
+    "-24628/3087",
+    "-255116/21609",
+    "-2664806/151263",
+    "-80792060/3176523",
+    "-758306272/22235661",
+    "-6230293445/155649627",
+    "-53190362903/1089547389",
+    "-1367329577161/22880495169",
+    "-9830503678780/160163466183",
+    "-73995692233124/1121144263281"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R42 --side rhs --order 12 --N 4".split(),
+        """\
+{
+  "id": "R42",
+  "side": "rhs",
+  "env": {},
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "1",
+    "2",
+    "2",
+    "3",
+    "1",
+    "3",
+    "1",
+    "3",
+    "2",
+    "2",
+    "1",
+    "4"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R44 --side rhs --order 12 --d=-5/3".split(),
+        """\
+{
+  "id": "R44",
+  "side": "rhs",
+  "env": {
+    "d": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "1",
+    "1/3",
+    "28/9",
+    "-59/27",
+    "502/81",
+    "-1268/243",
+    "10768/729",
+    "-52787/2187",
+    "267013/6561",
+    "-1104458/19683",
+    "6184708/59049",
+    "-31821668/177147"
+  ]
+}
+""",
+    ),
+]
+
+
+SHARED_IDS = ["R16-lhs", "R16-rhs", "R25-lhs", "R28-lhs", "R28-rhs", "R13-lhs-N4", "R21-lhs-N4",
+              "R42-rhs-N4", "R44-rhs"]
+
+
+@pytest.mark.parametrize("argv, expected", SHARED, ids=SHARED_IDS)
+def test_shared_sums_are_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
