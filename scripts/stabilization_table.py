@@ -12,11 +12,13 @@ from fractions import Fraction
 
 from qlab.identities import ParamEnv, build_side, get_identity
 
+# Each finite left side is compared with an infinite side that is not built
+# as that finite sum at N = T + 1, so a match checks two code paths.
 PAIRS = [
-    ("R10", "R15", "rhs"),
-    ("R11", "R16", "lhs"),
+    ("R10", "R15", "lhs"),
+    ("R11", "R16", "rhs"),
     ("R12", "R17", "lhs"),
-    ("R13", "R18", "lhs"),
+    ("R13", "R18", "rhs"),
     ("R14", "R19", "lhs"),
 ]
 

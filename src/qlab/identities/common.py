@@ -1,8 +1,10 @@
 """Shared helpers for identity side builders and constraint predicates.
 
 A corollary's sum is its parent sum at fixed parameters, and each sum that
-several stated sides write has one builder.  M(a), E(a) and S(d), which
-more than one module calls, are here; the others stay in their module.
+several stated sides write has one builder.  M_N(a), F(a, x) and S(d),
+which more than one module calls, are here; the others stay in their
+module.  An infinite sum whose terms are the termwise limit of a finite
+sum's terms is that finite sum at the cutoff limit_cutoff gives, N = T + 1.
 """
 
 from __future__ import annotations
@@ -38,22 +40,37 @@ def q_power_sum(one: QSeries, top: int, weight) -> QSeries:
     return term_sum(one.shift(1), lambda u, n: u.shift(1), start=1, stop=top, weight=weight)
 
 
-def weighted_square_sum(a, one: QSeries) -> QSeries:
-    """M(a) = sum_{n>=1} n a^n q^{n^2} / ((q)_n (aq)_n)."""
+def limit_cutoff(one: QSeries) -> int:
+    """N = T + 1 for the order T of one: the cutoff at which a finite sum is
+    its N -> infinity limit to order T.
 
-    def step(t, n):  # a^n q^{n^2} / ((q)_n (aq)_n)
-        return t.apply_ratio(a, 2 * n - 1, down=((1, n), (a, n)))
+    In the n-th term the cutoff adds only factors 1 + O(q^{N-n+1}): the
+    (1 - q^{N-n+1})..(1 - q^N) of [N,n] (q)_n, the 1/(x q^{N-n+1})_n of
+    (x)_{N-n}/(x)_N, and the tail of (xq)_N.  A sum whose n-th term is
+    O(q^{n-1}) therefore differs from its limit by O(q^N), nothing to order
+    T.  At N = T the right sides of R03, R05, R12 and R14 already differ at
+    q^T.  apply_ratio skips each added factor whose exponent lies past the
+    term's tail, so the limit costs no pass that the infinite step would not."""
+    return one.order + 1
 
-    return term_sum(step(one, 1), step, start=1, weight=times_n)
+
+def weighted_square_sum(a, N: int, one: QSeries) -> QSeries:
+    """M_N(a) = sum_{n=1}^{N} [N,n] n a^n q^{n^2} / (aq)_n; its limit M(a) has
+    1/(q)_n for [N,n]."""
+
+    def step(t, n):  # [N,n] a^n q^{n^2} / (aq)_n
+        return t.apply_ratio(a, 2 * n - 1, ((1, N - n + 1),), ((1, n), (a, n)))
+
+    return term_sum(step(one, 1), step, start=1, stop=N, weight=times_n)
 
 
-def alternating_divisor_sum(a, one: QSeries) -> QSeries:
-    """E(a) = sum_{n>=1} (-1)^{n-1} a^n q^{n(n+1)/2} / (1 - q^n)."""
+def finite_divisor_sum(a, x, N: int, one: QSeries) -> QSeries:
+    """F(a, x) = sum_{n=1}^{N} [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2} / ((xq)_n (1-q^n))."""
 
-    def step(t, n):  # (-1)^{n-1} a^n q^{n(n+1)/2}
-        return t.apply_ratio(-a, n)
+    def step(t, n):  # [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2} / (xq)_n
+        return t.apply_ratio(-a, n, ((1, N - n + 1),), ((x, n),))
 
-    return term_sum(one.apply_ratio(a, 1), step, start=1, weight=div_q_n)
+    return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
 
 
 def largest_part_sum(d, one: QSeries) -> QSeries:

@@ -1,8 +1,11 @@
 """Finite analogues of the five classical notebook entries and their limits.
 
 R10-R14 are the cutoff-N forms; R15-R19 the corresponding limits as N
-grows.  The finite forms recover the infinite ones coefficient-by-
-coefficient, which the stabilization tests exercise separately.
+grows.  A limit side whose terms are the termwise limit of a finite
+side's terms is that side at N = T + 1 (common.limit_cutoff): R15's sum
+is R10's left side, R16 is R11, and the right sides of R17 and R19 and
+R18's left side are those of R12, R14 and R13.  The stabilization tests
+compare each finite form with a limit side that keeps its own builder.
 """
 
 from __future__ import annotations
@@ -12,41 +15,30 @@ import dataclasses
 from ..series import QSeries, poch_ratio, term_sum
 from .common import (
     all_nonzero,
-    alternating_divisor_sum,
     div_q_n,
     domain_all,
+    finite_divisor_sum,
     inside_unit,
-    lambert_bracket,
+    limit_cutoff,
     not_value,
     q_power_sum,
     rules,
-    times_n,
     weighted_square_sum,
 )
-from .four_parameter import _finite_quotient_sum_lhs, _r01
+from .four_parameter import _finite_quotient_sum_lhs, _lambert_bracket_sum, _r01
 from .model import FINITE, INFINITE, Identity
 
 
-def _squared_lambert_sum(a, one: QSeries, top=None) -> QSeries:
+def _squared_lambert_sum(a, one: QSeries, top: int) -> QSeries:
     """sum_{k=0}^{top} a q^k / (1 - a q^k)^2, to the order T of one.
 
-    With top = None this is sum_{m>=1} m a^m / (1 - q^m) taken over the
+    With top >= T this is sum_{m>=1} m a^m / (1 - q^m) taken over the
     powers of its denominator: sum_{m>=1} m (a q^k)^m = a q^k/(1 - a q^k)^2.
     The rearrangement is exact as formal power series: for j >= 1, [q^j]
     of both forms is sum_{mk=j} m a^m, and [q^0] is a/(1-a)^2 on both."""
     T = one.order
-    top = T if top is None else min(top, T)
-    terms = (one.apply_ratio(a, k, down=((a, k), (a, k))) for k in range(top + 1))
+    terms = (one.apply_ratio(a, k, down=((a, k), (a, k))) for k in range(min(top, T) + 1))
     return type(one).sum_of(terms, T)
-
-
-def _finite_divisor_sum(a, x, N: int, one: QSeries) -> QSeries:
-    """F(a, x) = sum_{n=1}^{N} [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2} / ((xq)_n (1-q^n))."""
-
-    def step(t, n):  # [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2} / (xq)_n
-        return t.apply_ratio(-a, n, ((1, N - n + 1),), ((x, n),))
-
-    return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
 
 
 def _r10() -> Identity:
@@ -87,15 +79,10 @@ def _r10() -> Identity:
 def _r11() -> Identity:
     def lhs(env, N, one):
         a = env.get("a")
-
-        def step(t, n):  # [N,n] a^n q^{n^2} / (aq)_n
-            return t.apply_ratio(a, 2 * n - 1, ((1, N - n + 1),), ((1, n), (a, n)))
-
-        total = term_sum(step(one, 1), step, start=1, stop=N, weight=times_n)
-        return poch_ratio(total, up=((a, 1, N),))
+        return poch_ratio(weighted_square_sum(a, N, one), up=((a, 1, N),))
 
     def rhs(env, N, one):
-        return _finite_divisor_sum(env.get("a"), 0, N, one)
+        return finite_divisor_sum(env.get("a"), 0, N, one)
 
     return Identity(
         id="R11",
@@ -115,13 +102,6 @@ def _r12() -> Identity:
     def lhs(env, N, one):  # R03's left side at c = 1
         return _finite_quotient_sum_lhs(env, 1, N, one)
 
-    def rhs(env, N, one):
-        a, b = env.get("a"), env.get("b")
-        # (1 - q^{mN})/(1 - q^m) = sum_{j=0}^{N-1} q^{mj}, and summed over m
-        # the power q^{mj} gives the bracket a q^j/(1 - a q^j) - b q^j/(1 - b q^j)
-        T = one.order
-        return type(one).sum_of((lambert_bracket(one, a, b, j) for j in range(min(N, T + 1))), T)
-
     return Identity(
         id="R12",
         title="finite form of notebook entry 3",
@@ -131,7 +111,7 @@ def _r12() -> Identity:
         ),
         params=("a", "b"),
         kind=FINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(("lhs", lhs), ("rhs", _lambert_bracket_sum)),
         constraint=rules(
             not_value("a", 0, "the quotient argument b/a is undefined"),
             not_value("a", 1, "(a)_N in a denominator vanishes and the tail diverges"),
@@ -144,7 +124,7 @@ def _r12() -> Identity:
 def _r13() -> Identity:
     def lhs(env, N, one):
         a = env.get("a")
-        return _finite_divisor_sum(a, a, N, one)
+        return finite_divisor_sum(a, a, N, one)
 
     def rhs(env, N, one):
         a = env.get("a")
@@ -200,13 +180,10 @@ def _r15() -> Identity:
         a, b = env.get("a"), env.get("b")
         return poch_ratio(one, up=((-a, 1, None),), down=((b, 1, None),))
 
-    def rhs(env, N, one):
-        a, b = env.get("a"), env.get("b")
+    (_, finite_lhs), _ = _r10().sides
 
-        def step(t, n):  # (-b/a)_n a^n q^{n(n+1)/2} / ((q)_n (bq)_n)
-            return t.apply_ratio(a, n, ((-b / a, n - 1),), ((1, n), (b, n)))
-
-        return term_sum(one, step)
+    def rhs(env, N, one):  # R10's left side at its limit
+        return finite_lhs(env, limit_cutoff(one), one)
 
     return Identity(
         id="R15",
@@ -224,13 +201,7 @@ def _r15() -> Identity:
 
 
 def _r16() -> Identity:
-    def lhs(env, N, one):
-        a = env.get("a")
-        return poch_ratio(weighted_square_sum(a, one), up=((a, 1, None),))
-
-    def rhs(env, N, one):
-        return alternating_divisor_sum(env.get("a"), one)
-
+    (_, lhs), (_, rhs) = _r11().sides  # R11 at its limit, on both sides
     return Identity(
         id="R16",
         title="notebook entry 2 (weighted square exponents)",
@@ -240,7 +211,10 @@ def _r16() -> Identity:
         ),
         params=("a",),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(
+            ("lhs", lambda env, N, one: lhs(env, limit_cutoff(one), one)),
+            ("rhs", lambda env, N, one: rhs(env, limit_cutoff(one), one)),
+        ),
         domain=all_nonzero("a"),
     )
 
@@ -250,13 +224,9 @@ def _r17() -> Identity:
 
 
 def _r18() -> Identity:
-    def lhs(env, N, one):
+    def lhs(env, N, one):  # R13's left side at its limit, F(a, a) at N = T + 1
         a = env.get("a")
-
-        def step(t, n):  # (-1)^{n-1} a^n q^{n(n+1)/2} / (aq)_n
-            return t.apply_ratio(-a, n, down=((a, n),))
-
-        return term_sum(step(-one, 1), step, start=1, weight=div_q_n)
+        return finite_divisor_sum(a, a, limit_cutoff(one), one)
 
     def rhs(env, N, one):
         a = env.get("a")
@@ -296,8 +266,8 @@ def _r19() -> Identity:
             tail=a,
         )
 
-    def rhs(env, N, one):
-        return _squared_lambert_sum(env.get("a"), one)
+    def rhs(env, N, one):  # R14's right side at its limit
+        return _squared_lambert_sum(env.get("a"), one, limit_cutoff(one) - 1)
 
     return Identity(
         id="R19",

@@ -31,9 +31,12 @@ The right sides of R02-R05 weight each term by a Lambert bracket
 x q^m/(1 - x q^m) - y q^m/(1 - y q^m) = (x - y) q^m/((1 - x q^m)(1 - y q^m)).
 Their steps take shift 1, so a term carries the bracket's q^m (q^{n-1}
 in the finite forms) and the weight applies the rest.  The term's tail,
-which the kernel's factors run on, then has order T - m, not T, and the
-infinite sums of R02 and R04 end at the first term that vanishes to
-order T, at m = T + 1.
+which the kernel's factors run on, then has order T - m, not T.
+
+The right sides of R01, R02 and R04 are those of R12, R03 and R05 at
+N = T + 1, and R09 is R07 there on both sides: each is the termwise
+limit of its finite form, exact to order T at that cutoff
+(common.limit_cutoff).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .common import (
     domain_all,
     inside_unit,
     lambert_bracket,
+    limit_cutoff,
     not_value,
     pole_when,
     rules,
@@ -95,13 +99,20 @@ def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, one: QSeries) -> Q
     )
 
 
+def _lambert_bracket_sum(env: ParamEnv, N: int, one: QSeries) -> QSeries:
+    """sum_{m>=1} (a^m - b^m)(1 - q^{mN})/(1 - q^m), R12's right side:
+    (1 - q^{mN})/(1 - q^m) = sum_{j=0}^{N-1} q^{mj}, and summed over m the
+    power q^{mj} gives the bracket a q^j/(1 - a q^j) - b q^j/(1 - b q^j)."""
+    a, b, T = env.get("a"), env.get("b"), one.order
+    return type(one).sum_of((lambert_bracket(one, a, b, j) for j in range(min(N, T + 1))), T)
+
+
 def _r01() -> Identity:
     def lhs(env, N, one):
         return _quotient_sum_lhs(env, 1, one)
 
-    def rhs(env, N, one):  # sum_{k>=0} (a - b) q^k / ((1 - a q^k)(1 - b q^k))
-        a, b, T = env.get("a"), env.get("b"), one.order
-        return type(one).sum_of((lambert_bracket(one, a, b, k) for k in range(T + 1)), T)
+    def rhs(env, N, one):  # R12's right side at its limit
+        return _lambert_bracket_sum(env, limit_cutoff(one), one)
 
     return Identity(
         id="R01",
@@ -126,16 +137,10 @@ def _r02() -> Identity:
     def lhs(env, N, one):
         return _quotient_sum_lhs(env, env.get("c"), one)
 
-    def rhs(env, N, one):
-        a, b, c = env.get("a"), env.get("b"), env.get("c")
+    _, (_, finite_rhs) = _r03().sides
 
-        def step(t, m):  # (b/c)_m c^m q^m / (b)_m, with the bracket's q^m
-            return t.apply_ratio(c, 1, ((b / c, m - 1),), ((b, m - 1),))
-
-        def weight(t, m):  # the bracket without its q^m; the terms vanish past m = T
-            return t.apply_ratio(a - b, 0, down=((a, m), (b, m)))
-
-        return term_sum(one, step, weight=weight)
+    def rhs(env, N, one):  # R03's right side at its limit
+        return finite_rhs(env, limit_cutoff(one), one)
 
     def rhs_nested(env, N, one):
         a, b, c, T = env.get("a"), env.get("b"), env.get("c"), one.order
@@ -231,19 +236,10 @@ def _r04() -> Identity:
 
         return term_sum(step(one, 1), step, start=1, tail=a * d)
 
-    def rhs(env, N, one):
-        a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-        ad = a * d
-        prefactor = (a - b) * (d - c) / (ad - b)
+    _, (_, finite_rhs) = _r05().sides
 
-        def step(t, m):  # (a)_m (bd/c)_m c^m q^m / ((b)_m (ad)_m), with the bracket's q^m
-            up, down = ((a, m - 1), (b * d / c, m - 1)), ((b, m - 1), (ad, m - 1))
-            return t.apply_ratio(c, 1, up, down)
-
-        def weight(t, m):  # the bracket without its q^m; the terms vanish past m = T
-            return t.apply_ratio(ad - b, 0, down=((ad, m), (b, m)))
-
-        return term_sum(one, step, weight=weight).scale(prefactor)
+    def rhs(env, N, one):  # R05's right side at its limit
+        return finite_rhs(env, limit_cutoff(one), one)
 
     return Identity(
         id="R04",
@@ -409,22 +405,7 @@ def _r08() -> Identity:
 
 
 def _r09() -> Identity:
-    def lhs(env, N, one):
-        z, c = env.get("z"), env.get("c")
-
-        def step(t, n):  # z^n c^n q^{n^2} / ((zq)_n (cq)_n)
-            return t.apply_ratio(z * c, 2 * n - 1, down=((z, n), (c, n)))
-
-        return term_sum(step(one, 1), step, start=1)
-
-    def rhs(env, N, one):
-        z, c = env.get("z"), env.get("c")
-
-        def step(t, n):  # (cq)^n / (zq)_n
-            return t.apply_ratio(c, 1, down=((z, n),))
-
-        return term_sum(step(one, 1), step, start=1).scale(z)
-
+    (_, lhs), (_, rhs) = _r07().sides  # R07 at its limit, on both sides
     return Identity(
         id="R09",
         title="Andrews' square-exponent sum identity",
@@ -434,7 +415,10 @@ def _r09() -> Identity:
         ),
         params=("z", "c"),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(
+            ("lhs", lambda env, N, one: lhs(env, limit_cutoff(one), one)),
+            ("rhs", lambda env, N, one: rhs(env, limit_cutoff(one), one)),
+        ),
         domain=all_nonzero("z", "c"),
     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..laurent import LaurentZQSeries
 from ..series import QSeries, div_poch, poch_ratio, term_sum
-from .common import alternating_divisor_sum, div_q_n, weighted_square_sum
+from .common import div_q_n, finite_divisor_sum, limit_cutoff, weighted_square_sum
 from .model import FINITE, Identity
 
 
@@ -81,13 +81,16 @@ def moment_difference_finite(N: int, order: int) -> QSeries:
 
 
 def crank_moment_infinite(order: int) -> QSeries:
-    """(1/(q)_inf) sum_{n>=1} (-1)^{n+1} q^{n(n+1)/2} / (1-q^n)."""
-    return div_poch(alternating_divisor_sum(1, QSeries.one(order)), 1, 1, None)
+    """(1/(q)_inf) sum_{n>=1} (-1)^{n+1} q^{n(n+1)/2} / (1-q^n), the sum F(1, 0)
+    at its limit."""
+    one = QSeries.one(order)
+    return div_poch(finite_divisor_sum(1, 0, limit_cutoff(one), one), 1, 1, None)
 
 
 def crank_moment_infinite_positive_form(one: QSeries) -> QSeries:
-    """sum_{k>=0} k q^{k^2} / (q)_k^2, the other stated form of the same series."""
-    return weighted_square_sum(1, one)
+    """sum_{k>=0} k q^{k^2} / (q)_k^2, the other stated form of the same series:
+    M_N(1) at its limit."""
+    return weighted_square_sum(1, limit_cutoff(one), one)
 
 
 def rank_moment_infinite(order: int) -> QSeries:

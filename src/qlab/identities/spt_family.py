@@ -46,6 +46,7 @@ from .common import (
     div_q_n,
     domain_all,
     largest_part_sum,
+    limit_cutoff,
     nested_q_power_sum,
     not_value,
     rules,
@@ -370,7 +371,7 @@ def _r31() -> Identity:
             return term_sum(t.div_binomial(1, k), inner)
 
         block = term_sum(second(one, 1), second, start=1, weight=weight)
-        return weighted_square_sum(c, one) - block
+        return weighted_square_sum(c, limit_cutoff(one), one) - block
 
     def rhs(env, N, one):
         c = env.get("c")

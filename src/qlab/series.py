@@ -105,7 +105,10 @@ _FAR_PASS_MIN = 3
 
 def _ratio(x: Scalar) -> Tuple[int, int]:
     """(numerator, denominator) of an int or a Fraction."""
-    return x.numerator, x.denominator
+    try:
+        return x.numerator, x.denominator
+    except AttributeError:
+        raise TypeError(f"an exact int or Fraction is needed, not {type(x).__name__} {x!r}") from None
 
 
 def _reduced(nums: Sequence[int], den: int) -> "QSeries":

@@ -124,11 +124,12 @@ def test_criterion_6_positivity_observation():
 def test_criterion_7_finite_entries_stabilize():
     env2 = ParamEnv(a=Fraction(1, 2), b=Fraction(1, 3))
     env1 = ParamEnv(a=Fraction(1, 2))
+    # each infinite side here has a builder of its own, not the finite sum at N = T + 1
     pairs = [
-        ("R10", "R15", "rhs", env2),
-        ("R11", "R16", "lhs", env1),
+        ("R10", "R15", "lhs", env2),
+        ("R11", "R16", "rhs", env1),
         ("R12", "R17", "lhs", env2),
-        ("R13", "R18", "lhs", env1),
+        ("R13", "R18", "rhs", env1),
         ("R14", "R19", "lhs", env1),
     ]
     order = 20

@@ -50,6 +50,11 @@ right side and R44's right side) were recorded while each of those sides
 still wrote its sum out for itself, R42 had builders of its own and R44's
 right side carried its prefactor in the first term, before each side
 called the one parametric sum it specialises.
+
+The limit sides that are their finite form at N = T + 1 and that no case
+above pins (LIMITS: R09's sides, R15's right side, R18's left side and
+R31's left side, which holds M(c)) were recorded while each still had
+step code of its own, before each became the finite sum at that cutoff.
 """
 
 import pytest
@@ -1067,5 +1072,163 @@ SHARED_IDS = ["R16-lhs", "R16-rhs", "R25-lhs", "R28-lhs", "R28-rhs", "R13-lhs-N4
 
 @pytest.mark.parametrize("argv, expected", SHARED, ids=SHARED_IDS)
 def test_shared_sums_are_byte_identical(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+LIMITS = [
+    (
+        "coeffs --id R09 --side lhs --order 12 --z 2/5 --c=-7/3".split(),
+        """\
+{
+  "id": "R09",
+  "side": "lhs",
+  "env": {
+    "c": "-7/3",
+    "z": "2/5"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-14/15",
+    "406/225",
+    "-14714/3375",
+    "556066/50625",
+    "-19215854/759375",
+    "654850126/11390625",
+    "-23025982994/170859375",
+    "815700580786/2562890625",
+    "-28522029146534/38443359375",
+    "992993128677046/576650390625",
+    "-34772830546781474/8649755859375",
+    "1220004971096404906/129746337890625"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R09 --side rhs --order 12 --z 2/5 --c=-7/3".split(),
+        """\
+{
+  "id": "R09",
+  "side": "rhs",
+  "env": {
+    "c": "-7/3",
+    "z": "2/5"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-14/15",
+    "406/225",
+    "-14714/3375",
+    "556066/50625",
+    "-19215854/759375",
+    "654850126/11390625",
+    "-23025982994/170859375",
+    "815700580786/2562890625",
+    "-28522029146534/38443359375",
+    "992993128677046/576650390625",
+    "-34772830546781474/8649755859375",
+    "1220004971096404906/129746337890625"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R15 --side rhs --order 12 --a 1/2 --b=-7/3".split(),
+        """\
+{
+  "id": "R15",
+  "side": "rhs",
+  "env": {
+    "a": "1/2",
+    "b": "-7/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "1",
+    "-11/6",
+    "22/9",
+    "-913/108",
+    "3443/162",
+    "-45529/972",
+    "617507/5832",
+    "-2205379/8748",
+    "31678097/52488",
+    "-110011297/78732",
+    "3048547711/944784",
+    "-10717273193/1417176",
+    "150772764571/8503056"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R18 --side lhs --order 12 --a=-5/3".split(),
+        """\
+{
+  "id": "R18",
+  "side": "lhs",
+  "env": {
+    "a": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-5/3",
+    "10/9",
+    "-170/27",
+    "715/81",
+    "-3530/243",
+    "13060/729",
+    "-81770/2187",
+    "448540/6561",
+    "-2077055/19683",
+    "9071860/59049",
+    "-49123370/177147",
+    "257761990/531441"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R31 --side lhs --order 12 --c 2/5".split(),
+        """\
+{
+  "id": "R31",
+  "side": "lhs",
+  "env": {
+    "c": "2/5"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "2/5",
+    "24/25",
+    "198/125",
+    "1596/625",
+    "10942/3125",
+    "78884/15625",
+    "504018/78125",
+    "3390536/390625",
+    "21087322/1953125",
+    "135687144/9765625",
+    "821468038/48828125",
+    "5174936076/244140625"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", LIMITS, ids=[f"{a[2]}-{a[4]}" for a, _ in LIMITS])
+def test_limit_sides_are_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected

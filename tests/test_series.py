@@ -111,6 +111,16 @@ def test_inverse_needs_nonzero_constant():
         qs(0, 1).inverse()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QSeries([0.5]),
+    lambda: QSeries.monomial(0.5, 1, 3),
+    lambda: QSeries.one(3).scale(0.5),
+])
+def test_a_float_coefficient_is_a_type_error(build):
+    with pytest.raises(TypeError, match="exact int or Fraction"):
+        build()
+
+
 # -- Pochhammer -----------------------------------------------------------
 
 
