@@ -72,6 +72,21 @@ def run_once(tree: pathlib.Path, workload: str, size: str, seconds: float) -> di
     return result
 
 
+def recorded_argv(argv: list) -> list:
+    """argv without --out-dir and its value, in any form argparse takes
+    (--out-dir X, --out-dir=X, or abbreviated): where the report was
+    written is a local path, not part of what was measured."""
+    kept, args = [], iter(argv)
+    for arg in args:
+        name, eq, _ = arg.partition("=")
+        if name.startswith("--o") and "--out-dir".startswith(name):
+            if not eq:
+                next(args, None)  # its value
+        else:
+            kept.append(arg)
+    return kept
+
+
 def spread(values: list) -> dict:
     """Median and quartiles (inclusive method) of one side's values."""
     if len(values) < 2:
@@ -127,7 +142,7 @@ def main(argv=None) -> int:
 
     report = {
         "label": args.label,
-        "argv": sys.argv[1:] if argv is None else list(argv),
+        "argv": recorded_argv(sys.argv[1:] if argv is None else argv),
         "seed": SEED,
         "size": args.size,
         "seconds": seconds,

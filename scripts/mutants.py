@@ -35,6 +35,7 @@ SERIES, FOUR = "src/qlab/series.py", "src/qlab/identities/four_parameter.py"
 LAURENT = "src/qlab/laurent.py"
 PHI = "src/qlab/identities/phi_sum.py"
 COMMON, SPT = "src/qlab/identities/common.py", "src/qlab/identities/spt_family.py"
+PARTITIONS = "src/qlab/partitions.py"
 # the goldens first: in about 2 s they kill every entry but the two Laurent
 # ones that the extraction's output cannot show, which test_laurent.py kills next
 SELECTION = ["tests/test_golden.py", "tests/test_laurent.py", "tests/test_series.py",
@@ -91,6 +92,12 @@ MUTANTS = [
      "F(a, x) reads the q-binomial ratio [N,n]/[N,n-1] one power short"),
     (COMMON, "return one.order + 1\n", "return one.order\n",
      "the limit cutoff one short, N = T: the right sides of R01, R02, R04 and R19 lose their q^T terms"),
+    (PARTITIONS, "parts[h], start[h] = r, low", "parts[h], start[h] = r, h",
+     "each refilled part starts a block of its own, so R24's sweep reads a run of r's as one r"),
+    (PARTITIONS, "size - 1 - h,", "size - h,",
+     "the profiles count one more 1 than a partition has, so R24's sides drop one too many"),
+    (PARTITIONS, "size = h + 2 if t == 1 else h + 1", "size = h + 1",
+     "a refill that leaves a single 1 forgets it, so the profile has one part and one 1 too few"),
 ]
 
 

@@ -4,16 +4,16 @@ R24 is the classical smallest-parts identity itself; both of its sides
 are built purely from partition enumeration, with no series machinery,
 so it doubles as the combinatorial anchor of the registry.
 
-Each R24 side sweeps the partitions of T once and reads every n <= T off
-that sweep.  A partition of T with m ones, j <= m of them dropped, is a
-partition of T - j, and every partition of every 1 <= n <= T arises
-exactly once this way (the empty partition of 0 arises from T's all-ones
-partition and is skipped).  The statistics of the dropped-ones partition
-follow from the parent's by arithmetic: its rank is the parent's plus j;
-its smallest part is 1 with multiplicity m - j while j < m, and the last
-part above 1, as often as the parent has it, when j = m.  Each side runs
-its own sweep, so the two share no more than the enumerator; the per-n
-oracles in partitions stay the independent reference for tests and tables.
+Each R24 side sweeps the partition profiles of T once and reads every
+n <= T off that sweep.  A partition of T with m ones, j <= m of them
+dropped, is a partition of T - j, and every partition of every
+1 <= n <= T arises exactly once this way (the empty partition of 0
+arises from T's all-ones partition and is skipped).  The statistics of
+the dropped-ones partition follow from the parent's by arithmetic: its
+rank is the parent's plus j; its smallest part is 1 with multiplicity
+m - j while j < m, and the last part above 1, as often as the parent has
+it, when j = m.  Each side runs its own sweep, so the two share no more
+than the enumerator; the per-n oracles read tuples and stay the reference.
 
 The series sides are term_sums whose steps are single apply_ratio calls.
 The q^{j^2}/(q)_j^2 sums of R23, R25 and R36 are interchanged, one weight
@@ -35,10 +35,9 @@ at d and R25's at d = -1; R29 and R30 are R28 at d = 1 and d = -1.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
-from ..partitions import partition_tuples
+from ..partitions import partition_profiles
 from ..series import QSeries, div_poch, poch_ratio, ratio_terms, term_sum
 from .common import (
     all_nonzero,
@@ -164,19 +163,15 @@ def _r23() -> Identity:
 
 
 def _r24() -> Identity:
-    # Both sides read every n <= T off one sweep of the partitions of T,
-    # dropping j of a partition's m ones (see the module docstring).
-    # Partitions of T that agree in what a side reads give the same
-    # contributions, so the sweep tallies that and expands the tallies.
+    # Both sides read every n <= T off one sweep, dropping j of a partition's
+    # m ones (module docstring); partitions of T that agree in what a side
+    # reads contribute alike, so the sweep tallies that and expands the tallies.
     def lhs(env, N, one):
         T = one.order
-        values = [0] * (T + 1)  # spt(n)
-        with_ones = [0] * (T + 1)  # partitions of T with m ones, by m
-        for parts in partition_tuples(T):
-            m = parts.count(1)
+        values, with_ones = [0] * (T + 1), [0] * (T + 1)  # spt(n); partitions of T by ones
+        for _, _, m, last in partition_profiles(T):
             with_ones[m] += 1
-            if m < len(parts):  # all m dropped: the smallest is the last part above 1
-                values[T - m] += parts.count(parts[-m - 1])
+            values[T - m] += last  # all m dropped: the smallest is the last part above 1, if any
         for m, count in enumerate(with_ones):
             for j in range(m):  # j < m dropped: the smallest is 1, m - j times
                 values[T - j] += count * (m - j)
@@ -184,21 +179,19 @@ def _r24() -> Identity:
 
     def rhs(env, N, one):
         T = one.order
-        tally = Counter()  # (rank, m) of the nonempty partitions of T
-        for parts in partition_tuples(T):
-            if parts:
-                tally[parts[0] - len(parts), parts.count(1)] += 1
-        count = [0] * (T + 1)  # p(n)
-        rank2 = [0] * (T + 1)  # N_2(n)
-        for (rank, m), c in tally.items():
-            for n in range(max(T - m, 1), T + 1):  # T - n ones dropped, n = 0 skipped
-                count[n] += c
-                rank2[n] += c * (rank + T - n) ** 2
-
-        def value(n):  # n p(n) - N_2(n) / 2
-            return Fraction(n) * count[n] - Fraction(rank2[n], 2)
-
-        return QSeries([Fraction(0)] + [value(n) for n in range(1, T + 1)])
+        W = T + 1
+        tally = [0] * ((2 * T + 1) * W)  # partitions of T by (rank + T) W + m
+        for largest, size, m, _ in partition_profiles(T):
+            tally[(largest - size + T) * W + m] += 1
+        count, rank2 = [0] * (T + 1), [0] * (T + 1)  # p(n), N_2(n)
+        for key, c in enumerate(tally):
+            if c:
+                shifted, m = divmod(key, W)  # rank + T, m
+                for n in range(max(T - m, 1), T + 1):  # T - n ones dropped, n = 0 skipped
+                    count[n] += c
+                    rank2[n] += c * (shifted - n) ** 2  # the rank grows by T - n
+        # n p(n) - N_2(n) / 2
+        return QSeries([Fraction(0)] + [n * count[n] - Fraction(rank2[n], 2) for n in range(1, T + 1)])
 
     return Identity(
         id="R24",

@@ -4,12 +4,12 @@ Everything here is computed by direct enumeration, deliberately free of
 generating functions, so these values can serve as independent oracles
 for the series side.  Feasible at desk scale (n up to roughly 40).
 
-One generator, behind partition_tuples and distinct_partition_tuples,
-enumerates every partition: the iterative ZS1 successor loop of Zoghbi and
-Stojmenović over one mutable parts array, extended with a lower bound on
-the parts and a minimum gap between consecutive parts (the distinct case
-is gap 1).  The statistics read the parts tuples it yields; they build no
-Partition or SPartitionTriple.
+ZS1, the successor loop of Zoghbi and Stojmenović, has two readers.
+_partition_tuples, behind partition_tuples and distinct_partition_tuples,
+adds a floor and a gap on the parts and yields tuples for the per-n
+statistics; partition_profiles yields R24's running values.  The statistics
+stay on tuples: they are the reference for R24's sides, and a fault in the
+profile reader would reach both.
 _TABLE_STATS maps each tabulated statistic to its value and the parameters
 it reads, for statistic_table and the qlab table command alike.
 """
@@ -179,6 +179,46 @@ def distinct_partition_tuples(n: int) -> Iterator[Tuple[int, ...]]:
     return _partition_tuples(n, n, 1, 1)
 
 
+def partition_profiles(n: int) -> Iterator[Tuple[int, int, int, int]]:
+    """(largest part, number of parts, ones, multiplicity of the last part
+    above 1, 0 if none) of each partition of n, in partition_tuples(n) order.
+
+    Published ZS1, building no tuple: h indexes the last part above 1, and
+    every entry after it is 1.  A step lowers parts[h] to r and refills the
+    rest with r's, then one smaller part if more than 1 is left; start[i]
+    is where the block of equal parts through i begins.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+
+    def gen() -> Iterator[Tuple[int, int, int, int]]:
+        parts, start = [1] * (n + 1), [0] * (n + 1)
+        parts[0] = n  # n = 0: the empty partition, of size 0
+        size, h = min(n, 1), (0 if n > 1 else -1)
+        while True:
+            yield parts[0], size, size - 1 - h, h - start[h] + 1 if h >= 0 else 0
+            if h < 0:
+                return
+            r = parts[h] - 1
+            if r == 1:  # ZS1's short step: the 2 becomes a 1
+                parts[h] = 1
+                size += 1
+                h -= 1
+                continue
+            t, low = size - h, h  # the unit taken off and the ones after h
+            parts[h], start[h] = r, h
+            while t >= r:
+                h += 1
+                parts[h], start[h] = r, low
+                t -= r
+            if t > 1:
+                h += 1
+                parts[h], start[h] = t, h
+            size = h + 2 if t == 1 else h + 1  # a 1 left over is a trailing one
+
+    return gen()
+
+
 def partition_count(n: int, max_part: Optional[int] = None) -> int:
     """p(n), or the restricted count p(n, N) when max_part = N."""
     return sum(1 for _ in partition_tuples(n, max_part))
@@ -223,15 +263,7 @@ def crank(p: Partition) -> int:
     return _crank(p.parts)
 
 
-_STATISTICS = {"rank": _rank, "crank": _crank}
-
-
-def _statistic(kind: str):
-    """The statistic on a nonempty parts tuple."""
-    try:
-        return _STATISTICS[kind]
-    except KeyError:
-        raise ValueError(f"unknown statistic kind: {kind!r}") from None
+_STATISTICS = {"rank": _rank, "crank": _crank}  # on a nonempty parts tuple
 
 
 def moment(kind: str, j: int, n: int, positive_only: bool) -> int:
@@ -241,7 +273,9 @@ def moment(kind: str, j: int, n: int, positive_only: bool) -> int:
         raise ValueError("n must be positive")
     if j < 0:
         raise ValueError("moment order must be non-negative")
-    stat = _statistic(kind)
+    if kind not in _STATISTICS:
+        raise ValueError(f"unknown statistic kind: {kind!r}")
+    stat = _STATISTICS[kind]
     total = 0
     # the enumerated tuples are valid nonempty partitions, so the statistic
     # reads them directly instead of through a validated Partition

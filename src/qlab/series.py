@@ -108,7 +108,11 @@ def _ratio(x: Scalar) -> Tuple[int, int]:
     try:
         return x.numerator, x.denominator
     except AttributeError:
-        raise TypeError(f"an exact int or Fraction is needed, not {type(x).__name__} {x!r}") from None
+        raise _inexact(x) from None
+
+
+def _inexact(x) -> TypeError:
+    return TypeError(f"an exact int or Fraction is needed, not {type(x).__name__} {x!r}")
 
 
 def _reduced(nums: Sequence[int], den: int) -> "QSeries":
@@ -331,7 +335,10 @@ class QSeries:
         size = len(self._nums)
         # k, the scalar's numerator times the e = 0 factors' constants, waits
         # for the first pass that rewrites the tail
-        k, den = scalar.numerator, scalar.denominator * self._den
+        try:  # the attribute reads of _ratio, inline: apply_ratio is the hot path
+            k, den = scalar.numerator, scalar.denominator * self._den
+        except AttributeError:
+            raise _inexact(scalar) from None
         head = self._nums[: max(size - shift, 0)] if k else ()
         if up or down:  # the factors act on the tail after the leading zeros
             head = head[next(compress(count(), head), len(head)) :]
@@ -341,7 +348,10 @@ class QSeries:
         for c, e in up:
             if e < 0:
                 raise ValueError("q-exponent must be non-negative")
-            p, q = c.numerator, c.denominator
+            try:
+                p, q = c.numerator, c.denominator
+            except AttributeError:
+                raise _inexact(c) from None
             if e == 0 and p:
                 k *= q - p
                 den *= q
@@ -354,7 +364,10 @@ class QSeries:
         for c, e in down:
             if e < 0:
                 raise ValueError("q-exponent must be non-negative")
-            p, q = c.numerator, c.denominator
+            try:
+                p, q = c.numerator, c.denominator
+            except AttributeError:
+                raise _inexact(c) from None
             if e == 0:
                 if p == q:
                     raise ZeroConstantTermError("division by (1 - c) with c = 1")

@@ -1,5 +1,6 @@
-"""Smoke test of scripts/bench_pairs.py: one tiny pair of the declared workloads."""
+"""scripts/bench_pairs.py: its recorded argv, and one tiny pair of the declared workloads."""
 
+import importlib.util
 import json
 import pathlib
 import shutil
@@ -9,6 +10,16 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_the_recorded_argv_leaves_out_the_output_directory():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    run = ["--base", "HEAD~1", "--change", "HEAD", "--label", "x"]
+    for given in (["--out-dir", "/tmp/a b"], ["--out-dir=/tmp/a"], ["--out", "/tmp/a"], ["--o=/tmp/a"]):
+        assert bench_pairs.recorded_argv(run[:2] + given + run[2:]) == run
+    assert bench_pairs.recorded_argv(run + ["--size", "tiny"]) == run + ["--size", "tiny"]
 
 
 def test_bench_pairs_writes_a_report_at_tiny_size(tmp_path):

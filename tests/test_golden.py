@@ -55,6 +55,10 @@ The limit sides that are their finite form at N = T + 1 and that no case
 above pins (LIMITS: R09's sides, R15's right side, R18's left side and
 R31's left side, which holds M(c)) were recorded while each still had
 step code of its own, before each became the finite sum at that cutoff.
+
+R24's sides (ENUMERATED, at T = 12 and T = 1) were recorded while each
+side still read a tuple of parts per partition of T and counted its ones
+and its last part above 1 in it, before the sweep read running profiles.
 """
 
 import pytest
@@ -1230,5 +1234,101 @@ LIMITS = [
 
 @pytest.mark.parametrize("argv, expected", LIMITS, ids=[f"{a[2]}-{a[4]}" for a, _ in LIMITS])
 def test_limit_sides_are_byte_identical(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+ENUMERATED = [
+    (
+        "coeffs --id R24 --side lhs --order 12".split(),
+        """\
+{
+  "id": "R24",
+  "side": "lhs",
+  "env": {},
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "1",
+    "3",
+    "5",
+    "10",
+    "14",
+    "26",
+    "35",
+    "57",
+    "80",
+    "119",
+    "161",
+    "238"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R24 --side rhs --order 12".split(),
+        """\
+{
+  "id": "R24",
+  "side": "rhs",
+  "env": {},
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "1",
+    "3",
+    "5",
+    "10",
+    "14",
+    "26",
+    "35",
+    "57",
+    "80",
+    "119",
+    "161",
+    "238"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R24 --side lhs --order 1".split(),
+        """\
+{
+  "id": "R24",
+  "side": "lhs",
+  "env": {},
+  "N": null,
+  "T": 1,
+  "coeffs": [
+    "0",
+    "1"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R24 --side rhs --order 1".split(),
+        """\
+{
+  "id": "R24",
+  "side": "rhs",
+  "env": {},
+  "N": null,
+  "T": 1,
+  "coeffs": [
+    "0",
+    "1"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ENUMERATED, ids=[f"{a[2]}-{a[4]}-T{a[6]}" for a, _ in ENUMERATED])
+def test_enumerated_sides_are_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected

@@ -373,18 +373,23 @@ def test_r24_side_enumerates_the_partitions_of_T_once(monkeypatch, side):
     import qlab.partitions as partitions
     from qlab.identities import spt_family
 
-    enumerate_partitions = partitions.partition_tuples
+    sweep, enumerate_tuples = partitions.partition_profiles, partitions.partition_tuples
     calls = []
 
     def counting(n, *args, **kwargs):
-        calls.append((n, args, kwargs))
-        return enumerate_partitions(n, *args, **kwargs)
+        calls.append(("profiles", n, args, kwargs))
+        return sweep(n, *args, **kwargs)
 
-    # the per-n oracles would reach the enumerator through the partitions module
-    monkeypatch.setattr(spt_family, "partition_tuples", counting)
-    monkeypatch.setattr(partitions, "partition_tuples", counting)
+    def counting_tuples(n, *args, **kwargs):
+        calls.append(("tuples", n, args, kwargs))
+        return enumerate_tuples(n, *args, **kwargs)
+
+    # the per-n oracles would reach an enumerator through the partitions module
+    monkeypatch.setattr(spt_family, "partition_profiles", counting)
+    monkeypatch.setattr(partitions, "partition_profiles", counting)
+    monkeypatch.setattr(partitions, "partition_tuples", counting_tuples)
     build_side(get_identity("R24"), side, ParamEnv(), None, 12)
-    assert calls == [(12, (), {})]
+    assert calls == [("profiles", 12, (), {})]
 
 
 # -- nested sums, interchanged or started from their outer term ---------------

@@ -17,6 +17,7 @@ from qlab.partitions import (
     ospt,
     overlined_largest_sum,
     partition_count,
+    partition_profiles,
     partition_tuples,
     rank,
     self_conjugate_s_partitions,
@@ -77,9 +78,19 @@ def test_enumeration_counts_match_the_generating_functions():
 
 
 def test_enumerators_reject_negative_n_when_called():
-    for enumerate_ in (partition_tuples, distinct_partition_tuples):
+    for enumerate_ in (partition_tuples, distinct_partition_tuples, partition_profiles):
         with pytest.raises(ValueError):
             enumerate_(-1)
+
+
+@pytest.mark.parametrize("n", list(range(31)) + [40])
+def test_profiles_read_the_partition_tuples_in_order(n):
+    def profile(parts):
+        ones = parts.count(1)
+        above = parts[: len(parts) - ones]  # the parts above 1
+        return (parts[0] if parts else 0, len(parts), ones, above.count(above[-1]) if above else 0)
+
+    assert list(partition_profiles(n)) == [profile(p) for p in partition_tuples(n)]
 
 
 def test_partition_validation():

@@ -115,6 +115,14 @@ def test_inverse_needs_nonzero_constant():
     lambda: QSeries([0.5]),
     lambda: QSeries.monomial(0.5, 1, 3),
     lambda: QSeries.one(3).scale(0.5),
+    lambda: QSeries.one(3).apply_ratio(0.5),
+    lambda: QSeries.one(3).apply_ratio(1, 1, up=((Fraction(1, 2), 1), (0.5, 2))),
+    lambda: QSeries.one(3).apply_ratio(down=((0.5, 0),)),
+    lambda: QSeries.one(3).mul_binomial(0.5, 1),
+    lambda: QSeries.one(3).div_binomial(0.5, 1),
+    lambda: QSeries.one(3).div_binomial(0.5, 9),  # a factor that is 1 to order T is read too
+    lambda: poch_ratio(QSeries.one(3), up=((0.5, 1, None),)),
+    lambda: poch_ratio(QSeries.one(3), down=((Fraction(1, 3), 1, 2), (0.25, 1, None))),
 ])
 def test_a_float_coefficient_is_a_type_error(build):
     with pytest.raises(TypeError, match="exact int or Fraction"):
