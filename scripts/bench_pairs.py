@@ -22,15 +22,21 @@ test does, and takes about 20 s.
 Run from inside the git repository.  A revision is anything `git archive`
 takes: a commit, a branch, or a tree from `git write-tree` for staged but
 uncommitted work.
+
+SIGTERM stops the script as an exit does: each run.py runs in a process
+group of its own, which is killed with the workers it started, and the
+temporary trees are removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import pathlib
+import signal
 import statistics
 import subprocess
 import sys
@@ -58,11 +64,18 @@ def run_once(tree: pathlib.Path, workload: str, size: str, seconds: float) -> di
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", "0", "--size", size]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate()
+    except BaseException:  # an exit before run.py's: its workers go with it
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    lines = out.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
-        raise SystemExit(f"bench_pairs: {workload} in {tree} printed no result:\n"
-                         f"{proc.stdout}{proc.stderr}")
+        raise SystemExit(f"bench_pairs: {workload} in {tree} printed no result:\n{out}{err}")
     result = json.loads(lines[-1])
     for line in lines:
         if line.startswith("# env "):
@@ -119,7 +132,12 @@ def summarise(pairs: list, declared: list) -> dict:
     return out
 
 
+def _exit(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _exit)  # so the temporary trees and run.py's group go too
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
         epilog="Cost: about 3 min per full-size pair of both declared workloads "

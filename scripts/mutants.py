@@ -35,11 +35,12 @@ SERIES, FOUR = "src/qlab/series.py", "src/qlab/identities/four_parameter.py"
 LAURENT = "src/qlab/laurent.py"
 PHI = "src/qlab/identities/phi_sum.py"
 COMMON, SPT = "src/qlab/identities/common.py", "src/qlab/identities/spt_family.py"
-PARTITIONS = "src/qlab/partitions.py"
+PARTITIONS, HARNESS = "src/qlab/partitions.py", "src/qlab/identities/harness.py"
 # the goldens first: in about 2 s they kill every entry but the two Laurent
-# ones that the extraction's output cannot show, which test_laurent.py kills next
+# ones that the extraction's output cannot show, which test_laurent.py kills next,
+# and the distinct-part refill and the environment draw, which no golden reaches
 SELECTION = ["tests/test_golden.py", "tests/test_laurent.py", "tests/test_series.py",
-             "tests/test_reference_series.py"]
+             "tests/test_reference_series.py", "tests/test_partitions.py"]
 
 MUTANTS = [
     (SERIES, "if 2 * e > top:  # 1/(1 - c q^e)", "if 2 * e >= top:  # 1/(1 - c q^e)",
@@ -98,6 +99,16 @@ MUTANTS = [
      "the profiles count one more 1 than a partition has, so R24's sides drop one too many"),
     (PARTITIONS, "size = h + 2 if t == 1 else h + 1", "size = h + 1",
      "a refill that leaves a single 1 forgets it, so the profile has one part and one 1 too few"),
+    (COMMON, "any(2 * e <= T for side", "any(2 * e < T for side",
+     "tail_sum counts a factor at 2e = T as far, though two such corrections multiply to q^T"),
+    (COMMON, "(w, step_x * rest)", "(w, step_x)",
+     "tail_sum's weight corrections lose their (1 - x), as if each were summed over every later term"),
+    (COMMON, "yield t.apply_ratio(x, 0, [(-v, e)", "yield t.apply_ratio(1, 0, [(-v, e)",
+     "tail_sum closes with 1/(1 - x) for x/(1 - x), so the term t_m is counted twice"),
+    (PARTITIONS, "part -= gap * k * (k - 1) // 2", "part -= gap * k * (k + 1) // 2",
+     "the refill's stair is one step too high at gap = 1, so distinct-part refills come out short"),
+    (HARNESS, "key = env.sort_key()", "key = id(env)",
+     "_distinct_envs keys environments by object, so a redrawn environment is kept as a duplicate"),
 ]
 
 

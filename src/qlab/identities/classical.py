@@ -32,6 +32,7 @@ from .common import (
     q_power_sum,
     rules,
     sides_at,
+    tail_sum,
 )
 from .entries import _r13
 from .model import FINITE, INFINITE, Identity, ParamEnv
@@ -181,25 +182,27 @@ _ALPHA_Z_POLE = pole_when(lambda env: env.get("a") * env.get("d") == 1,
 
 def _heine_lhs(env, N, one):
     """2phi1(alpha, beta; gamma; z) for scalar parameters: its terms never
-    vanish to order T, so the sum ends in the geometric tail in z."""
+    vanish to order T, so tail_sum sums every term past those with a factor
+    2e <= T in closed form, a series in z."""
     alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
-    def step(t, n):  # (alpha)_n (beta)_n z^n / ((gamma)_n (q)_n)
-        return t.apply_ratio(z, 0, ((alpha, n - 1), (beta, n - 1)), ((gamma, n - 1), (1, n)))
+    def ratio(n):  # (alpha)_n (beta)_n z^n / ((gamma)_n (q)_n)
+        return ((alpha, n - 1), (beta, n - 1)), ((gamma, n - 1), (1, n))
 
-    return term_sum(one, step, tail=z)
+    return tail_sum(one, z, ratio)
 
 
 def _r40() -> Identity:
     def rhs(env, N, one):
         alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
-        def step(t, n):  # (gamma/beta)_n (z)_n beta^n / ((alpha z)_n (q)_n)
-            up, down = ((gamma / beta, n - 1), (z, n - 1)), ((alpha * z, n - 1), (1, n))
-            return t.apply_ratio(beta, 0, up, down)
+        gb, az = gamma / beta, alpha * z
 
-        inner = term_sum(one, step, tail=beta)
-        up, down = ((beta, 0, None), (alpha * z, 0, None)), ((gamma, 0, None), (z, 0, None))
+        def ratio(n):  # (gamma/beta)_n (z)_n beta^n / ((alpha z)_n (q)_n)
+            return ((gb, n - 1), (z, n - 1)), ((az, n - 1), (1, n))
+
+        inner = tail_sum(one, beta, ratio)
+        up, down = ((beta, 0, None), (az, 0, None)), ((gamma, 0, None), (z, 0, None))
         return poch_ratio(inner, up=up, down=down)
 
     return Identity(

@@ -2,9 +2,10 @@
 
 A corollary's sum is its parent sum at fixed parameters, and each sum that
 several stated sides write has one builder.  M_N(a), F(a, x) and S(d),
-which more than one module calls, are here; the others stay in their
-module.  An infinite sum whose terms are the termwise limit of a finite
-sum's terms is that finite sum at the cutoff limit_cutoff gives, N = T + 1.
+which more than one module calls, are here, with tail_sum for the sums
+whose terms never vanish; the others stay in their module.  An infinite
+sum whose terms are the termwise limit of a finite sum's terms is that
+finite sum at the cutoff limit_cutoff gives, N = T + 1.
 """
 
 from __future__ import annotations
@@ -80,6 +81,56 @@ def largest_part_sum(d, one: QSeries) -> QSeries:
         return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
 
     return term_sum(one.apply_ratio(1, 1, down=((1, 1),)), step, start=1, weight=times_n)
+
+
+def tail_sum(first: QSeries, x, ratio, start: int = 0, weight=None) -> QSeries:
+    """sum_{n >= start} t_n W_n for terms that never vanish to order T, with
+    t_start = first and t_n = t_{n-1} x R_n: R_n and W_n are the quotients
+    prod_up (1 - c q^e) / prod_down (1 - c q^e) of the factor lists
+    (up, down) that ratio(n) and weight(n) return (W_n = 1 without a
+    weight), and their exponents grow with n.  The value is the sum's only
+    inside its convergence region, |x| < 1.
+
+    Let m >= start be the last index with a factor 2e <= T.  The terms
+    t_start..t_m stream into sum_of, one apply_ratio call per step and one
+    per weight.  Past m every factor is 1 + d q^e with 2e > T (d = -c above,
+    c below), and any two such corrections multiply to O(q^(T+1)), so
+    sum_{n>m} t_n W_n = t_m x/(1 - x) (1 + sum_e s_e q^e), where s_e sums
+    d x^(i-m-1) over the step factors at index i and d x^(i-m-1) (1 - x)
+    over the weight factors: one kernel call, its factors all far.  x = 1
+    raises ZeroConstantTermError there; a zero term ends the sum, as in
+    term_sum.
+    """
+    T, nothing = first.order, ((), ())
+
+    def near(factors) -> bool:
+        return any(2 * e <= T for side in factors for _, e in side)
+
+    def terms():
+        n, t, w = start, first, weight(start) if weight else nothing
+        while True:
+            yield t.apply_ratio(1, 0, *w) if weight else t
+            r, w = ratio(n + 1), weight(n + 1) if weight else nothing
+            if not (near(r) or near(w)):
+                break
+            n += 1
+            t = t.apply_ratio(x, 0, *r)
+            if t.is_zero():
+                return
+        s, step_x, rest = {}, 1, 1 - x  # s_e, and x^(i-m-1) at index i = n + 1, n + 2, ...
+        while any(e <= T for side in r + w for _, e in side):
+            for (up, down), scale in ((r, step_x), (w, step_x * rest)):
+                for c, e in up:
+                    if e <= T:
+                        s[e] = s.get(e, 0) - c * scale
+                for c, e in down:
+                    if e <= T:
+                        s[e] = s.get(e, 0) + c * scale
+            n, step_x = n + 1, step_x * x
+            r, w = ratio(n + 1), weight(n + 1) if weight else nothing
+        yield t.apply_ratio(x, 0, [(-v, e) for e, v in sorted(s.items())], ((x, 0),))
+
+    return type(first).sum_of(terms(), T)
 
 
 def nested_q_power_sum(terms: Iterable[QSeries], one: QSeries, weight) -> QSeries:

@@ -23,6 +23,7 @@ from .common import (
     not_value,
     q_power_sum,
     rules,
+    tail_sum,
     weighted_square_sum,
 )
 from .four_parameter import _finite_quotient_sum_lhs, _lambert_bracket_sum, _r01
@@ -255,16 +256,13 @@ def _r19() -> Identity:
     def lhs(env, N, one):
         a = env.get("a")
 
-        def step(t, n):  # (q)_{n-1} a^n / (a)_n
-            return t.apply_ratio(a, 0, ((1, n - 1),), ((a, n - 1),))
+        def ratio(n):  # (q)_{n-1} a^n / (a)_n
+            return ((1, n - 1),), ((a, n - 1),)
 
-        return term_sum(
-            one.apply_ratio(a, down=((a, 0),)),
-            step,
-            start=1,
-            weight=div_q_n,
-            tail=a,
-        )
+        def weight(n):  # 1/(1 - q^n)
+            return (), ((1, n),)
+
+        return tail_sum(one.apply_ratio(a, down=((a, 0),)), a, ratio, start=1, weight=weight)
 
     def rhs(env, N, one):  # R14's right side at its limit
         return _squared_lambert_sum(env.get("a"), one, limit_cutoff(one) - 1)

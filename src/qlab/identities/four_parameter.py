@@ -1,31 +1,31 @@
 """The four-parameter sum transformation, its finite form and corollaries.
 
-Every sum but the Lambert-type one is a term_sum: each term is the
-previous one times its ratio, a scalar, a power of q and a few factors
-(1 - c q^e) applied by one apply_ratio call, and the sum stops after its
-last index or at the first term that vanishes to order T (all later
-terms are multiples of it).  A step divides only by factors with a
-nonzero constant term; where that needs a parameter off 1, the
-identity's constraint excludes it.  A finite form normalised by (x)_N
-carries the symbol in its step, as (x)_{N-n}/(x)_N = 1/(x q^{N-n})_n,
-and starts from 1; for the descending (a)_{N-n} the last step, n = N,
-still divides by (1 - a).
+Every sum but the Lambert-type one is a term_sum or, when its terms
+never vanish, a tail_sum: each term is the previous one times its ratio,
+a scalar, a power of q and a few factors (1 - c q^e) applied by one
+apply_ratio call, and a term_sum stops after its last index or at the
+first term that vanishes to order T (all later terms are multiples of
+it).  A step divides only by factors with a nonzero constant term; where
+that needs a parameter off 1, the identity's constraint excludes it.  A
+finite form normalised by (x)_N carries the symbol in its step, as
+(x)_{N-n}/(x)_N = 1/(x q^{N-n})_n, and starts from 1; for the
+descending (a)_{N-n} the last step, n = N, still divides by (1 - a).
 
 Sides whose terms keep a nonzero q^0 coefficient for every summation
-index (so the sum never truncates on its own) are computed as the first
-T+1 terms plus an exact geometric tail: past index T every Pochhammer
-factor is frozen modulo q^(T+1), so the step is a scalar x and the rest
-is a geometric series, summed in closed form by term_sum's tail.  The
-Lambert-type sum sum_m (a^m - b^m)/(1 - c q^{m+n}) has no term ratio; it
-is summed over the powers of its denominator instead, each term one
-apply_ratio call for a bracket of two factors x q^k/(1 - x q^k), whose
-k = 0 term a/(1-a) - b/(1-b) is the closed form of its constant
-coefficients.  In the nested right side of R02 the bracket's index k
-enters the outer terms t_n only through q^{kn}, so the double sum is
-interchanged: each bracket is one apply_ratio call per k, on
-G_k = sum_n q^{kn} t_n, not one per (n, k).  Sampling stays inside the
-stated convergence regions so those closed forms are the values of the
-sums.
+index (so the sum never truncates on its own) are common.tail_sum calls.
+Their step and weight are factor lists, and the terms run only while a
+factor has 2e <= T.  Past that index every factor is 1 + O(q^e) with
+2e > T, so the rest is the last term times x/(1 - x) and a polynomial of
+first-order corrections, one apply_ratio call.  The Lambert-type sum
+sum_m (a^m - b^m)/(1 - c q^{m+n}) has no term ratio; it is summed over
+the powers of its denominator instead, each term one apply_ratio call
+for a bracket of two factors x q^k/(1 - x q^k), whose k = 0 term
+a/(1-a) - b/(1-b) is the closed form of its constant coefficients.  In
+the nested right side of R02 the bracket's index k enters the outer
+terms t_n only through q^{kn}, so the double sum is interchanged: each
+bracket is one apply_ratio call per k, on G_k = sum_n q^{kn} t_n, not
+one per (n, k).  Sampling stays inside the stated convergence regions so
+those closed forms are the values of the sums.
 
 The right sides of R02-R05 weight each term by a Lambert bracket
 x q^m/(1 - x q^m) - y q^m/(1 - y q^m) = (x - y) q^m/((1 - x q^m)(1 - y q^m)).
@@ -55,6 +55,7 @@ from .common import (
     pole_when,
     rules,
     sides_at,
+    tail_sum,
 )
 from .model import FINITE, INFINITE, Identity, ParamEnv
 
@@ -68,19 +69,17 @@ _AD_POLES = (
 
 
 def _quotient_sum_lhs(env: ParamEnv, c_factor, one: QSeries) -> QSeries:
-    """sum_{n>=1} (b/a)_n a^n / ((1 - c_factor*q^n) (b)_n) with its tail."""
+    """sum_{n>=1} (b/a)_n a^n / ((1 - c_factor*q^n) (b)_n), a tail_sum."""
     a, b = env.get("a"), env.get("b")
+    ba = b / a
 
-    def step(t, n):  # (b/a)_n a^n / (b)_n
-        return t.apply_ratio(a, 0, ((b / a, n - 1),), ((b, n - 1),))
+    def ratio(n):  # (b/a)_n a^n / (b)_n
+        return ((ba, n - 1),), ((b, n - 1),)
 
-    return term_sum(
-        step(one, 1),
-        step,
-        start=1,
-        weight=lambda t, n: t.div_binomial(c_factor, n),
-        tail=a,
-    )
+    def weight(n):
+        return (), ((c_factor, n),)
+
+    return tail_sum(one.apply_ratio(a, 0, *ratio(1)), a, ratio, start=1, weight=weight)
 
 
 def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, one: QSeries) -> QSeries:
@@ -230,11 +229,12 @@ def _r04() -> Identity:
     def lhs(env, N, one):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
-        def step(t, n):  # (b/a)_n (c/d)_n (ad)^n / ((b)_n (cq)_n)
-            up, down = ((b / a, n - 1), (c / d, n - 1)), ((b, n - 1), (c, n))
-            return t.apply_ratio(a * d, 0, up, down)
+        ba, cd = b / a, c / d
 
-        return term_sum(step(one, 1), step, start=1, tail=a * d)
+        def ratio(n):  # (b/a)_n (c/d)_n (ad)^n / ((b)_n (cq)_n)
+            return ((ba, n - 1), (cd, n - 1)), ((b, n - 1), (c, n))
+
+        return tail_sum(one.apply_ratio(a * d, 0, *ratio(1)), a * d, ratio, start=1)
 
     _, (_, finite_rhs) = _r05().sides
 

@@ -14,7 +14,7 @@ one apply_ratio call, and the sum stops after its cutoff or at the first
 term that vanishes to order T, since every later term is a power-series
 multiple of it.  That holds because each step divides only by factors
 (1 - c q^e) with a nonzero constant term, here always e >= 1.  No sum
-here needs the geometric tail for terms that never vanish.  R20's left
+here has terms that never vanish, so none needs common.tail_sum.  R20's left
 side is interchanged: sum_k q^k U_k / (1 - q^k) over the suffix sums
 U_k = sum_{n>=k} t_n.  The inner 2-phi-1 is a weight, an inner term_sum
 started from the outer term t_k / (1 - q^k), so no full product runs.

@@ -569,7 +569,7 @@ def q_binomial(N: int, n: int, order: int) -> QSeries:
 # -- term-ratio summation -----------------------------------------------------
 
 
-S = TypeVar("S")  # QSeries or a type with its methods; LaurentZQSeries for sums without a tail
+S = TypeVar("S")  # QSeries, a type with its methods, or LaurentZQSeries
 
 
 def term_sum(
@@ -578,13 +578,12 @@ def term_sum(
     start: int = 0,
     stop: Optional[int] = None,
     weight: Optional[Callable[[S, int], S]] = None,
-    tail: Optional[Scalar] = None,
 ) -> S:
     """sum_{n >= start} weight(t_n, n), where t_start = first and
     t_n = step(t_{n-1}, n); without a weight the terms t_n are summed.
     The terms are QSeries, or LaurentZQSeries for a sum in q and z: any
     series type with ``order``, ``is_zero`` and ``sum_of(terms, order)``,
-    which sums the terms this loop produces; a tail needs QSeries terms.
+    which sums the terms this loop produces.
 
     A basic hypergeometric sum has this shape: each term is the previous
     one times a scalar, a power of q and a few factors (1 - c q^e)
@@ -611,15 +610,6 @@ def term_sum(
     would divide by a factor with zero constant term keeps that factor in
     weight instead.
 
-    Tail: tail = x states that past n = T the step is the scalar x and
-    weight(t, n) no longer depends on n, both modulo q^(T+1); a factor
-    (1 - c q^e) with e > T is 1 there.  The terms past T then form a
-    geometric series, summed exactly as weight(t_m, m) / (1 - x) with
-    m = max(T + 1, start), by the kernel for a factor (1 - x q^0), which
-    raises ZeroConstantTermError at x = 1.  This is how sums whose terms
-    never vanish to order T are computed; the result is the value of the
-    sum only inside its convergence region, |x| < 1.
-
     A Lambert-type sum such as sum_{m>=1} (a^m - b^m) / (1 - q^m) is taken
     over the powers of its denominator, sum_{m>=1} x^m q^(mk) being the
     kernel factor x q^k / (1 - x q^k), whose k = 0 term x / (1 - x) is the
@@ -628,16 +618,9 @@ def term_sum(
     order, sum_of = first.order, type(first).sum_of
     ts = ratio_terms(first, step, start, stop)
     del first  # the terms drop it once the sum moves past it
-
-    def terms():
-        for n, t in enumerate(ts, start):
-            term = t if weight is None else weight(t, n)
-            if tail is not None and n > order:
-                yield term.div_binomial(tail, 0)
-                return
-            yield term
-
-    return sum_of(terms(), order)
+    if weight is not None:
+        ts = (weight(t, n) for n, t in enumerate(ts, start))
+    return sum_of(ts, order)
 
 
 def ratio_terms(first: S, step: Callable[[S, int], S], start: int = 0, stop: Optional[int] = None):
@@ -668,8 +651,8 @@ def phi_series(
     from one, the unit series of the type and truncation order to build.
     The sum stops at the first term that vanishes to the truncation
     order, so the term order has to grow with k: argument.exp >= 1 or
-    s >= r.  A scalar-argument series with s < r is summed by term_sum
-    with a geometric tail instead.
+    s >= r.  A scalar-argument series with s < r, whose terms never
+    vanish, is summed by identities.common.tail_sum instead.
     """
     r, s = len(numerators), len(denominators)
     weight = 1 + s - r
@@ -678,7 +661,7 @@ def phi_series(
     if argument.exp < 1 and weight < 1 and argument.coeff != 0:
         raise ValueError(
             "the terms never vanish to the truncation order; sum a "
-            "scalar-argument series with term_sum and a geometric tail"
+            "scalar-argument series with identities.common.tail_sum"
         )
     sign = Fraction(-1) ** weight
 

@@ -234,6 +234,30 @@ class RefSeries:
         return ref_first_difference(self.c, other.c)
 
 
+def ref_tail_sum(first, x, ratio, start=0, weight=None):
+    """tail_sum's sum, stepped term by term with one mul_binomial or
+    div_binomial per factor: the terms from start up to the last index n
+    with a factor e <= T, whose weight is applied the same way, and then
+    the rest, where every factor is 1 to order T, as t_n x / (1 - x)."""
+    T = first.order
+
+    def apply(t, factors):
+        up, down = factors
+        for c, e in up:
+            t = t.mul_binomial(c, e)
+        for c, e in down:
+            t = t.div_binomial(c, e)
+        return t
+
+    n, t, total = start, first, first.scale(0)
+    while True:
+        total = total + (apply(t, weight(n)) if weight else t)
+        r, w = ratio(n + 1), weight(n + 1) if weight else ((), ())
+        if all(e > T for side in r + w for _, e in side):
+            return total + t.scale(x).div_binomial(x, 0)
+        n, t = n + 1, apply(t.scale(x), r)
+
+
 # -- reference Laurent-in-z kernels: a series is a list of q-rows, each a
 # -- {z-exponent: Fraction} dict without zero values, truncated to the shorter
 
@@ -325,7 +349,13 @@ def ref_r02_rhs_nested(a, b, c, T: int):
     def weight(t, n):
         return t * _ref_lambert_difference(a, b, c, n, T)
 
-    total = term_sum(QSeries.one(T), step, weight=weight, tail=b / c)
+    # terms 0..T, then the rest: past T the step is b/c to order T, so the
+    # terms from T + 1 on sum to the (T + 1)-th over 1 - b/c
+    t, total = QSeries.one(T), QSeries.zero(T)
+    for n in range(T + 1):
+        total = total + weight(t, n)
+        t = step(t, n + 1)
+    total = total + weight(t, T + 1).div_binomial(b / c, 0)
     return div_poch(poch(b / c, 0, None, T), b, 0, None) * total
 
 

@@ -11,7 +11,9 @@ differential testing (W. M. McKeeman, "Differential Testing for Software",
 Digital Technical Journal 10(1), 1998).
 """
 
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +44,16 @@ MOMENT_SUMS = [("R33", "rhs"), ("R34", "rhs"), ("R35", "lhs"), ("R35", "rhs")]
 def test_exempt_entries_are_the_enumeration_and_moment_entries():
     assert set(EXEMPT) == {"R24", "R33", "R34", "R35"}
     assert set(EXEMPT) <= set(REGISTRY)
+
+
+def test_the_drawn_environments_are_distinct():
+    # two admissible values of a: the draws repeat one of them early, and
+    # each of the two must still come back once
+    halves = (Fraction(1, 2), Fraction(-1, 2))
+    identity = dataclasses.replace(REGISTRY["R19"], domain=lambda env: env.get("a") in halves)
+    for seed in range(10):
+        envs = _distinct_envs(random.Random(seed), identity, 2)
+        assert sorted(env.get("a") for env in envs) == sorted(halves), seed
 
 
 @pytest.mark.parametrize("identity_id", COVERED)

@@ -17,8 +17,10 @@ from qlab.series import (
     q_binomial,
     term_sum,
 )
+from qlab.identities.common import tail_sum
 
 from _oracles import (
+    RefSeries,
     convolve,
     gaussian_binomial_poly,
     pentagonal_coeffs,
@@ -30,6 +32,7 @@ from _oracles import (
     ref_scale,
     ref_shift,
     ref_sub,
+    ref_tail_sum,
     ref_truncate,
 )
 
@@ -304,27 +307,87 @@ def test_term_sum_stop_is_inclusive_and_empty_past_it():
     assert term_sum(QSeries.one(4), step, start=2, stop=1).is_zero()
 
 
-@pytest.mark.parametrize("order", [0, 1, 5])
-def test_term_sum_geometric_tail(order):
-    # sum_{n>=1} x^n / (1 - q^n): weight frozen past T, ratio x; at q^0 the
-    # value is x/(1-x) even when the first term already lies past T
-    x = Fraction(-6, 7)
-    total = term_sum(
-        QSeries.monomial(x, 0, order),
-        lambda t, n: t.scale(x),
-        start=1,
-        weight=lambda t, n: t.div_binomial(1, n),
-        tail=x,
+# -- sums whose terms never vanish (tail_sum) -----------------------------------
+
+
+def _divisor_sum(order, x, start=1):
+    """sum_{n>=start} x^n / (1 - q^n): ratio x, weight 1/(1 - q^n)."""
+    return tail_sum(
+        QSeries.monomial(x ** start, 0, order),
+        x,
+        lambda n: ((), ()),
+        start=start,
+        weight=lambda n: ((), ((1, n),)),
     )
+
+
+@pytest.mark.parametrize("order", [0, 1, 5])
+def test_tail_sum_geometric_tail(order):
+    # at q^0 the value is x/(1-x) even when no factor of index 1 is near
+    x = Fraction(-6, 7)
+    total = _divisor_sum(order, x)
     assert total[0] == x / (1 - x)
     # the q^k coefficient is sum_{m | k} x^m
     for k in range(1, order + 1):
         assert total[k] == sum(x**m for m in range(1, k + 1) if k % m == 0)
 
 
-def test_term_sum_tail_at_ratio_one_is_rejected():
+def test_tail_sum_with_the_far_index_at_start():
+    # from n = 4 at T = 6 every factor is far: the first term's weight and
+    # the closed form, x^4/(1-x) + x^4 q^4 + x^5 q^5 + x^6 q^6
+    x = Fraction(2, 5)
+    expected = [x**4 / (1 - x), 0, 0, 0, x**4, x**5, x**6]
+    assert _divisor_sum(6, x, start=4).coeffs == tuple(expected)
+
+
+def test_tail_sum_at_ratio_zero_adds_nothing_past_the_first_term():
+    first = QSeries([Fraction(1, 3), 2, 0, -1, 5])
+    ratio = lambda n: (((Fraction(1, 2), n),), ((3, n - 1),))  # noqa: E731
+    assert tail_sum(first, 0, ratio) == first
+    weight = lambda n: (((2, n + 1),), ())  # noqa: E731
+    assert tail_sum(first, 0, ratio, start=1, weight=weight) == first.mul_binomial(2, 2)
+
+
+def test_tail_sum_at_ratio_one_is_rejected():
     with pytest.raises(ZeroConstantTermError):
-        term_sum(QSeries.one(3), lambda t, n: t, tail=1)
+        tail_sum(QSeries.one(3), 1, lambda n: ((), ()))
+
+
+# a factor (c, n + offset) of step n, or of weight n
+step_factors_st = st.lists(st.tuples(small_rats, st.integers(-1, 1)), max_size=3)
+weight_factors_st = st.lists(st.tuples(small_rats, st.integers(0, 1)), max_size=2)
+
+
+def _not_one(factors):
+    return [(c, off) for c, off in factors if c != 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 12).flatmap(lambda t: st.lists(small_rats, min_size=t + 1, max_size=t + 1)),
+    small_rats.filter(lambda x: x != 1),
+    st.sampled_from([0, 1]),
+    step_factors_st,
+    step_factors_st.map(_not_one),
+    st.one_of(st.none(), st.tuples(weight_factors_st, weight_factors_st.map(_not_one))),
+)
+# T = 6 and two factors at e = 3 in step 3: they are near, as their product has q^6
+@example([Fraction(1)] * 7, Fraction(1, 2), 0, [(Fraction(1, 3), 0)], [(Fraction(2), 0)], None)
+def test_tail_sum_matches_the_stepped_reference(coeffs, x, start, up, down, weighted):
+    # the reference steps every term up to the last index with a factor e <= T,
+    # one naive per-coefficient kernel call per factor, and sums the rest
+    # as a geometric series; a down factor's c is not 1, so no e = 0 pole
+    def ratio(n):
+        return [(c, n + off) for c, off in up], [(c, n + off) for c, off in down]
+
+    weight = None
+    if weighted is not None:
+        def weight(n):
+            return tuple([(c, n + off) for c, off in side] for side in weighted)
+
+    total = tail_sum(QSeries(coeffs), x, ratio, start, weight)
+    expected = ref_tail_sum(RefSeries(coeffs), x, ratio, start, weight)
+    assert as_fractions(total) == list(expected.coeffs)
 
 
 # -- ring laws (property suite) ---------------------------------------------
@@ -656,9 +719,8 @@ PRIMES = (37, 41, 43, 47, 53, 59, 61, 67, 71)
     st.integers(0, 2),
     st.one_of(st.none(), st.integers(0, 10)),
     st.booleans(),
-    st.one_of(st.none(), fractions_st.filter(lambda x: x != 1)),
 )
-def test_term_sum_matches_a_fold_of_ref_add(rows, start, stop, weighted, tail):
+def test_term_sum_matches_a_fold_of_ref_add(rows, start, stop, weighted):
     terms = [[c / p for c in row] for row, p in zip(rows, PRIMES)]
     order = len(terms[0]) - 1
     expected = [Fraction(0)] * (order + 1)
@@ -667,14 +729,11 @@ def test_term_sum_matches_a_fold_of_ref_add(rows, start, stop, weighted, tail):
             break
         if weighted:
             term = ref_scale(term, Fraction(n + 1))
-        if tail is not None and n > order:
-            expected = ref_add(expected, ref_div_binomial(term, tail, 0))
-            break
         expected = ref_add(expected, term)
 
     def step(t, n):  # any map works here; the terms are drawn, not ratios
         return QSeries(terms[n - start]) if n - start < len(terms) else QSeries.zero(order)
 
     weight = (lambda t, n: t.scale(n + 1)) if weighted else None
-    total = term_sum(QSeries(terms[0]), step, start, stop, weight, tail)
+    total = term_sum(QSeries(terms[0]), step, start, stop, weight)
     assert as_fractions(total) == expected
