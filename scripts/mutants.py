@@ -36,6 +36,7 @@ LAURENT = "src/qlab/laurent.py"
 PHI = "src/qlab/identities/phi_sum.py"
 COMMON, SPT = "src/qlab/identities/common.py", "src/qlab/identities/spt_family.py"
 PARTITIONS, HARNESS = "src/qlab/partitions.py", "src/qlab/identities/harness.py"
+CLASSICAL = "src/qlab/identities/classical.py"
 # the goldens first: in about 2 s they kill every entry but the two Laurent
 # ones that the extraction's output cannot show, which test_laurent.py kills next,
 # and the distinct-part refill and the environment draw, which no golden reaches
@@ -109,6 +110,10 @@ MUTANTS = [
      "the refill's stair is one step too high at gap = 1, so distinct-part refills come out short"),
     (HARNESS, "key = env.sort_key()", "key = id(env)",
      "_distinct_envs keys environments by object, so a redrawn environment is kept as a duplicate"),
+    (CLASSICAL, "(x, N - n)]", "(x, N - n + 1)]",
+     "the terminating sum's inverted column reads (x q^(N-n+1))_n for (x q^(N-n))_n, in R37 and R39 alike"),
+    (CLASSICAL, "return ((alpha, n - 1), (beta, n - 1))", "return ((alpha, n), (beta, n - 1))",
+     "the 2-phi-1 reads (alpha)_n's last factor at q^n for q^(n-1), in R40's and R41's sides alike"),
 ]
 
 

@@ -24,6 +24,7 @@ from .identities import (
     ParamEnv,
     SampleExhaustionError,
     UnsupportedNError,
+    VerificationReport,
     build_side,
     get_identity,
     positivity_scan,
@@ -36,11 +37,11 @@ from .series import ZeroConstantTermError
 
 _ENV_FLAGS = tuple(f"--{name}" for name in PARAM_NAMES)
 _NEGATIVE_LITERAL = re.compile(r"-\d")
-# the keys of VerificationReport.to_json_dict, in its order
-_REPORT_COLUMNS = (
-    "id", "env", "N", "T", "outcome",
-    "first_mismatch_order", "lhs_coeff", "rhs_coeff", "elapsed_ms",
-)
+# the largest value a size flag takes: far above every size the tests and the
+# benchmark use (T <= 100, N <= 32); a far larger size fails to allocate or
+# does not finish, and must exit 2 like any other bad input
+MAX_SIZE = 1000
+_SIZE_FLAGS = (("order", "--order"), ("n_value", "--N"), ("n_max", "--N-max"), ("max_n", "--max-n"))
 
 
 class UsageError(Exception):
@@ -146,9 +147,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except SampleExhaustionError as err:
         raise UsageError(str(err)) from None
     dicts = [r.to_json_dict() for r in reports]
-    rows: List[Sequence] = [_REPORT_COLUMNS]
+    rows: List[Sequence] = [VerificationReport.FIELDS]
     rows.extend(
-        [_env_as_tsv(d["env"]) if key == "env" else d[key] for key in _REPORT_COLUMNS]
+        [_env_as_tsv(d["env"]) if key == "env" else d[key] for key in VerificationReport.FIELDS]
         for d in dicts
     )
     _emit(args, dicts, rows)
@@ -307,6 +308,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "order", 0) < 0:
             raise UsageError("--order must be non-negative")
+        for dest, flag in _SIZE_FLAGS:
+            if (getattr(args, dest, None) or 0) > MAX_SIZE:
+                raise UsageError(f"{flag} must be at most {MAX_SIZE}")
         if getattr(args, "samples", 0) < 0:
             raise UsageError("--samples must be non-negative")
         return args.run(args)

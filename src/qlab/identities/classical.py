@@ -13,6 +13,13 @@ verified in the denominator-cleared polynomial form
     prod_{k=0}^{n-1} (x q^N - q^k) = (-1)^n q^{n(n-1)/2} (x q^{N-n+1})_n,
 
 with the instances 0 <= n <= N combined through a free weight parameter.
+
+R37 and R39 share one terminating sum, _terminating_sum: after the
+inversion each side of the Sears and the finite Heine transformation is
+the same (r+1)-phi-r in non-negative powers of q, r = 3 for R37 and
+r = 2 for R39.
+R40 and R41 share the 2-phi-1 of their left sides, _two_phi_one, and
+R40's right side is that 2-phi-1 at (gamma/beta, z; alpha z; beta).
 """
 
 from __future__ import annotations
@@ -38,31 +45,31 @@ from .entries import _r13
 from .model import FINITE, INFINITE, Identity, ParamEnv
 
 
+def _terminating_sum(uppers, lowers, x, N: int, one):
+    """sum_{n=0}^{N} prod(uppers)_n (q^{N-n+1})_n x^n / (prod(lowers)_n (q)_n (x q^{N-n})_n):
+    the terminating (r+1)phi(r)[q^{-N}, uppers; lowers, q^{1-N}/x; q, q]
+    with its (q^{-N})_n / (q^{1-N}/x)_n inverted.  R37's Sears sums take
+    r = 3, R39's finite-Heine sums r = 2."""
+
+    def step(t, n):
+        up = [(u, n - 1) for u in uppers] + [(1, N - n + 1)]
+        down = [(v, n - 1) for v in lowers] + [(1, n), (x, N - n)]
+        return t.apply_ratio(x, 0, up, down)
+
+    return term_sum(one, step, stop=N)
+
+
 def _r37() -> Identity:
-    def _phi43_sum(uppers, lowers, g, N, one):
-        # sum_{n=0}^{N} prod(uppers)_n (q^{N-n+1})_n
-        #   / (prod(lowers)_n (q)_n (q^{N-n}/g)_n g^n)
-        def step(t, n):
-            up = [(u, n - 1) for u in uppers] + [(1, N - n + 1)]
-            down = [(v, n - 1) for v in lowers] + [(1, n), (1 / g, N - n)]
-            return t.apply_ratio(1 / g, 0, up, down)
-
-        return term_sum(one, step, stop=N)
-
     def lhs(env, N, one):
-        A, B, C = env.get("a"), env.get("b"), env.get("c")
-        D, E = env.get("d"), env.get("z")
-        g = A * B * C / (D * E)
-        return _phi43_sum((A, B, C), (D, E), g, N, one)
+        A, B, C, D, E = (env.get(p) for p in "abcdz")
+        return _terminating_sum((A, B, C), (D, E), D * E / (A * B * C), N, one)
 
     def rhs(env, N, one):
-        A, B, C = env.get("a"), env.get("b"), env.get("c")
-        D, E = env.get("d"), env.get("z")
-        g = A * B * C / (D * E)
-        g2 = A / E
+        A, B, C, D, E = (env.get(p) for p in "abcdz")
         de_bc = D * E / (B * C)
-        inner = _phi43_sum((A, D / B, D / C), (D, de_bc), g2, N, one)
-        return poch_ratio(inner, up=((E / A, 0, N), (de_bc, 0, N)), down=((E, 0, N), (1 / g, 0, N)))
+        inner = _terminating_sum((A, D / B, D / C), (D, de_bc), E / A, N, one)
+        up, down = ((E / A, 0, N), (de_bc, 0, N)), ((E, 0, N), (D * E / (A * B * C), 0, N))
+        return poch_ratio(inner, up=up, down=down)
 
     return Identity(
         id="R37",
@@ -92,7 +99,6 @@ def _r37() -> Identity:
             pole_when(lambda env: env.get("d") * env.get("z") == env.get("b") * env.get("c"),
                       "DE = BC: (DE/(BC))_n in a denominator vanishes"),
         ),
-        domain=all_nonzero("a", "b", "c", "d", "z"),
     )
 
 
@@ -129,25 +135,14 @@ def _r38() -> Identity:
 
 def _r39() -> Identity:
     def lhs(env, N, one):
-        a, b, c, t_par = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-
-        def step(t, n):  # (a)_n (b)_n (q^{N-n+1})_n t^n / ((c)_n (q)_n (t q^{N-n})_n)
-            up = ((a, n - 1), (b, n - 1), (1, N - n + 1))
-            return t.apply_ratio(t_par, 0, up, ((c, n - 1), (1, n), (t_par, N - n)))
-
-        return term_sum(one, step, stop=N)
+        a, b, c, t = (env.get(p) for p in "abcd")
+        return _terminating_sum((a, b), (c,), t, N, one)
 
     def rhs(env, N, one):
-        a, b, c, t_par = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-
-        def step(t, n):
-            # (abt/c)_n (b)_n (q^{N-n+1})_n (c/b)^n / ((bt)_n (q)_n (q^{N-n} c/b)_n)
-            up = ((a * b * t_par / c, n - 1), (b, n - 1), (1, N - n + 1))
-            return t.apply_ratio(c / b, 0, up, ((b * t_par, n - 1), (1, n), (c / b, N - n)))
-
-        total = term_sum(one, step, stop=N)
-        up, down = ((c / b, 0, N), (b * t_par, 0, N)), ((c, 0, N), (t_par, 0, N))
-        return poch_ratio(total, up=up, down=down)
+        a, b, c, t = (env.get(p) for p in "abcd")
+        inner = _terminating_sum((a * b * t / c, b), (b * t,), c / b, N, one)
+        up, down = ((c / b, 0, N), (b * t, 0, N)), ((c, 0, N), (t, 0, N))
+        return poch_ratio(inner, up=up, down=down)
 
     return Identity(
         id="R39",
@@ -172,7 +167,7 @@ def _r39() -> Identity:
                       "b*t = 1: (bt)_n in a denominator vanishes"),
             distinct("b", "c", "the rewritten lower column (q^{N-n} c/b)_n hits a zero factor"),
         ),
-        domain=all_nonzero("a", "b", "c", "d"),
+        domain=all_nonzero("a"),
     )
 
 
@@ -180,11 +175,10 @@ _ALPHA_Z_POLE = pole_when(lambda env: env.get("a") * env.get("d") == 1,
                           "alpha*z = 1: (alpha z)_n in a denominator vanishes")
 
 
-def _heine_lhs(env, N, one):
+def _two_phi_one(alpha, beta, gamma, z, one):
     """2phi1(alpha, beta; gamma; z) for scalar parameters: its terms never
     vanish to order T, so tail_sum sums every term past those with a factor
     2e <= T in closed form, a series in z."""
-    alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
 
     def ratio(n):  # (alpha)_n (beta)_n z^n / ((gamma)_n (q)_n)
         return ((alpha, n - 1), (beta, n - 1)), ((gamma, n - 1), (1, n))
@@ -192,17 +186,15 @@ def _heine_lhs(env, N, one):
     return tail_sum(one, z, ratio)
 
 
+def _two_phi_one_side(env, N, one):  # 2phi1(a, b; c; d), the left side of R40 and R41
+    return _two_phi_one(*(env.get(p) for p in "abcd"), one)
+
+
 def _r40() -> Identity:
     def rhs(env, N, one):
-        alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
-
-        gb, az = gamma / beta, alpha * z
-
-        def ratio(n):  # (gamma/beta)_n (z)_n beta^n / ((alpha z)_n (q)_n)
-            return ((gb, n - 1), (z, n - 1)), ((az, n - 1), (1, n))
-
-        inner = tail_sum(one, beta, ratio)
-        up, down = ((beta, 0, None), (az, 0, None)), ((gamma, 0, None), (z, 0, None))
+        alpha, beta, gamma, z = (env.get(p) for p in "abcd")
+        inner = _two_phi_one(gamma / beta, z, alpha * z, beta, one)
+        up, down = ((beta, 0, None), (alpha * z, 0, None)), ((gamma, 0, None), (z, 0, None))
         return poch_ratio(inner, up=up, down=down)
 
     return Identity(
@@ -214,7 +206,7 @@ def _r40() -> Identity:
         ),
         params=("a", "b", "c", "d"),
         kind=INFINITE,
-        sides=(("lhs", _heine_lhs), ("rhs", rhs)),
+        sides=(("lhs", _two_phi_one_side), ("rhs", rhs)),
         constraint=rules(
             not_value("b", 0, "the ratio gamma/beta is undefined"),
             not_value("b", 1, "the transformed series' geometric tail diverges at beta = 1"),
@@ -222,17 +214,13 @@ def _r40() -> Identity:
             not_value("d", 1, "(z)_inf in a denominator vanishes and the tail diverges"),
             _ALPHA_Z_POLE,
         ),
-        domain=domain_all(
-            inside_unit("b", "d"),
-            all_nonzero("b"),
-            lambda env: abs(env.get("c")) < abs(env.get("b")),
-        ),
+        domain=domain_all(inside_unit("b", "d"), lambda env: abs(env.get("c")) < abs(env.get("b"))),
     )
 
 
 def _r41() -> Identity:
     def rhs(env, N, one):
-        alpha, beta, gamma, z = env.get("a"), env.get("b"), env.get("c"), env.get("d")
+        alpha, beta, gamma, z = (env.get(p) for p in "abcd")
         inner = phi_series(
             [QMonomial(alpha, 0), QMonomial(gamma / beta, 0)],
             [QMonomial(gamma, 0), QMonomial(alpha * z, 0)],
@@ -251,14 +239,14 @@ def _r41() -> Identity:
         ),
         params=("a", "b", "c", "d"),
         kind=INFINITE,
-        sides=(("lhs", _heine_lhs), ("rhs", rhs)),
+        sides=(("lhs", _two_phi_one_side), ("rhs", rhs)),
         constraint=rules(
             not_value("b", 0, "the ratio gamma/beta is undefined"),
             not_value("c", 1, "(gamma)_n in a denominator vanishes"),
             not_value("d", 1, "(z)_inf in a denominator vanishes and the tail diverges"),
             _ALPHA_Z_POLE,
         ),
-        domain=domain_all(inside_unit("d"), all_nonzero("b", "d")),
+        domain=domain_all(inside_unit("d"), all_nonzero("d")),
     )
 
 
@@ -306,7 +294,6 @@ def _r43() -> Identity:
             not_value("a", 0, "the quotient argument q/x is undefined"),
             not_value("a", 1, "(x)_n in a denominator vanishes and x/(1-x) has a pole"),
         ),
-        domain=all_nonzero("a"),
     )
 
 
@@ -361,7 +348,6 @@ def _r45() -> Identity:
             not_value("d", 0, "the quotient argument q/d is undefined"),
             not_value("d", 1, "the prefactor 1/(1-d) has a pole"),
         ),
-        domain=all_nonzero("d"),
     )
 
 

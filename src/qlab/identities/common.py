@@ -5,7 +5,9 @@ several stated sides write has one builder.  M_N(a), F(a, x) and S(d),
 which more than one module calls, are here, with tail_sum for the sums
 whose terms never vanish; the others stay in their module.  An infinite
 sum whose terms are the termwise limit of a finite sum's terms is that
-finite sum at the cutoff limit_cutoff gives, N = T + 1.
+finite sum at the cutoff limit_cutoff gives, N = T + 1.  A side that
+restates another side, at that cutoff or at fixed parameters, is
+restated(builder, fix, limit); sides_at restates every side of an entry.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from operator import add
 from typing import Callable, Iterable, Optional
 
 from ..series import QSeries, Scalar, term_sum
-from .model import Identity, ParamEnv
+from .model import Identity, ParamEnv, SideBuilder
 
 
 def times_n(t: QSeries, n: int) -> QSeries:
@@ -141,14 +143,23 @@ def nested_q_power_sum(terms: Iterable[QSeries], one: QSeries, weight) -> QSerie
     return type(one).sum_of((weight(u.shift(n), n) for n, u in suffix), one.order)
 
 
-def sides_at(base: Identity, fix: Callable[[ParamEnv], ParamEnv]) -> tuple:
-    """base's (name, builder) pairs, each builder called at fix(env): the
-    sides of an entry that restates base at fixed parameters."""
+def restated(builder: SideBuilder, fix: Optional[Callable[[ParamEnv], ParamEnv]] = None,
+              limit: bool = False) -> SideBuilder:
+    """builder called at fix(env) (at env without fix) and, with limit, at
+    N = limit_cutoff(one): a side that restates another at fixed parameters
+    or as its N -> infinity limit."""
 
-    def at(builder):
-        return lambda env, N, one: builder(fix(env), N, one)
+    def side(env, N, one):
+        return builder(fix(env) if fix else env, limit_cutoff(one) if limit else N, one)
 
-    return tuple((name, at(builder)) for name, builder in base.sides)
+    return side
+
+
+def sides_at(base: Identity, fix: Optional[Callable[[ParamEnv], ParamEnv]] = None,
+             limit: bool = False) -> tuple:
+    """base's (name, builder) pairs, each builder restated: the sides of an
+    entry that restates base at fixed parameters or at its limit."""
+    return tuple((name, restated(builder, fix, limit)) for name, builder in base.sides)
 
 
 # -- constraint rule combinators -------------------------------------------

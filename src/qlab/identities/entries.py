@@ -2,10 +2,12 @@
 
 R10-R14 are the cutoff-N forms; R15-R19 the corresponding limits as N
 grows.  A limit side whose terms are the termwise limit of a finite
-side's terms is that side at N = T + 1 (common.limit_cutoff): R15's sum
-is R10's left side, R16 is R11, and the right sides of R17 and R19 and
-R18's left side are those of R12, R14 and R13.  The stabilization tests
-compare each finite form with a limit side that keeps its own builder.
+side's terms is that side at N = T + 1 (common.limit_cutoff), written
+common.restated(side, limit=True): R15's sum is R10's left side, R18's
+left side R13's and R19's right side R14's, and R16 is
+common.sides_at(R11, limit=True).  R17 is R01 under its own id, so its
+right side is R12's.  The stabilization tests compare each finite form
+with a limit side that keeps its own builder.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from .common import (
     domain_all,
     finite_divisor_sum,
     inside_unit,
-    limit_cutoff,
     not_value,
     q_power_sum,
+    restated,
     rules,
+    sides_at,
     tail_sum,
     weighted_square_sum,
 )
@@ -73,7 +76,6 @@ def _r10() -> Identity:
             not_value("a", 0, "the quotient argument -b/a is undefined"),
             not_value("b", 0, "the quotient argument -a/b is undefined"),
         ),
-        domain=all_nonzero("a", "b"),
     )
 
 
@@ -118,7 +120,7 @@ def _r12() -> Identity:
             not_value("a", 1, "(a)_N in a denominator vanishes and the tail diverges"),
             not_value("b", 1, "(b)_n in a denominator vanishes and the tail diverges"),
         ),
-        domain=domain_all(inside_unit("a", "b"), all_nonzero("a")),
+        domain=inside_unit("a", "b"),
     )
 
 
@@ -181,11 +183,6 @@ def _r15() -> Identity:
         a, b = env.get("a"), env.get("b")
         return poch_ratio(one, up=((-a, 1, None),), down=((b, 1, None),))
 
-    (_, finite_lhs), _ = _r10().sides
-
-    def rhs(env, N, one):  # R10's left side at its limit
-        return finite_lhs(env, limit_cutoff(one), one)
-
     return Identity(
         id="R15",
         title="notebook entry 1 (product form)",
@@ -195,14 +192,13 @@ def _r15() -> Identity:
         ),
         params=("a", "b"),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(("lhs", lhs), ("rhs", restated(_r10().side("lhs"), limit=True))),
         constraint=rules(not_value("a", 0, "the quotient argument -b/a is undefined")),
-        domain=all_nonzero("a", "b"),
+        domain=all_nonzero("b"),
     )
 
 
 def _r16() -> Identity:
-    (_, lhs), (_, rhs) = _r11().sides  # R11 at its limit, on both sides
     return Identity(
         id="R16",
         title="notebook entry 2 (weighted square exponents)",
@@ -212,10 +208,7 @@ def _r16() -> Identity:
         ),
         params=("a",),
         kind=INFINITE,
-        sides=(
-            ("lhs", lambda env, N, one: lhs(env, limit_cutoff(one), one)),
-            ("rhs", lambda env, N, one: rhs(env, limit_cutoff(one), one)),
-        ),
+        sides=sides_at(_r11(), limit=True),
         domain=all_nonzero("a"),
     )
 
@@ -225,10 +218,6 @@ def _r17() -> Identity:
 
 
 def _r18() -> Identity:
-    def lhs(env, N, one):  # R13's left side at its limit, F(a, a) at N = T + 1
-        a = env.get("a")
-        return finite_divisor_sum(a, a, limit_cutoff(one), one)
-
     def rhs(env, N, one):
         a = env.get("a")
         return term_sum(
@@ -247,7 +236,7 @@ def _r18() -> Identity:
         ),
         params=("a",),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(("lhs", restated(_r13().side("lhs"), limit=True)), ("rhs", rhs)),
         domain=all_nonzero("a"),
     )
 
@@ -264,9 +253,6 @@ def _r19() -> Identity:
 
         return tail_sum(one.apply_ratio(a, down=((a, 0),)), a, ratio, start=1, weight=weight)
 
-    def rhs(env, N, one):  # R14's right side at its limit
-        return _squared_lambert_sum(env.get("a"), one, limit_cutoff(one) - 1)
-
     return Identity(
         id="R19",
         title="notebook entry 5 (Lambert-type right side)",
@@ -275,7 +261,7 @@ def _r19() -> Identity:
         ),
         params=("a",),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(("lhs", lhs), ("rhs", restated(_r14().side("rhs"), limit=True))),
         constraint=rules(
             not_value("a", 1, "(a)_n in a denominator vanishes and the tails diverge"),
         ),

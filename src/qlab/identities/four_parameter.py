@@ -36,7 +36,9 @@ which the kernel's factors run on, then has order T - m, not T.
 The right sides of R01, R02 and R04 are those of R12, R03 and R05 at
 N = T + 1, and R09 is R07 there on both sides: each is the termwise
 limit of its finite form, exact to order T at that cutoff
-(common.limit_cutoff).
+(common.limit_cutoff), and each is written as that form restated there,
+common.restated(side, limit=True) or, for R09, common.sides_at(R07,
+limit=True).  R08 is R07 restated at c = 1/z.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from .common import (
     domain_all,
     inside_unit,
     lambert_bracket,
-    limit_cutoff,
     not_value,
     pole_when,
+    restated,
     rules,
     sides_at,
     tail_sum,
@@ -110,9 +112,6 @@ def _r01() -> Identity:
     def lhs(env, N, one):
         return _quotient_sum_lhs(env, 1, one)
 
-    def rhs(env, N, one):  # R12's right side at its limit
-        return _lambert_bracket_sum(env, limit_cutoff(one), one)
-
     return Identity(
         id="R01",
         title="Ramanujan's quotient-Pochhammer sum",
@@ -122,24 +121,19 @@ def _r01() -> Identity:
         ),
         params=("a", "b"),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(("lhs", lhs), ("rhs", restated(_lambert_bracket_sum, limit=True))),  # R12's right side
         constraint=rules(
             not_value("a", 0, "the quotient argument b/a is undefined"),
             not_value("a", 1, "the geometric tail in a diverges"),
             not_value("b", 1, "(b)_n in a denominator vanishes, as does the tail in b"),
         ),
-        domain=domain_all(inside_unit("a", "b"), all_nonzero("a")),
+        domain=inside_unit("a", "b"),
     )
 
 
 def _r02() -> Identity:
     def lhs(env, N, one):
         return _quotient_sum_lhs(env, env.get("c"), one)
-
-    _, (_, finite_rhs) = _r03().sides
-
-    def rhs(env, N, one):  # R03's right side at its limit
-        return finite_rhs(env, limit_cutoff(one), one)
 
     def rhs_nested(env, N, one):
         a, b, c, T = env.get("a"), env.get("b"), env.get("c"), one.order
@@ -171,7 +165,11 @@ def _r02() -> Identity:
         ),
         params=("a", "b", "c"),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs), ("rhs_nested", rhs_nested)),
+        sides=(
+            ("lhs", lhs),
+            ("rhs", restated(_r03().side("rhs"), limit=True)),
+            ("rhs_nested", rhs_nested),
+        ),
         constraint=rules(
             not_value("a", 0, "the quotient argument b/a is undefined"),
             not_value("c", 0, "the quotient argument b/c is undefined"),
@@ -179,11 +177,7 @@ def _r02() -> Identity:
             not_value("b", 1, "(b)_n in a denominator vanishes"),
             distinct("b", "c", "the outer geometric tail in b/c diverges"),
         ),
-        domain=domain_all(
-            inside_unit("a", "b"),
-            all_nonzero("a", "c"),
-            lambda env: abs(env.get("b")) < abs(env.get("c")),
-        ),
+        domain=domain_all(inside_unit("a", "b"), lambda env: abs(env.get("b")) < abs(env.get("c"))),
     )
 
 
@@ -221,7 +215,7 @@ def _r03() -> Identity:
             not_value("a", 1, "(a)_N in a denominator vanishes"),
             not_value("b", 1, "(b)_n in a denominator vanishes"),
         ),
-        domain=all_nonzero("a", "b", "c"),
+        domain=all_nonzero("b"),
     )
 
 
@@ -236,11 +230,6 @@ def _r04() -> Identity:
 
         return tail_sum(one.apply_ratio(a * d, 0, *ratio(1)), a * d, ratio, start=1)
 
-    _, (_, finite_rhs) = _r05().sides
-
-    def rhs(env, N, one):  # R05's right side at its limit
-        return finite_rhs(env, limit_cutoff(one), one)
-
     return Identity(
         id="R04",
         title="infinite four-parameter transformation",
@@ -251,7 +240,7 @@ def _r04() -> Identity:
         ),
         params=("a", "b", "c", "d"),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
+        sides=(("lhs", lhs), ("rhs", restated(_r05().side("rhs"), limit=True))),
         constraint=rules(
             not_value("a", 0, "the quotient argument b/a is undefined"),
             not_value("d", 0, "the quotient argument c/d is undefined"),
@@ -259,10 +248,7 @@ def _r04() -> Identity:
             not_value("b", 1, "(b)_n in a denominator vanishes"),
             *_AD_POLES,
         ),
-        domain=domain_all(
-            all_nonzero("a", "c", "d"),
-            lambda env: abs(env.get("a") * env.get("d")) < 1,
-        ),
+        domain=lambda env: abs(env.get("a") * env.get("d")) < 1,
     )
 
 
@@ -313,7 +299,7 @@ def _r05() -> Identity:
             not_value("b", 1, "(b)_n in a denominator vanishes"),
             *_AD_POLES,
         ),
-        domain=all_nonzero("a", "b", "c", "d"),
+        domain=all_nonzero("b"),
     )
 
 
@@ -352,7 +338,7 @@ def _r06() -> Identity:
             not_value("c", 0, "the prefactor z/c and the argument zdq/c are undefined"),
             not_value("d", 0, "the quotient argument c/d is undefined"),
         ),
-        domain=all_nonzero("z", "c", "d"),
+        domain=all_nonzero("z"),
     )
 
 
@@ -400,12 +386,10 @@ def _r08() -> Identity:
         kind=FINITE,
         sides=sides_at(_r07(), lambda env: ParamEnv(z=env.get("z"), c=1 / env.get("z"))),
         constraint=rules(not_value("z", 0, "the reciprocal argument q/z is undefined")),
-        domain=all_nonzero("z"),
     )
 
 
 def _r09() -> Identity:
-    (_, lhs), (_, rhs) = _r07().sides  # R07 at its limit, on both sides
     return Identity(
         id="R09",
         title="Andrews' square-exponent sum identity",
@@ -415,10 +399,7 @@ def _r09() -> Identity:
         ),
         params=("z", "c"),
         kind=INFINITE,
-        sides=(
-            ("lhs", lambda env, N, one: lhs(env, limit_cutoff(one), one)),
-            ("rhs", lambda env, N, one: rhs(env, limit_cutoff(one), one)),
-        ),
+        sides=sides_at(_r07(), limit=True),
         domain=all_nonzero("z", "c"),
     )
 

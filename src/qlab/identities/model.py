@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from ..rational import format_rat
 from ..series import QSeries
@@ -135,16 +135,20 @@ class VerificationReport:
     mismatch_side: Optional[str] = None
     # timing differs between identical runs, so equality ignores it
     elapsed_ms: int = field(default=0, compare=False)
+    # the keys of to_json_dict, in order: also the TSV columns of qlab verify
+    FIELDS: ClassVar[Tuple[str, ...]] = (
+        "id", "env", "N", "T", "outcome", "first_mismatch_order", "lhs_coeff", "rhs_coeff", "elapsed_ms",
+    )
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.identity_id,
-            "env": self.env.as_strings(),
-            "N": self.n_value,
-            "T": self.order,
-            "outcome": "pass" if self.passed else "fail",
-            "first_mismatch_order": self.first_mismatch_order,
-            "lhs_coeff": None if self.lhs_coeff is None else format_rat(self.lhs_coeff),
-            "rhs_coeff": None if self.rhs_coeff is None else format_rat(self.rhs_coeff),
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return dict(zip(self.FIELDS, (
+            self.identity_id,
+            self.env.as_strings(),
+            self.n_value,
+            self.order,
+            "pass" if self.passed else "fail",
+            self.first_mismatch_order,
+            None if self.lhs_coeff is None else format_rat(self.lhs_coeff),
+            None if self.rhs_coeff is None else format_rat(self.rhs_coeff),
+            self.elapsed_ms,
+        )))

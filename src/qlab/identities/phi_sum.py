@@ -29,7 +29,6 @@ from .common import (
     all_nonzero,
     distinct,
     div_q_n,
-    domain_all,
     nested_q_power_sum,
     not_value,
     rules,
@@ -91,7 +90,7 @@ def _r20() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(not_value("d", 0, "the quotient argument c/d is undefined")),
-        domain=all_nonzero("c", "d"),
+        domain=all_nonzero("c"),
     )
 
 
@@ -114,7 +113,7 @@ def _r21() -> Identity:
         kind=FINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(not_value("d", 0, "the quotient argument c/d is undefined")),
-        domain=all_nonzero("c", "d"),
+        domain=all_nonzero("c"),
     )
 
 
@@ -156,7 +155,7 @@ def _r22() -> Identity:
             not_value("d", 0, "the quotient arguments c/d and cq/d are undefined"),
             distinct("c", "d", "the prefactor denominator (c - d) vanishes"),
         ),
-        domain=domain_all(all_nonzero("c", "d")),
+        domain=all_nonzero("c"),
     )
 
 

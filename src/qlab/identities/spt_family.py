@@ -43,7 +43,6 @@ from .common import (
     all_nonzero,
     distinct,
     div_q_n,
-    domain_all,
     largest_part_sum,
     limit_cutoff,
     nested_q_power_sum,
@@ -158,7 +157,6 @@ def _r23() -> Identity:
         kind=INFINITE,
         sides=(("lhs", lhs), ("rhs", rhs)),
         constraint=rules(not_value("d", 0, "the quotient argument q/d is undefined")),
-        domain=all_nonzero("d"),
     )
 
 
@@ -252,7 +250,6 @@ def _r26() -> Identity:
             not_value("d", 0, "the quotient argument -1/d is undefined"),
             not_value("d", -1, "the prefactor 1/(1+d) has a pole"),
         ),
-        domain=all_nonzero("d"),
     )
 
 
@@ -418,7 +415,7 @@ def _r32() -> Identity:
             not_value("d", 0, "the quotient arguments c/d and cq/d are undefined"),
             distinct("c", "d", "the prefactor denominator (c - d) vanishes"),
         ),
-        domain=domain_all(all_nonzero("c", "d")),
+        domain=all_nonzero("c"),
     )
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qlab.cli import main
+from qlab.cli import MAX_SIZE, main
 from qlab.identities import REGISTRY
 from qlab.identities.model import FINITE
 
@@ -151,6 +151,29 @@ def test_verify_n_max_below_one_is_usage_error(capsys, n_max):
     assert code == 2
     assert out == ""
     assert "--N-max" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [str(MAX_SIZE + 1), "99999999999999999999"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--order"), "--order"),
+        (("verify", "--id", "R03", "--N"), "--N"),
+        (("verify", "--N-max"), "--N-max"),
+        (("coeffs", "--id", "R45", "--d", "1/2", "--order"), "--order"),
+        (("coeffs", "--id", "R03", "--a", "1/2", "--b", "1/3", "--c", "1/5", "--N"), "--N"),
+        (("positivity", "--order"), "--order"),
+        (("positivity", "--N"), "--N-max"),
+        (("table", "--stat", "p", "--max-n"), "--max-n"),
+        (("table", "--stat", "p_restricted", "--max-n", "5", "--N"), "--N"),
+    ],
+)
+def test_size_above_the_bound_is_usage_error(capsys, argv, flag, size):
+    # rejected before anything is allocated or enumerated
+    code, out, err = run_cli(capsys, *argv, size)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be at most {MAX_SIZE}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("stat", ["rank_moment", "crank_moment"])

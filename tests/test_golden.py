@@ -59,6 +59,12 @@ step code of its own, before each became the finite sum at that cutoff.
 R24's sides (ENUMERATED, at T = 12 and T = 1) were recorded while each
 side still read a tuple of parts per partition of T and counted its ones
 and its last part above 1 in it, before the sweep read running profiles.
+
+The sums once written out twice (COPIED: both sides of R37 and R39 at
+N = 5, and R40's right side) were recorded while R39's two terminating
+sums and the 2-phi-1 of R40's right side still had step code of their
+own, before they became R37's terminating sum at r = 2 and the 2-phi-1
+of R40's left side.
 """
 
 import pytest
@@ -1330,5 +1336,177 @@ ENUMERATED = [
 
 @pytest.mark.parametrize("argv, expected", ENUMERATED, ids=[f"{a[2]}-{a[4]}-T{a[6]}" for a, _ in ENUMERATED])
 def test_enumerated_sides_are_byte_identical(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+COPIED = [
+    (
+        "coeffs --id R37 --side lhs --order 12 --a 1/2 --b=-7/3 --c 2/5 --d 3/7 --z=-5/4 --N 5".split(),
+        """\
+{
+  "id": "R37",
+  "side": "lhs",
+  "env": {
+    "a": "1/2",
+    "b": "-7/3",
+    "c": "2/5",
+    "d": "3/7",
+    "z": "-5/4"
+  },
+  "N": 5,
+  "T": 12,
+  "coeffs": [
+    "-146/29",
+    "-233575/22736",
+    "-1271975/139258",
+    "-40191288325/873426176",
+    "-526319491025/21398941312",
+    "-2986928727821625/33553539977216",
+    "-151573188247583625/1644123458883584",
+    "-232694136808216972125/1288992791764729856",
+    "-1491147878499367278375/15790161699117940736",
+    "-14396272146409230311342625/49517947088433862148096",
+    "-857075150863619858229366375/2426379407333259245256704",
+    "-708027770255626932976367965125/1902281455349275248281255936",
+    "-19868568378554680184724764734125/46605895656057243582890770432"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R37 --side rhs --order 12 --a 1/2 --b=-7/3 --c 2/5 --d 3/7 --z=-5/4 --N 5".split(),
+        """\
+{
+  "id": "R37",
+  "side": "rhs",
+  "env": {
+    "a": "1/2",
+    "b": "-7/3",
+    "c": "2/5",
+    "d": "3/7",
+    "z": "-5/4"
+  },
+  "N": 5,
+  "T": 12,
+  "coeffs": [
+    "-146/29",
+    "-233575/22736",
+    "-1271975/139258",
+    "-40191288325/873426176",
+    "-526319491025/21398941312",
+    "-2986928727821625/33553539977216",
+    "-151573188247583625/1644123458883584",
+    "-232694136808216972125/1288992791764729856",
+    "-1491147878499367278375/15790161699117940736",
+    "-14396272146409230311342625/49517947088433862148096",
+    "-857075150863619858229366375/2426379407333259245256704",
+    "-708027770255626932976367965125/1902281455349275248281255936",
+    "-19868568378554680184724764734125/46605895656057243582890770432"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R39 --side lhs --order 12 --a 1/2 --b=-7/3 --c 2/5 --d 3/7 --N 5".split(),
+        """\
+{
+  "id": "R39",
+  "side": "lhs",
+  "env": {
+    "a": "1/2",
+    "b": "-7/3",
+    "c": "2/5",
+    "d": "3/7"
+  },
+  "N": 5,
+  "T": 12,
+  "coeffs": [
+    "37/12",
+    "685/168",
+    "6563/1176",
+    "834289/82320",
+    "38188571/2881200",
+    "396070061/25210500",
+    "131405921957/7058940000",
+    "5306698068023/247062900000",
+    "178364937466697/8647201500000",
+    "2165057116272711/100884017500000",
+    "457472390973260849/21185643675000000",
+    "1715530267249038517/92687191078125000",
+    "215595145925671422577/12976206750937500000"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R39 --side rhs --order 12 --a 1/2 --b=-7/3 --c 2/5 --d 3/7 --N 5".split(),
+        """\
+{
+  "id": "R39",
+  "side": "rhs",
+  "env": {
+    "a": "1/2",
+    "b": "-7/3",
+    "c": "2/5",
+    "d": "3/7"
+  },
+  "N": 5,
+  "T": 12,
+  "coeffs": [
+    "37/12",
+    "685/168",
+    "6563/1176",
+    "834289/82320",
+    "38188571/2881200",
+    "396070061/25210500",
+    "131405921957/7058940000",
+    "5306698068023/247062900000",
+    "178364937466697/8647201500000",
+    "2165057116272711/100884017500000",
+    "457472390973260849/21185643675000000",
+    "1715530267249038517/92687191078125000",
+    "215595145925671422577/12976206750937500000"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R40 --side rhs --order 12 --a 1/2 --b=-2/3 --c 2/5 --d 3/7".split(),
+        """\
+{
+  "id": "R40",
+  "side": "rhs",
+  "env": {
+    "a": "1/2",
+    "b": "-2/3",
+    "c": "2/5",
+    "d": "3/7"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "49/24",
+    "145/112",
+    "2119/1176",
+    "384439/164640",
+    "1459483/480200",
+    "253049673/67228000",
+    "68399647657/14117880000",
+    "726042976487/123531450000",
+    "42119727170049/5764801000000",
+    "1343289444837077/151326026250000",
+    "457072436185136999/42371287350000000",
+    "4779067225114956059/370748764312500000",
+    "808706580634647836179/51904827003750000000"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", COPIED, ids=[f"{a[2]}-{a[4]}" for a, _ in COPIED])
+def test_sums_once_copied_are_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected

@@ -20,7 +20,7 @@ from qlab.identities import (
     sample_env,
     verify,
 )
-from qlab.identities.common import lambert_bracket
+from qlab.identities.common import lambert_bracket, restated
 from qlab.identities.model import FINITE
 from qlab.identities.phi_sum import phi_block
 from qlab.identities.spt_family import _square_sum
@@ -248,6 +248,25 @@ def test_r19_lhs_at_order_zero_is_the_constant_term():
     a = Fraction(-6, 7)
     side = build_side(get_identity("R19"), "lhs", ParamEnv(a=a), None, 0)
     assert side.coeffs == (a / (1 - a) ** 2,)
+
+
+@pytest.mark.parametrize("limit", [False, True])
+def test_restated_calls_its_builder_at_the_fixed_env_and_cutoff(limit):
+    calls = []
+
+    def spy(env, N, one):
+        calls.append((env, N, one))
+        return one
+
+    def fix(env):
+        return ParamEnv(a=env.get("a") + 1)
+
+    one = QSeries.one(7)
+    assert restated(spy, fix, limit=limit)(ParamEnv(a=Fraction(1, 2)), 3, one) is one
+    assert calls == [(ParamEnv(a=Fraction(3, 2)), 8 if limit else 3, one)]
+    calls.clear()
+    restated(spy, limit=limit)(ParamEnv(b=Fraction(2)), None, one)  # no fix: env as given
+    assert calls == [(ParamEnv(b=Fraction(2)), 8 if limit else None, one)]
 
 
 def _geometric_fraction(x, m, T):
