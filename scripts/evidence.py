@@ -13,18 +13,21 @@ Prints three results:
   identity at T = 6 and N = 1, 2, 3 over the full product of
   {0, 1, -1, 1/2, 2, -7/3} per parameter, each built through ``build_side``;
   a side that raises is hashed as its exception's type and message.
-- ``peaks``: tracemalloc's peak above the import, after one warm run, for
-  the seed-0 suite, the deep-T80 set, ``rank_bivariate(6, QSeries.one(80))``
-  and ``crank_rank_extraction_check(8, 96)``; each as it stands, and after
-  a ``gc.collect()``, which empties the interpreter's free lists (tuples
-  held there count as traced memory).  Peaks are reported, not checked.
+- ``peaks``: tracemalloc's peak above the import, in bytes, after one warm
+  run, for the seed-0 suite, the deep-T80 set,
+  ``rank_bivariate(6, QSeries.one(80))`` and
+  ``crank_rank_extraction_check(8, 96)``; each as it stands, and after a
+  ``gc.collect()``, which empties the interpreter's free lists (tuples
+  held there count as traced memory).  Each peak is the least of three
+  traced runs, as one run reads some tens of bytes apart from the next.
+  Peaks are reported, not checked.
 
 Exits 1 when ``sides`` or ``grid`` differs from SIDES or GRID below.  With
 --record it checks nothing and writes the hashes it found into SIDES and
 GRID, for a change that means to move them.  It runs under
 PYTHONHASHSEED=0, starting itself again if needed, so set iteration order
-and with it the peaks repeat.  Standard library only; about 50 s on 2 vCPUs,
-most of it the traced runs of the peaks.
+and with it the peaks repeat.  Standard library only; about 2 to 3 min on
+2 vCPUs, most of it the 24 traced runs of the peaks.
 
     python3 scripts/evidence.py
     python3 scripts/evidence.py --record
@@ -117,6 +120,7 @@ def grid_hash() -> tuple:
     return digest.hexdigest(), count
 
 
+PEAK_REPEATS = 3
 PEAK_RUNS = {
     "seed-0 suite": harness.run_suite,
     "deep-T80 set": deep_t80,
@@ -125,16 +129,20 @@ PEAK_RUNS = {
 }
 
 
-def peak_kb(run, collect: bool) -> float:
-    """tracemalloc's peak, in KB, over one run, started after the import."""
-    if collect:
-        gc.collect()
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1] / 1024
-    finally:
-        tracemalloc.stop()
+def peak_bytes(run, collect: bool) -> int:
+    """tracemalloc's peak, in bytes, as the least of PEAK_REPEATS runs, each
+    traced from its own start after the import."""
+    peaks = []
+    for _ in range(PEAK_REPEATS):
+        if collect:
+            gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
 
 
 def record(sides: str, grid: str) -> None:
@@ -159,8 +167,8 @@ def main(argv=None) -> int:
         print(f"{name}  {found}  {count} sides  {verdict}", flush=True)
     for name, run in PEAK_RUNS.items():
         run()  # warm: caches filled, free lists stocked
-        warm, collected = peak_kb(run, False), peak_kb(run, True)
-        print(f"peak  {name}: {warm:.1f} KB warm, {collected:.1f} KB after gc.collect()", flush=True)
+        warm, collected = peak_bytes(run, False), peak_bytes(run, True)
+        print(f"peak  {name}: {warm} B warm, {collected} B after gc.collect()", flush=True)
     print(f"evidence: {time.perf_counter() - started:.1f} s")
     if args.record:
         record(sides, grid)

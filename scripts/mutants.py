@@ -37,9 +37,12 @@ PHI = "src/qlab/identities/phi_sum.py"
 COMMON, SPT = "src/qlab/identities/common.py", "src/qlab/identities/spt_family.py"
 PARTITIONS, HARNESS = "src/qlab/partitions.py", "src/qlab/identities/harness.py"
 CLASSICAL = "src/qlab/identities/classical.py"
-# the goldens first: in about 2 s they kill every entry but the two Laurent
-# ones that the extraction's output cannot show, which test_laurent.py kills next,
-# and the distinct-part refill and the environment draw, which no golden reaches
+MOMENTS = "src/qlab/identities/moments.py"
+# the goldens first: in about 2 s they kill every entry but five Laurent ones
+# that no golden's output shows (the fractional z-division, positive_z_part,
+# div_binomial's bound, the rank's Horner cap at n^2 = T and div_z_pair's
+# symmetry check), which test_laurent.py kills next, and the distinct-part
+# refill and the environment draw, which no golden reaches
 SELECTION = ["tests/test_golden.py", "tests/test_laurent.py", "tests/test_series.py",
              "tests/test_reference_series.py", "tests/test_partitions.py"]
 
@@ -62,9 +65,10 @@ MUTANTS = [
     (LAURENT, "qk = q ** (order // qexp)", "qk = q ** (order // qexp - 1)",
      "a fractional z-division scales by q^(T//e - 1), so its floor division at j = T//e is inexact"),
     (LAURENT, "lo, w = t + 2, _row_width(t)", "lo, w = t + 1, _row_width(t)",
-     "positive_z_part keeps the z^0 column, which z d/dz then zeroes in the extraction"),
+     "positive_z_part keeps the z^0 column"),
     (LAURENT, "if abs(zexp) > qexp:", "if abs(zexp) >= qexp:",
-     "div_binomial rejects |s| = e, the crank's and the rank's (1 - zq^n) at n = 1"),
+     "div_binomial rejects |s| = e, as (1 - zq); the crank and rank no longer divide by it, "
+     "but test_division_at_the_aliasing_edge does"),
     (SERIES, "hi - lo + 1", "hi - lo",
      "a window sum one factor short: a run (1 - c q^lo)..(1 - c q^hi) loses its last factor"),
     (SERIES, "scale = lcm(scale, q)", "scale = q",
@@ -114,6 +118,15 @@ MUTANTS = [
      "the terminating sum's inverted column reads (x q^(N-n+1))_n for (x q^(N-n))_n, in R37 and R39 alike"),
     (CLASSICAL, "return ((alpha, n - 1), (beta, n - 1))", "return ((alpha, n), (beta, n - 1))",
      "the 2-phi-1 reads (alpha)_n's last factor at q^n for q^(n-1), in R40's and R41's sides alike"),
+    (LAURENT, "b[i - m : i] = row[:0:-1]", "b[i - m : i] = row[::-1]",
+     "the z-pair mirror copies column 0 too, one column off, and lengthens the flat row"),
+    (LAURENT, "r = p - ew\n", "r = p - ew + w\n",
+     "the z-pair division reads its q^(2e) term from row m - 2e + 1"),
+    (MOMENTS, "if n * n > T:", "if n * n >= T:",
+     "the rank's Horner form drops its level n at n^2 = T, and with it the q^T term"),
+    (LAURENT, "        if any(a[i + 1 : i + n + 1] != a[i - 1 : i - n - 1 : -1] for n, i in enumerate(zs)):\n"
+     "            raise ValueError(\"div_z_pair needs a series symmetric under z <-> 1/z\")\n", "",
+     "div_z_pair divides an asymmetric series as if its columns k < 0 mirrored k > 0"),
 ]
 
 

@@ -41,7 +41,8 @@ _NEGATIVE_LITERAL = re.compile(r"-\d")
 # benchmark use (T <= 100, N <= 32); a far larger size fails to allocate or
 # does not finish, and must exit 2 like any other bad input
 MAX_SIZE = 1000
-_SIZE_FLAGS = (("order", "--order"), ("n_value", "--N"), ("n_max", "--N-max"), ("max_n", "--max-n"))
+_SIZE_FLAGS = (("order", "--order"), ("n_value", "--N"), ("n_max", "--N-max"), ("max_n", "--max-n"),
+               ("j", "--j"))
 
 
 class UsageError(Exception):

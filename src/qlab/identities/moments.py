@@ -8,6 +8,12 @@ generating function of its first positive-k moment; R33 and R34 check
 those pipelines against the closed-form single sums, and R35 holds the
 difference whose coefficients are scanned (not asserted) for
 non-negativity.
+
+Both functions divide by pairs (1 - zq^n)(1 - q^n/z), one div_z_pair call
+each.  The rank sum is in Horner form, S <- 1 + r_n S from n = top down to
+1, r_n = q^{2n-1} (1 - q^{N-n+1}) / ((1 - zq^n)(1 - q^n/z)), so no sum of
+full-width terms is formed; r_1...r_n carries q^{n^2}, so top is the
+largest n <= N with n^2 <= T.
 """
 
 from __future__ import annotations
@@ -19,28 +25,22 @@ from .model import FINITE, Identity
 
 
 def crank_bivariate(N: int, one: QSeries) -> LaurentZQSeries:
-    """(q)_N / ((zq)_N (q/z)_N) as a Laurent-in-z series."""
+    """(q)_N / ((zq)_N (q/z)_N) as a Laurent-in-z series: one z-pair division per k."""
     f = LaurentZQSeries.from_q_series(poch_ratio(one, up=((1, 1, N),)))
     for k in range(1, min(N, one.order) + 1):
-        f = f.div_binomial(1, 1, k).div_binomial(1, -1, k)
+        f = f.div_z_pair(k)
     return f
 
 
 def rank_bivariate(N: int, one: QSeries) -> LaurentZQSeries:
-    """sum_{n=0}^{N} [N,n] (q)_n q^{n^2} / ((zq)_n (q/z)_n)."""
-
-    def step(t, n):  # [N,n]/[N,n-1] (1-q^n) = 1-q^{N-n+1}, then q^{2n-1}/((1-zq^n)(1-q^n/z))
-        t = t.apply_ratio(1, 2 * n - 1, ((1, N - n + 1),))
-        return t.div_binomial(1, 1, n).div_binomial(1, -1, n)
-
-    return term_sum(LaurentZQSeries.from_q_series(one), step, stop=N)
-
-
-def first_moment_extraction(f: LaurentZQSeries) -> QSeries:
-    """Positive z-part, z d/dz, z = 1: the sum_k k * (z^k count) series.  The
-    first two act column by column (keep z^k for k > 0, scale z^k by k), so
-    they commute, and in this order z d/dz scales only the kept half."""
-    return f.positive_z_part().z_derivative().set_z_one()
+    """sum_{n=0}^{N} [N,n] (q)_n q^{n^2} / ((zq)_n (q/z)_n), in the Horner form
+    of the module docstring."""
+    s, T = LaurentZQSeries.from_q_series(one), one.order
+    for n in range(N, 0, -1):
+        if n * n > T:  # r_1...r_n carries q^{n^2}, so 1 + r_n S is 1 to order T
+            continue
+        s = s.div_z_pair(n, 2 * n - 1, N - n + 1, constant=1)
+    return s
 
 
 def _moment_sum(N: int, one: QSeries, exp_step, weight=None) -> QSeries:
@@ -102,7 +102,7 @@ def rank_moment_infinite(order: int) -> QSeries:
 
 def _r33() -> Identity:
     def lhs(env, N, one):
-        return first_moment_extraction(crank_bivariate(N, one))
+        return crank_bivariate(N, one).positive_moment()
 
     def rhs(env, N, one):
         return crank_moment_finite(N, one)
@@ -122,7 +122,7 @@ def _r33() -> Identity:
 
 def _r34() -> Identity:
     def lhs(env, N, one):
-        return first_moment_extraction(rank_bivariate(N, one))
+        return rank_bivariate(N, one).positive_moment()
 
     def rhs(env, N, one):
         return rank_moment_finite(N, one)

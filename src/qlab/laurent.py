@@ -3,8 +3,9 @@
 Used for the bivariate finite rank and crank generating functions: every
 z or 1/z in them rides on at least one power of q, so the coefficient of
 z^k q^n vanishes whenever |k| > n.  Every series here keeps that bound:
-the constructor rejects a column z^k with a nonzero term below q^|k|, and
-div_binomial a factor (1 - c z^s q^e) with |s| > e.
+the constructor rejects a column z^k with a nonzero term below q^|k|,
+div_binomial a factor (1 - c z^s q^e) with |s| > e, and div_z_pair a pair
+with e < 1.
 
 Layout.  A series of truncation order T is one flat QSeries of (T + 1)*W
 entries, W = 2T + 2: the coefficient of z^k q^n sits at index
@@ -31,6 +32,20 @@ p*(b[m - E] // q) with K = T//e, over den * q^K.  Unrolled, b[m] =
 sum_j p^j q^(K-j) a[m - jE], and a term with a[m - jE] != 0 and
 m < (T + 1)W has je <= T, so j <= K; for m - E the terms have j + 1 <= K,
 so b[m - E] is divisible by q and the floor division is exact.
+
+The z-pair.  The crank and rank functions are symmetric under z <-> 1/z
+(Andrews-Garvan 1988), and so is (1 - z q^e)(1 - q^e/z) = 1 - (z + 1/z)
+q^e + q^(2e).  div_z_pair solves B[m][k] = A'[m][k] + B[m-e][k-1] +
+B[m-e][k+1] - B[m-2e][k], A' = A q^shift (1 - q^up), row by row over the
+columns k = 0..m only, then mirrors columns 1..m onto -1..-m by a
+reversed slice (k = 0 reads column -1 of row m - e, mirrored before).
+It needs A symmetric, checked by one slice compare per row.  Nothing
+aliases: row m writes only |k| <= m and reads columns 0..m <= T of the
+input's rows m - shift and m - shift - up and of row m - 2e, inside
+those rows, and columns -1..m + 1 of row m - e.  Column m + 1 leaves that
+row only at m = T, as index (m - e + 1)W: column -(T + 1) of row
+m - e + 1 <= T, which nothing writes.  A read column |k| > n of a row n
+is zero, as the quotient is there.
 """
 
 from __future__ import annotations
@@ -38,8 +53,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, cycle
 from math import lcm
-from operator import add, mul
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from operator import add, mul, sub
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .series import QSeries, _reduced
 
@@ -86,13 +101,6 @@ class LaurentZQSeries:
     @classmethod
     def zero(cls, order: int) -> "LaurentZQSeries":
         return cls({}, order)
-
-    @classmethod
-    def sum_of(cls, terms: Iterable["LaurentZQSeries"], order: int) -> "LaurentZQSeries":
-        """The terms' sum, each truncated to order: one QSeries.sum_of over
-        the flat series."""
-        flats = (t._flat_at(order) for t in terms)
-        return _make(QSeries.sum_of(flats, (order + 1) * _row_width(order) - 1), order)
 
     @classmethod
     def from_q_series(cls, s: QSeries) -> "LaurentZQSeries":
@@ -167,6 +175,41 @@ class LaurentZQSeries:
             a[b : b + jump] = map(add, a[b : b + jump], prev)
         return _make(_reduced(a, den), order)
 
+    def div_z_pair(self, e: int, shift: int = 0, up: Optional[int] = None,
+                   constant: Scalar = 0) -> "LaurentZQSeries":
+        """constant + self q^shift (1 - q^up) / ((1 - z q^e)(1 - q^e/z)), e >= 1,
+        one row pass over the columns k >= 0 of a self symmetric under
+        z <-> 1/z (ValueError otherwise); see the module docstring."""
+        # a list: slices of a tuple would stock the tuple free lists
+        t, a, den = self._order, list(self._flat._nums), self._flat._den
+        w = _row_width(t)
+        zs = range(t + 1, len(a), w)  # the index of z^0 q^n, n = 0..T
+        if e < 1 or shift < 0 or (up or 0) < 0:
+            raise ValueError(f"div_z_pair needs e >= 1, shift >= 0 and up >= 0, not {e}, {shift}, {up}")
+        if any(a[i + 1 : i + n + 1] != a[i - 1 : i - n - 1 : -1] for n, i in enumerate(zs)):
+            raise ValueError("div_z_pair needs a series symmetric under z <-> 1/z")
+        b, ew = [0] * len(a), e * w
+        for m in range(shift, t + 1):
+            i = zs[m]
+            j = i - shift * w
+            row = a[j : j + m + 1]
+            if up is not None and m - shift >= up:
+                row = map(sub, row, a[j - up * w : j - up * w + m + 1])
+            if m >= e:
+                p = i - ew
+                row = map(add, row, map(add, b[p - 1 : p + m], b[p + 1 : p + m + 2]))
+                if m >= 2 * e:
+                    r = p - ew
+                    row = map(sub, row, b[r : r + m + 1])
+            row = list(row)
+            b[i : i + m + 1] = row
+            b[i - m : i] = row[:0:-1]
+        p, q = constant.numerator, constant.denominator
+        if q != 1:
+            b = [q * x for x in b]
+        b[t + 1] += p * den
+        return _make(_reduced(b, den * q), t)
+
     # -- extraction transforms ------------------------------------------
 
     def z_derivative(self) -> "LaurentZQSeries":
@@ -181,6 +224,14 @@ class LaurentZQSeries:
         lo, w = t + 2, _row_width(t)  # z^1 sits at column t + 2
         rows = ((0,) * lo + a[i + lo : i + w] for i in range(0, len(a), w))
         return _make(_reduced(tuple(chain.from_iterable(rows)), self._flat._den), t)
+
+    def positive_moment(self) -> QSeries:
+        """sum_{k>=1} k a_{n,k} per q^n: positive_z_part, z_derivative and
+        set_z_one in one pass, the first positive moment of a rank or crank."""
+        t, a = self._order, list(self._flat._nums)  # see div_z_pair
+        rows = enumerate(range(t + 1, len(a), _row_width(t)))
+        return _reduced([sum(map(mul, a[i + 1 : i + n + 1], range(1, n + 1))) for n, i in rows],
+                        self._flat._den)
 
     def set_z_one(self) -> QSeries:
         a, w = self._flat._nums, _row_width(self._order)

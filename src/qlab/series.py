@@ -569,7 +569,7 @@ def q_binomial(N: int, n: int, order: int) -> QSeries:
 # -- term-ratio summation -----------------------------------------------------
 
 
-S = TypeVar("S")  # QSeries, a type with its methods, or LaurentZQSeries
+S = TypeVar("S")  # QSeries, or a type with its methods
 
 
 def term_sum(
@@ -581,9 +581,9 @@ def term_sum(
 ) -> S:
     """sum_{n >= start} weight(t_n, n), where t_start = first and
     t_n = step(t_{n-1}, n); without a weight the terms t_n are summed.
-    The terms are QSeries, or LaurentZQSeries for a sum in q and z: any
-    series type with ``order``, ``is_zero`` and ``sum_of(terms, order)``,
-    which sums the terms this loop produces.
+    The terms are QSeries, or of any series type with ``order``,
+    ``is_zero`` and ``sum_of(terms, order)``, which sums the terms this
+    loop produces.
 
     A basic hypergeometric sum has this shape: each term is the previous
     one times a scalar, a power of q and a few factors (1 - c q^e)
@@ -606,7 +606,7 @@ def term_sum(
     t_n that is zero to the truncation order T.  The second rule is exact
     because every later term is a power-series multiple of t_n, provided that
     step divides only by factors with a nonzero constant term: (1 - c q^e)
-    or (1 - c z^s q^e) with e >= 1, or (1 - c) with c != 1.  A step that
+    with e >= 1, or (1 - c) with c != 1.  A step that
     would divide by a factor with zero constant term keeps that factor in
     weight instead.
 

@@ -7,7 +7,8 @@ factorial polynomials evaluated through Fraction arithmetic.  The
 ``ref_*`` functions are naive per-coefficient Fraction versions of the
 QSeries kernels, and the ``ref_laurent_*`` ones of the LaurentZQSeries
 kernels on per-q-row dicts, with the same truncation and edge-case
-conventions; ``RefSeries`` folds the former into a series type that the
+conventions, which also build the bivariate crank and rank functions
+factor by factor and term by term; ``RefSeries`` folds the former into a series type that the
 side builders run on.  The ``ref_*`` nested sums at the end rebuild each inner
 sum from 1 for every outer index and multiply it in by a full product:
 the form that the builders, whose inner sums start from the outer term
@@ -306,6 +307,32 @@ def ref_laurent_positive_z_part(a: List[dict]) -> List[dict]:
 
 def ref_laurent_set_z_one(a: List[dict]) -> List[Fraction]:
     return [sum(r.values(), Fraction(0)) for r in a]
+
+
+def ref_crank_bivariate(N: int, T: int) -> List[dict]:
+    """(q)_N / ((zq)_N (q/z)_N) to order T, one binomial at a time."""
+    rows = [{0: Fraction(1)}] + [{} for _ in range(T)]
+    for k in range(1, N + 1):
+        rows = ref_laurent_mul_binomial(rows, Fraction(1), 0, k)
+    for k in range(1, N + 1):
+        rows = ref_laurent_div_binomial(rows, Fraction(1), 1, k)
+        rows = ref_laurent_div_binomial(rows, Fraction(1), -1, k)
+    return rows
+
+
+def ref_rank_bivariate(N: int, T: int) -> List[dict]:
+    """sum_{n=0}^{N} [N,n] (q)_n q^{n^2} / ((zq)_n (q/z)_n) to order T, each
+    term rebuilt as q^{n^2} (1 - q^{N-n+1})...(1 - q^N) over its 2n binomials."""
+    total = [{} for _ in range(T + 1)]
+    for n in range(N + 1):
+        term = [{0: Fraction(1)} if m == n * n else {} for m in range(T + 1)]
+        for j in range(N - n + 1, N + 1):
+            term = ref_laurent_mul_binomial(term, Fraction(1), 0, j)
+        for k in range(1, n + 1):
+            term = ref_laurent_div_binomial(term, Fraction(1), 1, k)
+            term = ref_laurent_div_binomial(term, Fraction(1), -1, k)
+        total = ref_laurent_add(total, term)
+    return total
 
 
 # -- nested sums in rebuild-and-multiply form --------------------------------

@@ -176,6 +176,16 @@ def test_size_above_the_bound_is_usage_error(capsys, argv, flag, size):
     assert f"{flag} must be at most {MAX_SIZE}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("size", [str(MAX_SIZE + 1), "99999999999999999999"])
+@pytest.mark.parametrize("stat", ["rank_moment", "crank_moment"])
+def test_moment_order_above_the_bound_is_usage_error(capsys, stat, size):
+    # a moment order this large would raise every rank or crank to it, for ever
+    code, out, err = run_cli(capsys, "table", "--stat", stat, "--j", size, "--max-n", "5")
+    assert code == 2
+    assert out == ""
+    assert f"--j must be at most {MAX_SIZE}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("stat", ["rank_moment", "crank_moment"])
 def test_table_negative_moment_order_is_usage_error(capsys, stat):
     code, out, err = run_cli(capsys, "table", "--stat", stat, "--j", "-1")

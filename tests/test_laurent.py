@@ -10,12 +10,14 @@ from qlab.series import QSeries, ZeroConstantTermError, poch
 from qlab.identities.moments import crank_bivariate, rank_bivariate
 
 from _oracles import (
+    ref_crank_bivariate,
     ref_laurent_add,
     ref_laurent_div_binomial,
     ref_laurent_mul_binomial,
     ref_laurent_positive_z_part,
     ref_laurent_set_z_one,
     ref_laurent_z_derivative,
+    ref_rank_bivariate,
 )
 
 
@@ -227,17 +229,61 @@ def test_linear_kernels_match_reference(case, k):
     assert as_rows(f.z_derivative()) == ref_laurent_z_derivative(rows)
     assert as_rows(f.positive_z_part()) == ref_laurent_positive_z_part(rows)
     assert list(f.set_z_one().coeffs) == ref_laurent_set_z_one(rows)
+    moment = ref_laurent_set_z_one(ref_laurent_z_derivative(ref_laurent_positive_z_part(rows)))
+    assert list(f.positive_moment().coeffs) == moment
     assert as_rows(f.apply_ratio(1, k)) == ([{}] * k + rows)[: len(rows)]
     assert f.is_zero() == (not any(rows))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(laurent_columns(), min_size=1, max_size=4))
-def test_sum_of_truncates_each_term_to_the_order(cases):
-    order = min(case[0] for case in cases)
-    expected = [{} for _ in range(order + 1)]
-    for case in cases:
-        expected = ref_laurent_add(expected, to_rows(case))
-    assert as_rows(LaurentZQSeries.sum_of(map(to_laurent, cases), order)) == expected
-    with pytest.raises(ValueError):  # a term has no coefficients past its own order
-        LaurentZQSeries.sum_of(map(to_laurent, cases), order + 1)
+# -- the z-pair division, and the crank and rank built on it --------------------
+
+
+def symmetric(case):
+    """case with each column z^-k replaced by its column z^k."""
+    order, cols = case
+    return order, {**{k: col for k, col in cols.items() if k >= 0},
+                   **{-k: col for k, col in cols.items() if k > 0}}
+
+
+# orders reach 8, so e, shift and up also run past T
+@settings(max_examples=150, deadline=None)
+@given(laurent_columns().map(symmetric), st.integers(1, 10), st.integers(0, 9),
+       st.none() | st.integers(1, 9), scalars)
+@example(symmetric(GAP), 1, 0, None, 0)  # the carry across the gap between z^-2 and z^2
+@example(symmetric(GAP), 2, 3, 1, Fraction(-1, 3))
+def test_pair_division_matches_two_binomial_divisions(case, e, shift, up, constant):
+    order = case[0]
+    f = to_laurent(case)
+    expected = f.apply_ratio(1, shift, () if up is None else ((1, up),))
+    expected = expected.div_binomial(1, 1, e).div_binomial(1, -1, e)
+    expected += LaurentZQSeries.from_q_series(QSeries.monomial(constant, 0, order))
+    assert as_rows(f.div_z_pair(e, shift, up, constant)) == as_rows(expected)
+
+
+def test_pair_division_at_the_aliasing_edge():
+    # at T = 5 and e = 1 row 5 reads row 4's columns up to k = 6, and that
+    # last read is one entry past row 4: column -6 of row 5, which stays zero
+    rows = [{0: Fraction(1)}] + [{}] * 5
+    for _ in range(2):
+        rows = ref_laurent_div_binomial(rows, Fraction(1), 1, 1)
+        rows = ref_laurent_div_binomial(rows, Fraction(1), -1, 1)
+    f = LaurentZQSeries.from_q_series(QSeries.one(5)).div_z_pair(1)
+    assert as_rows(f.div_z_pair(1)) == rows and rows[5][5] == rows[5][-5] == 6
+
+
+@pytest.mark.parametrize("columns, args", [({1: qs(0, 1, 0)}, (1,)), ({2: qs(0, 0, 1), -2: qs(0, 0, 2)}, (1,)),
+                                           ({0: qs(1, 0, 0)}, (0,)), ({0: qs(1, 0, 0)}, (1, -1)),
+                                           ({0: qs(1, 0, 0)}, (1, 0, -1))])
+def test_pair_division_needs_a_symmetric_series_and_a_power_series_ratio(columns, args):
+    with pytest.raises(ValueError):
+        LaurentZQSeries(columns, 2).div_z_pair(*args)
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_crank_and_rank_match_the_term_by_term_reference(order):
+    # the rank's levels stop at n^2 <= T, so the perfect squares T = 1, 4, 9
+    # are where one level too few shows
+    one = QSeries.one(order)
+    for n_top in range(1, order + 2):
+        assert as_rows(crank_bivariate(n_top, one)) == ref_crank_bivariate(n_top, order)
+        assert as_rows(rank_bivariate(n_top, one)) == ref_rank_bivariate(n_top, order)
