@@ -12,7 +12,8 @@ import argparse
 import json
 import re
 import sys
-from typing import Dict, List, Optional, Sequence
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .identities import (
     DEFAULT_N_MAX,
@@ -104,7 +105,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args: argparse.Namespace, json_obj, tsv_rows: List[Sequence]) -> None:
+def _emit(args: argparse.Namespace, json_obj, tsv_rows: Iterable[Sequence]) -> None:
     if args.fmt == "json":
         text = json.dumps(json_obj, indent=2) + "\n"
     else:
@@ -148,11 +149,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except SampleExhaustionError as err:
         raise UsageError(str(err)) from None
     dicts = [r.to_json_dict() for r in reports]
-    rows: List[Sequence] = [VerificationReport.FIELDS]
-    rows.extend(
+    rows = chain([VerificationReport.FIELDS], (  # tsv only
         [_env_as_tsv(d["env"]) if key == "env" else d[key] for key in VerificationReport.FIELDS]
         for d in dicts
-    )
+    ))
     _emit(args, dicts, rows)
     return 0 if all(r.passed for r in reports) else 1
 

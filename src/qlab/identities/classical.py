@@ -25,6 +25,7 @@ R40's right side is that 2-phi-1 at (gamma/beta, z; alpha z; beta).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from ..series import QMonomial, phi_series, poch_ratio, term_sum
 from .common import (
@@ -51,12 +52,12 @@ def _terminating_sum(uppers, lowers, x, N: int, one):
     with its (q^{-N})_n / (q^{1-N}/x)_n inverted.  R37's Sears sums take
     r = 3, R39's finite-Heine sums r = 2."""
 
-    def step(t, n):
+    def ratio(n):
         up = [(u, n - 1) for u in uppers] + [(1, N - n + 1)]
         down = [(v, n - 1) for v in lowers] + [(1, n), (x, N - n)]
-        return t.apply_ratio(x, 0, up, down)
+        return (x, 0, up, down) if n else (1, 0, (), ())
 
-    return term_sum(one, step, stop=N)
+    return term_sum(one, ratio, 0, N)
 
 
 def _r37() -> Identity:
@@ -106,18 +107,18 @@ def _r38() -> Identity:
     def lhs(env, N, one):
         w, x = env.get("a"), env.get("b")
 
-        def step(t, n):  # w^n prod_{k=0}^{n-1} (x q^N - q^k)
+        def step(t, n):  # w^n prod_{k=0}^{n-1} (x q^N - q^k), by full products
             return (t * (one.apply_ratio(x, N) - one.shift(n - 1))).scale(w)
 
-        return term_sum(one, step, stop=N)
+        return type(one).sum_of(accumulate(range(1, N + 1), step, initial=one), one.order)
 
     def rhs(env, N, one):
         w, x = env.get("a"), env.get("b")
 
-        def step(t, n):  # (-w)^n q^{n(n-1)/2} (x q^{N-n+1})_n
-            return t.apply_ratio(-w, n - 1, ((x, N - n + 1),))
+        def ratio(n):  # (-w)^n q^{n(n-1)/2} (x q^{N-n+1})_n
+            return (-w, n - 1, ((x, N - n + 1),), ()) if n else (1, 0, (), ())
 
-        return term_sum(one, step, stop=N)
+        return term_sum(one, ratio, 0, N)
 
     return Identity(
         id="R38",
@@ -181,9 +182,9 @@ def _two_phi_one(alpha, beta, gamma, z, one):
     2e <= T in closed form, a series in z."""
 
     def ratio(n):  # (alpha)_n (beta)_n z^n / ((gamma)_n (q)_n)
-        return ((alpha, n - 1), (beta, n - 1)), ((gamma, n - 1), (1, n))
+        return (z, 0, ((alpha, n - 1), (beta, n - 1)), ((gamma, n - 1), (1, n))) if n else (1, 0, (), ())
 
-    return tail_sum(one, z, ratio)
+    return tail_sum(one, ratio)
 
 
 def _two_phi_one_side(env, N, one):  # 2phi1(a, b; c; d), the left side of R40 and R41
@@ -269,16 +270,16 @@ def _r43() -> Identity:
     def lhs(env, N, one):
         x = env.get("a")
         harmonic = q_power_sum(one, N, div_q_n)
-        return harmonic - q_power_sum(one, N - 1, lambda t, k: t.apply_ratio(x, down=((x, k),)))
+        return harmonic - q_power_sum(one, N - 1, lambda k: (x, (), ((x, k),)))
 
     def rhs(env, N, one):
         x = env.get("a")
         head = one.scale(x / (1 - x))
 
-        def step(t, k):  # [N,k] (q/x)_k x^k / (x q^{N-k})_k
-            return t.apply_ratio(x, 0, ((1, N - k + 1), (1 / x, k)), ((1, k), (x, N - k)))
+        def ratio(k):  # [N,k] (q/x)_k x^k / (x q^{N-k})_k
+            return x, 0, ((1, N - k + 1), (1 / x, k)), ((1, k), (x, N - k))
 
-        return head - term_sum(step(one, 1), step, start=1, stop=N, weight=div_q_n)
+        return head - term_sum(one, ratio, 1, N, div_q_n)
 
     return Identity(
         id="R43",
@@ -300,7 +301,7 @@ def _r43() -> Identity:
 def _r44() -> Identity:
     def lhs(env, N, one):
         d = env.get("d")
-        return q_power_sum(one, one.order, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
+        return q_power_sum(one, one.order, lambda n: (1, (), ((d, n), (1, n))))
 
     def rhs(env, N, one):
         # n q^n (q^{n+1})_inf / (d q^n)_inf = ((q)_inf/(dq)_inf) n q^n (dq)_{n-1} / (q)_n
@@ -324,11 +325,10 @@ def _r45() -> Identity:
     def lhs(env, N, one):
         d = env.get("d")
 
-        def step(t, k):  # d^{k-1} (q/d)_{k-1} q^k / (q)_k
-            return t.apply_ratio(d, 1, ((1 / d, k - 1),), ((1, k),))
+        def ratio(k):  # d^{k-1} (q/d)_{k-1} q^k / (q)_k
+            return (d, 1, ((1 / d, k - 1),), ((1, k),)) if k > 1 else (1, 1, (), ((1, 1),))
 
-        first = one.apply_ratio(1, 1, down=((1, 1),))
-        return term_sum(first, step, start=1)
+        return term_sum(one, ratio, 1)
 
     def rhs(env, N, one):
         d = env.get("d")

@@ -21,14 +21,14 @@ from ..series import QSeries, Scalar, term_sum
 from .model import Identity, ParamEnv, SideBuilder
 
 
-def times_n(t: QSeries, n: int) -> QSeries:
-    """The weight n * t_n."""
-    return t.scale(n)
+def times_n(n: int):
+    """The weight n."""
+    return n, (), ()
 
 
-def div_q_n(t: QSeries, n: int) -> QSeries:
-    """The weight t_n / (1 - q^n), for n >= 1."""
-    return t.div_binomial(1, n)
+def div_q_n(n: int):
+    """The weight 1/(1 - q^n), for n >= 1."""
+    return 1, (), ((1, n),)
 
 
 def lambert_bracket(t: QSeries, x: Fraction, y: Fraction, m: int) -> QSeries:
@@ -38,9 +38,17 @@ def lambert_bracket(t: QSeries, x: Fraction, y: Fraction, m: int) -> QSeries:
     return t.apply_ratio(x - y, m, down=((x, m), (y, m)))
 
 
+def _times_q_power(u: QSeries, n: int, weight) -> QSeries:
+    """u q^n W_n for W_n = weight(n) = (scalar, up, down)."""
+    scalar, up, down = weight(n)
+    return u.apply_ratio(scalar, n, up, down)
+
+
 def q_power_sum(one: QSeries, top: int, weight) -> QSeries:
-    """sum_{n=1}^{top} weight(q^n, n) to the order of one."""
-    return term_sum(one.shift(1), lambda u, n: u.shift(1), start=1, stop=top, weight=weight)
+    """sum_{n=1}^{top} q^n W_n to the order T of one, each term one kernel
+    call on one, as no term is a ratio of the one before."""
+    T = one.order
+    return type(one).sum_of((_times_q_power(one, n, weight) for n in range(1, min(top, T) + 1)), T)
 
 
 def limit_cutoff(one: QSeries) -> int:
@@ -61,86 +69,81 @@ def weighted_square_sum(a, N: int, one: QSeries) -> QSeries:
     """M_N(a) = sum_{n=1}^{N} [N,n] n a^n q^{n^2} / (aq)_n; its limit M(a) has
     1/(q)_n for [N,n]."""
 
-    def step(t, n):  # [N,n] a^n q^{n^2} / (aq)_n
-        return t.apply_ratio(a, 2 * n - 1, ((1, N - n + 1),), ((1, n), (a, n)))
+    def ratio(n):  # [N,n] a^n q^{n^2} / (aq)_n
+        return a, 2 * n - 1, ((1, N - n + 1),), ((1, n), (a, n))
 
-    return term_sum(step(one, 1), step, start=1, stop=N, weight=times_n)
+    return term_sum(one, ratio, 1, N, times_n)
 
 
 def finite_divisor_sum(a, x, N: int, one: QSeries) -> QSeries:
     """F(a, x) = sum_{n=1}^{N} [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2} / ((xq)_n (1-q^n))."""
 
-    def step(t, n):  # [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2} / (xq)_n
-        return t.apply_ratio(-a, n, ((1, N - n + 1),), ((x, n),))
+    def ratio(n):  # [N,n] (q)_n (-1)^{n-1} a^n q^{n(n+1)/2} / (xq)_n
+        return a if n == 1 else -a, n, ((1, N - n + 1),), ((x, n),)
 
-    return term_sum(step(-one, 1), step, start=1, stop=N, weight=div_q_n)
+    return term_sum(one, ratio, 1, N, div_q_n)
 
 
 def largest_part_sum(d, one: QSeries) -> QSeries:
     """S(d) = sum_{n>=1} n q^n (dq)_{n-1} / (q)_n."""
 
-    def step(t, n):  # q^n (dq)_{n-1} / (q)_n
-        return t.apply_ratio(1, 1, ((d, n - 1),), ((1, n),))
+    def ratio(n):  # q^n (dq)_{n-1} / (q)_n
+        return 1, 1, ((d, n - 1),) if n > 1 else (), ((1, n),)
 
-    return term_sum(one.apply_ratio(1, 1, down=((1, 1),)), step, start=1, weight=times_n)
+    return term_sum(one, ratio, 1, weight=times_n)
 
 
-def tail_sum(first: QSeries, x, ratio, start: int = 0, weight=None) -> QSeries:
-    """sum_{n >= start} t_n W_n for terms that never vanish to order T, with
-    t_start = first and t_n = t_{n-1} x R_n: R_n and W_n are the quotients
-    prod_up (1 - c q^e) / prod_down (1 - c q^e) of the factor lists
-    (up, down) that ratio(n) and weight(n) return (W_n = 1 without a
-    weight), and their exponents grow with n.  The value is the sum's only
-    inside its convergence region, |x| < 1.
+def tail_sum(one: QSeries, ratio, start: int = 0, weight=None) -> QSeries:
+    """sum_{n >= start} t_n W_n, term_sum's sum with no stop, for terms that
+    never vanish to order T: past start ratio(n) is (x, 0, up, down) with
+    one x, weight(n) is (1, up, down), and their exponents grow with n.
+    The value is the sum's only inside its convergence region, |x| < 1.
 
-    Let m >= start be the last index with a factor 2e <= T.  The terms
-    t_start..t_m stream into sum_of, one apply_ratio call per step and one
-    per weight.  Past m every factor is 1 + d q^e with 2e > T (d = -c above,
-    c below), and any two such corrections multiply to O(q^(T+1)), so
-    sum_{n>m} t_n W_n = t_m x/(1 - x) (1 + sum_e s_e q^e), where s_e sums
-    d x^(i-m-1) over the step factors at index i and d x^(i-m-1) (1 - x)
-    over the weight factors: one kernel call, its factors all far.  x = 1
-    raises ZeroConstantTermError there; a zero term ends the sum, as in
-    term_sum.
+    Let m >= start be the last index before one whose factors all have
+    2e > T.  Past m every factor is 1 + d q^e (d = -c above, c below), and
+    any two such corrections multiply to O(q^(T+1)), so sum_{n>m} t_n W_n
+    = t_m x/(1 - x) (1 + sum_e s_e q^e), where s_e sums d x^(i-m-1) over
+    the ratio factors at index i and d x^(i-m-1) (1 - x) over the weight
+    factors.  That is term_sum's last index, m + 1, with that ratio and
+    weight 1: its innermost level, S'_m = 1 + x/(1 - x) (1 + sum_e s_e q^e)
+    / W_m, is one kernel call.  x = 1 raises ZeroConstantTermError there;
+    a zero term ends the sum, as in term_sum.
     """
-    T, nothing = first.order, ((), ())
+    T, weigh = one.order, weight or (lambda n: (1, (), ()))
+    ratios, weights = [ratio(start)], [weigh(start)]
 
-    def near(factors) -> bool:
-        return any(2 * e <= T for side in factors for _, e in side)
+    def near(r, w) -> bool:
+        return any(2 * e <= T for side in (r[2], r[3], w[1], w[2]) for _, e in side)
 
-    def terms():
-        n, t, w = start, first, weight(start) if weight else nothing
-        while True:
-            yield t.apply_ratio(1, 0, *w) if weight else t
-            r, w = ratio(n + 1), weight(n + 1) if weight else nothing
-            if not (near(r) or near(w)):
-                break
-            n += 1
-            t = t.apply_ratio(x, 0, *r)
-            if t.is_zero():
-                return
-        s, step_x, rest = {}, 1, 1 - x  # s_e, and x^(i-m-1) at index i = n + 1, n + 2, ...
-        while any(e <= T for side in r + w for _, e in side):
-            for (up, down), scale in ((r, step_x), (w, step_x * rest)):
-                for c, e in up:
-                    if e <= T:
-                        s[e] = s.get(e, 0) - c * scale
-                for c, e in down:
-                    if e <= T:
-                        s[e] = s.get(e, 0) + c * scale
-            n, step_x = n + 1, step_x * x
-            r, w = ratio(n + 1), weight(n + 1) if weight else nothing
-        yield t.apply_ratio(x, 0, [(-v, e) for e, v in sorted(s.items())], ((x, 0),))
-
-    return type(first).sum_of(terms(), T)
+    while near(r := ratio(start + len(ratios)), w := weigh(start + len(ratios))):
+        ratios.append(r)
+        weights.append(w)
+    x, n, s, step_x = r[0], start + len(ratios), {}, 1  # s_e, and x^(i-m-1) at index i
+    while any(e <= T for side in (r[2], r[3], w[1], w[2]) for _, e in side):
+        if r[0] != x or r[1] or w[0] != 1:
+            raise ValueError("tail_sum's far ratios are (x, 0, ...) and weights (1, ...)")
+        for (up, down), scale in (((r[2], r[3]), step_x), ((w[1], w[2]), step_x * (1 - x))):
+            for c, e in up:
+                if e <= T:
+                    s[e] = s.get(e, 0) - c * scale
+            for c, e in down:
+                if e <= T:
+                    s[e] = s.get(e, 0) + c * scale
+        n, step_x = n + 1, step_x * x
+        r, w = ratio(n), weigh(n)
+    ratios.append((x, 0, [(-v, e) for e, v in sorted(s.items())], ((x, 0),)))
+    weights.append((1, (), ()))
+    return term_sum(one, lambda i: ratios[i - start], start, start + len(ratios) - 1,
+                    weight and (lambda i: weights[i - start]))
 
 
 def nested_q_power_sum(terms: Iterable[QSeries], one: QSeries, weight) -> QSeries:
-    """sum_{j>=1} t_j sum_{n=1}^{j} weight(q^n, n) for terms t_1, t_2, ..., interchanged
-    as sum_{n>=1} weight(q^n U_n, n) over the suffix sums U_n = sum_{j>=n} t_j."""
+    """sum_{j>=1} t_j sum_{n=1}^{j} q^n W_n for terms t_1, t_2, ... and W_n =
+    weight(n), interchanged as sum_{n>=1} q^n W_n U_n over the suffix sums
+    U_n = sum_{j>=n} t_j."""
     t = list(terms)
     suffix = zip(range(len(t), 0, -1), accumulate(reversed(t), add))  # (n, U_n) from the top
-    return type(one).sum_of((weight(u.shift(n), n) for n, u in suffix), one.order)
+    return type(one).sum_of((_times_q_power(u, n, weight) for n, u in suffix), one.order)
 
 
 def restated(builder: SideBuilder, fix: Optional[Callable[[ParamEnv], ParamEnv]] = None,

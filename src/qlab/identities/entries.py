@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..series import QSeries, poch_ratio, term_sum
+from ..series import QSeries, poch_ratio, ratio_terms, term_sum
 from .common import (
     all_nonzero,
     div_q_n,
@@ -49,18 +49,18 @@ def _r10() -> Identity:
     def lhs(env, N, one):
         a, b = env.get("a"), env.get("b")
 
-        def step(t, n):  # [N,n] (-b/a)_n a^n q^{n(n+1)/2} / (bq)_n
-            return t.apply_ratio(a, n, ((1, N - n + 1), (-b / a, n - 1)), ((1, n), (b, n)))
+        def ratio(n):  # [N,n] (-b/a)_n a^n q^{n(n+1)/2} / (bq)_n
+            return (a, n, ((1, N - n + 1), (-b / a, n - 1)), ((1, n), (b, n))) if n else (1, 0, (), ())
 
-        return term_sum(one, step, stop=N)
+        return term_sum(one, ratio, 0, N)
 
     def rhs(env, N, one):
         a, b = env.get("a"), env.get("b")
 
-        def step(t, n):  # [N,n] (-a/b)_n (bq)^n / (b q^{N-n+1})_n
-            return t.apply_ratio(b, 1, ((1, N - n + 1), (-a / b, n - 1)), ((1, n), (b, N - n + 1)))
+        def ratio(n):  # [N,n] (-a/b)_n (bq)^n / (b q^{N-n+1})_n
+            return b, 1, ((1, N - n + 1), (-a / b, n - 1)), ((1, n), (b, N - n + 1))
 
-        return term_sum(one, step, stop=N)
+        return type(one).sum_of([one, *ratio_terms(one, ratio, 1, N)], one.order)  # faster than nested
 
     return Identity(
         id="R10",
@@ -131,7 +131,7 @@ def _r13() -> Identity:
 
     def rhs(env, N, one):
         a = env.get("a")
-        return q_power_sum(one, N, lambda t, n: t.apply_ratio(a, down=((a, n),)))
+        return q_power_sum(one, N, lambda n: (a, (), ((a, n),)))
 
     return Identity(
         id="R13",
@@ -151,12 +151,11 @@ def _r14() -> Identity:
     def lhs(env, N, one):
         a = env.get("a")
 
-        def step(t, n):  # [N,n] (q)_n (q)_{n-1} a^n / ((a)_n (a q^{N-n})_n)
-            return t.apply_ratio(a, 0, ((1, N - n + 1), (1, n - 1)), ((a, N - n), (a, n - 1)))
+        def ratio(n):  # [N,n] (q)_n (q)_{n-1} a^n / ((a)_n (a q^{N-n})_n)
+            # at n = 1 (q)_{n-1} is an empty product: (1 - q^N) a / ((1 - a q^{N-1})(1 - a))
+            return a, 0, ((1, N - n + 1), (1, n - 1)) if n > 1 else ((1, N),), ((a, N - n), (a, n - 1))
 
-        # n = 1, where (q)_{n-1} is an empty product: (1 - q^N) a / ((1 - a q^{N-1})(1 - a))
-        first = one.apply_ratio(a, 0, ((1, N),), ((a, N - 1), (a, 0)))
-        return term_sum(first, step, start=1, stop=N, weight=div_q_n)
+        return term_sum(one, ratio, 1, N, div_q_n)
 
     def rhs(env, N, one):
         return _squared_lambert_sum(env.get("a"), one, N - 1)
@@ -220,12 +219,7 @@ def _r17() -> Identity:
 def _r18() -> Identity:
     def rhs(env, N, one):
         a = env.get("a")
-        return term_sum(
-            one.apply_ratio(a, 1),
-            lambda t, n: t.apply_ratio(a, 1),  # a^n q^n
-            start=1,
-            weight=div_q_n,
-        )
+        return term_sum(one, lambda n: (a, 1, (), ()), 1, weight=div_q_n)  # a^n q^n / (1 - q^n)
 
     return Identity(
         id="R18",
@@ -245,13 +239,10 @@ def _r19() -> Identity:
     def lhs(env, N, one):
         a = env.get("a")
 
-        def ratio(n):  # (q)_{n-1} a^n / (a)_n
-            return ((1, n - 1),), ((a, n - 1),)
+        def ratio(n):  # (q)_{n-1} a^n / (a)_n, (q)_0 = 1
+            return a, 0, ((1, n - 1),) if n > 1 else (), ((a, n - 1),)
 
-        def weight(n):  # 1/(1 - q^n)
-            return (), ((1, n),)
-
-        return tail_sum(one.apply_ratio(a, down=((a, 0),)), a, ratio, start=1, weight=weight)
+        return tail_sum(one, ratio, 1, div_q_n)
 
     return Identity(
         id="R19",

@@ -1,37 +1,31 @@
 """The four-parameter sum transformation, its finite form and corollaries.
 
-Every sum but the Lambert-type one is a term_sum or, when its terms
-never vanish, a tail_sum: each term is the previous one times its ratio,
-a scalar, a power of q and a few factors (1 - c q^e) applied by one
-apply_ratio call, and a term_sum stops after its last index or at the
-first term that vanishes to order T (all later terms are multiples of
-it).  A step divides only by factors with a nonzero constant term; where
-that needs a parameter off 1, the identity's constraint excludes it.  A
-finite form normalised by (x)_N carries the symbol in its step, as
-(x)_{N-n}/(x)_N = 1/(x q^{N-n})_n, and starts from 1; for the
-descending (a)_{N-n} the last step, n = N, still divides by (1 - a).
+Every sum but the Lambert-type one is a term_sum or, when its terms never
+vanish, a common.tail_sum: a ratio function returns each term's ratio to
+the one before, a scalar, a power of q and a few factors (1 - c q^e), and
+the sum is nested from its last index in, one apply_ratio call per index.
+A ratio divides only by factors with a nonzero constant term; where that
+needs a parameter off 1, the identity's constraint excludes it.  A finite
+form normalised by (x)_N carries the symbol in its ratio, as
+(x)_{N-n}/(x)_N = 1/(x q^{N-n})_n; for the descending (a)_{N-n} the last
+index, n = N, still divides by (1 - a).  A tail_sum adds the terms past
+its near factors in closed form, in one more call.
 
-Sides whose terms keep a nonzero q^0 coefficient for every summation
-index (so the sum never truncates on its own) are common.tail_sum calls.
-Their step and weight are factor lists, and the terms run only while a
-factor has 2e <= T.  Past that index every factor is 1 + O(q^e) with
-2e > T, so the rest is the last term times x/(1 - x) and a polynomial of
-first-order corrections, one apply_ratio call.  The Lambert-type sum
-sum_m (a^m - b^m)/(1 - c q^{m+n}) has no term ratio; it is summed over
-the powers of its denominator instead, each term one apply_ratio call
-for a bracket of two factors x q^k/(1 - x q^k), whose k = 0 term
-a/(1-a) - b/(1-b) is the closed form of its constant coefficients.  In
-the nested right side of R02 the bracket's index k enters the outer
-terms t_n only through q^{kn}, so the double sum is interchanged: each
-bracket is one apply_ratio call per k, on G_k = sum_n q^{kn} t_n, not
-one per (n, k).  Sampling stays inside the stated convergence regions so
-those closed forms are the values of the sums.
+The Lambert-type sum sum_m (a^m - b^m)/(1 - c q^{m+n}) has no term ratio;
+it is summed over the powers of its denominator, each term one
+apply_ratio call for a bracket x q^k/(1 - x q^k) - y q^k/(1 - y q^k), whose
+k = 0 term a/(1-a) - b/(1-b) is the closed form of its constant
+coefficients.  In the nested right side of R02 the bracket's index k
+enters the outer terms t_n only through q^{kn}, so the double sum is
+interchanged: one bracket call per k on G_k = sum_n q^{kn} t_n, with the
+t_n from the forward stream ratio_terms.  Sampling stays inside the
+stated convergence regions so those closed forms are the values of the
+sums.
 
 The right sides of R02-R05 weight each term by a Lambert bracket
-x q^m/(1 - x q^m) - y q^m/(1 - y q^m) = (x - y) q^m/((1 - x q^m)(1 - y q^m)).
-Their steps take shift 1, so a term carries the bracket's q^m (q^{n-1}
-in the finite forms) and the weight applies the rest.  The term's tail,
-which the kernel's factors run on, then has order T - m, not T.
+(x - y) q^m/((1 - x q^m)(1 - y q^m)).  Their ratios take shift 1, so a term
+carries the bracket's q^m (q^{n-1} in the finite forms), x - y rides in
+the first ratio, as a weight is never zero, and the weight is the rest.
 
 The right sides of R01, R02 and R04 are those of R12, R03 and R05 at
 N = T + 1, and R09 is R07 there on both sides: each is the termwise
@@ -76,28 +70,19 @@ def _quotient_sum_lhs(env: ParamEnv, c_factor, one: QSeries) -> QSeries:
     ba = b / a
 
     def ratio(n):  # (b/a)_n a^n / (b)_n
-        return ((ba, n - 1),), ((b, n - 1),)
+        return a, 0, ((ba, n - 1),), ((b, n - 1),)
 
-    def weight(n):
-        return (), ((c_factor, n),)
-
-    return tail_sum(one.apply_ratio(a, 0, *ratio(1)), a, ratio, start=1, weight=weight)
+    return tail_sum(one, ratio, 1, lambda n: (1, (), ((c_factor, n),)))
 
 
 def _finite_quotient_sum_lhs(env: ParamEnv, c_factor, N: int, one: QSeries) -> QSeries:
     """sum_{n=1}^{N} [N,n] (b/a)_n (q)_n (a)_{N-n} a^n / ((1 - c_factor*q^n)(b)_n (a)_N)."""
     a, b = env.get("a"), env.get("b")
 
-    def step(t, n):  # [N,n] (b/a)_n (q)_n a^n / ((b)_n (a q^{N-n})_n)
-        return t.apply_ratio(a, 0, ((1, N - n + 1), (b / a, n - 1)), ((a, N - n), (b, n - 1)))
+    def ratio(n):  # [N,n] (b/a)_n (q)_n a^n / ((b)_n (a q^{N-n})_n)
+        return a, 0, ((1, N - n + 1), (b / a, n - 1)), ((a, N - n), (b, n - 1))
 
-    return term_sum(
-        step(one, 1),
-        step,
-        start=1,
-        stop=N,
-        weight=lambda t, n: t.div_binomial(c_factor, n),
-    )
+    return term_sum(one, ratio, 1, N, lambda n: (1, (), ((c_factor, n),)))
 
 
 def _lambert_bracket_sum(env: ParamEnv, N: int, one: QSeries) -> QSeries:
@@ -138,11 +123,11 @@ def _r02() -> Identity:
     def rhs_nested(env, N, one):
         a, b, c, T = env.get("a"), env.get("b"), env.get("c"), one.order
 
-        def step(t, n):  # (c)_n (b/c)^n / (q)_n
-            return t.apply_ratio(b / c, 0, ((c, n - 1),), ((1, n),))
+        def ratio(n):  # (c)_n (b/c)^n / (q)_n
+            return b / c, 0, ((c, n - 1),), ((1, n),)
 
         # interchanged: sum_k (a - b) c^k q^k / ((1 - a q^k)(1 - b q^k)) G_k
-        t = list(islice(ratio_terms(one, step), T + 2))
+        t = [one, *islice(ratio_terms(one, ratio, 1), T + 1)]
 
         sum_of = type(one).sum_of
 
@@ -188,15 +173,15 @@ def _r03() -> Identity:
     def rhs(env, N, one):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
 
-        def step(t, n):  # [N,n] (b/c)_{n-1} (q)_n (cq)^{n-1} / ((b)_{n-1} (c q^{N-n+1})_n)
-            up, down = ((1, N - n + 1), (b / c, n - 2)), ((c, N - n + 1), (b, n - 2))
-            return t.apply_ratio(c, 1, up, down)
+        def ratio(n):  # [N,n] (b/c)_{n-1} (q)_n (cq)^{n-1} / ((b)_{n-1} (c q^{N-n+1})_n), and a - b
+            if n == 1:
+                return a - b, 0, ((1, N),), ((c, N),)
+            return c, 1, ((1, N - n + 1), (b / c, n - 2)), ((c, N - n + 1), (b, n - 2))
 
-        def weight(t, n):  # the bracket without its q^{n-1}, which the term carries
-            return t.apply_ratio(a - b, 0, down=((a, n - 1), (b, n - 1)))
+        def weight(n):  # the rest of the bracket
+            return 1, (), ((a, n - 1), (b, n - 1))
 
-        first = one.apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
-        return term_sum(first, step, start=1, stop=N, weight=weight)
+        return term_sum(one, ratio, 1, N, weight)
 
     return Identity(
         id="R03",
@@ -226,9 +211,9 @@ def _r04() -> Identity:
         ba, cd = b / a, c / d
 
         def ratio(n):  # (b/a)_n (c/d)_n (ad)^n / ((b)_n (cq)_n)
-            return ((ba, n - 1), (cd, n - 1)), ((b, n - 1), (c, n))
+            return a * d, 0, ((ba, n - 1), (cd, n - 1)), ((b, n - 1), (c, n))
 
-        return tail_sum(one.apply_ratio(a * d, 0, *ratio(1)), a * d, ratio, start=1)
+        return tail_sum(one, ratio, 1)
 
     return Identity(
         id="R04",
@@ -257,27 +242,28 @@ def _r05() -> Identity:
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
 
-        def step(t, n):  # [N,n] (q)_n (b/a)_n (c/d)_n (ad)^n / ((b)_n (cq)_n (ad q^{N-n})_n)
+        def ratio(n):  # [N,n] (q)_n (b/a)_n (c/d)_n (ad)^n / ((b)_n (cq)_n (ad q^{N-n})_n)
             up = ((1, N - n + 1), (b / a, n - 1), (c / d, n - 1))
-            return t.apply_ratio(ad, 0, up, ((ad, N - n), (b, n - 1), (c, n)))
+            return ad, 0, up, ((ad, N - n), (b, n - 1), (c, n))
 
-        return term_sum(step(one, 1), step, start=1, stop=N)
+        return term_sum(one, ratio, 1, N)
 
     def rhs(env, N, one):
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
         prefactor = (a - b) * (d - c) / (ad - b)
 
-        def step(t, n):
+        def ratio(n):
             # [N,n] (a)_{n-1} (bd/c)_{n-1} (q)_n (cq)^{n-1} / ((b)_{n-1} (ad)_{n-1} (c q^{N-n+1})_n)
+            if n == 1:  # and the prefactor times ad - b
+                return prefactor * (ad - b), 0, ((1, N),), ((c, N),)
             up = ((1, N - n + 1), (a, n - 2), (b * d / c, n - 2))
-            return t.apply_ratio(c, 1, up, ((c, N - n + 1), (b, n - 2), (ad, n - 2)))
+            return c, 1, up, ((c, N - n + 1), (b, n - 2), (ad, n - 2))
 
-        def weight(t, n):  # the bracket without its q^{n-1}, which the term carries
-            return t.apply_ratio(ad - b, 0, down=((ad, n - 1), (b, n - 1)))
+        def weight(n):  # the rest of the bracket
+            return 1, (), ((ad, n - 1), (b, n - 1))
 
-        first = one.apply_ratio(up=((1, N),), down=((c, N),))  # n = 1
-        return term_sum(first, step, start=1, stop=N, weight=weight).scale(prefactor)
+        return term_sum(one, ratio, 1, N, weight)
 
     return Identity(
         id="R05",
@@ -307,21 +293,20 @@ def _r06() -> Identity:
     def lhs(env, N, one):
         z, c, d = env.get("z"), env.get("c"), env.get("d")
 
-        def step(t, n):  # [N,n] (q)_n (c/d)_n (-zd)^n q^{n(n+1)/2} / ((zq)_n (cq)_n)
-            return t.apply_ratio(-z * d, n, ((1, N - n + 1), (c / d, n - 1)), ((z, n), (c, n)))
+        def ratio(n):  # [N,n] (q)_n (c/d)_n (-zd)^n q^{n(n+1)/2} / ((zq)_n (cq)_n)
+            return -z * d, n, ((1, N - n + 1), (c / d, n - 1)), ((z, n), (c, n))
 
-        return term_sum(step(one, 1), step, start=1, stop=N)
+        return term_sum(one, ratio, 1, N)
 
     def rhs(env, N, one):
         z, c, d = env.get("z"), env.get("c"), env.get("d")
 
-        def step(t, n):  # [N,n] (q)_n (zdq/c)_{n-1} (cq)^n / ((zq)_n (c q^{N-n+1})_n)
-            up, down = ((1, N - n + 1), (z * d / c, n - 1)), ((c, N - n + 1), (z, n))
-            return t.apply_ratio(c, 1, up, down)
+        def ratio(n):  # [N,n] (q)_n (zdq/c)_{n-1} (cq)^n / ((zq)_n (c q^{N-n+1})_n)
+            if n == 1:  # (1 - q^N) cq / ((1 - c q^N)(1 - zq)), and the prefactor (z/c)(c - d)
+                return z * (c - d), 1, ((1, N),), ((c, N), (z, 1))
+            return c, 1, ((1, N - n + 1), (z * d / c, n - 1)), ((c, N - n + 1), (z, n))
 
-        # the n = 1 term, (1 - q^N) cq / ((1 - c q^N)(1 - zq))
-        first = one.apply_ratio(c, 1, ((1, N),), ((c, N), (z, 1)))
-        return term_sum(first, step, start=1, stop=N).scale(z / c * (c - d))
+        return term_sum(one, ratio, 1, N)
 
     return Identity(
         id="R06",
@@ -346,18 +331,18 @@ def _r07() -> Identity:
     def lhs(env, N, one):
         z, c = env.get("z"), env.get("c")
 
-        def step(t, n):  # [N,n] (q)_n (zc)^n q^{n^2} / ((zq)_n (cq)_n)
-            return t.apply_ratio(z * c, 2 * n - 1, ((1, N - n + 1),), ((z, n), (c, n)))
+        def ratio(n):  # [N,n] (q)_n (zc)^n q^{n^2} / ((zq)_n (cq)_n)
+            return z * c, 2 * n - 1, ((1, N - n + 1),), ((z, n), (c, n))
 
-        return term_sum(step(one, 1), step, start=1, stop=N)
+        return term_sum(one, ratio, 1, N)
 
     def rhs(env, N, one):
         z, c = env.get("z"), env.get("c")
 
-        def step(t, n):  # [N,n] (q)_n (cq)^n / ((zq)_n (c q^{N-n+1})_n)
-            return t.apply_ratio(c, 1, ((1, N - n + 1),), ((c, N - n + 1), (z, n)))
+        def ratio(n):  # [N,n] (q)_n (cq)^n / ((zq)_n (c q^{N-n+1})_n), times z at n = 1
+            return c * z if n == 1 else c, 1, ((1, N - n + 1),), ((c, N - n + 1), (z, n))
 
-        return term_sum(step(one, 1), step, start=1, stop=N).scale(z)
+        return term_sum(one, ratio, 1, N)
 
     return Identity(
         id="R07",

@@ -43,18 +43,16 @@ def rank_bivariate(N: int, one: QSeries) -> LaurentZQSeries:
     return s
 
 
-def _moment_sum(N: int, one: QSeries, exp_step, weight=None) -> QSeries:
+def _moment_sum(N: int, one: QSeries, exp_step, up=lambda n: ()) -> QSeries:
     """sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{e(n)} w_n / ((q)_{n+N} (1-q^n)),
-    with e(n) - e(n-1) = exp_step(n) and w_n applied by weight (default 1)."""
+    with e(n) - e(n-1) = exp_step(n) and w_n the product of the factors up(n)."""
 
-    def step(t, n):  # [N,n] (-1)^{n+1} (q)_n q^{e(n)} / (q)_{n+N}
-        return t.apply_ratio(-1, exp_step(n), ((1, N - n + 1),), ((1, n + N),))
+    def ratio(n):  # [N,n] (-1)^{n+1} (q)_n q^{e(n)} / (q)_{n+N}, with 1/(q)_N at n = 1
+        if n == 1:
+            return 1, exp_step(1), ((1, N),), ((1, N + 1), *((1, k) for k in range(1, N + 1)))
+        return -1, exp_step(n), ((1, N - n + 1),), ((1, n + N),)
 
-    def term(t, n):
-        return (t if weight is None else weight(t, n)).div_binomial(1, n)
-
-    first = step(div_poch(-one, 1, 1, N), 1)
-    return term_sum(first, step, start=1, stop=N, weight=term)
+    return term_sum(one, ratio, 1, N, lambda n: (1, up(n), ((1, n),)))
 
 
 def crank_moment_finite(N: int, one: QSeries) -> QSeries:
@@ -72,7 +70,7 @@ def rank_moment_finite(N: int, one: QSeries) -> QSeries:
 def _moment_difference(N: int, one: QSeries) -> QSeries:
     """sum_{n=1}^{N} [N,n] (-1)^{n+1} (q)_n q^{n(n+1)/2} (1 - q^{n^2})
     / ((q)_{n+N} (1-q^n)); the crank-minus-rank moment difference."""
-    return _moment_sum(N, one, lambda n: n, lambda t, n: t.mul_binomial(1, n * n))
+    return _moment_sum(N, one, lambda n: n, lambda n: ((1, n * n),))
 
 
 def moment_difference_finite(N: int, order: int) -> QSeries:
@@ -95,8 +93,8 @@ def crank_moment_infinite_positive_form(one: QSeries) -> QSeries:
 
 def rank_moment_infinite(order: int) -> QSeries:
     """(1/(q)_inf) sum_{n>=1} (-1)^{n+1} q^{n(3n+1)/2} / (1-q^n)."""
-    first = QSeries.monomial(1, 2, order)
-    total = term_sum(first, lambda t, n: t.apply_ratio(-1, 3 * n - 1), start=1, weight=div_q_n)
+    one = QSeries.one(order)
+    total = term_sum(one, lambda n: (-1 if n > 1 else 1, 3 * n - 1, (), ()), 1, weight=div_q_n)
     return div_poch(total, 1, 1, None)
 
 

@@ -9,15 +9,14 @@ quotient of products leaves (c/d)_k in the outer term and
 (dq)_N / ((q)_N (cq)_N) in front.  phi_block builds that form; the d-q
 blocks of R26 and R32 are it at N = 2T (see spt_family).
 
-Every sum is a term_sum: each term is the previous one times its ratio,
-one apply_ratio call, and the sum stops after its cutoff or at the first
-term that vanishes to order T, since every later term is a power-series
-multiple of it.  That holds because each step divides only by factors
-(1 - c q^e) with a nonzero constant term, here always e >= 1.  No sum
-here has terms that never vanish, so none needs common.tail_sum.  R20's left
-side is interchanged: sum_k q^k U_k / (1 - q^k) over the suffix sums
-U_k = sum_{n>=k} t_n.  The inner 2-phi-1 is a weight, an inner term_sum
-started from the outer term t_k / (1 - q^k), so no full product runs.
+Every sum is over term ratios whose factors (1 - c q^e) have e >= 1, and
+ends after its cutoff or at its first term zero to order T.  R21's sum and
+the head of R22's left side are term_sums, nested from the last index in.
+The rest take their terms from the forward stream, ratio_terms: R20's left
+side is interchanged, sum_k q^k U_k / (1 - q^k) over the suffix sums
+U_k = sum_{n>=k} t_n; the block's inner 2-phi-1 weights its outer term t_k
+and starts from t_k / (1 - q^k), so no full product runs; and R22's right
+side measured slower nested.
 """
 
 from __future__ import annotations
@@ -42,36 +41,40 @@ def phi_block(c, d, N: int, one: QSeries) -> QSeries:
     * sum_{j=0}^{N-k} (q^k)_j (q^{k-N})_j (cq^{N+1})^j / ((dq^{k+1})_j (q)_j), the
     2-phi-1 block after Euler's transformation (see the module docstring)."""
 
-    def step(t, k):  # [N,k] (c/d)_k d^k q^{k(k+1)} / (dq)_k
-        return t.apply_ratio(d, 2 * k, ((c / d, k - 1), (1, N - k + 1)), ((1, k), (d, k)))
+    def ratio(k):  # [N,k] (c/d)_k d^k q^{k(k+1)} / (dq)_k
+        return d, 2 * k, ((c / d, k - 1), (1, N - k + 1)), ((1, k), (d, k))
 
-    def weight(t, k):  # the inner sum, started from its outer term t / (1 - q^k)
-        def inner(u, j):  # (1 - q^{k-N+j-1}) c q^{N+1} = -c q^{k+j} (1 - q^{N-k-j+1})
-            up, down = ((1, k + j - 1), (1, N - k - j + 1)), ((d, k + j), (1, j))
-            return u.apply_ratio(-c, k + j, up, down)
+    def inner_sum(k, t):  # started from its outer term, t / (1 - q^k) at j = 0
+        def inner(j):  # (1 - q^{k-N+j-1}) c q^{N+1} = -c q^{k+j} (1 - q^{N-k-j+1})
+            if not j:
+                return 1, 0, (), ((1, k),)
+            return -c, k + j, ((1, k + j - 1), (1, N - k - j + 1)), ((d, k + j), (1, j))
 
-        return term_sum(t.div_binomial(1, k), inner, stop=N - k)
+        return type(one).sum_of(ratio_terms(t, inner, 0, N - k), one.order)
 
-    total = term_sum(step(one, 1), step, start=1, stop=N, weight=weight)
+    total = type(one).sum_of(map(inner_sum, count(1), ratio_terms(one, ratio, 1, N)), one.order)
     return poch_ratio(total, up=((d, 1, N),), down=((1, 1, N), (c, 1, N)))
 
 
-def _alternating_terms(env, N: int, first: QSeries):
-    """The terms n = 1..N from t_0 = first: from -1, [N,n] (c/d)_n d^n (-1)^{n-1}
-    q^{n(n+1)/2} / (cq)_n, and from -1/(q)_N, the same over (q)_N, which is
+def _alternating(env, N: int, over_q_N: bool):
+    """The ratios of the terms n = 1..N: [N,n] (c/d)_n d^n (-1)^{n-1}
+    q^{n(n+1)/2} / (cq)_n, and over_q_N, the same over (q)_N, which is
     (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n)."""
     c, d = env.get("c"), env.get("d")
 
-    def step(t, n):
-        return t.apply_ratio(-d, n, ((c / d, n - 1), (1, N - n + 1)), ((1, n), (c, n)))
+    def ratio(n):
+        down = ((1, n), (c, n))
+        if n == 1 and over_q_N:
+            down += tuple((1, k) for k in range(1, N + 1))
+        return d if n == 1 else -d, n, ((c / d, n - 1), (1, N - n + 1)), down
 
-    return ratio_terms(step(first, 1), step, start=1, stop=N)
+    return ratio
 
 
 def _r20() -> Identity:
     def lhs(env, N, one):
         # the weight is the harmonic partial sum sum_{k=1}^{n} q^k / (1 - q^k)
-        return nested_q_power_sum(_alternating_terms(env, N, div_poch(-one, 1, 1, N)), one, div_q_n)
+        return nested_q_power_sum(ratio_terms(one, _alternating(env, N, True), 1, N), one, div_q_n)
 
     def rhs(env, N, one):
         return phi_block(env.get("c"), env.get("d"), N, one)
@@ -96,7 +99,7 @@ def _r20() -> Identity:
 
 def _r21() -> Identity:
     def lhs(env, N, one):
-        return type(one).sum_of(_alternating_terms(env, N, -one), one.order)
+        return term_sum(one, _alternating(env, N, False), 1, N)
 
     def rhs(env, N, one):
         c, d = env.get("c"), env.get("d")
@@ -119,20 +122,19 @@ def _r21() -> Identity:
 
 def _r22() -> Identity:
     def lhs(env, N, one):
-        terms = _alternating_terms(env, N, div_poch(-one, 1, 1, N))
-        head = type(one).sum_of(map(times_n, terms, count(1)), one.order)
+        head = term_sum(one, _alternating(env, N, True), 1, N, times_n)
         return head + phi_block(env.get("c"), env.get("d"), N, one)
 
     def rhs(env, N, one):
         c, d = env.get("c"), env.get("d")
-        ratio = poch_ratio(one, up=((d, 1, N),), down=((c, 1, N),))
-        head = div_poch(one - ratio, 1, 1, N).scale(c / (c - d))
+        quotient = poch_ratio(one, up=((d, 1, N),), down=((c, 1, N),))
+        head = div_poch(one - quotient, 1, 1, N).scale(c / (c - d))
 
-        def step(t, k):  # (cq/d)_k (dq)_{N-k} (dq)^k / ((q)_k (q)_{N-k})
-            return t.apply_ratio(d, 1, ((c / d, k), (1, N - k + 1)), ((d, N - k + 1), (1, k)))
+        def ratio(k):  # (cq/d)_k (dq)_{N-k} (dq)^k / ((q)_k (q)_{N-k}), from (dq)_N/(q)_N
+            return d, 1, ((c / d, k), (1, N - k + 1)), ((d, N - k + 1), (1, k))
 
-        first = step(poch_ratio(one, up=((d, 1, N),), down=((1, 1, N),)), 1)
-        total = term_sum(first, step, start=1, stop=N, weight=div_q_n)
+        terms = ratio_terms(poch_ratio(one, up=((d, 1, N),), down=((1, 1, N),)), ratio, 1, N)
+        total = type(one).sum_of((t.div_binomial(1, k) for k, t in enumerate(terms, 1)), one.order)
         return head + div_poch(total, c, 1, N)
 
     return Identity(

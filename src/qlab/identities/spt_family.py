@@ -15,11 +15,11 @@ m - j while j < m, and the last part above 1, as often as the parent has
 it, when j = m.  Each side runs its own sweep, so the two share no more
 than the enumerator; the per-n oracles read tuples and stay the reference.
 
-The series sides are term_sums whose steps are single apply_ratio calls.
-The q^{j^2}/(q)_j^2 sums of R23, R25 and R36 are interchanged, one weight
-per inner index over the suffix sums of the outer terms.  R31's double
-sum starts each inner sum from the outer term, so no full product runs
-per outer index.  The d-q block of R26 and R32 with its prefactor is the
+The series sides are term_sums.  The q^{j^2}/(q)_j^2 sums of R23, R25 and
+R36 are interchanged, one weight per inner index over the suffix sums of
+the outer terms, and R31's double sum starts each inner sum from its
+outer term, so no full product runs; both read their outer terms from
+the forward stream, ratio_terms.  The d-q block of R26 and R32 with its prefactor is the
 N -> infinity limit of phi_sum's finite 2-phi-1 block, built in the
 terminating form of Euler's transformation (Gasper-Rahman, (III.3)), and
 to order T it is that block at N = 2T, since every factor the cutoff adds
@@ -36,6 +36,7 @@ at d and R25's at d = -1; R29 and R30 are R28 at d = 1 and d = -1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 from ..partitions import partition_profiles
 from ..series import QSeries, div_poch, poch_ratio, ratio_terms, term_sum
@@ -65,15 +66,10 @@ def n_sc_generating_function(order: int) -> QSeries:
 def _n_sc_sum(one: QSeries) -> QSeries:
     """sum_{n>=1} n (-1)^{n-1} q^{n(n+1)/2} / ((q)_n (1 + q^n)), without the 1/(q)_inf."""
 
-    def step(t, n):  # (-1)^{n-1} q^{n(n+1)/2} / (q)_n
-        return t.apply_ratio(-1, n, down=((1, n),))
+    def ratio(n):  # (-1)^{n-1} q^{n(n+1)/2} / (q)_n
+        return 1 if n == 1 else -1, n, (), ((1, n),)
 
-    return term_sum(
-        step(-one, 1),
-        step,
-        start=1,
-        weight=lambda t, n: t.apply_ratio(n, down=((-1, n),)),
-    )
+    return term_sum(one, ratio, 1, weight=lambda n: (n, (), ((-1, n),)))
 
 
 def overlined_largest_series(order: int) -> QSeries:
@@ -86,19 +82,19 @@ def _square_sum(one: QSeries, weight) -> QSeries:
     """sum_{j>=1} q^{j^2} / (q)_j^2 * sum_{n=1}^{j} weight(q^n, n), interchanged
     over the suffix sums of its outer terms."""
 
-    def step(t, j):  # q^{j^2} / (q)_j^2
-        return t.apply_ratio(1, 2 * j - 1, down=((1, j), (1, j)))
+    def ratio(j):  # q^{j^2} / (q)_j^2
+        return 1, 2 * j - 1, (), ((1, j), (1, j))
 
-    return nested_q_power_sum(ratio_terms(step(one, 1), step, start=1), one, weight)
+    return nested_q_power_sum(ratio_terms(one, ratio, 1), one, weight)
 
 
 def _quotient_tail(x, d, one: QSeries) -> QSeries:
     """sum_{k>=1} (xq)_k (dq)^k / ((q)_k (1-q^k))."""
 
-    def step(t, k):  # (xq)_k (dq)^k / (q)_k
-        return t.apply_ratio(d, 1, ((x, k),), ((1, k),))
+    def ratio(k):  # (xq)_k (dq)^k / (q)_k
+        return d, 1, ((x, k),), ((1, k),)
 
-    return term_sum(step(one, 1), step, start=1, weight=div_q_n)
+    return term_sum(one, ratio, 1, weight=div_q_n)
 
 
 def _quotient_side(c, d, one: QSeries) -> QSeries:
@@ -115,25 +111,25 @@ def _alternating_sum(c, d, one: QSeries) -> QSeries:
     at c = 0, (c/d)_n is 1 and d may be 0."""
     ratio = c / d if c else 0
 
-    def step(t, n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n)
-        return t.apply_ratio(-d, n, ((ratio, n - 1),), ((1, n), (c, n)))
+    def term_ratio(n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n)
+        return d if n == 1 else -d, n, ((ratio, n - 1),), ((1, n), (c, n))
 
-    return term_sum(step(-one, 1), step, start=1, weight=times_n)
+    return term_sum(one, term_ratio, 1, weight=times_n)
 
 
 def _spt_sum(d, one: QSeries) -> QSeries:
     """L(d) = sum_{n>=1} n (-d)^{n-1} (q/d)_{n-1} q^{n(n+1)/2} / (q)_n^2."""
 
-    def step(t, n):  # (-d)^{n-1} (q/d)_{n-1} q^{n(n+1)/2} / (q)_n^2
-        return t.apply_ratio(-d, n, ((1 / d, n - 1),), ((1, n), (1, n)))
+    def ratio(n):  # (-d)^{n-1} (q/d)_{n-1} q^{n(n+1)/2} / (q)_n^2
+        return (-d, n, ((1 / d, n - 1),), ((1, n), (1, n))) if n > 1 else (1, 1, (), ((1, 1), (1, 1)))
 
-    return term_sum(one.apply_ratio(1, 1, down=((1, 1), (1, 1))), step, start=1, weight=times_n)
+    return term_sum(one, ratio, 1, weight=times_n)
 
 
 def _spt_rhs(d, one: QSeries) -> QSeries:
     """S(d) - (dq)_inf sum_{j>=1} q^{j^2}/(q)_j^2 sum_{n=1}^{j} q^n / ((1 - d q^n)(1 - q^n)),
     R23's right side times (q)_inf; at d = -1 the weight's denominator is 1 - q^{2n}."""
-    tail = _square_sum(one, lambda t, n: t.apply_ratio(down=((d, n), (1, n))))
+    tail = _square_sum(one, lambda n: (1, (), ((d, n), (1, n))))
     return largest_part_sum(d, one) - poch_ratio(tail, up=((d, 1, None),))
 
 
@@ -258,14 +254,13 @@ def _r27() -> Identity:
         head = _n_sc_sum(one)
 
         # the bracket (-q)_n/(q)_n - 1 splits the sum in two term-ratio sums
-        def with_bracket(t, n):  # q^{n(n+1)/2} (-q)_n / (q)_n^2
-            return t.apply_ratio(1, n, ((-1, n),), ((1, n), (1, n)))
+        def with_bracket(n):  # q^{n(n+1)/2} (-q)_n / (q)_n^2
+            return 1, n, ((-1, n),), ((1, n), (1, n))
 
-        def without(t, n):  # q^{n(n+1)/2} / (q)_n
-            return t.apply_ratio(1, n, down=((1, n),))
+        def without(n):  # q^{n(n+1)/2} / (q)_n
+            return 1, n, (), ((1, n),)
 
-        tail = term_sum(with_bracket(one, 1), with_bracket, start=1, weight=div_q_n)
-        tail = tail - term_sum(without(one, 1), without, start=1, weight=div_q_n)
+        tail = term_sum(one, with_bracket, 1, weight=div_q_n) - term_sum(one, without, 1, weight=div_q_n)
         up, down = ((1, 1, None),), ((-1, 1, None),)
         return head + poch_ratio(tail.scale(Fraction(1, 2)), up=up, down=down)
 
@@ -291,10 +286,10 @@ def _r28() -> Identity:
     def lhs(env, N, one):
         d = env.get("d")
 
-        def step(t, n):  # d^n q^{n(n+1)} / ((q)_n (dq)_n)
-            return t.apply_ratio(d, 2 * n, down=((1, n), (d, n)))
+        def ratio(n):  # d^n q^{n(n+1)} / ((q)_n (dq)_n)
+            return d, 2 * n, (), ((1, n), (d, n))
 
-        block = term_sum(step(one, 1), step, start=1, weight=div_q_n)
+        block = term_sum(one, ratio, 1, weight=div_q_n)
         return div_poch(_alternating_sum(0, d, one), d, 1, None) + block
 
     def rhs(env, N, one):
@@ -348,28 +343,28 @@ def _r31() -> Identity:
     def lhs(env, N, one):
         c = env.get("c")
 
-        def second(t, k):  # (-c)^k q^{k(k+1)/2} q^{k^2} / ((q)_k (cq)_k)
-            return t.apply_ratio(-c, 3 * k - 1, down=((1, k), (c, k)))
+        def second(k):  # (-c)^k q^{k(k+1)/2} q^{k^2} / ((q)_k (cq)_k)
+            return -c, 3 * k - 1, (), ((1, k), (c, k))
 
         # The j = 0 term q^{k^2}/(cq)_k of the inner sum rides on the outer
         # term, so the inner sum starts from it, t / (1 - q^k), and its
         # terms are the ratios c^j q^{j^2+2jk} / ((cq^{k+1})_j (q)_j).
-        def weight(t, k):
-            def inner(u, j):
-                return u.apply_ratio(c, 2 * (j + k) - 1, down=((c, j + k), (1, j)))
+        def inner_sum(k, t):
+            def inner(j):
+                return (c, 2 * (j + k) - 1, (), ((c, j + k), (1, j))) if j else (1, 0, (), ((1, k),))
 
-            return term_sum(t.div_binomial(1, k), inner)
+            return type(one).sum_of(ratio_terms(t, inner), one.order)
 
-        block = term_sum(second(one, 1), second, start=1, weight=weight)
+        block = type(one).sum_of(map(inner_sum, count(1), ratio_terms(one, second, 1)), one.order)
         return weighted_square_sum(c, limit_cutoff(one), one) - block
 
     def rhs(env, N, one):
         c = env.get("c")
 
-        def step(t, k):  # (-c)^k q^{k(k+3)/2} / (q)_k
-            return t.apply_ratio(-c, k + 1, down=((1, k),))
+        def ratio(k):  # (-c)^k q^{k(k+3)/2} / (q)_k
+            return -c, k + 1, (), ((1, k),)
 
-        tail = term_sum(step(one, 1), step, start=1, weight=div_q_n)
+        tail = term_sum(one, ratio, 1, weight=div_q_n)
         return div_poch(one - tail, c, 1, None) - one
 
     return Identity(
@@ -422,7 +417,7 @@ def _r32() -> Identity:
 def _r36() -> Identity:
     def lhs(env, N, one):
         # the inner sum is sum_{n=1}^{j} q^n / ((1 - q^{n+1})(1 - q^n))
-        return _square_sum(one, lambda t, n: t.apply_ratio(down=((1, n + 1), (1, n))))
+        return _square_sum(one, lambda n: (1, (), ((1, n + 1), (1, n))))
 
     def rhs(env, N, one):
         t = one.apply_ratio(1, 2, down=((1, 1), (1, 1)))

@@ -63,12 +63,10 @@ factors give one by one.  One or two such factors run as factors above
 (a division with -c), where the extra scaling pass would cost more than
 it saves.
 
-Multiplication and division by one factor, every step of term_sum, the
-one summation primitive, and a quotient of q-Pochhammer symbols applied to
-a series (poch_ratio, whose one-symbol cases are poch and div_poch) are
-single calls of this kernel: each term of a basic hypergeometric sum is the
-previous term times its ratio, and most sides are such a sum times such a
-quotient.
+Multiplication and division by one factor, a quotient of q-Pochhammer
+symbols applied to a series (poch_ratio, whose one-symbol cases are poch
+and div_poch) and each index S <- 1 + ratio * S of term_sum, the one
+summation primitive, are single calls of this kernel.
 Values are immutable and safe to share between workers.
 """
 
@@ -325,24 +323,32 @@ class QSeries:
         shift: int = 0,
         up: Iterable[Tuple[Scalar, int]] = (),
         down: Iterable[Tuple[Scalar, int]] = (),
+        constant: Scalar = 0,
+        order: Optional[int] = None,
     ) -> "QSeries":
-        """self * scalar * q^shift * prod_up (1 - c q^e) / prod_down (1 - c q^e)
-        in O(T) per factor, reduced once at the end; see the module docstring
-        for the tail, the recurrences, why their floor division is exact, and
-        when the factors run over x = q/L.  A factor with e > T is 1 to order T."""
+        """constant + self * scalar * q^shift * prod_up (1 - c q^e) / prod_down (1 - c q^e)
+        to `order` (self's by default; self zero-extended to it) in O(T) per
+        factor, reduced once; see the module docstring for the tail, the
+        recurrences, why their floor division is exact, and when the factors
+        run over x = q/L.  A factor with e > T is 1 to order T."""
         if shift < 0:
             raise ValueError("q-exponent must be non-negative")
-        size = len(self._nums)
+        size = len(self._nums) if order is None else order + 1
         # k, the scalar's numerator times the e = 0 factors' constants, waits
         # for the first pass that rewrites the tail
         try:  # the attribute reads of _ratio, inline: apply_ratio is the hot path
             k, den = scalar.numerator, scalar.denominator * self._den
         except AttributeError:
             raise _inexact(scalar) from None
+        if constant:  # over den * c_den the constant's numerator is an integer at the end
+            c_num, c_den = _ratio(constant)
+            k, den = k * c_den, den * c_den
         head = self._nums[: max(size - shift, 0)] if k else ()
         if up or down:  # the factors act on the tail after the leading zeros
             head = head[next(compress(count(), head), len(head)) :]
         a = list(head)
+        if order is not None:  # zero-extended to it
+            a += [0] * (size - shift - len(self._nums))
         top = len(a) - 1  # the tail's order
         ups, downs, far, big, growth = [], [], [], 1, 1  # factors (p, q, e), lcm of q, q-powers
         for c, e in up:
@@ -445,7 +451,10 @@ class QSeries:
         if substitute:
             a = list(map(mul, a, reversed(powers)))
             den *= powers[-1]
-        return _reduced([0] * (size - len(a)) + a, den)
+        a = [0] * (size - len(a)) + a
+        if constant:
+            a[0] += c_num * (den // c_den)
+        return _reduced(a, den)
 
     def mul_binomial(self, coeff: Scalar, exp: int) -> "QSeries":
         """self * (1 - coeff*q^exp)."""
@@ -570,70 +579,67 @@ def q_binomial(N: int, n: int, order: int) -> QSeries:
 
 
 S = TypeVar("S")  # QSeries, or a type with its methods
+_PROBE = QSeries.zero(0)  # a ratio applied to it raises what it raises anywhere
 
 
-def term_sum(
-    first: S,
-    step: Callable[[S, int], S],
-    start: int = 0,
-    stop: Optional[int] = None,
-    weight: Optional[Callable[[S, int], S]] = None,
-) -> S:
-    """sum_{n >= start} weight(t_n, n), where t_start = first and
-    t_n = step(t_{n-1}, n); without a weight the terms t_n are summed.
-    The terms are QSeries, or of any series type with ``order``,
-    ``is_zero`` and ``sum_of(terms, order)``, which sums the terms this
-    loop produces.
-
-    A basic hypergeometric sum has this shape: each term is the previous
-    one times a scalar, a power of q and a few factors (1 - c q^e)
-    (Gasper-Rahman, Basic Hypergeometric Series, section 1.2), so a QSeries
-    step is one ``t.apply_ratio(scalar, shift, up, down)`` call and costs
-    O(T) per factor where rebuilding the n-th term from scratch costs
-    O(nT).  A per-index factor that is not a ratio goes into weight, which
-    must be linear in t (weight(0, n) = 0).  A sum from n = 1 usually
-    starts from first = step(t_0, 1), with t_0 the term's value at n = 0:
-    -1 for a sign (-1)^(n-1), and factors indexed by n - 1 skipped in that
-    step.  A finite sum normalised by (x)_N carries (x)_{N-n}/(x)_N
-    = 1/(x q^{N-n})_n in its step, one factor (1 - x q^{N-n}) per index,
-    and starts from 1.  A nested sum whose inner index k enters only
-    through a power of q or a summation bound is interchanged: each inner
-    factor runs once per k, on a sum of the outer terms (ratio_terms).
-    Otherwise the inner sum is a weight started from the outer term t, as
-    term_sum(t * (inner first term), ...), so no full product runs.
-
-    Stopping (ratio_terms): the sum ends after n = stop, or at the first
-    t_n that is zero to the truncation order T.  The second rule is exact
-    because every later term is a power-series multiple of t_n, provided that
-    step divides only by factors with a nonzero constant term: (1 - c q^e)
-    with e >= 1, or (1 - c) with c != 1.  A step that
-    would divide by a factor with zero constant term keeps that factor in
-    weight instead.
-
-    A Lambert-type sum such as sum_{m>=1} (a^m - b^m) / (1 - q^m) is taken
-    over the powers of its denominator, sum_{m>=1} x^m q^(mk) being the
-    kernel factor x q^k / (1 - x q^k), whose k = 0 term x / (1 - x) is the
-    closed form of the constant coefficients.
+def term_sum(one: S, ratio: Callable[[int], tuple], start: int = 0, stop: Optional[int] = None,
+             weight: Optional[Callable[[int], tuple]] = None) -> S:
+    """sum_{n=start}^{M} t_n W_n to the order T of one, the unit series of the
+    type to build: t_n = R_start ... R_n for R_n = ratio(n) as apply_ratio's
+    (scalar, shift, up, down), so a sign or a prefactor rides in
+    ratio(start), and W_n = weight(n) as (scalar, up, down), never zero (1
+    without a weight).  Nested from the last index in (Haible and
+    Papanikolaou, 1998), S'_(n-1) = 1 + R_n (W_n / W_(n-1)) S'_n from
+    S'_M = 1 to R_start W_start S'_start, each S'_n carried to order T - v_n
+    (v_n the q-valuation of t_n): one kernel call per index.  M is the last
+    n <= stop before the first t_n zero to order T (v_n > T, a zero scalar
+    or a factor 1 - q^0 above); exact when ratios divide only by factors
+    with a nonzero constant term.  Ratios and weights are read in index
+    order first, and an error is the first that the forward stream,
+    ratio_terms, would raise.  README's design notes say more.
     """
-    order, sum_of = first.order, type(first).sum_of
-    ts = ratio_terms(first, step, start, stop)
-    del first  # the terms drop it once the sum moves past it
-    if weight is not None:
-        ts = (weight(t, n) for n, t in enumerate(ts, start))
-    return sum_of(ts, order)
+    T, levels, read = one.order, [], []  # levels (R_n, W_n, v_n) for n = start..M
+    n, v = start, 0
+    try:
+        while stop is None or n <= stop:
+            r = ratio(n)
+            read.append(r)
+            v += r[1]
+            if v > T or not r[0] or any(e == 0 and c == 1 for c, e in r[2]):
+                _PROBE.apply_ratio(*r)  # as the forward stream applies it
+                break
+            w = weight(n) if weight else None
+            if w:
+                read.append((w[0], 0, w[1], w[2]))
+            levels.append((r, w, v))
+            n += 1
+        s = one.truncate(T - levels[-1][2]) if levels else one.scale(0)  # S'_M
+        for i in range(len(levels) - 1, -1, -1):
+            (scalar, shift, up, down), w, _ = levels[i]
+            _, prev, outer = levels[i - 1] if i else (None, (1, (), ()), 0)
+            if w:  # times W_n / W_(n-1)
+                scalar, up, down = scalar * w[0], [*up, *w[1], *prev[2]], [*down, *w[2], *prev[1]]
+                if prev[0] != 1:
+                    scalar /= Fraction(prev[0])
+            if i or w or (scalar, shift, up, down) != (1, 0, (), ()):  # R_start = 1 leaves S'_start
+                s = s.apply_ratio(scalar, shift, up, down, int(i > 0), T - outer)
+        return s
+    except Exception:
+        for r in read:  # the forward stream's first error
+            _PROBE.apply_ratio(*r)
+        raise
 
 
-def ratio_terms(first: S, step: Callable[[S, int], S], start: int = 0, stop: Optional[int] = None):
-    """term_sum's terms t_start = first, t_n = step(t_{n-1}, n), lazily, by its
-    stopping rule: through n = stop, or up to the first t_n zero to order T."""
-    n, t = start, first
-    del first  # t drops it at the next step
-    while (stop is None or n <= stop) and not t.is_zero():
-        yield t
-        if n == stop:
+def ratio_terms(first: S, ratio: Callable[[int], tuple], start: int = 0, stop: Optional[int] = None):
+    """term_sum's terms from first, t_start = first R_start, lazily and by its
+    stop: the forward stream, for a sum that needs its terms."""
+    t = first
+    del first  # t drops it at the first step
+    for n in count(start) if stop is None else range(start, stop + 1):
+        t = t.apply_ratio(*ratio(n))
+        if t.is_zero():
             return
-        n += 1
-        t = step(t, n)
+        yield t
 
 
 def phi_series(
@@ -665,16 +671,19 @@ def phi_series(
         )
     sign = Fraction(-1) ** weight
 
-    def step(term: QSeries, k: int) -> QSeries:
+    def ratio(k: int) -> tuple:
         # term_k = term_{k-1} * argument * [(-1) q^{k-1}]^weight
         #          * prod(1 - num*q^{k-1}) / (prod(1 - den*q^{k-1}) (1 - q^k))
+        if not k:
+            return 1, 0, (), ()
         scalar, shift = sign * argument.coeff, argument.exp + weight * (k - 1)
         if any(mono.exp + k == 1 and mono.coeff == 1 for mono in denominators):
-            if (last := term.apply_ratio(scalar, shift)).is_zero():
-                return last  # the sum ends here, before the pole
-            raise PoleInTermRangeError(f"denominator factor (1 - q^0) vanishes at k = {k}")
+            # t_k has q-valuation k * argument.exp + weight * k(k-1)/2
+            if scalar and k * argument.exp + weight * k * (k - 1) // 2 <= one.order:
+                raise PoleInTermRangeError(f"denominator factor (1 - q^0) vanishes at k = {k}")
+            return scalar, shift, (), ()  # t_k is zero: the sum ends here, before the pole
         up = [(mono.coeff, mono.exp + k - 1) for mono in numerators]
         down = [(mono.coeff, mono.exp + k - 1) for mono in denominators]
-        return term.apply_ratio(scalar, shift, up, down + [(1, k)])
+        return scalar, shift, up, down + [(1, k)]
 
-    return term_sum(one, step)
+    return term_sum(one, ratio)

@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from qlab.series import QMonomial, QSeries, div_poch, phi_series, poch, term_sum
+from qlab.series import QMonomial, QSeries, div_poch, phi_series, poch
 
 
 def pentagonal_coeffs(order: int) -> List[Fraction]:
@@ -217,13 +217,19 @@ class RefSeries:
     def shift(self, exp: int) -> "RefSeries":
         return RefSeries(ref_shift(self.c, exp))
 
-    def apply_ratio(self, scalar=1, shift=0, up=(), down=()) -> "RefSeries":
-        a = ref_shift(ref_scale(self.c, scalar), shift)
+    def truncate(self, order: int) -> "RefSeries":
+        return RefSeries(ref_truncate(self.c, order))
+
+    def apply_ratio(self, scalar=1, shift=0, up=(), down=(), constant=0, order=None) -> "RefSeries":
+        """constant + self * the ratio to order (self's by default), self
+        zero-extended or truncated to it first."""
+        size = len(self.c) if order is None else order + 1
+        a = ref_shift(ref_scale((self.c + [Fraction(0)] * size)[:size], scalar), shift)
         for c, e in up:
             a = ref_mul_binomial(a, c, e)
         for c, e in down:
             a = ref_div_binomial(a, c, e)
-        return RefSeries(a)
+        return RefSeries([a[0] + constant] + a[1:])
 
     def mul_binomial(self, coeff, exp: int) -> "RefSeries":
         return RefSeries(ref_mul_binomial(self.c, coeff, exp))
@@ -235,28 +241,46 @@ class RefSeries:
         return ref_first_difference(self.c, other.c)
 
 
-def ref_tail_sum(first, x, ratio, start=0, weight=None):
-    """tail_sum's sum, stepped term by term with one mul_binomial or
+def ref_term_sum(first, step, start=0, stop=None, weight=None):
+    """sum_{n >= start} weight(t_n, n) (t_n without a weight) for t_start = first
+    and t_n = step(t_{n-1}, n), through n = stop or up to the first t_n zero
+    to order T: stepped forward by closures and folded with ref_add, the
+    summation the oracles below use, independent of qlab's term_sum."""
+    total, n, t = [Fraction(0)] * (first.order + 1), start, first
+    while (stop is None or n <= stop) and any(t.coeffs):
+        total = ref_add(total, list((weight(t, n) if weight else t).coeffs))
+        if n == stop:
+            break
+        n += 1
+        t = step(t, n)
+    return type(first)(total)
+
+
+def _ref_apply(t, scalar, shift, up, down):
+    """t times a ratio's data, one mul_binomial or div_binomial per factor."""
+    t = t.scale(scalar).shift(shift)
+    for c, e in up:
+        t = t.mul_binomial(c, e)
+    for c, e in down:
+        t = t.div_binomial(c, e)
+    return t
+
+
+def ref_tail_sum(one, ratio, start=0, weight=None):
+    """tail_sum's sum, stepped term by term from one with one mul_binomial or
     div_binomial per factor: the terms from start up to the last index n
     with a factor e <= T, whose weight is applied the same way, and then
-    the rest, where every factor is 1 to order T, as t_n x / (1 - x)."""
-    T = first.order
-
-    def apply(t, factors):
-        up, down = factors
-        for c, e in up:
-            t = t.mul_binomial(c, e)
-        for c, e in down:
-            t = t.div_binomial(c, e)
-        return t
-
-    n, t, total = start, first, first.scale(0)
+    the rest, where every ratio is x and every factor 1 to order T, as
+    t_n x / (1 - x)."""
+    T, nothing = one.order, (1, (), ())
+    n, t, total = start, _ref_apply(one, *ratio(start)), one.scale(0)
     while True:
-        total = total + (apply(t, weight(n)) if weight else t)
-        r, w = ratio(n + 1), weight(n + 1) if weight else ((), ())
-        if all(e > T for side in r + w for _, e in side):
-            return total + t.scale(x).div_binomial(x, 0)
-        n, t = n + 1, apply(t.scale(x), r)
+        w_scalar, w_up, w_down = weight(n) if weight else nothing
+        total = total + _ref_apply(t, w_scalar, 0, w_up, w_down)
+        r, w = ratio(n + 1), weight(n + 1) if weight else nothing
+        if all(e > T for side in (r[2], r[3], w[1], w[2]) for _, e in side):
+            return total + t.scale(r[0]).div_binomial(r[0], 0)
+        n, t = n + 1, _ref_apply(t, *r)
 
 
 # -- reference Laurent-in-z kernels: a series is a list of q-rows, each a
@@ -351,7 +375,7 @@ def ref_phi_block(c, d, N: int, T: int):
         inner = phi_series(numerators, [QMonomial(d, k + 1)], QMonomial(c / d, k), QSeries.one(T))
         return t.div_binomial(1, k) * inner
 
-    total = term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=weight)
+    total = ref_term_sum(step(QSeries.one(T), 1), step, start=1, stop=N, weight=weight)
     prefactor = poch(c / d, 0, None, T) * poch(d, 1, None, T)
     prefactor = div_poch(prefactor, 1, 1, N)
     prefactor = div_poch(prefactor, c, 1, None)
@@ -364,7 +388,7 @@ def _ref_lambert_difference(a, b, c, shift: int, T: int):
     def bracket(t, k):  # t (a - b) q^k / ((1 - a q^k)(1 - b q^k))
         return t.shift(k).scale(a - b).div_binomial(a, k).div_binomial(b, k)
 
-    return term_sum(QSeries.one(T), lambda t, k: t.scale(c).shift(shift), stop=T, weight=bracket)
+    return ref_term_sum(QSeries.one(T), lambda t, k: t.scale(c).shift(shift), stop=T, weight=bracket)
 
 
 def ref_r02_rhs_nested(a, b, c, T: int):
@@ -411,7 +435,7 @@ def ref_dq_block(d, x, T: int):
             u = u.mul_binomial(d, m).div_binomial(d, k + m).div_binomial(1, m)
             return u.scale(x).shift(k)
 
-        return term_sum(QSeries.one(T), step)
+        return ref_term_sum(QSeries.one(T), step)
 
     def step(t, k):
         return t.scale(d).shift(2 * k).div_binomial(1, k).div_binomial(d, k)
@@ -419,7 +443,7 @@ def ref_dq_block(d, x, T: int):
     def weight(t, k):
         return t.div_binomial(1, k) * inner(k)
 
-    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=weight)
+    return ref_term_sum(step(QSeries.one(T), 1), step, start=1, weight=weight)
 
 
 def ref_square_sum(T: int, weight):
@@ -428,9 +452,9 @@ def ref_square_sum(T: int, weight):
 
     def inner(j):
         first = QSeries.monomial(1, 1, T)
-        return term_sum(first, lambda t, n: t.shift(1), start=1, stop=j, weight=weight)
+        return ref_term_sum(first, lambda t, n: t.shift(1), start=1, stop=j, weight=weight)
 
     def step(t, j):
         return t.shift(2 * j - 1).div_binomial(1, j).div_binomial(1, j)
 
-    return term_sum(step(QSeries.one(T), 1), step, start=1, weight=lambda t, j: t * inner(j))
+    return ref_term_sum(step(QSeries.one(T), 1), step, start=1, weight=lambda t, j: t * inner(j))

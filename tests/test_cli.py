@@ -1,8 +1,12 @@
+import io
 import itertools
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlab.cli import MAX_SIZE, main
 from qlab.identities import REGISTRY
@@ -371,3 +375,78 @@ def test_order_is_not_an_option_of_table_or_list(capsys, argv):
         main([*argv, "--order", "5"])
     assert err.value.code == 2
     assert "unrecognized arguments: --order 5" in capsys.readouterr().err
+
+
+# -- the exit-code contract, over command lines drawn from small grammars ------
+#
+# Sizes in bounds stay at T <= 8 and N <= 4, so that no example runs long; the
+# values out of bounds are negative, zero, above MAX_SIZE or malformed.
+
+MALFORMED = ["abc", "1e3", "1/2", "", "-", "0x10", "99999999999999999999", str(MAX_SIZE + 1)]
+RATIONALS = ["1/2", "-7/3", "2/5", "3", "0", "1", "-1", "2", "3/-4", "1/0", "abc", "1e3", "0.5", ""]
+
+
+def sizes(top):
+    """Mostly in bounds, 1..top; else zero, negative or malformed."""
+    good = st.integers(1, top).map(str)
+    return st.one_of(good, good, good, good, good, st.sampled_from(["0", "-1", "-2", *MALFORMED]))
+
+
+def command_line(subcommand, always, optional):
+    """subcommand, each flag of always with a drawn value, and a drawn subset
+    of optional; a value of None marks a flag that takes none."""
+    def flags(pairs):
+        return [token for flag, value in pairs for token in ((flag,) if value is None else (flag, value))]
+
+    drawn = st.tuples(
+        st.tuples(*(st.tuples(st.just(f), v) for f, v in always.items())),
+        st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=4).flatmap(
+            lambda names: st.tuples(*(st.tuples(st.just(f), optional[f]) for f in names))),
+    )
+    return drawn.map(lambda parts: [subcommand, *flags(parts[0]), *flags(parts[1])])
+
+
+FORMATS = {"--format": st.sampled_from(["json", "tsv", "json", "tsv", "xml"]),
+           "--out": st.just("/nonexistent/dir/out")}
+RATIONAL = st.one_of(*[st.sampled_from(RATIONALS[:4])] * 4, st.sampled_from(RATIONALS))
+
+
+def coeffs_line(identity_id):
+    """coeffs for one identity, with its parameters and, if finite, --N."""
+    identity = REGISTRY.get(identity_id)
+    always = {"--id": st.just(identity_id), "--order": sizes(8)}
+    always.update({f"--{p}": RATIONAL for p in identity.params} if identity else {})
+    optional = {"--side": st.sampled_from(["lhs", "rhs", "rhs_nested", "mid"]), "--a": RATIONAL, **FORMATS}
+    (always if identity and identity.kind == FINITE else optional)["--N"] = sizes(4)
+    return command_line("coeffs", always, optional)
+
+ARGV = st.one_of(
+    command_line("verify", {"--order": sizes(8), "--N-max": sizes(4)}, {
+        "--id": st.sampled_from(sorted(REGISTRY)[::5] + ["NOSUCH", ""]), "--seed": st.integers(-3, 3).map(str),
+        "--samples": st.one_of(st.integers(-1, 2).map(str), st.sampled_from(MALFORMED[:3])),
+        "--N": sizes(4), **FORMATS}),
+    st.sampled_from(sorted(REGISTRY) + ["NOSUCH"]).flatmap(coeffs_line),
+    command_line("table", {"--max-n": sizes(8), "--stat": st.sampled_from([
+        "p", "p_restricted", "spt", "spt_restricted", "rank_moment", "crank_moment", "ospt", "n_sc",
+        "overlined_largest_sum", "nope"])}, {"--N": sizes(4), "--j": sizes(3), "--positive-only": st.none(),
+                                              **FORMATS}),
+    command_line("positivity", {"--order": sizes(8), "--N": sizes(4)}, {"--strict": st.none(), **FORMATS}),
+    command_line("list", {}, FORMATS),
+    st.lists(st.sampled_from(["frob", "--order", "8", "-h2", "--"]), max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ARGV)
+def test_every_command_line_exits_0_1_or_2_without_a_traceback(argv):
+    # main raising anything but argparse's SystemExit would be a traceback
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:  # a failed verification, or a negative coefficient under --strict
+        assert argv[0] == "verify" or argv[0] == "positivity" and "--strict" in argv, argv

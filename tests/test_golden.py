@@ -1510,3 +1510,48 @@ COPIED = [
 def test_sums_once_copied_are_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+# R34's left side at T = 16 = 4^2, N = 4, where the rank's Horner form keeps
+# a level n = 4 with n^2 = T; recorded before term_sum became nested.  That
+# level adds only q^T z^0, which the positive moment drops, so no coeffs
+# output shows it: test_laurent.py checks the bivariate series itself
+HORNER_CAP = [
+    (
+        "coeffs --id R34 --side lhs --order 16 --N 4".split(),
+        """\
+{
+  "id": "R34",
+  "side": "lhs",
+  "env": {},
+  "N": 4,
+  "T": 16,
+  "coeffs": [
+    "0",
+    "0",
+    "1",
+    "2",
+    "4",
+    "7",
+    "11",
+    "16",
+    "24",
+    "32",
+    "45",
+    "58",
+    "77",
+    "96",
+    "123",
+    "151",
+    "188"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", HORNER_CAP, ids=["R34-lhs-T16"])
+def test_rank_horner_cap_is_byte_identical(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected

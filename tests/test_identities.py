@@ -461,8 +461,10 @@ def test_double_sums_equal_their_rebuild_and_multiply_forms(T):
         prefactor = div_poch(poch(c / d, 0, None, T) * poch(d, 1, None, T), 1, 1, None)
         expected = div_poch(prefactor, c, 1, None) * ref_dq_block(d, c / d, T)
         assert same_value(phi_block(c, d, 2 * T, QSeries.one(T)), expected)
-    for weight in (
-        lambda t, n: t.div_binomial(Fraction(3, 4), n).div_binomial(1, n),
-        lambda t, n: t.div_binomial(1, 2 * n),
+    # each weight as the builders give it, (scalar, up, down), and as the oracle's closure
+    for data, weight in (
+        (lambda n: (1, (), ((Fraction(3, 4), n), (1, n))),
+         lambda t, n: t.div_binomial(Fraction(3, 4), n).div_binomial(1, n)),
+        (lambda n: (1, (), ((1, 2 * n),)), lambda t, n: t.div_binomial(1, 2 * n)),
     ):
-        assert same_value(_square_sum(QSeries.one(T), weight), ref_square_sum(T, weight))
+        assert same_value(_square_sum(QSeries.one(T), data), ref_square_sum(T, weight))

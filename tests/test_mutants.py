@@ -20,9 +20,10 @@ def _mutants():
 
 def test_every_entry_edits_its_file_at_one_place():
     mutants = _mutants()
-    for path, old, new, _ in mutants.MUTANTS:
+    for path, old, new, _, killer in mutants.MUTANTS:
         text = (ROOT / path).read_text()
         assert mutants.mutate(text, old, new) != text
+        assert (ROOT / killer.split("::")[0]).is_file(), killer
 
 
 def test_a_stale_entry_fails_loudly():

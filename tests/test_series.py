@@ -15,12 +15,14 @@ from qlab.series import (
     poch,
     poch_ratio,
     q_binomial,
+    ratio_terms,
     term_sum,
 )
 from qlab.identities.common import tail_sum
 
 from _oracles import (
     RefSeries,
+    _ref_apply,
     convolve,
     gaussian_binomial_poly,
     pentagonal_coeffs,
@@ -33,6 +35,7 @@ from _oracles import (
     ref_shift,
     ref_sub,
     ref_tail_sum,
+    ref_term_sum,
     ref_truncate,
 )
 
@@ -280,44 +283,180 @@ def test_phi_series_scalar_argument_needs_explicit_terms():
 
 def test_term_sum_stops_at_the_first_vanishing_term():
     # sum_{n>=0} q^{n(n+1)/2} / (q)_n: term 5 is the first with n(n+1)/2 > 10,
-    # so it is zero to order 10 and no step is taken past it
-    steps = []
+    # so it is zero to order 10 and no ratio is read past it
+    reads = []
 
-    def step(t, n):
-        steps.append(n)
-        return t.shift(n).div_binomial(1, n)
+    def ratio(n):
+        reads.append(n)
+        return 1, n, (), ((1, n),)
 
-    total = term_sum(QSeries.one(10), step)
+    total = QSeries.one(10) + term_sum(QSeries.one(10), ratio, 1)
     expected = QSeries.zero(10)
     for n in range(5):
         expected = expected + div_poch(QSeries.monomial(1, n * (n + 1) // 2, 10), 1, 1, n)
     assert total == expected
-    assert steps == [1, 2, 3, 4, 5]
+    assert reads == [1, 2, 3, 4, 5]
 
 
 def test_term_sum_stop_is_inclusive_and_empty_past_it():
-    # sum_{n=1}^{3} n x^n with t_n = x^n and weight n
+    # sum_{n=1}^{3} n x^n with R_n = x and weight n
     x = Fraction(2, 3)
 
-    def step(t, n):
-        return t.scale(x)
+    def ratio(n):
+        return x, 0, (), ()
 
-    total = term_sum(QSeries.monomial(x, 0, 4), step, start=1, stop=3, weight=lambda t, n: t.scale(n))
+    total = term_sum(QSeries.one(4), ratio, start=1, stop=3, weight=lambda n: (n, (), ()))
     assert total == QSeries.monomial(x + 2 * x**2 + 3 * x**3, 0, 4)
-    assert term_sum(QSeries.one(4), step, start=2, stop=1).is_zero()
+    assert term_sum(QSeries.one(4), ratio, start=2, stop=1).is_zero()
+
+
+def test_weighted_term_sum_makes_one_kernel_call_per_index(monkeypatch):
+    # K = 6 indices with a weight whose scalar and factors change with n: six
+    # apply_ratio calls and no sum_of; the value is the forward sum's
+    calls = []
+    apply_ratio = QSeries.apply_ratio
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return apply_ratio(self, *args, **kwargs)
+
+    def ratio(n):
+        return Fraction(-2, 3), n, ((Fraction(1, 2), n),), ((1, n),)
+
+    def weight(n):
+        return n, ((3, n + 1),), ((Fraction(-1, 4), n),)
+
+    monkeypatch.setattr(QSeries, "apply_ratio", counted)
+    monkeypatch.setattr(QSeries, "sum_of", None)
+    total = term_sum(QSeries.one(30), ratio, 1, 6, weight)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    step = lambda t, n: t.apply_ratio(*ratio(n))  # noqa: E731
+    forward = ref_term_sum(step(QSeries.one(30), 1), step, 1, 6,
+                           lambda t, n: t.apply_ratio(weight(n)[0], 0, *weight(n)[1:]))
+    assert total == forward
+
+
+# (scalar, shift, up, down) of one index: fractional and zero scalars, shifts
+# 0..3, and factors at e = 0, including (1 - q^0) above; no (1 - q^0) below
+ratio_data_st = st.tuples(
+    small_rats,
+    st.integers(0, 3),
+    st.lists(st.tuples(small_rats, st.integers(0, 5)), max_size=2),
+    st.lists(st.tuples(small_rats, st.integers(0, 5)), max_size=2).map(
+        lambda fs: [(c, e) for c, e in fs if (c, e) != (1, 0)]
+    ),
+)
+# (scalar, up, down) of a weight, never zero
+weight_data_st = st.tuples(
+    small_rats.filter(bool),
+    st.lists(st.tuples(small_rats, st.integers(0, 5)).filter(lambda f: f != (1, 0)), max_size=2),
+    st.lists(st.tuples(small_rats, st.integers(0, 5)).filter(lambda f: f != (1, 0)), max_size=2),
+)
+
+
+def _drawn(data, start, order):
+    """The n-th of the drawn data from start, and past them a ratio whose
+    shift ends the sum."""
+    return lambda n: data[n - start] if n - start < len(data) else (1, order + 1, (), ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10),
+    st.integers(0, 2),
+    st.one_of(st.none(), st.integers(0, 8)),
+    st.lists(ratio_data_st, min_size=1, max_size=8),
+    st.one_of(st.none(), st.lists(weight_data_st, min_size=9, max_size=9)),
+)
+# stop < start: an empty sum
+@example(6, 2, 1, [(Fraction(1, 2), 1, [], [])], None)
+# a zero scalar at index 1 and (1 - q^0) above at index 2 each end the sum
+@example(6, 0, None, [(2, 0, [], []), (0, 1, [], [(3, 1)]), (1, 1, [], [])], [(1, [], [])] * 9)
+@example(6, 1, 5, [(Fraction(-3, 2), 0, [(2, 1)], []), (1, 1, [(1, 0)], []), (2, 1, [], [])], None)
+def test_term_sum_matches_a_fold_of_ref_add(order, start, stop, ratios, weights):
+    # the reference steps forward by closures, one mul_binomial or
+    # div_binomial per factor, and folds the terms with ref_add
+    ratio = _drawn(ratios, start, order)
+    weight = weights and _drawn(weights, start, order)
+    step = lambda t, n: _ref_apply(t, *ratio(n))  # noqa: E731
+    ref_weight = weights and (lambda t, n: _ref_apply(t, weight(n)[0], 0, *weight(n)[1:]))
+    for one in (QSeries.one(order), RefSeries.one(order)):
+        expected = ref_term_sum(step(RefSeries.one(order), start), step, start, stop, ref_weight)
+        total = term_sum(one, ratio, start, stop, weight)
+        assert list(total.coeffs) == list(expected.coeffs)
+
+
+def _forward_sum(one, ratio, start, stop, weight):
+    """term_sum's sum as the forward stream takes it, one term at a time."""
+    terms = ratio_terms(one, ratio, start, stop)
+    if weight:
+        terms = (t.apply_ratio(weight(n)[0], 0, *weight(n)[1:]) for n, t in enumerate(terms, start))
+    return QSeries.sum_of(terms, one.order)
+
+
+def _outcome(build):
+    try:
+        return as_fractions(build())
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+# factors that may raise: e = -1, and (1 - q^0) below
+raising_factors_st = st.lists(st.tuples(st.sampled_from([1, 2, Fraction(1, 2)]), st.integers(-1, 3)), max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.integers(0, 2),
+    st.one_of(st.none(), st.integers(0, 6)),
+    st.lists(st.tuples(small_rats, st.integers(0, 3), raising_factors_st, raising_factors_st),
+             min_size=1, max_size=6),
+    # a weight never vanishes: no zero scalar and no (1 - q^0) above
+    st.one_of(st.none(), st.lists(st.tuples(
+        small_rats.filter(bool),
+        st.lists(st.tuples(st.sampled_from([2, Fraction(1, 2)]), st.integers(-1, 3)), max_size=2),
+        raising_factors_st,
+    ), min_size=7, max_size=7)),
+)
+# the first error is at index 1, before the (1 - q^0) below at index 2
+@example(6, 1, None, [(1, 1, [], []), (1, 1, [(2, -1)], []), (1, 1, [], [(1, 0)])], None)
+# the ratio that ends the sum by its shift is still applied, and its factor (1 - 1) raises
+@example(3, 0, None, [(1, 2, [], []), (1, 2, [], [(1, 0)])], None)
+# a weight's (1 - q^0) below raises before the next ratio's negative exponent
+@example(6, 0, None, [(1, 1, [], []), (1, 1, [(2, -1)], [])], [(1, [], [(1, 0)])] * 7)
+def test_term_sum_raises_what_the_forward_stream_raises(order, start, stop, ratios, weights):
+    ratio = _drawn(ratios, start, order)
+    weight = weights and _drawn(weights, start, order)
+    one = QSeries.one(order)
+    assert _outcome(lambda: term_sum(one, ratio, start, stop, weight)) == _outcome(
+        lambda: _forward_sum(one, ratio, start, stop, weight))
+
+
+def test_term_sum_raises_a_ratio_error_before_a_later_closure_error():
+    # index 2's ratio has a negative exponent, and reading the weight of
+    # index 3 raises: the forward stream applies ratio 2 first
+    def ratio(n):
+        return 1, 1, [(2, -1)] if n == 2 else [], []
+
+    def weight(n):
+        return 1 // (3 - n), (), ()
+
+    with pytest.raises(ValueError, match="non-negative"):
+        term_sum(QSeries.one(8), ratio, 1, 5, weight)
 
 
 # -- sums whose terms never vanish (tail_sum) -----------------------------------
 
 
 def _divisor_sum(order, x, start=1):
-    """sum_{n>=start} x^n / (1 - q^n): ratio x, weight 1/(1 - q^n)."""
+    """sum_{n>=start} x^n / (1 - q^n): ratio x, x^start at start, weight 1/(1 - q^n)."""
     return tail_sum(
-        QSeries.monomial(x ** start, 0, order),
-        x,
-        lambda n: ((), ()),
+        QSeries.one(order),
+        lambda n: (x**start if n == start else x, 0, (), ()),
         start=start,
-        weight=lambda n: ((), ((1, n),)),
+        weight=lambda n: (1, (), ((1, n),)),
     )
 
 
@@ -341,19 +480,30 @@ def test_tail_sum_with_the_far_index_at_start():
 
 
 def test_tail_sum_at_ratio_zero_adds_nothing_past_the_first_term():
-    first = QSeries([Fraction(1, 3), 2, 0, -1, 5])
-    ratio = lambda n: (((Fraction(1, 2), n),), ((3, n - 1),))  # noqa: E731
-    assert tail_sum(first, 0, ratio) == first
-    weight = lambda n: (((2, n + 1),), ())  # noqa: E731
-    assert tail_sum(first, 0, ratio, start=1, weight=weight) == first.mul_binomial(2, 2)
+    one, first = QSeries.one(4), (Fraction(1, 3), 1, ((2, 1),), ((3, 2),))
+
+    def ratio_from(start):
+        return lambda n: first if n == start else (0, 0, ((Fraction(1, 2), n),), ((3, n - 1),))
+
+    assert tail_sum(one, ratio_from(0)) == one.apply_ratio(*first)
+    weight = lambda n: (1, ((2, n + 1),), ())  # noqa: E731
+    assert tail_sum(one, ratio_from(1), start=1, weight=weight) == one.apply_ratio(*first).mul_binomial(2, 2)
 
 
 def test_tail_sum_at_ratio_one_is_rejected():
     with pytest.raises(ZeroConstantTermError):
-        tail_sum(QSeries.one(3), 1, lambda n: ((), ()))
+        tail_sum(QSeries.one(3), lambda n: (1, 0, (), ()))
 
 
-# a factor (c, n + offset) of step n, or of weight n
+def test_tail_sum_needs_one_ratio_past_its_near_factors():
+    # at T = 4 the factors from index 3 on are far: x = 1/2 there, so index
+    # 4's scalar 2 or a shift at index 4 cannot be summed in closed form
+    for late in ((2, 0), (Fraction(1, 2), 1)):
+        with pytest.raises(ValueError, match="tail_sum"):
+            tail_sum(QSeries.one(4), lambda n: (*(late if n == 4 else (Fraction(1, 2), 0)), ((3, n),), ()))
+
+
+# a factor (c, n + offset) of ratio n, or of weight n
 step_factors_st = st.lists(st.tuples(small_rats, st.integers(-1, 1)), max_size=3)
 weight_factors_st = st.lists(st.tuples(small_rats, st.integers(0, 1)), max_size=2)
 
@@ -364,29 +514,35 @@ def _not_one(factors):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(0, 12).flatmap(lambda t: st.lists(small_rats, min_size=t + 1, max_size=t + 1)),
+    st.integers(0, 12),
+    st.tuples(small_rats, st.integers(0, 2), step_factors_st),
     small_rats.filter(lambda x: x != 1),
     st.sampled_from([0, 1]),
     step_factors_st,
     step_factors_st.map(_not_one),
     st.one_of(st.none(), st.tuples(weight_factors_st, weight_factors_st.map(_not_one))),
 )
-# T = 6 and two factors at e = 3 in step 3: they are near, as their product has q^6
-@example([Fraction(1)] * 7, Fraction(1, 2), 0, [(Fraction(1, 3), 0)], [(Fraction(2), 0)], None)
-def test_tail_sum_matches_the_stepped_reference(coeffs, x, start, up, down, weighted):
+# T = 6 and two factors at e = 3 in ratio 3: they are near, as their product has q^6
+@example(6, (Fraction(1), 0, []), Fraction(1, 2), 0, [(Fraction(1, 3), 0)], [(Fraction(2), 0)], None)
+def test_tail_sum_matches_the_stepped_reference(order, first, x, start, up, down, weighted):
     # the reference steps every term up to the last index with a factor e <= T,
     # one naive per-coefficient kernel call per factor, and sums the rest
-    # as a geometric series; a down factor's c is not 1, so no e = 0 pole
+    # as a geometric series; a down factor's c is not 1, so no e = 0 pole.
+    # The first term is its own ratio, with factors at e = start + offset + 1 >= 0
     def ratio(n):
-        return [(c, n + off) for c, off in up], [(c, n + off) for c, off in down]
+        if n == start:
+            scalar, shift, factors = first
+            return scalar, shift, [(c, n + off + 1) for c, off in factors], []
+        return x, 0, [(c, n + off) for c, off in up], [(c, n + off) for c, off in down]
 
     weight = None
     if weighted is not None:
-        def weight(n):
-            return tuple([(c, n + off) for c, off in side] for side in weighted)
+        def weight(n):  # never zero: no (1 - q^0) above
+            up, down = ([(c, n + off) for c, off in side] for side in weighted)
+            return 1, [f for f in up if f != (1, 0)], down
 
-    total = tail_sum(QSeries(coeffs), x, ratio, start, weight)
-    expected = ref_tail_sum(RefSeries(coeffs), x, ratio, start, weight)
+    total = tail_sum(QSeries.one(order), ratio, start, weight)
+    expected = ref_tail_sum(RefSeries.one(order), ratio, start, weight)
     assert as_fractions(total) == list(expected.coeffs)
 
 
@@ -597,6 +753,26 @@ def test_apply_ratio_matches_reference(a, scalar, shift, up, down):
     assert as_fractions(x.apply_ratio(scalar, shift, up, down)) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, scalars, st.integers(0, 3), factors, factors, scalars,
+       st.one_of(st.none(), st.integers(0, 15)))
+# the order extends a tail of order 2 after ten zeros, and a division runs into the zeros
+@example(HIGH, 1, 0, [], [(Fraction(1, 2), 1)], Fraction(-2, 3), 15)
+# the order truncates, and the constant lands on the shift's leading zeros
+@example(B13, Fraction(3, 5), 2, [(2, 1)], [], 7, 4)
+def test_apply_ratio_adds_the_constant_at_the_given_order(a, scalar, shift, up, down, constant, order):
+    # the reference zero-extends or truncates the input to order first
+    down = [(c, e) for c, e in down if (c, e) != (1, 0)]
+    size = len(a) if order is None else order + 1
+    expected = ref_shift(ref_scale((a + [Fraction(0)] * size)[:size], Fraction(scalar)), shift)
+    for c, e in up:
+        expected = ref_mul_binomial(expected, Fraction(c), e)
+    for c, e in down:
+        expected = ref_div_binomial(expected, Fraction(c), e)
+    expected[0] += constant
+    assert as_fractions(QSeries(a).apply_ratio(scalar, shift, up, down, constant, order)) == expected
+
+
 def test_sum_of_rescales_the_total_and_scales_the_term():
     # over the running denominators 4, 12, 36, 36: the total is rescaled by
     # m = 4, 3, 3, 1 and the terms scaled by k = 1, 2, 4, 18; the third term,
@@ -702,38 +878,3 @@ def test_poch_ratio_rejects_negative_exponent_and_length():
         for call in (lambda: poch_ratio(x, up=(bad,)), lambda: poch_ratio(x, down=((2, 1, 2), bad))):
             with pytest.raises(ValueError):
                 call()
-
-
-# primes above every numerator fractions_st draws, so term n's denominator,
-# a multiple of PRIMES[n], differs from every other term's
-PRIMES = (37, 41, 43, 47, 53, 59, 61, 67, 71)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(0, 6).flatmap(
-        lambda t: st.lists(
-            st.lists(fractions_st, min_size=t + 1, max_size=t + 1), min_size=1, max_size=9
-        )
-    ),
-    st.integers(0, 2),
-    st.one_of(st.none(), st.integers(0, 10)),
-    st.booleans(),
-)
-def test_term_sum_matches_a_fold_of_ref_add(rows, start, stop, weighted):
-    terms = [[c / p for c in row] for row, p in zip(rows, PRIMES)]
-    order = len(terms[0]) - 1
-    expected = [Fraction(0)] * (order + 1)
-    for n, term in enumerate(terms, start):
-        if stop is not None and n > stop or not any(term):
-            break
-        if weighted:
-            term = ref_scale(term, Fraction(n + 1))
-        expected = ref_add(expected, term)
-
-    def step(t, n):  # any map works here; the terms are drawn, not ratios
-        return QSeries(terms[n - start]) if n - start < len(terms) else QSeries.zero(order)
-
-    weight = (lambda t, n: t.scale(n + 1)) if weighted else None
-    total = term_sum(QSeries(terms[0]), step, start, stop, weight)
-    assert as_fractions(total) == expected
