@@ -60,8 +60,9 @@ MUTANTS = [
     (SERIES, "p, q, k = p * k, q * k, 1", "p, q = p * k, q * k",
      "the scalar stays pending after the first factor above takes it, so it is applied twice",
      "tests/test_golden.py::test_coeffs_json_is_byte_identical[R02-rhs_nested]"),
-    (FOUR, "return c, 1, ((1, N - n + 1), (b / c, n - 2))", "return c, 0, ((1, N - n + 1), (b / c, n - 2))",
-     "R03's bracket-sum ratio takes shift 0, so its terms lose the bracket's q^(n-1)",
+    (FOUR, "return c, 1, ((1, N - n + 1), *up)", "return c, 0, ((1, N - n + 1), *up)",
+     "the bracket sum's ratio takes shift 0, so the terms of R03's and R05's right sides "
+     "lose the bracket's q^(n-1)",
      "tests/test_golden.py::test_coeffs_json_is_byte_identical[R02-rhs]"),
     (SERIES, "if shift < 0:\n            raise ValueError(\"q-exponent must be non-negative\")\n",
      "if shift < 0:\n            raise ValueError(\"q-exponent must be non-negative\")\n"
@@ -179,9 +180,35 @@ MUTANTS = [
     (SERIES, "if v > T or not r[0]", "if v >= T or not r[0]",
      "term_sum's scan ends one index early where a term's q-valuation is exactly T, losing its q^T",
      "tests/test_golden.py::test_coeffs_json_is_byte_identical[R04-rhs]"),
-    (COMMON, "range(1, min(top, T) + 1)", "range(1, min(top, T))",
-     "q_power_sum ends one term short, without q^top W_top",
+    (COMMON, "min(indices.stop, T + 1))", "min(indices.stop, T + 1) - 1)",
+     "q_power_sum ends one term short, without the last index's q^n W_n",
      "tests/test_golden.py::test_coeffs_json_is_byte_identical[R43-lhs]"),
+    (FOUR, "((x, n - 1), (y, n - 1))", "((x, n), (y, n - 1))",
+     "the bracket sum's weight reads 1 - x q^n for 1 - x q^(n-1), in R03's and R05's right sides alike",
+     "tests/test_golden.py::test_coeffs_json_is_byte_identical[R03-rhs]"),
+    # q ** (top // e + 1) has no entry: it is an equivalent mutant, as it scales
+    # the numerators and the denominator by one more q alike, the floor division
+    # stays exact, and the reduction removes the q
+    (SERIES, "qk = q ** (top // e)\n", "qk = q ** (top // e - 1)\n",
+     "a division by 1 - (p/q) q^e scales by q^(K - 1), K = T'//e, "
+     "so its floor division from n = Ke on is inexact",
+     "tests/test_golden.py::test_coeffs_json_is_byte_identical[R01-rhs]"),
+    (SERIES, "elif p and e <= top:\n                if 2 * e > top:  # any two",
+     "elif p and e < top:\n                if 2 * e > top:  # any two",
+     "a factor above at e = T' is skipped as if it were past the tail, "
+     "so the top coefficient misses its - c a[0]",
+     "tests/test_golden.py::test_coeffs_json_is_byte_identical[R02-rhs_nested]"),
+    (SERIES, "elif p and e <= top:\n                if 2 * e > top:  # 1/(1 - c q^e)",
+     "elif p and e < top:\n                if 2 * e > top:  # 1/(1 - c q^e)",
+     "a factor below at e = T' is skipped as if it were past the tail, "
+     "so the top coefficient misses its + c a[0]",
+     "tests/test_golden.py::test_coeffs_json_is_byte_identical[R02-rhs_nested]"),
+    (SERIES, "k *= q if q > p else -q", "k *= q",
+     "a division by 1 - c with c > 1 keeps the sign of q/(q - p) positive",
+     "tests/test_golden.py::test_sums_once_copied_are_byte_identical[R37-lhs]"),
+    (SPT, "((c, j + k), (1, j))) if j", "((c, j + k + 1), (1, j))) if j",
+     "R31's inner ratio reads (c q^(k+1))_j's last factor at q^(j+k+1) for q^(j+k)",
+     "tests/test_golden.py::test_limit_sides_are_byte_identical[R31-lhs]"),
 ]
 
 

@@ -42,6 +42,9 @@ _NEGATIVE_LITERAL = re.compile(r"-\d")
 # benchmark use (T <= 100, N <= 32); a far larger size fails to allocate or
 # does not finish, and must exit 2 like any other bad input
 MAX_SIZE = 1000
+# table's largest --max-n: every statistic enumerates the partitions of each
+# n <= max_n; at 60 the slowest, ospt, takes about 18 s on 2 vCPUs
+MAX_TABLE_N = 60
 _SIZE_FLAGS = (("order", "--order"), ("n_value", "--N"), ("n_max", "--N-max"), ("max_n", "--max-n"),
                ("j", "--j"))
 
@@ -174,6 +177,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             raise UsageError(f"--stat {args.stat} takes no {flag}")
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
+    if args.max_n > MAX_TABLE_N:
+        raise UsageError(f"--max-n must be at most {MAX_TABLE_N} for table, which enumerates partitions")
     j = 1 if args.j is None else args.j
     if j < 0:
         raise UsageError("--j must be non-negative")

@@ -269,8 +269,8 @@ def _r42() -> Identity:
 def _r43() -> Identity:
     def lhs(env, N, one):
         x = env.get("a")
-        harmonic = q_power_sum(one, N, div_q_n)
-        return harmonic - q_power_sum(one, N - 1, lambda k: (x, (), ((x, k),)))
+        harmonic = q_power_sum(one, range(1, N + 1), div_q_n)
+        return harmonic - q_power_sum(one, range(1, N), lambda k: (x, (), ((x, k),)))
 
     def rhs(env, N, one):
         x = env.get("a")
@@ -301,7 +301,7 @@ def _r43() -> Identity:
 def _r44() -> Identity:
     def lhs(env, N, one):
         d = env.get("d")
-        return q_power_sum(one, one.order, lambda n: (1, (), ((d, n), (1, n))))
+        return q_power_sum(one, range(1, one.order + 1), lambda n: (1, (), ((d, n), (1, n))))
 
     def rhs(env, N, one):
         # n q^n (q^{n+1})_inf / (d q^n)_inf = ((q)_inf/(dq)_inf) n q^n (dq)_{n-1} / (q)_n

@@ -3,16 +3,16 @@
 A corollary's sum is its parent sum at fixed parameters, and each sum that
 several stated sides write has one builder.  M_N(a), F(a, x) and S(d),
 which more than one module calls, are here, with tail_sum for the sums
-whose terms never vanish; the others stay in their module.  An infinite
-sum whose terms are the termwise limit of a finite sum's terms is that
-finite sum at the cutoff limit_cutoff gives, N = T + 1.  A side that
-restates another side, at that cutoff or at fixed parameters, is
-restated(builder, fix, limit); sides_at restates every side of an entry.
+whose terms never vanish and q_power_sum for the Lambert-type ones; the
+others stay in their module.  An infinite sum whose terms are the
+termwise limit of a finite sum's terms is that finite sum at the cutoff
+limit_cutoff gives, N = T + 1.  A side that restates another side, at
+that cutoff or at fixed parameters, is restated(builder, fix, limit);
+sides_at restates every side of an entry.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, Optional
@@ -31,24 +31,19 @@ def div_q_n(n: int):
     return 1, (), ((1, n),)
 
 
-def lambert_bracket(t: QSeries, x: Fraction, y: Fraction, m: int) -> QSeries:
-    """t * (x q^m/(1 - x q^m) - y q^m/(1 - y q^m))
-    = t * (x - y) q^m / ((1 - x q^m)(1 - y q^m)); at m = 0 it needs
-    x, y != 1, and (1 - 1) raises ZeroConstantTermError."""
-    return t.apply_ratio(x - y, m, down=((x, m), (y, m)))
-
-
 def _times_q_power(u: QSeries, n: int, weight) -> QSeries:
     """u q^n W_n for W_n = weight(n) = (scalar, up, down)."""
     scalar, up, down = weight(n)
     return u.apply_ratio(scalar, n, up, down)
 
 
-def q_power_sum(one: QSeries, top: int, weight) -> QSeries:
-    """sum_{n=1}^{top} q^n W_n to the order T of one, each term one kernel
-    call on one, as no term is a ratio of the one before."""
+def q_power_sum(one: QSeries, indices: range, weight) -> QSeries:
+    """sum_{n in indices, n <= T} q^n W_n to the order T of one: each term one
+    kernel call on one, as no term is a ratio of the one before; the one
+    builder of the Lambert-type sides, over the powers of their denominator."""
     T = one.order
-    return type(one).sum_of((_times_q_power(one, n, weight) for n in range(1, min(top, T) + 1)), T)
+    clipped = range(indices.start, min(indices.stop, T + 1))
+    return type(one).sum_of((_times_q_power(one, n, weight) for n in clipped), T)
 
 
 def limit_cutoff(one: QSeries) -> int:

@@ -7,14 +7,15 @@ common.restated(side, limit=True): R15's sum is R10's left side, R18's
 left side R13's and R19's right side R14's, and R16 is
 common.sides_at(R11, limit=True).  R17 is R01 under its own id, so its
 right side is R12's.  The stabilization tests compare each finite form
-with a limit side that keeps its own builder.
+with a limit side that keeps its own builder.  The Lambert-type right
+sides of R12, R13 and R14 are each one common.q_power_sum.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..series import QSeries, poch_ratio, ratio_terms, term_sum
+from ..series import poch_ratio, term_sum
 from .common import (
     all_nonzero,
     div_q_n,
@@ -33,18 +34,6 @@ from .four_parameter import _finite_quotient_sum_lhs, _lambert_bracket_sum, _r01
 from .model import FINITE, INFINITE, Identity
 
 
-def _squared_lambert_sum(a, one: QSeries, top: int) -> QSeries:
-    """sum_{k=0}^{top} a q^k / (1 - a q^k)^2, to the order T of one.
-
-    With top >= T this is sum_{m>=1} m a^m / (1 - q^m) taken over the
-    powers of its denominator: sum_{m>=1} m (a q^k)^m = a q^k/(1 - a q^k)^2.
-    The rearrangement is exact as formal power series: for j >= 1, [q^j]
-    of both forms is sum_{mk=j} m a^m, and [q^0] is a/(1-a)^2 on both."""
-    T = one.order
-    terms = (one.apply_ratio(a, k, down=((a, k), (a, k))) for k in range(min(top, T) + 1))
-    return type(one).sum_of(terms, T)
-
-
 def _r10() -> Identity:
     def lhs(env, N, one):
         a, b = env.get("a"), env.get("b")
@@ -58,9 +47,9 @@ def _r10() -> Identity:
         a, b = env.get("a"), env.get("b")
 
         def ratio(n):  # [N,n] (-a/b)_n (bq)^n / (b q^{N-n+1})_n
-            return b, 1, ((1, N - n + 1), (-a / b, n - 1)), ((1, n), (b, N - n + 1))
+            return (b, 1, ((1, N - n + 1), (-a / b, n - 1)), ((1, n), (b, N - n + 1))) if n else (1, 0, (), ())
 
-        return type(one).sum_of([one, *ratio_terms(one, ratio, 1, N)], one.order)  # faster than nested
+        return term_sum(one, ratio, 0, N)
 
     return Identity(
         id="R10",
@@ -131,7 +120,7 @@ def _r13() -> Identity:
 
     def rhs(env, N, one):
         a = env.get("a")
-        return q_power_sum(one, N, lambda n: (a, (), ((a, n),)))
+        return q_power_sum(one, range(1, N + 1), lambda n: (a, (), ((a, n),)))
 
     return Identity(
         id="R13",
@@ -158,7 +147,12 @@ def _r14() -> Identity:
         return term_sum(one, ratio, 1, N, div_q_n)
 
     def rhs(env, N, one):
-        return _squared_lambert_sum(env.get("a"), one, N - 1)
+        # sum_{k=0}^{N-1} a q^k/(1 - a q^k)^2; for N > T it is R19's sum_{m>=1} m a^m/(1 - q^m)
+        # taken over the powers of its denominator, as sum_{m>=1} m (a q^k)^m = a q^k/(1 - a q^k)^2.
+        # The rearrangement is exact as formal power series: for j >= 1, [q^j] of
+        # both forms is sum_{mk=j} m a^m, and [q^0] is a/(1-a)^2 on both.
+        a = env.get("a")
+        return q_power_sum(one, range(N), lambda k: (a, (), ((a, k), (a, k))))
 
     return Identity(
         id="R14",

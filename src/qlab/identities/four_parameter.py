@@ -15,17 +15,18 @@ The Lambert-type sum sum_m (a^m - b^m)/(1 - c q^{m+n}) has no term ratio;
 it is summed over the powers of its denominator, each term one
 apply_ratio call for a bracket x q^k/(1 - x q^k) - y q^k/(1 - y q^k), whose
 k = 0 term a/(1-a) - b/(1-b) is the closed form of its constant
-coefficients.  In the nested right side of R02 the bracket's index k
-enters the outer terms t_n only through q^{kn}, so the double sum is
-interchanged: one bracket call per k on G_k = sum_n q^{kn} t_n, with the
-t_n from the forward stream ratio_terms.  Sampling stays inside the
-stated convergence regions so those closed forms are the values of the
-sums.
+coefficients: common.q_power_sum at c = 1, R12's right side.  In the
+nested right side of R02 the bracket's index k enters the outer terms t_n
+only through q^{kn}, so the double sum is interchanged: one bracket call
+per k on G_k = sum_n q^{kn} t_n, with the t_n from the forward stream
+ratio_terms.  Sampling stays inside the stated convergence regions so
+those closed forms are the values of the sums.
 
 The right sides of R02-R05 weight each term by a Lambert bracket
-(x - y) q^m/((1 - x q^m)(1 - y q^m)).  Their ratios take shift 1, so a term
-carries the bracket's q^m (q^{n-1} in the finite forms), x - y rides in
-the first ratio, as a weight is never zero, and the weight is the rest.
+(x - y) q^m/((1 - x q^m)(1 - y q^m)), and all are _bracket_sum: R02's and
+R04's restate R03's and R05's.  Its ratio takes shift 1, so a term
+carries the bracket's q^{n-1}, x - y rides in the first ratio, as a
+weight is never zero, and the weight is the rest.
 
 The right sides of R01, R02 and R04 are those of R12, R03 and R05 at
 N = T + 1, and R09 is R07 there on both sides: each is the termwise
@@ -45,9 +46,9 @@ from .common import (
     distinct,
     domain_all,
     inside_unit,
-    lambert_bracket,
     not_value,
     pole_when,
+    q_power_sum,
     restated,
     rules,
     sides_at,
@@ -89,8 +90,22 @@ def _lambert_bracket_sum(env: ParamEnv, N: int, one: QSeries) -> QSeries:
     """sum_{m>=1} (a^m - b^m)(1 - q^{mN})/(1 - q^m), R12's right side:
     (1 - q^{mN})/(1 - q^m) = sum_{j=0}^{N-1} q^{mj}, and summed over m the
     power q^{mj} gives the bracket a q^j/(1 - a q^j) - b q^j/(1 - b q^j)."""
-    a, b, T = env.get("a"), env.get("b"), one.order
-    return type(one).sum_of((lambert_bracket(one, a, b, j) for j in range(min(N, T + 1))), T)
+    a, b = env.get("a"), env.get("b")
+    return q_power_sum(one, range(N), lambda j: (a - b, (), ((a, j), (b, j))))
+
+
+def _bracket_sum(first, x, y, c, uppers, lowers, N: int, one: QSeries) -> QSeries:
+    """first/(x - y) sum_{n=1}^{N} [N,n] (q)_n (cq)_{N-n} c^{n-1} prod_u (u)_{n-1}
+    / ((cq)_N prod_l (l)_{n-1}) (x q^{n-1}/(1 - x q^{n-1}) - y q^{n-1}/(1 - y q^{n-1}))
+    over the columns u in uppers and l in lowers, the right side of R03 and R05."""
+
+    def ratio(n):  # [N,n] (q)_n (cq)^{n-1} prod_u (u)_{n-1} / (prod_l (l)_{n-1} (c q^{N-n+1})_n)
+        if n == 1:
+            return first, 0, ((1, N),), ((c, N),)
+        up, down = [(u, n - 2) for u in uppers], [(l, n - 2) for l in lowers]
+        return c, 1, ((1, N - n + 1), *up), ((c, N - n + 1), *down)
+
+    return term_sum(one, ratio, 1, N, lambda n: (1, (), ((x, n - 1), (y, n - 1))))  # the rest of the bracket
 
 
 def _r01() -> Identity:
@@ -172,16 +187,7 @@ def _r03() -> Identity:
 
     def rhs(env, N, one):
         a, b, c = env.get("a"), env.get("b"), env.get("c")
-
-        def ratio(n):  # [N,n] (b/c)_{n-1} (q)_n (cq)^{n-1} / ((b)_{n-1} (c q^{N-n+1})_n), and a - b
-            if n == 1:
-                return a - b, 0, ((1, N),), ((c, N),)
-            return c, 1, ((1, N - n + 1), (b / c, n - 2)), ((c, N - n + 1), (b, n - 2))
-
-        def weight(n):  # the rest of the bracket
-            return 1, (), ((a, n - 1), (b, n - 1))
-
-        return term_sum(one, ratio, 1, N, weight)
+        return _bracket_sum(a - b, a, b, c, (b / c,), (b,), N, one)
 
     return Identity(
         id="R03",
@@ -252,18 +258,7 @@ def _r05() -> Identity:
         a, b, c, d = env.get("a"), env.get("b"), env.get("c"), env.get("d")
         ad = a * d
         prefactor = (a - b) * (d - c) / (ad - b)
-
-        def ratio(n):
-            # [N,n] (a)_{n-1} (bd/c)_{n-1} (q)_n (cq)^{n-1} / ((b)_{n-1} (ad)_{n-1} (c q^{N-n+1})_n)
-            if n == 1:  # and the prefactor times ad - b
-                return prefactor * (ad - b), 0, ((1, N),), ((c, N),)
-            up = ((1, N - n + 1), (a, n - 2), (b * d / c, n - 2))
-            return c, 1, up, ((c, N - n + 1), (b, n - 2), (ad, n - 2))
-
-        def weight(n):  # the rest of the bracket
-            return 1, (), ((ad, n - 1), (b, n - 1))
-
-        return term_sum(one, ratio, 1, N, weight)
+        return _bracket_sum(prefactor * (ad - b), ad, b, c, (a, b * d / c), (b, ad), N, one)
 
     return Identity(
         id="R05",

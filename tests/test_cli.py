@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab.cli import MAX_SIZE, main
+from qlab.cli import MAX_SIZE, MAX_TABLE_N, main
 from qlab.identities import REGISTRY
 from qlab.identities.model import FINITE
 
@@ -178,6 +178,16 @@ def test_size_above_the_bound_is_usage_error(capsys, argv, flag, size):
     assert code == 2
     assert out == ""
     assert f"{flag} must be at most {MAX_SIZE}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [str(MAX_TABLE_N + 1), str(MAX_SIZE)])
+@pytest.mark.parametrize("stat", ["p", "ospt"])
+def test_table_size_above_its_enumeration_bound_is_usage_error(capsys, stat, size):
+    # within MAX_SIZE, but enumerating p(n) partitions up to it would not end
+    code, out, err = run_cli(capsys, "table", "--stat", stat, "--max-n", size)
+    assert code == 2
+    assert out == ""
+    assert f"--max-n must be at most {MAX_TABLE_N}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("size", [str(MAX_SIZE + 1), "99999999999999999999"])

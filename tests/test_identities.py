@@ -20,7 +20,7 @@ from qlab.identities import (
     sample_env,
     verify,
 )
-from qlab.identities.common import lambert_bracket, restated
+from qlab.identities.common import restated
 from qlab.identities.model import FINITE
 from qlab.identities.phi_sum import phi_block
 from qlab.identities.spt_family import _square_sum
@@ -285,9 +285,10 @@ def test_lambert_bracket_is_a_difference_of_geometric_fractions(m):
     x, y = Fraction(1, 2), Fraction(-7, 3)
     t = QSeries([Fraction(k + 1, 3) for k in range(T + 1)])
     expected = t * (_geometric_fraction(x, m, T) - _geometric_fraction(y, m, T))
-    assert lambert_bracket(t, x, y, m) == expected
+    # the bracket as the Lambert-type sides apply it: (x - y) q^m / ((1 - x q^m)(1 - y q^m))
+    assert t.apply_ratio(x - y, m, down=((x, m), (y, m))) == expected
     with pytest.raises(ZeroConstantTermError):
-        lambert_bracket(t, Fraction(1), Fraction(1), 0)
+        t.apply_ratio(0, 0, down=((Fraction(1), 0), (Fraction(1), 0)))
 
 
 @pytest.mark.parametrize("a, b", [(Fraction(5, 2), Fraction(-7, 3)), (Fraction(-1, 3), Fraction(1, 2))])
