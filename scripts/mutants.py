@@ -104,8 +104,9 @@ MUTANTS = [
     (PHI, "return -c, k + j,", "return c, k + j,",
      "the block's inner ratio drops the sign of 1 - q^(k-N+j-1) = -q^(k-N+j-1) (1 - q^(N-k-j+1))",
      "tests/test_golden.py::test_two_phi_one_blocks_are_byte_identical[R20-rhs-N4]"),
-    (SPT, "else -d, n, ((ratio, n - 1),)", "else -d, n + 1, ((ratio, n - 1),)",
-     "A(c, d) steps by q^(n+1) from n = 2, so its terms carry q^(n(n+3)/2 - 1) for q^(n(n+1)/2)",
+    (PHI, "else -d, n, ((ratio, n - 1),", "else -d, n + 1, ((ratio, n - 1),",
+     "the alternating sum steps by q^(n+1) from n = 2, so the terms of R20-R22's sums and of "
+     "A(c, d) carry q^(n(n+3)/2 - 1) for q^(n(n+1)/2)",
      "tests/test_golden.py::test_two_phi_one_blocks_are_byte_identical[R26-lhs]"),
     (COMMON, "((d, n - 1),) if n > 1", "((d, n),) if n > 1",
      "S(d) reads (dq)_n for (dq)_(n-1)",
@@ -209,6 +210,16 @@ MUTANTS = [
     (SPT, "((c, j + k), (1, j))) if j", "((c, j + k + 1), (1, j))) if j",
      "R31's inner ratio reads (c q^(k+1))_j's last factor at q^(j+k+1) for q^(j+k)",
      "tests/test_golden.py::test_limit_sides_are_byte_identical[R31-lhs]"),
+    # R26's d-q block at N = T for N = T + 1 has no entry: it is an equivalent
+    # mutant, as at T in {6, 12, 20} the block at N = T and at N = T - 1
+    # already equals its limit
+    (PHI, "((x, k), (1, N - k + 1)), ((d, N - k + 1)", "((x, k), (1, N - k)), ((d, N - k + 1)",
+     "the quotient tail reads the q-binomial ratio [N,k]/[N,k-1] one power short",
+     "tests/test_golden.py::test_quotient_sides_are_byte_identical[R22-rhs-N4]"),
+    (PHI, "(1, N - k + 1)), ((d, N - k + 1), (1, k))", "(1, N - k + 1)), ((d, N - k), (1, k))",
+     "the quotient tail divides by 1 - d q^(N-k) for 1 - d q^(N-k+1), the factor that "
+     "(dq^(N-k+1))_k adds to (dq^(N-k+2))_(k-1)",
+     "tests/test_golden.py::test_quotient_sides_are_byte_identical[R22-rhs-N4]"),
 ]
 
 

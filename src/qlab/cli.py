@@ -45,12 +45,22 @@ MAX_SIZE = 1000
 # table's largest --max-n: every statistic enumerates the partitions of each
 # n <= max_n; at 60 the slowest, ospt, takes about 18 s on 2 vCPUs
 MAX_TABLE_N = 60
+# the largest --order at which verify or coeffs builds R24, whose sides
+# enumerate every partition of T: its verify takes about 4x as long for each
+# +10 in T, about 10 s at 80 on 2 vCPUs
+MAX_ENUMERATED_ORDER = 80
 _SIZE_FLAGS = (("order", "--order"), ("n_value", "--N"), ("n_max", "--N-max"), ("max_n", "--max-n"),
                ("j", "--j"))
 
 
 class UsageError(Exception):
     """Configuration problem that should exit with status 2."""
+
+
+def _check_enumerated_order(ids: Iterable[str], order: int) -> None:
+    if order > MAX_ENUMERATED_ORDER and "R24" in ids:
+        raise UsageError(f"--order must be at most {MAX_ENUMERATED_ORDER} for R24, "
+                         "which enumerates every partition of T")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -135,6 +145,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except KeyError as err:
             raise UsageError(err.args[0]) from None
         ids = [args.identity_id]
+    _check_enumerated_order(REGISTRY if ids is None else ids, args.order)
     n_values = [args.n_value] if args.n_value is not None else None
     if n_values and n_values[0] < 1:
         raise UsageError("--N must be >= 1")
@@ -223,6 +234,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         raise UsageError(f"{identity.id} is a finite identity; pass --N")
     if identity.kind != FINITE and args.n_value is not None:
         raise UsageError(f"{identity.id} is an infinite identity; it takes no --N")
+    _check_enumerated_order([identity.id], args.order)
     try:
         series = build_side(identity, args.side, env, args.n_value, args.order)
     except KeyError as err:

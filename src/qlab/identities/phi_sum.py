@@ -6,17 +6,21 @@ k of 2phi1(dq, dq^{N+1}; dq^{k+1}; (c/d) q^k).  Euler's transformation
 = (abz/e)_inf / (z)_inf 2phi1(e/a, e/b; e; abz/e), makes it
 2phi1(q^k, q^{k-N}; dq^{k+1}; cq^{N+1}), which ends at j = N - k; its
 quotient of products leaves (c/d)_k in the outer term and
-(dq)_N / ((q)_N (cq)_N) in front.  phi_block builds that form; the d-q
-blocks of R26 and R32 are it at N = 2T (see spt_family).
+(dq)_N / ((q)_N (cq)_N) in front.  phi_block builds that form.  R22's
+right side over (q)_N is quotient_side, x + (dq)_N/(cq)_N (tail - x) for
+x = c/(c - d) and tail the finite sum quotient_tail.  At the limit cutoff
+N = T + 1 these sums and R21's are spt_family's infinite sums: R32 is R22
+there, the d-q block of R26 is phi_block, and the quotient sums of
+R26-R28 and A(c, d) are this module's.
 
 Every sum is over term ratios whose factors (1 - c q^e) have e >= 1, and
-ends after its cutoff or at its first term zero to order T.  R21's sum and
-the head of R22's left side are term_sums, nested from the last index in.
-The rest take their terms from the forward stream, ratio_terms: R20's left
-side is interchanged, sum_k q^k U_k / (1 - q^k) over the suffix sums
-U_k = sum_{n>=k} t_n; the block's inner 2-phi-1 weights its outer term t_k
-and starts from t_k / (1 - q^k), so no full product runs; and R22's right
-side measured slower nested.
+ends after its cutoff or at its first term zero to order T.  R21's sum, the
+head of R22's left side and the quotient tail are term_sums, nested from
+the last index in.  Two take their terms from the forward stream,
+ratio_terms: R20's left side is interchanged, sum_k q^k U_k / (1 - q^k)
+over the suffix sums U_k = sum_{n>=k} t_n; and the block's inner 2-phi-1
+weights its outer term t_k and starts from t_k / (1 - q^k), so no full
+product runs.
 """
 
 from __future__ import annotations
@@ -56,25 +60,46 @@ def phi_block(c, d, N: int, one: QSeries) -> QSeries:
     return poch_ratio(total, up=((d, 1, N),), down=((1, 1, N), (c, 1, N)))
 
 
-def _alternating(env, N: int, over_q_N: bool):
+def _alternating(c, d, N: int, over_q_N: bool):
     """The ratios of the terms n = 1..N: [N,n] (c/d)_n d^n (-1)^{n-1}
     q^{n(n+1)/2} / (cq)_n, and over_q_N, the same over (q)_N, which is
-    (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n)."""
-    c, d = env.get("c"), env.get("d")
+    (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (q)_{N-n} (cq)_n); at c = 0,
+    (c/d)_n is 1 and d may be 0."""
+    ratio = c / d if c else 0
 
-    def ratio(n):
+    def term_ratio(n):
         down = ((1, n), (c, n))
         if n == 1 and over_q_N:
             down += tuple((1, k) for k in range(1, N + 1))
-        return d if n == 1 else -d, n, ((c / d, n - 1), (1, N - n + 1)), down
+        return d if n == 1 else -d, n, ((ratio, n - 1), (1, N - n + 1)), down
 
-    return ratio
+    return term_ratio
+
+
+def quotient_tail(x, d, N: int, one: QSeries) -> QSeries:
+    """sum_{k=1}^{N} [N,k] (xq)_k (dq)^k / ((dq^{N-k+1})_k (1-q^k)); its limit
+    has 1/(q)_k for [N,k] / (dq^{N-k+1})_k."""
+
+    def ratio(k):  # [N,k] (xq)_k (dq)^k / (dq^{N-k+1})_k
+        return d, 1, ((x, k), (1, N - k + 1)), ((d, N - k + 1), (1, k))
+
+    return term_sum(one, ratio, 1, N, div_q_n)
+
+
+def quotient_side(c, d, N: int, one: QSeries) -> QSeries:
+    """c/(c-d) (1 - ratio) + ratio * quotient_tail(c/d, d, N), with ratio =
+    (dq)_N/(cq)_N: R22's right side times (q)_N."""
+    # x (1 - ratio) + ratio * tail = x + ratio * (tail - x), x = c/(c - d)
+    x = one.scale(c / (c - d))
+    tail = quotient_tail(c / d, d, N, one) - x
+    return x + poch_ratio(tail, up=((d, 1, N),), down=((c, 1, N),))
 
 
 def _r20() -> Identity:
     def lhs(env, N, one):
         # the weight is the harmonic partial sum sum_{k=1}^{n} q^k / (1 - q^k)
-        return nested_q_power_sum(ratio_terms(one, _alternating(env, N, True), 1, N), one, div_q_n)
+        terms = ratio_terms(one, _alternating(env.get("c"), env.get("d"), N, True), 1, N)
+        return nested_q_power_sum(terms, one, div_q_n)
 
     def rhs(env, N, one):
         return phi_block(env.get("c"), env.get("d"), N, one)
@@ -99,7 +124,7 @@ def _r20() -> Identity:
 
 def _r21() -> Identity:
     def lhs(env, N, one):
-        return term_sum(one, _alternating(env, N, False), 1, N)
+        return term_sum(one, _alternating(env.get("c"), env.get("d"), N, False), 1, N)
 
     def rhs(env, N, one):
         c, d = env.get("c"), env.get("d")
@@ -122,20 +147,11 @@ def _r21() -> Identity:
 
 def _r22() -> Identity:
     def lhs(env, N, one):
-        head = term_sum(one, _alternating(env, N, True), 1, N, times_n)
-        return head + phi_block(env.get("c"), env.get("d"), N, one)
+        c, d = env.get("c"), env.get("d")
+        return term_sum(one, _alternating(c, d, N, True), 1, N, times_n) + phi_block(c, d, N, one)
 
     def rhs(env, N, one):
-        c, d = env.get("c"), env.get("d")
-        quotient = poch_ratio(one, up=((d, 1, N),), down=((c, 1, N),))
-        head = div_poch(one - quotient, 1, 1, N).scale(c / (c - d))
-
-        def ratio(k):  # (cq/d)_k (dq)_{N-k} (dq)^k / ((q)_k (q)_{N-k}), from (dq)_N/(q)_N
-            return d, 1, ((c / d, k), (1, N - k + 1)), ((d, N - k + 1), (1, k))
-
-        terms = ratio_terms(poch_ratio(one, up=((d, 1, N),), down=((1, 1, N),)), ratio, 1, N)
-        total = type(one).sum_of((t.div_binomial(1, k) for k, t in enumerate(terms, 1)), one.order)
-        return head + div_poch(total, c, 1, N)
+        return div_poch(quotient_side(env.get("c"), env.get("d"), N, one), 1, 1, N)
 
     return Identity(
         id="R22",

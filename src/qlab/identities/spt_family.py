@@ -19,12 +19,14 @@ The series sides are term_sums.  The q^{j^2}/(q)_j^2 sums of R23, R25 and
 R36 are interchanged, one weight per inner index over the suffix sums of
 the outer terms, and R31's double sum starts each inner sum from its
 outer term, so no full product runs; both read their outer terms from
-the forward stream, ratio_terms.  The d-q block of R26 and R32 with its prefactor is the
-N -> infinity limit of phi_sum's finite 2-phi-1 block, built in the
-terminating form of Euler's transformation (Gasper-Rahman, (III.3)), and
-to order T it is that block at N = 2T, since every factor the cutoff adds
-((1 - q^{N-k+1}) in [N,k] with k(k+1) <= T, (dq^{N+1})_m, the tails of
-(q)_N, (dq)_N and (cq)_N) is 1 + O(q^{T+1}).
+the forward stream, ratio_terms.
+
+R32 is R22 at the limit cutoff N = T + 1, and its sums are phi_sum's
+finite sums there: the d-q block of R26 is phi_block, the quotient sums
+of R26-R28 are quotient_side and quotient_tail, and A(c, d) is R21's sum
+weighted by n.  At its index n (k + j in the block) a term is O(q^n), and
+the cutoff adds to it only factors 1 + O(q^{N-n+1}), as in
+common.limit_cutoff; the d-q block already equals its limit at N = T - 1.
 
 A corollary's sum is its parent's at fixed parameters, with one builder:
 A(c, d) is R32's at (c, d), R26's at c = -1 ((q^2;q^2)_n = (q)_n (-q)_n)
@@ -35,6 +37,7 @@ at d and R25's at d = -1; R29 and R30 are R28 at d = 1 and d = -1.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import count
 
@@ -42,7 +45,6 @@ from ..partitions import partition_profiles
 from ..series import QSeries, div_poch, poch_ratio, ratio_terms, term_sum
 from .common import (
     all_nonzero,
-    distinct,
     div_q_n,
     largest_part_sum,
     limit_cutoff,
@@ -54,7 +56,7 @@ from .common import (
     weighted_square_sum,
 )
 from .model import INFINITE, Identity, ParamEnv
-from .phi_sum import phi_block
+from .phi_sum import _alternating, _r22, phi_block, quotient_side, quotient_tail
 
 
 def n_sc_generating_function(order: int) -> QSeries:
@@ -88,33 +90,10 @@ def _square_sum(one: QSeries, weight) -> QSeries:
     return nested_q_power_sum(ratio_terms(one, ratio, 1), one, weight)
 
 
-def _quotient_tail(x, d, one: QSeries) -> QSeries:
-    """sum_{k>=1} (xq)_k (dq)^k / ((q)_k (1-q^k))."""
-
-    def ratio(k):  # (xq)_k (dq)^k / (q)_k
-        return d, 1, ((x, k),), ((1, k),)
-
-    return term_sum(one, ratio, 1, weight=div_q_n)
-
-
-def _quotient_side(c, d, one: QSeries) -> QSeries:
-    """c/(c-d) (1 - ratio) + ratio * sum_{k>=1} (cq/d)_k (dq)^k / ((q)_k (1-q^k)),
-    with ratio = (dq)_inf/(cq)_inf: R32's right side times (q)_inf."""
-    # x (1 - ratio) + ratio * tail = x + ratio * (tail - x), x = c/(c - d)
-    x = one.scale(c / (c - d))
-    tail = _quotient_tail(c / d, d, one) - x
-    return x + poch_ratio(tail, up=((d, 1, None),), down=((c, 1, None),))
-
-
 def _alternating_sum(c, d, one: QSeries) -> QSeries:
-    """A(c, d) = sum_{n>=1} n (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n);
-    at c = 0, (c/d)_n is 1 and d may be 0."""
-    ratio = c / d if c else 0
-
-    def term_ratio(n):  # (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n)
-        return d if n == 1 else -d, n, ((ratio, n - 1),), ((1, n), (c, n))
-
-    return term_sum(one, term_ratio, 1, weight=times_n)
+    """A(c, d) = sum_{n>=1} n (-1)^{n-1} (c/d)_n d^n q^{n(n+1)/2} / ((q)_n (cq)_n),
+    R21's sum weighted by n at the limit cutoff; at c = 0, d may be 0."""
+    return term_sum(one, _alternating(c, d, limit_cutoff(one), False), 1, weight=times_n)
 
 
 def _spt_sum(d, one: QSeries) -> QSeries:
@@ -223,11 +202,11 @@ def _r26() -> Identity:
         d = env.get("d")
         # (q^2;q^2)_n = (q)_n (-q)_n, so the sum is A(-1, d); the d-q block at
         # c = -1 has no 1/(q)_inf in its prefactor here, so (q)_inf cancels it
-        block = phi_block(-1, d, 2 * one.order, one)
+        block = phi_block(-1, d, limit_cutoff(one), one)
         return _alternating_sum(-1, d, one) + poch_ratio(block, up=((1, 1, None),))
 
     def rhs(env, N, one):  # c/(c - d) = 1/(1 + d) at c = -1
-        return _quotient_side(-1, env.get("d"), one)
+        return quotient_side(-1, env.get("d"), limit_cutoff(one), one)
 
     return Identity(
         id="R26",
@@ -265,7 +244,7 @@ def _r27() -> Identity:
         return head + poch_ratio(tail.scale(Fraction(1, 2)), up=up, down=down)
 
     def rhs(env, N, one):  # half of R26's right side at d = 1; c/d of ints is a float
-        return _quotient_side(Fraction(-1), Fraction(1), one).scale(Fraction(1, 2))
+        return quotient_side(Fraction(-1), Fraction(1), limit_cutoff(one), one).scale(Fraction(1, 2))
 
     return Identity(
         id="R27",
@@ -293,7 +272,7 @@ def _r28() -> Identity:
         return div_poch(_alternating_sum(0, d, one), d, 1, None) + block
 
     def rhs(env, N, one):
-        return _quotient_tail(0, env.get("d"), one)
+        return quotient_tail(0, env.get("d"), limit_cutoff(one), one)
 
     return Identity(
         id="R28",
@@ -385,14 +364,9 @@ def _r31() -> Identity:
 
 
 def _r32() -> Identity:
-    def lhs(env, N, one):
-        c, d = env.get("c"), env.get("d")
-        return div_poch(_alternating_sum(c, d, one), 1, 1, None) + phi_block(c, d, 2 * one.order, one)
-
-    def rhs(env, N, one):
-        return div_poch(_quotient_side(env.get("c"), env.get("d"), one), 1, 1, None)
-
-    return Identity(
+    r22 = _r22()
+    return dataclasses.replace(
+        r22,
         id="R32",
         title="limit of the 2-phi-1 block theorem as the cutoff grows",
         statement=(
@@ -403,14 +377,8 @@ def _r32() -> Identity:
             "= c/((c-d)(q)_inf) (1 - (dq)_inf/(cq)_inf) "
             "+ ((dq)_inf/((cq)_inf (q)_inf)) sum_{k>=1} (cq/d)_k (dq)^k / ((q)_k (1-q^k))"
         ),
-        params=("c", "d"),
         kind=INFINITE,
-        sides=(("lhs", lhs), ("rhs", rhs)),
-        constraint=rules(
-            not_value("d", 0, "the quotient arguments c/d and cq/d are undefined"),
-            distinct("c", "d", "the prefactor denominator (c - d) vanishes"),
-        ),
-        domain=all_nonzero("c"),
+        sides=sides_at(r22, limit=True),
     )
 
 

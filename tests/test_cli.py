@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab.cli import MAX_SIZE, MAX_TABLE_N, main
+import qlab.cli
+from qlab.cli import MAX_ENUMERATED_ORDER, MAX_SIZE, MAX_TABLE_N, main
 from qlab.identities import REGISTRY
 from qlab.identities.model import FINITE
 
@@ -188,6 +189,29 @@ def test_table_size_above_its_enumeration_bound_is_usage_error(capsys, stat, siz
     assert code == 2
     assert out == ""
     assert f"--max-n must be at most {MAX_TABLE_N}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [str(MAX_ENUMERATED_ORDER + 1), str(MAX_SIZE)])
+@pytest.mark.parametrize("argv", [("verify",), ("verify", "--id", "R24"), ("coeffs", "--id", "R24")])
+def test_order_above_the_enumeration_bound_with_r24_is_usage_error(capsys, monkeypatch, argv, size):
+    # within MAX_SIZE, but R24's sides enumerate every partition of T and would
+    # not end; rejected before any side is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a side was built")
+
+    monkeypatch.setattr(qlab.cli, "run_suite", unreachable)
+    monkeypatch.setattr(qlab.cli, "build_side", unreachable)
+    code, out, err = run_cli(capsys, *argv, "--order", size)
+    assert code == 2
+    assert out == ""
+    assert f"--order must be at most {MAX_ENUMERATED_ORDER} for R24" in err and "Traceback" not in err
+
+
+def test_order_above_the_enumeration_bound_without_r24_runs(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--id", "R01", "--order", str(MAX_ENUMERATED_ORDER + 1),
+                           "--samples", "1")
+    assert code == 0
+    assert [(r["T"], r["outcome"]) for r in json.loads(out)] == [(MAX_ENUMERATED_ORDER + 1, "pass")]
 
 
 @pytest.mark.parametrize("size", [str(MAX_SIZE + 1), "99999999999999999999"])

@@ -42,7 +42,14 @@ The 2-phi-1 blocks (BLOCKS: R20's right side, R22's left side, and the
 d-q blocks of R26's and R32's left sides) were recorded while every inner
 2-phi-1 still ran to about T/k terms in its untransformed form and the
 d-q block had a builder of its own, before each became the terminating
-sum that Euler's transformation gives, the d-q block at cutoff N = 2T.
+sum that Euler's transformation gives, the d-q block at cutoff N = 2T
+(at N = T + 1 since R32 became R22 at that cutoff).
+
+The quotient sides (QUOTIENTS: R22's right side at N = 4, and the right
+sides of R26, R27 and R32) were recorded while R22's right side still read
+its terms from the forward stream and R26's, R27's and R32's were infinite
+sums with builders of their own, before each became phi_sum's finite
+quotient sum, at N = T + 1 for the limits.
 
 The sums that several stated sides share (SHARED: R16's sides, R25's and
 R28's left sides, R28's right side, R13's and R21's left sides, R42's
@@ -810,6 +817,132 @@ BLOCKS = [
 
 @pytest.mark.parametrize("argv, expected", BLOCKS, ids=["R20-rhs-N4", "R22-lhs-N4", "R26-lhs", "R32-lhs"])
 def test_two_phi_one_blocks_are_byte_identical(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+QUOTIENTS = [
+    (
+        "coeffs --id R22 --side rhs --order 12 --c 4/7 --d=-5/3 --N 4".split(),
+        """\
+{
+  "id": "R22",
+  "side": "rhs",
+  "env": {
+    "c": "4/7",
+    "d": "-5/3"
+  },
+  "N": 4,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-47/21",
+    "-1175/147",
+    "-85493/3087",
+    "-1477351/21609",
+    "-23884319/151263",
+    "-346928150/1058841",
+    "-14143439327/22235661",
+    "-177824360551/155649627",
+    "-2150420901635/1089547389",
+    "-74600281961263/22880495169",
+    "-275849376130403/53387822061",
+    "-2962783146349081/373714754427"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R26 --side rhs --order 12 --d=-5/3".split(),
+        """\
+{
+  "id": "R26",
+  "side": "rhs",
+  "env": {
+    "d": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-2/3",
+    "-2/3",
+    "-32/9",
+    "-10/9",
+    "-52/9",
+    "-64/9",
+    "-236/27",
+    "-178/27",
+    "-134/9",
+    "-1996/81",
+    "-1120/81",
+    "-808/27"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R27 --side rhs --order 12".split(),
+        """\
+{
+  "id": "R27",
+  "side": "rhs",
+  "env": {},
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "1",
+    "1",
+    "0",
+    "-1",
+    "-2",
+    "0",
+    "-2",
+    "1",
+    "1",
+    "2",
+    "0",
+    "4"
+  ]
+}
+""",
+    ),
+    (
+        "coeffs --id R32 --side rhs --order 12 --c 4/7 --d=-5/3".split(),
+        """\
+{
+  "id": "R32",
+  "side": "rhs",
+  "env": {
+    "c": "4/7",
+    "d": "-5/3"
+  },
+  "N": null,
+  "T": 12,
+  "coeffs": [
+    "0",
+    "-47/21",
+    "-1175/147",
+    "-85493/3087",
+    "-1477351/21609",
+    "-24222860/151263",
+    "-365660752/1058841",
+    "-15553124051/22235661",
+    "-209324584978/155649627",
+    "-2721745852951/1089547389",
+    "-102831006055843/22880495169",
+    "-1256808660489691/160163466183",
+    "-15017802662552393/1121144263281"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", QUOTIENTS, ids=["R22-rhs-N4", "R26-rhs", "R27-rhs", "R32-rhs"])
+def test_quotient_sides_are_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
 

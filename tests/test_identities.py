@@ -20,7 +20,7 @@ from qlab.identities import (
     sample_env,
     verify,
 )
-from qlab.identities.common import restated
+from qlab.identities.common import limit_cutoff, restated
 from qlab.identities.model import FINITE
 from qlab.identities.phi_sum import phi_block
 from qlab.identities.spt_family import _square_sum
@@ -457,11 +457,14 @@ def test_r20_harmonic_weight_equals_its_rebuild_and_multiply_form(T):
 @pytest.mark.parametrize("T", NESTED_ORDERS)
 def test_double_sums_equal_their_rebuild_and_multiply_forms(T):
     # the d-q block with its prefactor (c/d)_inf (dq)_inf / ((q)_inf (cq)_inf) is,
-    # to order T, the 2-phi-1 block at N = 2T; c = -1 is R26's
+    # to order T, the 2-phi-1 block at the limit cutoff N = T + 1, as at any
+    # larger N such as 2T; c = -1 is R26's
     for c, d in ((Fraction(-7, 8), Fraction(5, 8)), (Fraction(-1), Fraction(-2))):
         prefactor = div_poch(poch(c / d, 0, None, T) * poch(d, 1, None, T), 1, 1, None)
         expected = div_poch(prefactor, c, 1, None) * ref_dq_block(d, c / d, T)
-        assert same_value(phi_block(c, d, 2 * T, QSeries.one(T)), expected)
+        one = QSeries.one(T)
+        for N in (limit_cutoff(one), 2 * T):
+            assert same_value(phi_block(c, d, N, one), expected), N
     # each weight as the builders give it, (scalar, up, down), and as the oracle's closure
     for data, weight in (
         (lambda n: (1, (), ((Fraction(3, 4), n), (1, n))),
