@@ -41,6 +41,7 @@ COMMON, SPT = "src/qlab/identities/common.py", "src/qlab/identities/spt_family.p
 PARTITIONS, HARNESS = "src/qlab/partitions.py", "src/qlab/identities/harness.py"
 CLASSICAL = "src/qlab/identities/classical.py"
 MOMENTS = "src/qlab/identities/moments.py"
+CLI = "src/qlab/cli.py"
 # the goldens first: in about 2 s they kill every entry but five Laurent ones
 # that no golden's output shows (the fractional z-division, positive_z_part,
 # div_binomial's bound, div_z_pair's symmetry check, and the rank's Horner
@@ -95,7 +96,7 @@ MUTANTS = [
      "the combined pass reads the running output, which its scaling has multiplied, "
      "in place of a; equivalent when nothing scales",
      "tests/test_golden.py::test_coeffs_json_is_byte_identical[R02-rhs_nested]"),
-    (PHI, "ratio_terms(t, inner, 0, N - k)", "ratio_terms(t, inner, 0, N - k - 1)",
+    (PHI, "lambda k: N - k)", "lambda k: N - k - 1)",
      "the 2-phi-1 block's terminating inner sum ends one term short, before j = N - k",
      "tests/test_golden.py::test_two_phi_one_blocks_are_byte_identical[R20-rhs-N4]"),
     (PHI, "((c / d, k - 1), (1, N - k + 1))", "((c / d, k), (1, N - k + 1))",
@@ -220,6 +221,34 @@ MUTANTS = [
      "the quotient tail divides by 1 - d q^(N-k) for 1 - d q^(N-k+1), the factor that "
      "(dq^(N-k+1))_k adds to (dq^(N-k+2))_(k-1)",
      "tests/test_golden.py::test_quotient_sides_are_byte_identical[R22-rhs-N4]"),
+    (SERIES, "order=T - (levels[i - 1][1] if i else 0))", "order=T - levels[i][1])",
+     "double_term_sum carries each level S_(k-1) to order T - v_k, not T - v_(k-1), "
+     "so every level but the last loses its top coefficients",
+     "tests/test_golden.py::test_two_phi_one_blocks_are_byte_identical[R20-rhs-N4]"),
+    (SERIES, "if v > T or not r[0] or any(e == 0 and c == 1 for c, e in r[2]):",
+     "if v > T or not r[0]:",
+     "the scan reads past an outer term zeroed by a factor 1 - q^0 above, as R20's (c/d)_1 at c = d, "
+     "so double_term_sum reads inner sums the forward sum never reaches",
+     "tests/test_series.py::test_double_term_sum_matches_a_fold_of_ref_add[zero-at-first-factor-5]"),
+    (SERIES, "inner_stop and inner_stop(k))", "inner_stop and inner_stop(k) - 1)",
+     "double_term_sum ends each bounded inner sum one term short",
+     "tests/test_series.py::test_double_term_sum_matches_a_fold_of_ref_add[inner-stop-0-5]"),
+    (SERIES, "        _PROBE.apply_ratio(*r)  # the forward sum applies R_k before it reads J_k\n", "",
+     "double_term_sum reads an inner sum before it applies the outer ratio, so an error in the "
+     "inner sum hides the outer ratio's, which the forward sum raises first",
+     "tests/test_series.py::test_double_term_sum_raises_what_the_forward_sum_raises"),
+    (FOUR, "strided_sum(t, k, T - k)", "strided_sum(t, k, T - k - 1)",
+     "R02's G_k is taken to order T - k - 1, so the nested side loses the q^T term of every k >= 1",
+     "tests/test_golden.py::test_coeffs_json_is_byte_identical[R02-rhs_nested]"),
+    (SERIES, "den *= m\n                total = [m * x for x in total]\n", "den *= m\n",
+     "strided_sum raises its denominator to the running lcm without rescaling the total",
+     "tests/test_series.py::test_strided_sum_matches_a_fold_of_shift_and_sum_of"),
+    (CLI, "MAX_TABLE_N = 60\n", "MAX_TABLE_N = 61\n",
+     "table admits --max-n 61, past README's bound; the tests that read the constant still pass",
+     "tests/test_cli.py::test_the_size_bounds_and_the_positivity_default_are_pinned"),
+    (CLI, "order=50)", "order=51)",
+     "positivity scans to order 51 by default",
+     "tests/test_cli.py::test_the_size_bounds_and_the_positivity_default_are_pinned"),
 ]
 
 

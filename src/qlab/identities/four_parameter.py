@@ -19,8 +19,10 @@ coefficients: common.q_power_sum at c = 1, R12's right side.  In the
 nested right side of R02 the bracket's index k enters the outer terms t_n
 only through q^{kn}, so the double sum is interchanged: one bracket call
 per k on G_k = sum_n q^{kn} t_n, with the t_n from the forward stream
-ratio_terms.  Sampling stays inside the stated convergence regions so
-those closed forms are the values of the sums.
+ratio_terms.  The bracket carries q^k, so G_k is needed only to order
+T - k, and QSeries.strided_sum adds the t_n it uses at their offsets kn
+over one denominator.  Sampling stays inside the stated convergence
+regions so those closed forms are the values of the sums.
 
 The right sides of R02-R05 weight each term by a Lambert bracket
 (x - y) q^m/((1 - x q^m)(1 - y q^m)), and all are _bracket_sum: R02's and
@@ -146,12 +148,13 @@ def _r02() -> Identity:
 
         sum_of = type(one).sum_of
 
-        def g(k):  # G_k = sum_n q^{kn} t_n; G_0 keeps the geometric tail in b/c
+        def g(k):  # G_k = sum_n q^{kn} t_n to order T - k; G_0 keeps the geometric tail in b/c
             if k == 0:
                 return sum_of(t[: T + 1] + [u.div_binomial(b / c, 0) for u in t[T + 1 :]], T)
-            return sum_of((t[n].shift(k * n) for n in range(min(len(t), T // k))), T)
+            return type(one).strided_sum(t, k, T - k)
 
-        terms = (g(k).apply_ratio((a - b) * c**k, k, down=((a, k), (b, k))) for k in range(T, -1, -1))
+        terms = (g(k).apply_ratio((a - b) * c**k, k, down=((a, k), (b, k)), order=T)
+                 for k in range(T, -1, -1))
         return poch_ratio(sum_of(terms, T), up=((b / c, 0, None),), down=((b, 0, None),))
 
     return Identity(

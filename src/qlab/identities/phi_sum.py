@@ -6,28 +6,28 @@ k of 2phi1(dq, dq^{N+1}; dq^{k+1}; (c/d) q^k).  Euler's transformation
 = (abz/e)_inf / (z)_inf 2phi1(e/a, e/b; e; abz/e), makes it
 2phi1(q^k, q^{k-N}; dq^{k+1}; cq^{N+1}), which ends at j = N - k; its
 quotient of products leaves (c/d)_k in the outer term and
-(dq)_N / ((q)_N (cq)_N) in front.  phi_block builds that form.  R22's
-right side over (q)_N is quotient_side, x + (dq)_N/(cq)_N (tail - x) for
-x = c/(c - d) and tail the finite sum quotient_tail.  At the limit cutoff
-N = T + 1 these sums and R21's are spt_family's infinite sums: R32 is R22
-there, the d-q block of R26 is phi_block, and the quotient sums of
-R26-R28 and A(c, d) are this module's.
+(dq)_N / ((q)_N (cq)_N) in front.  block_sum builds that form, and
+phi_block puts the prefactor on it.  R22's right side over (q)_N is
+quotient_side, x + (dq)_N/(cq)_N (tail - x) for x = c/(c - d) and tail
+the finite sum quotient_tail.  At the limit cutoff N = T + 1 these sums
+and R21's are spt_family's infinite sums: R32 is R22 there, the d-q block
+of R26 is block_sum, and the quotient sums of R26-R28 and A(c, d) are
+this module's.
 
 Every sum is over term ratios whose factors (1 - c q^e) have e >= 1, and
 ends after its cutoff or at its first term zero to order T.  R21's sum, the
-head of R22's left side and the quotient tail are term_sums, nested from
-the last index in.  Two take their terms from the forward stream,
-ratio_terms: R20's left side is interchanged, sum_k q^k U_k / (1 - q^k)
-over the suffix sums U_k = sum_{n>=k} t_n; and the block's inner 2-phi-1
-weights its outer term t_k and starts from t_k / (1 - q^k), so no full
-product runs.
+head of R22's left side and the quotient tail are term_sums, and the block
+is a double_term_sum, all nested from the last index in.  The block's
+inner 2-phi-1 has 1/(1 - q^k) at j = 0 and is carried only to order
+T - k(k+1), the q-valuation of its outer term, so no full product runs.
+R20's left side alone takes its terms from the forward stream,
+ratio_terms: it is interchanged, sum_k q^k U_k / (1 - q^k) over the
+suffix sums U_k = sum_{n>=k} t_n.
 """
 
 from __future__ import annotations
 
-from itertools import count
-
-from ..series import QSeries, div_poch, poch_ratio, ratio_terms, term_sum
+from ..series import QSeries, div_poch, double_term_sum, poch_ratio, ratio_terms, term_sum
 from .common import (
     all_nonzero,
     distinct,
@@ -40,24 +40,26 @@ from .common import (
 from .model import FINITE, Identity
 
 
-def phi_block(c, d, N: int, one: QSeries) -> QSeries:
-    """(dq)_N / ((q)_N (cq)_N) * sum_{k=1}^{N} [N,k] (c/d)_k d^k q^{k(k+1)} / ((dq)_k (1-q^k))
+def block_sum(c, d, N: int, one: QSeries) -> QSeries:
+    """sum_{k=1}^{N} [N,k] (c/d)_k d^k q^{k(k+1)} / ((dq)_k (1-q^k))
     * sum_{j=0}^{N-k} (q^k)_j (q^{k-N})_j (cq^{N+1})^j / ((dq^{k+1})_j (q)_j), the
-    2-phi-1 block after Euler's transformation (see the module docstring)."""
+    2-phi-1 block after Euler's transformation without its prefactor (see the
+    module docstring)."""
 
-    def ratio(k):  # [N,k] (c/d)_k d^k q^{k(k+1)} / (dq)_k
+    def outer(k):  # [N,k] (c/d)_k d^k q^{k(k+1)} / (dq)_k
         return d, 2 * k, ((c / d, k - 1), (1, N - k + 1)), ((1, k), (d, k))
 
-    def inner_sum(k, t):  # started from its outer term, t / (1 - q^k) at j = 0
-        def inner(j):  # (1 - q^{k-N+j-1}) c q^{N+1} = -c q^{k+j} (1 - q^{N-k-j+1})
-            if not j:
-                return 1, 0, (), ((1, k),)
-            return -c, k + j, ((1, k + j - 1), (1, N - k - j + 1)), ((d, k + j), (1, j))
+    def inner(k, j):  # 1/(1 - q^k) at j = 0; (1 - q^{k-N+j-1}) c q^{N+1} = -c q^{k+j} (1 - q^{N-k-j+1})
+        if not j:
+            return 1, 0, (), ((1, k),)
+        return -c, k + j, ((1, k + j - 1), (1, N - k - j + 1)), ((d, k + j), (1, j))
 
-        return type(one).sum_of(ratio_terms(t, inner, 0, N - k), one.order)
+    return double_term_sum(one, outer, inner, 1, N, lambda k: N - k)
 
-    total = type(one).sum_of(map(inner_sum, count(1), ratio_terms(one, ratio, 1, N)), one.order)
-    return poch_ratio(total, up=((d, 1, N),), down=((1, 1, N), (c, 1, N)))
+
+def phi_block(c, d, N: int, one: QSeries) -> QSeries:
+    """(dq)_N / ((q)_N (cq)_N) * block_sum(c, d, N, one)."""
+    return poch_ratio(block_sum(c, d, N, one), up=((d, 1, N),), down=((1, 1, N), (c, 1, N)))
 
 
 def _alternating(c, d, N: int, over_q_N: bool):

@@ -17,12 +17,13 @@ than the enumerator; the per-n oracles read tuples and stay the reference.
 
 The series sides are term_sums.  The q^{j^2}/(q)_j^2 sums of R23, R25 and
 R36 are interchanged, one weight per inner index over the suffix sums of
-the outer terms, and R31's double sum starts each inner sum from its
-outer term, so no full product runs; both read their outer terms from
-the forward stream, ratio_terms.
+the outer terms, which they read from the forward stream, ratio_terms.
+R31's double sum is a double_term_sum, nested from the last index in,
+its inner sum carried only to the order its outer term leaves, so no
+full product runs.
 
 R32 is R22 at the limit cutoff N = T + 1, and its sums are phi_sum's
-finite sums there: the d-q block of R26 is phi_block, the quotient sums
+finite sums there: the d-q block of R26 is block_sum, the quotient sums
 of R26-R28 are quotient_side and quotient_tail, and A(c, d) is R21's sum
 weighted by n.  At its index n (k + j in the block) a term is O(q^n), and
 the cutoff adds to it only factors 1 + O(q^{N-n+1}), as in
@@ -39,10 +40,9 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import count
 
 from ..partitions import partition_profiles
-from ..series import QSeries, div_poch, poch_ratio, ratio_terms, term_sum
+from ..series import QSeries, div_poch, double_term_sum, poch_ratio, ratio_terms, term_sum
 from .common import (
     all_nonzero,
     div_q_n,
@@ -56,7 +56,7 @@ from .common import (
     weighted_square_sum,
 )
 from .model import INFINITE, Identity, ParamEnv
-from .phi_sum import _alternating, _r22, phi_block, quotient_side, quotient_tail
+from .phi_sum import _alternating, _r22, block_sum, quotient_side, quotient_tail
 
 
 def n_sc_generating_function(order: int) -> QSeries:
@@ -201,9 +201,11 @@ def _r26() -> Identity:
     def lhs(env, N, one):
         d = env.get("d")
         # (q^2;q^2)_n = (q)_n (-q)_n, so the sum is A(-1, d); the d-q block at
-        # c = -1 has no 1/(q)_inf in its prefactor here, so (q)_inf cancels it
-        block = phi_block(-1, d, limit_cutoff(one), one)
-        return _alternating_sum(-1, d, one) + poch_ratio(block, up=((1, 1, None),))
+        # c = -1 has no 1/(q)_inf in its prefactor here, and at N = T + 1 the
+        # 1/(q)_N of phi_block's is 1/(q)_inf to order T, so both are left out
+        N = limit_cutoff(one)
+        block = poch_ratio(block_sum(-1, d, N, one), up=((d, 1, N),), down=((-1, 1, N),))
+        return _alternating_sum(-1, d, one) + block
 
     def rhs(env, N, one):  # c/(c - d) = 1/(1 + d) at c = -1
         return quotient_side(-1, env.get("d"), limit_cutoff(one), one)
@@ -326,15 +328,12 @@ def _r31() -> Identity:
             return -c, 3 * k - 1, (), ((1, k), (c, k))
 
         # The j = 0 term q^{k^2}/(cq)_k of the inner sum rides on the outer
-        # term, so the inner sum starts from it, t / (1 - q^k), and its
-        # terms are the ratios c^j q^{j^2+2jk} / ((cq^{k+1})_j (q)_j).
-        def inner_sum(k, t):
-            def inner(j):
-                return (c, 2 * (j + k) - 1, (), ((c, j + k), (1, j))) if j else (1, 0, (), ((1, k),))
+        # term, so the inner sum has 1/(1 - q^k) at j = 0, and its terms
+        # are the ratios c^j q^{j^2+2jk} / ((cq^{k+1})_j (q)_j).
+        def inner(k, j):
+            return (c, 2 * (j + k) - 1, (), ((c, j + k), (1, j))) if j else (1, 0, (), ((1, k),))
 
-            return type(one).sum_of(ratio_terms(t, inner), one.order)
-
-        block = type(one).sum_of(map(inner_sum, count(1), ratio_terms(one, second, 1)), one.order)
+        block = double_term_sum(one, second, inner, 1)
         return weighted_square_sum(c, limit_cutoff(one), one) - block
 
     def rhs(env, N, one):

@@ -73,6 +73,7 @@ Values are immutable and safe to share between workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
 from math import gcd, lcm
 from operator import add, floordiv, mul, sub
@@ -228,6 +229,22 @@ class QSeries:
                 total = [x + k * y for x, y in zip(total, nums)]
             else:
                 total = [m * x + k * y for x, y in zip(total, nums)]
+        return _reduced(total, den)
+
+    @classmethod
+    def strided_sum(cls, terms: Sequence["QSeries"], stride: int, order: int) -> "QSeries":
+        """sum_n q^(stride*n) terms[n] to order, stride >= 1: the numerators of each
+        term with stride*n <= order added at that offset over the running lcm of
+        their denominators, reduced once; terms of order at least `order`."""
+        total, den = [0] * (order + 1), 1
+        for off, s in zip(range(0, order + 1, stride), terms):
+            m = s._den // gcd(den, s._den)
+            if m != 1:
+                den *= m
+                total = [m * x for x in total]
+            k = den // s._den
+            nums = s._nums[: order + 1 - off]
+            total[off:] = map(add, total[off:], nums if k == 1 else map(k.__mul__, nums))
         return _reduced(total, den)
 
     # -- ring operations ----------------------------------------------
@@ -582,6 +599,20 @@ S = TypeVar("S")  # QSeries, or a type with its methods
 _PROBE = QSeries.zero(0)  # a ratio applied to it raises what it raises anywhere
 
 
+def _scan(ratio: Callable[[int], tuple], start: int, stop: Optional[int], T: int):
+    """(n, R_n, v_n) for term_sum's indices n = start..M; the ratio that ends
+    the scan is applied as the forward stream applies it."""
+    n, v = start, 0
+    while stop is None or n <= stop:
+        r = ratio(n)
+        v += r[1]
+        if v > T or not r[0] or any(e == 0 and c == 1 for c, e in r[2]):
+            _PROBE.apply_ratio(*r)  # as the forward stream applies it
+            return
+        yield n, r, v
+        n += 1
+
+
 def term_sum(one: S, ratio: Callable[[int], tuple], start: int = 0, stop: Optional[int] = None,
              weight: Optional[Callable[[int], tuple]] = None) -> S:
     """sum_{n=start}^{M} t_n W_n to the order T of one, the unit series of the
@@ -599,20 +630,13 @@ def term_sum(one: S, ratio: Callable[[int], tuple], start: int = 0, stop: Option
     ratio_terms, would raise.  README's design notes say more.
     """
     T, levels, read = one.order, [], []  # levels (R_n, W_n, v_n) for n = start..M
-    n, v = start, 0
     try:
-        while stop is None or n <= stop:
-            r = ratio(n)
+        for n, r, v in _scan(ratio, start, stop, T):
             read.append(r)
-            v += r[1]
-            if v > T or not r[0] or any(e == 0 and c == 1 for c, e in r[2]):
-                _PROBE.apply_ratio(*r)  # as the forward stream applies it
-                break
             w = weight(n) if weight else None
             if w:
                 read.append((w[0], 0, w[1], w[2]))
             levels.append((r, w, v))
-            n += 1
         s = one.truncate(T - levels[-1][2]) if levels else one.scale(0)  # S'_M
         for i in range(len(levels) - 1, -1, -1):
             (scalar, shift, up, down), w, _ = levels[i]
@@ -628,6 +652,28 @@ def term_sum(one: S, ratio: Callable[[int], tuple], start: int = 0, stop: Option
         for r in read:  # the forward stream's first error
             _PROBE.apply_ratio(*r)
         raise
+
+
+def double_term_sum(one: S, outer: Callable[[int], tuple], inner: Callable[[int, int], tuple],
+                    start: int = 0, stop: Optional[int] = None,
+                    inner_stop: Optional[Callable[[int], int]] = None) -> S:
+    """sum_{k=start}^{M} t_k J_k to the order T of one, with t_k and M term_sum's
+    for the ratios outer(k), and J_k the sum through j = inner_stop(k) (no bound
+    without inner_stop) of the terms inner(k, 0) ... inner(k, j).  Nested from
+    the last k in, S_(k-1) = J_(k-1) + R_k S_k from S_M = J_M to R_start S_start:
+    J_k is a term_sum carried to order T - v_k (v_k the q-valuation of t_k), and
+    each level one kernel call to order T - v_(k-1).  An error is the first that
+    the forward sum, each inner sum stepped from its outer term, would raise."""
+    T, levels = one.order, []  # (R_k, v_k, J_k) for k = start..M
+    for k, r, v in _scan(outer, start, stop, T):
+        _PROBE.apply_ratio(*r)  # the forward sum applies R_k before it reads J_k
+        J = term_sum(one.truncate(T - v), partial(inner, k), 0, inner_stop and inner_stop(k))
+        levels.append((r, v, J))
+    s = None
+    for i in range(len(levels) - 1, -1, -1):
+        r, _, J = levels[i]
+        s = (J if s is None else J + s).apply_ratio(*r, order=T - (levels[i - 1][1] if i else 0))
+    return one.scale(0) if s is None else s
 
 
 def ratio_terms(first: S, ratio: Callable[[int], tuple], start: int = 0, stop: Optional[int] = None):

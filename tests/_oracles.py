@@ -188,6 +188,10 @@ class RefSeries:
             total = ref_add(total, t.c)
         return cls(total)
 
+    @classmethod
+    def strided_sum(cls, terms, stride: int, order: int) -> "RefSeries":
+        return cls.sum_of((t.shift(stride * n) for n, t in enumerate(terms)), order)
+
     @property
     def order(self) -> int:
         return len(self.c) - 1
@@ -254,6 +258,24 @@ def ref_term_sum(first, step, start=0, stop=None, weight=None):
         n += 1
         t = step(t, n)
     return type(first)(total)
+
+
+def ref_double_term_sum(one, outer, inner, start=0, stop=None, inner_stop=None):
+    """double_term_sum's sum stepped term by term and folded with ref_add: each
+    outer term t_k = t_(k-1) R_k from one, and its inner terms t_k inner(k, 0)
+    ... inner(k, j) through j = inner_stop(k), each sum up to its first term
+    zero to order T, one mul_binomial or div_binomial per factor."""
+    total, k, t = [Fraction(0)] * (one.order + 1), start, one
+    while stop is None or k <= stop:
+        t = _ref_apply(t, *outer(k))
+        if not any(t.coeffs):
+            break
+        j_stop = inner_stop(k) if inner_stop else None
+        first = _ref_apply(t, *inner(k, 0))
+        inner_sum = ref_term_sum(first, lambda u, j: _ref_apply(u, *inner(k, j)), 0, j_stop)
+        total = ref_add(total, list(inner_sum.coeffs))
+        k += 1
+    return type(one)(total)
 
 
 def _ref_apply(t, scalar, shift, up, down):

@@ -354,6 +354,17 @@ def test_positivity_pattern_and_strict(capsys, tmp_path):
     assert code == 2
 
 
+def test_the_size_bounds_and_the_positivity_default_are_pinned(capsys):
+    # README's bounds as literals, not the constants read back, and
+    # positivity's default order, 50: a bound or a default moved in cli.py
+    # alone must fail here
+    assert (MAX_TABLE_N, MAX_SIZE, MAX_ENUMERATED_ORDER) == (60, 1000, 80)
+    code, out, _ = run_cli(capsys, "positivity", "--N", "1", "--format", "tsv")
+    assert code == 0
+    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == list(range(1, 51))
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -1,16 +1,20 @@
 from fractions import Fraction
+from functools import partial
+from itertools import count
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qlab.series as series
 from qlab.series import (
     PoleInTermRangeError,
     QMonomial,
     QSeries,
     ZeroConstantTermError,
     div_poch,
+    double_term_sum,
     phi_series,
     poch,
     poch_ratio,
@@ -28,6 +32,7 @@ from _oracles import (
     pentagonal_coeffs,
     ref_add,
     ref_div_binomial,
+    ref_double_term_sum,
     ref_first_difference,
     ref_inverse,
     ref_mul_binomial,
@@ -447,6 +452,119 @@ def test_term_sum_raises_a_ratio_error_before_a_later_closure_error():
         term_sum(QSeries.one(8), ratio, 1, 5, weight)
 
 
+# -- double sums (double_term_sum) and strided sums ------------------------------
+
+
+def _block(c, d, N):
+    """The outer and inner ratios of phi_sum.block_sum, the 2-phi-1 block."""
+
+    def outer(k):
+        return d, 2 * k, ((c / d, k - 1), (1, N - k + 1)), ((1, k), (d, k))
+
+    def inner(k, j):
+        if not j:
+            return 1, 0, (), ((1, k),)
+        return -c, k + j, ((1, k + j - 1), (1, N - k - j + 1)), ((d, k + j), (1, j))
+
+    return outer, inner
+
+
+def _r31_block(c):
+    """The outer and inner ratios of R31's block, both sums unbounded."""
+
+    def outer(k):
+        return -c, 3 * k - 1, (), ((1, k), (c, k))
+
+    def inner(k, j):
+        return (c, 2 * (j + k) - 1, (), ((c, j + k), (1, j))) if j else (1, 0, (), ((1, k),))
+
+    return outer, inner
+
+
+def _raising_inner(k, j):
+    """An inner sum whose every ratio past j = 0 divides by 1 - q^0."""
+    return (1, 0, (), ((1, k),)) if not j else (1, 1, (), ((1, 0),))
+
+
+def _double_cases():
+    c, d = Fraction(4, 7), Fraction(-5, 3)
+    block, r31 = _block(c, d, 5), _r31_block(Fraction(2, 5))
+    return {
+        # (outer, inner, start, stop, inner_stop)
+        "block": (*block, 1, 5, lambda k: 5 - k),
+        "unbounded": (*r31, 1, None, None),
+        # R20 at c = d: (c/d)_1 = 1 - q^0, the zero series; no inner sum is read
+        "zero-at-first-factor": (_block(d, d, 5)[0], _raising_inner, 1, 5, lambda k: 5 - k),
+        "zero-at-first-scalar": (lambda k: (0 if k == 1 else 2, 1, (), ()), _raising_inner, 1, None, None),
+        "inner-stop-0": (*block, 1, 5, lambda k: 0),
+        # bounded far past the terms the truncation order keeps
+        "inner-past-its-bound": (*r31, 1, 6, lambda k: 10**6),
+        "empty": (*block, 2, 1, lambda k: 5 - k),
+    }
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 40])
+@pytest.mark.parametrize("case", list(_double_cases()))
+def test_double_term_sum_matches_a_fold_of_ref_add(order, case):
+    outer, inner, start, stop, inner_stop = _double_cases()[case]
+    expected = ref_double_term_sum(RefSeries.one(order), outer, inner, start, stop, inner_stop)
+    for one in (QSeries.one(order), RefSeries.one(order)):
+        total = double_term_sum(one, outer, inner, start, stop, inner_stop)
+        assert type(total) is type(one) and total.order == order
+        assert list(total.coeffs) == list(expected.coeffs)
+    if case.startswith("zero"):
+        assert expected.is_zero()
+
+
+def test_double_term_sum_takes_each_inner_sum_only_to_order_t_minus_v(monkeypatch):
+    # the block's outer term k is O(q^{k(k+1)}): at T = 12 the inner sums
+    # of k = 1, 2, 3 are read to orders 10, 6 and 0, and k = 4 ends the sum
+    orders = []
+    inner_sum = series.term_sum
+
+    def counted(one, *args):
+        orders.append(one.order)
+        return inner_sum(one, *args)
+
+    monkeypatch.setattr(series, "term_sum", counted)
+    outer, inner = _block(Fraction(4, 7), Fraction(-5, 3), 6)
+    double_term_sum(QSeries.one(12), outer, inner, 1, 6, lambda k: 6 - k)
+    assert orders == [10, 6, 0]
+
+
+def _forward_double_sum(one, outer, inner, start, stop, inner_stop):
+    """double_term_sum's sum as the forward stream takes it: each inner sum
+    stepped from its outer term."""
+
+    def inner_sum(k, t):
+        return QSeries.sum_of(ratio_terms(t, partial(inner, k), 0, inner_stop and inner_stop(k)), one.order)
+
+    return QSeries.sum_of(map(inner_sum, count(start), ratio_terms(one, outer, start, stop)), one.order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.one_of(st.none(), st.integers(1, 5)),
+    st.lists(st.tuples(small_rats, st.integers(0, 3), raising_factors_st, raising_factors_st),
+             min_size=1, max_size=5),
+    st.lists(st.tuples(small_rats, st.integers(0, 3), raising_factors_st, raising_factors_st),
+             min_size=1, max_size=4),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+# the inner sum of k = 1 raises before the outer ratio of k = 2 does
+@example(6, None, [(1, 1, [], []), (1, 1, [(2, -1)], [])], [(1, 0, [], []), (1, 1, [], [(1, 0)])], None)
+# the outer ratio of k = 1 raises before its inner sum would
+@example(6, None, [(1, 1, [], [(1, 0)])], [(1, 0, [(2, -1)], [])], None)
+def test_double_term_sum_raises_what_the_forward_sum_raises(order, stop, outers, inners, inner_stop):
+    outer = _drawn(outers, 1, order)
+    inner = lambda k, j: inners[j] if j < len(inners) else (1, order + 1, (), ())  # noqa: E731
+    bound = None if inner_stop is None else (lambda k: inner_stop)
+    one = QSeries.one(order)
+    assert _outcome(lambda: double_term_sum(one, outer, inner, 1, stop, bound)) == _outcome(
+        lambda: _forward_double_sum(one, outer, inner, 1, stop, bound))
+
+
 # -- sums whose terms never vanish (tail_sum) -----------------------------------
 
 
@@ -786,6 +904,16 @@ def test_sum_of_rescales_the_total_and_scales_the_term():
     total = QSeries.sum_of([QSeries(row) for row in rows], 3)
     assert as_fractions(total) == ref_add(ref_add(ref_add(rows[0], rows[1]), rows[2]), rows[3])
     assert total.order == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(coeff_lists, min_size=1, max_size=8), st.integers(1, 4), st.integers(0, 12))
+@example([[Fraction(1, 4)] * 4, [Fraction(5, 6)] * 4, [Fraction(1, 9)] * 4], 1, 3)
+def test_strided_sum_matches_a_fold_of_shift_and_sum_of(rows, stride, order):
+    # every term carried to at least `order`
+    terms = [QSeries(row + [Fraction(0)] * (order + 1 - len(row))) for row in rows]
+    expected = QSeries.sum_of((t.shift(stride * n) for n, t in enumerate(terms)), order)
+    assert as_fractions(QSeries.strided_sum(terms, stride, order)) == as_fractions(expected.truncate(order))
 
 
 def test_binomial_kernels_reject_negative_exponent():
